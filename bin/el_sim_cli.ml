@@ -1208,8 +1208,9 @@ let serve_cmd =
   in
   let group_fsync =
     let doc =
-      "Batch fsyncs per commit: segments appended by one COMMIT share a \
-       single barrier issued before its ack, instead of one fsync per \
+      "Batch writes and fsyncs per commit: segments appended since the \
+       last COMMIT are staged in memory and written with one pwrite and \
+       one fsync before its ack, instead of a pwrite and an fsync per \
        segment.  Acked commits keep the same crash guarantee."
     in
     Arg.(value & flag & info [ "group-fsync" ] ~doc)

@@ -385,9 +385,16 @@ and append ?(self_regen = false) t q ~size ~src ~anchor_tx ~hook =
             b_used = 0;
             b_hooks = [];
           }));
-  match q.q_current with
-  | None -> assert false
-  | Some buf ->
+  match (q.q_current, anchor_tx) with
+  | None, _ -> assert false
+  | Some _, Some ({ anchor = None; _ } as tx)
+    when not (Ids.Tid.Table.mem t.txs tx.tid) ->
+    (* the space hunt above killed the very transaction being appended
+       for (retiring drops the anchor, so an anchored one is alive):
+       its records are garbage now, and its segment may already be
+       recycled, so the record is dropped *)
+    ()
+  | Some buf, _ ->
     (match src with
     | From_seg (seg, idx) -> span_add buf seg idx
     | Raw_abort { rtid; ts } ->
@@ -418,12 +425,8 @@ and append ?(self_regen = false) t q ~size ~src ~anchor_tx ~hook =
                | None -> -1);
              size;
            }));
-    (* the space hunt above may have killed or retired the very
-       transaction being appended for; a dead transaction must not be
-       re-anchored (its anchored entry would outlive its table entry) *)
     (match anchor_tx with
-    | Some ({ anchor = None; _ } as tx) when Ids.Tid.Table.mem t.txs tx.tid ->
-      anchor_at t tx q buf.b_slot
+    | Some ({ anchor = None; _ } as tx) -> anchor_at t tx q buf.b_slot
     | Some _ | None -> ());
     (match hook with
     | Some h -> buf.b_hooks <- h :: buf.b_hooks

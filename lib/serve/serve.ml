@@ -8,8 +8,8 @@ type config = {
   kind : Experiment.manager_kind;
   num_objects : int;
   group_fsync : bool;
-      (* one fsync per COMMIT (before its ack) instead of one per
-         appended segment; acked durability is unchanged *)
+      (* one pwrite + fsync per COMMIT (before its ack) instead of one
+         per appended segment; acked durability is unchanged *)
 }
 
 let default_config ~image =
@@ -52,21 +52,26 @@ let expected_duration = Time.of_ms 50
 let start cfg =
   let backend = El_store.Backend.file ~path:cfg.image in
   (* Manual, not Grouped: serve's explicit sync before each commit ack
-     is the only barrier needed; scheduled per-wave syncs would barrier
-     at every completion instant of the settle for no durability
-     benefit. *)
+     is the only barrier needed, and it writes every segment staged
+     since the last one with a single pwrite; scheduled per-wave syncs
+     would barrier at every completion instant of the settle for no
+     durability benefit. *)
   let sync_mode =
     if cfg.group_fsync then El_store.Log_store.Manual
     else El_store.Log_store.Immediate
   in
-  let store =
-    if cfg.fresh then El_store.Log_store.create ~sync_mode backend
-    else El_store.Log_store.attach ~sync_mode backend
+  (* One scan serves both: attach truncates any torn tail and hands
+     back the scan of what remains, exactly the durable prefix a
+     crashed predecessor left behind. *)
+  let store, scan =
+    if cfg.fresh then
+      let store = El_store.Log_store.create ~sync_mode backend in
+      (store, El_store.Log_store.scan backend)
+    else El_store.Log_store.attach_scan ~sync_mode backend
   in
-  (* Attach already truncated any torn tail, so this scan replays
-     exactly the durable prefix a crashed predecessor left behind. *)
   let recovered =
-    El_recovery.Recovery.recover_store ~num_objects:cfg.num_objects backend
+    El_recovery.Recovery.recover
+      (El_recovery.Recovery.image_of_scan ~num_objects:cfg.num_objects scan)
   in
   let engine = Engine.create ~seed:0 () in
   let killed = Hashtbl.create 64 in
@@ -150,7 +155,11 @@ let start cfg =
 
 let recovered t = t.recovered
 let tid_of_ack t tid = Hashtbl.mem t.acked (Ids.Tid.to_int tid)
-let close t = El_store.Backend.close (El_store.Log_store.backend t.store)
+let close t =
+  (* under --group-fsync, segments appended since the last COMMIT are
+     still staged; a clean shutdown writes them out *)
+  El_store.Log_store.sync t.store;
+  El_store.Backend.close (El_store.Log_store.backend t.store)
 
 let ok fmt = Printf.ksprintf (fun s -> "ok " ^ s) fmt
 let err fmt = Printf.ksprintf (fun s -> "err " ^ s) fmt
@@ -219,8 +228,8 @@ let exec t line =
                 (* Force partial buffers out and run every consequence:
                    by the time drain+settle return, the COMMIT record's
                    block has been appended — and fsynced, either per
-                   segment (Immediate) or by the single group barrier
-                   below — so the ack below is an ack of durable
+                   segment (Immediate) or by the single pwrite + group
+                   barrier below — so the ack below is an ack of durable
                    state. *)
                 t.sink.s_drain ();
                 settle ();
@@ -297,19 +306,56 @@ let exec t line =
     | "QUIT", [] -> (Some "bye", false)
     | verb, _ -> (Some (err "unknown or malformed command %S" verb), true))
 
+(* Runs one line and queues its reply; [false] once the session
+   should end. *)
+let answer t oc line =
+  let response, continue = exec t line in
+  (match response with
+  | None -> ()
+  | Some r ->
+    output_string oc r;
+    output_char oc '\n');
+  continue
+
 let serve_channel t ic oc =
+  (* [buf.[0, held)] is the start of a line whose newline has not
+     arrived yet.  Each read appends what has arrived, every complete
+     line in it runs in order, and all their replies leave in one
+     flush before the next read can block. *)
+  let buf = ref (Bytes.create 65536) in
+  let held = ref 0 in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
-      let response, continue = exec t line in
-      (match response with
-      | None -> ()
-      | Some r ->
-        output_string oc r;
-        output_char oc '\n';
-        flush oc);
-      if continue then loop ()
+    if !held = Bytes.length !buf then begin
+      let b = Bytes.create (2 * !held) in
+      Bytes.blit !buf 0 b 0 !held;
+      buf := b
+    end;
+    let b = !buf in
+    let n = input ic b !held (Bytes.length b - !held) in
+    if n = 0 then begin
+      (* EOF: a last line without its newline still runs *)
+      if !held > 0 then ignore (answer t oc (Bytes.sub_string b 0 !held));
+      flush oc
+    end
+    else begin
+      let stop = !held + n in
+      (* the held bytes have no newline, so only the new ones are
+         searched *)
+      let rec lines start i =
+        if i = stop then (start, true)
+        else if Bytes.unsafe_get b i <> '\n' then lines start (i + 1)
+        else if answer t oc (Bytes.sub_string b start (i - start)) then
+          lines (i + 1) (i + 1)
+        else (i + 1, false)
+      in
+      let start, continue = lines 0 !held in
+      flush oc;
+      if continue then begin
+        Bytes.blit b start b 0 (stop - start);
+        held := stop - start;
+        loop ()
+      end
+    end
   in
   loop ()
 

@@ -49,11 +49,12 @@ type config = {
   kind : El_harness.Experiment.manager_kind;
   num_objects : int;
   group_fsync : bool;
-      (** [true] batches the store's barriers: segments appended while
-          a COMMIT settles share one fsync, issued before the commit
-          ack.  The ack-durability contract is unchanged — only
-          unacked work can be lost to a crash.  [false] (default)
-          fsyncs every appended segment. *)
+      (** [true] runs the store in {!El_store.Log_store.Manual} mode:
+          segments appended since the last COMMIT are staged in memory
+          and the COMMIT writes them with one pwrite and one fsync
+          before its ack.  The ack-durability contract is unchanged —
+          only unacked work can be lost to a crash.  [false] (default)
+          pwrites and fsyncs every appended segment. *)
 }
 
 val default_config : image:string -> config
@@ -65,8 +66,10 @@ type t
 val start : config -> t
 (** Opens (or creates) the image, recovers its committed state, and
     wires a fresh manager to it on a new store epoch — prior epochs'
-    blocks stay durable and are never shadowed by the new run.
-    Raises [Unix.Unix_error] if the image path is unusable. *)
+    blocks stay durable and are never shadowed by the new run.  The
+    image is read once: {!El_store.Log_store.attach_scan}'s scan, cut
+    at any torn tail, is what recovery replays.  Raises
+    [Unix.Unix_error] if the image path is unusable. *)
 
 val recovered : t -> El_recovery.Recovery.result
 (** The committed state found in the image when {!start} attached. *)
@@ -78,18 +81,29 @@ val exec : t -> string -> string option * bool
     in-process tests; the servers below are thin loops over it. *)
 
 val serve_channel : t -> in_channel -> out_channel -> unit
-(** Serves one session: reads commands until EOF or [QUIT], writing
-    and flushing one response line per command. *)
+(** Serves one session until EOF or [QUIT], a batch at a time: each
+    read takes whatever the client has sent so far, every complete
+    line in it runs in order, and their responses go out together in
+    one flush before the next read.  A client that sends one line gets
+    its response at once; one that pipelines gets one reply write per
+    batch.  A COMMIT's response is queued only after its fsync, so the
+    ack promise is unchanged.  A line split across reads runs once,
+    when its newline arrives; a last line without a newline runs at
+    EOF; [QUIT] answers [bye] and nothing after it in the batch runs. *)
 
 val serve_socket : t -> socket_path:string -> unit
 (** Binds a Unix-domain socket (unlinking any stale file first) and
     serves clients sequentially, forever — the caller terminates the
     process.  Each accepted connection is one {!serve_channel}
-    session; [QUIT] ends the connection, not the server. *)
+    session, batched the same way; [QUIT] ends the connection, not
+    the server. *)
 
 val close : t -> unit
-(** Closes the image's file descriptor.  The store needs no shutdown
-    protocol beyond this — every acked write is already durable. *)
+(** Syncs the store and closes the image's file descriptor.  Every
+    acked write is already durable; the sync writes out the segments
+    that [group_fsync] staged after the last COMMIT, so a clean
+    shutdown leaves the whole image, as a per-segment-fsync server
+    does. *)
 
 val tid_of_ack : t -> Ids.Tid.t -> bool
 (** Whether this server acked a commit of [tid] in this session (not

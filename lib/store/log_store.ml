@@ -8,6 +8,9 @@ type t = {
   mutable seq : int;
   mutable write_off : int;
   mutable scratch : Bytes.t;  (* reused segment-encoding buffer *)
+  mutable staged : int;
+      (* Manual: bytes of [scratch] encoded but not yet written; they
+         belong at [write_off - staged] *)
   mutable sync_mode : sync_mode;
   mutable dirty : bool;  (* bytes written since the last barrier *)
   mutable sync_scheduled : bool;  (* a group sync is already queued *)
@@ -27,7 +30,20 @@ let sync_mode t = t.sync_mode
 let dirty t = t.dirty
 let group_syncs t = t.group_syncs
 
+(* Past this many staged bytes a Manual append writes the buffer out
+   first, so a session that never commits cannot grow it without
+   bound. *)
+let stage_limit = 1 lsl 20
+
+let write_staged t =
+  if t.staged > 0 then begin
+    Backend.pwrite t.backend ~off:(t.write_off - t.staged) ~len:t.staged
+      t.scratch;
+    t.staged <- 0
+  end
+
 let sync t =
+  write_staged t;
   if t.dirty then begin
     Backend.barrier t.backend;
     t.dirty <- false;
@@ -35,7 +51,9 @@ let sync t =
   end
 
 let set_sync_mode t mode =
-  (* entering Immediate must not strand written-but-unsynced bytes *)
+  (* leaving Manual must not strand staged bytes, and entering
+     Immediate must not strand written-but-unsynced ones *)
+  if mode <> Manual then write_staged t;
   if mode = Immediate then sync t;
   t.sync_mode <- mode
 
@@ -50,8 +68,15 @@ let request_group_sync t ~schedule =
 let append_segment t ~gen ~slot entries ~corrupt_from =
   let count = List.length entries in
   let len = segment_bytes count in
-  if Bytes.length t.scratch < len then
-    t.scratch <- Bytes.create (max len (2 * Bytes.length t.scratch));
+  if t.staged > 0 && t.staged + len > stage_limit then write_staged t;
+  (* Manual stages each segment behind the ones before it; the other
+     modes write it at once, so [pos] is 0 for them *)
+  let pos = t.staged in
+  if Bytes.length t.scratch < pos + len then begin
+    let b = Bytes.create (max (pos + len) (2 * Bytes.length t.scratch)) in
+    Bytes.blit t.scratch 0 b 0 pos;
+    t.scratch <- b
+  end;
   let header =
     {
       Codec.h_epoch = t.epoch;
@@ -61,18 +86,24 @@ let append_segment t ~gen ~slot entries ~corrupt_from =
       h_count = count;
     }
   in
-  Codec.encode_header_into t.scratch ~pos:0 header;
+  Codec.encode_header_into t.scratch ~pos header;
   List.iteri
     (fun i e ->
       let corrupt = i >= corrupt_from in
       Codec.encode_entry_into ~corrupt t.scratch
-        ~pos:(Codec.header_bytes + (i * Codec.entry_bytes))
+        ~pos:(pos + Codec.header_bytes + (i * Codec.entry_bytes))
         e)
     entries;
-  Backend.pwrite t.backend ~off:t.write_off ~len t.scratch;
   (match t.sync_mode with
-  | Immediate -> Backend.barrier t.backend
-  | Grouped | Manual -> t.dirty <- true);
+  | Immediate ->
+    Backend.pwrite t.backend ~off:t.write_off ~len t.scratch;
+    Backend.barrier t.backend
+  | Grouped ->
+    Backend.pwrite t.backend ~off:t.write_off ~len t.scratch;
+    t.dirty <- true
+  | Manual ->
+    t.staged <- pos + len;
+    t.dirty <- true);
   t.seq <- t.seq + 1;
   t.write_off <- t.write_off + len
 
@@ -112,7 +143,12 @@ type scan = {
   s_max_seq : int;
 }
 
-let scan ?upto backend =
+(* One pass over the image.  With [~cut_torn:true] a partial last
+   segment is left out of the blocks, the stable facts and the maxima
+   — only [s_torn_tail] still reports it — and comes back on the side
+   as its header (when that decoded), so {!attach} can number past
+   it. *)
+let scan_image ?upto ~cut_torn backend =
   let len = Backend.size backend in
   let img = Backend.pread backend ~off:0 ~len in
   let len = Bytes.length img in
@@ -133,6 +169,7 @@ let scan ?upto backend =
   let log_segments = ref [] in
   let stable = Hashtbl.create 64 in
   let torn_tail = ref false in
+  let torn_header = ref None in
   let s_end = ref 0 in
   let max_epoch = ref (-1) in
   let max_seq = ref (-1) in
@@ -154,8 +191,11 @@ let scan ?upto backend =
         let avail =
           if full then h.Codec.h_count else (len - body) / Codec.entry_bytes
         in
-        if not full then torn_tail := true;
-        if included h then begin
+        if not full then begin
+          torn_tail := true;
+          torn_header := Some h
+        end;
+        if included h && (full || not cut_torn) then begin
           incr segments;
           if h.Codec.h_epoch > !max_epoch then max_epoch := h.Codec.h_epoch;
           if h.Codec.h_seq > !max_seq then max_seq := h.Codec.h_seq;
@@ -215,16 +255,19 @@ let scan ?upto backend =
     Hashtbl.fold (fun oid v acc -> (oid, v) :: acc) stable []
     |> List.sort (fun (a, _) (b, _) -> Ids.Oid.compare a b)
   in
-  {
-    s_blocks = blocks;
-    s_stable = stable_pairs;
-    s_segments = !segments;
-    s_stale_blocks = List.length !log_segments - List.length blocks;
-    s_torn_tail = !torn_tail;
-    s_end = !s_end;
-    s_max_epoch = !max_epoch;
-    s_max_seq = !max_seq;
-  }
+  ( {
+      s_blocks = blocks;
+      s_stable = stable_pairs;
+      s_segments = !segments;
+      s_stale_blocks = List.length !log_segments - List.length blocks;
+      s_torn_tail = !torn_tail;
+      s_end = !s_end;
+      s_max_epoch = !max_epoch;
+      s_max_seq = !max_seq;
+    },
+    !torn_header )
+
+let scan ?upto backend = fst (scan_image ?upto ~cut_torn:false backend)
 
 let make backend ~epoch ~seq ~write_off ~sync_mode =
   {
@@ -233,6 +276,7 @@ let make backend ~epoch ~seq ~write_off ~sync_mode =
     seq;
     write_off;
     scratch = Bytes.create (segment_bytes 64);
+    staged = 0;
     sync_mode;
     dirty = false;
     sync_scheduled = false;
@@ -243,8 +287,19 @@ let create ?(sync_mode = Immediate) backend =
   Backend.truncate backend ~len:0;
   make backend ~epoch:0 ~seq:0 ~write_off:0 ~sync_mode
 
-let attach ?(sync_mode = Immediate) backend =
-  let s = scan backend in
+let attach_scan ?(sync_mode = Immediate) backend =
+  let s, torn_header = scan_image ~cut_torn:true backend in
   if s.s_torn_tail then Backend.truncate backend ~len:s.s_end;
-  make backend ~epoch:(s.s_max_epoch + 1) ~seq:(s.s_max_seq + 1)
-    ~write_off:s.s_end ~sync_mode
+  (* a torn segment's header still counts: its epoch and seq may have
+     reached the platter in a predecessor's crash image *)
+  let epoch, seq =
+    match torn_header with
+    | Some h ->
+      (max s.s_max_epoch h.Codec.h_epoch, max s.s_max_seq h.Codec.h_seq)
+    | None -> (s.s_max_epoch, s.s_max_seq)
+  in
+  ( make backend ~epoch:(epoch + 1) ~seq:(seq + 1) ~write_off:s.s_end
+      ~sync_mode,
+    { s with s_torn_tail = false } )
+
+let attach ?sync_mode backend = fst (attach_scan ?sync_mode backend)

@@ -25,18 +25,25 @@
 
     Under {!Grouped} and {!Manual} the barrier is decoupled from the
     append: appends mark the store dirty and the barrier is issued by
-    {!sync}.  Under {!Grouped} the simulation's channels also call
-    {!request_group_sync}, which coalesces every append of a
-    same-instant completion wave under a single barrier, so simulated
-    acks and their barrier land at the same instant.  {!Manual} issues
-    nothing on its own — only an explicit {!sync} barriers; it is the
-    serve loop's mode, where drain-and-settle appends many segments
-    (the sealed block plus each stable install) and one {!sync} before
-    the commit ack covers them all.  The contract shifts accordingly:
-    an append alone is {e not} durable, and an ack may only follow a
-    completed {!sync}.  Callers that honour that rule keep exactly the
-    Immediate crash guarantees while paying one fsync per settle wave
-    (or per commit) instead of one per segment.
+    {!sync}.  Under {!Grouped} each append still [pwrite]s at once, and
+    the simulation's channels also call {!request_group_sync}, which
+    coalesces every append of a same-instant completion wave under a
+    single barrier, so simulated acks and their barrier land at the
+    same instant.  {!Manual} issues nothing on its own: an append only
+    encodes its segment into the store's write buffer, behind the
+    segments staged before it, and {!sync} writes the whole buffer with
+    one [pwrite] and then barriers once.  It is the serve loop's mode,
+    where drain-and-settle appends many segments (the sealed block plus
+    each stable install) and one {!sync} before the commit ack covers
+    them all with one pwrite and one fsync.  (A buffer that outgrows
+    1 MiB is written out, without a barrier, before the next append
+    stages.)  The contract shifts accordingly: an append alone is
+    {e not} durable — under {!Manual} it has not even reached the
+    backend — and an ack may only follow a completed {!sync}.  Callers
+    that honour that rule keep exactly the Immediate crash guarantees
+    while paying one fsync per settle wave (or per commit) instead of
+    one per segment.  Whatever the mode, the bytes that reach the
+    image, and their offsets, are the same.
 
     {2 Epochs}
 
@@ -57,8 +64,9 @@ type sync_mode =
           {!request_group_sync}) barriers once for every append since
           the last barrier *)
   | Manual
-      (** like [Grouped], but {!request_group_sync} is ignored too:
-          only an explicit {!sync} ever barriers *)
+      (** appends stage in memory and {!request_group_sync} is
+          ignored: only an explicit {!sync} writes (one [pwrite] for
+          everything staged) and barriers *)
 
 val create : ?sync_mode:sync_mode -> Backend.t -> t
 (** Truncates the backend and starts at epoch 0, seq 0. *)
@@ -73,15 +81,17 @@ val epoch : t -> int
 val sync_mode : t -> sync_mode
 
 val set_sync_mode : t -> sync_mode -> unit
-(** Switching to [Immediate] first {!sync}s, so no written bytes are
-    left without a barrier. *)
+(** Switching away from [Manual] first writes the staged bytes, and
+    switching to [Immediate] first {!sync}s, so no appended bytes are
+    left unwritten or without a barrier. *)
 
 val dirty : t -> bool
 (** Bytes have been appended since the last barrier ([Grouped] or
     [Manual]). *)
 
 val sync : t -> unit
-(** Barrier now, if dirty; a no-op otherwise. *)
+(** Writes any staged bytes ([Manual]) with one [pwrite], then
+    barriers if dirty; a no-op on a clean store. *)
 
 val request_group_sync : t -> schedule:((unit -> unit) -> unit) -> unit
 (** Asks for a {!sync} to run at a caller-chosen later point — the
@@ -96,8 +106,9 @@ val group_syncs : t -> int
 
 val position : t -> int
 (** The next sequence number to be assigned.  A scan bounded by
-    [~upto:(position t)] sees exactly the segments appended so far —
-    the crash-mark used for in-simulation store recovery. *)
+    [~upto:(position t)] sees exactly the segments appended so far
+    (under [Manual], once a {!sync} has written them) — the crash-mark
+    used for in-simulation store recovery. *)
 
 val torn_keep : count:int -> float -> int
 (** [torn_keep ~count f] is how many of [count] records survive a torn
@@ -139,3 +150,11 @@ val scan : ?upto:int -> Backend.t -> scan
 (** Reads the whole image.  With [~upto:n], segments with [seq >= n]
     are parsed past but excluded — replaying the image as it stood at
     {!position} [= n]. *)
+
+val attach_scan : ?sync_mode:sync_mode -> Backend.t -> t * scan
+(** {!attach}, also returning the scan it made, as a rescan of the
+    image after the attach would read it: a torn tail's partial last
+    segment is left out and [s_torn_tail] is [false].  The new epoch
+    and sequence number still count the torn segment's header, exactly
+    as {!attach} does.  One pass over the image yields both the store
+    and the state to recover. *)

@@ -119,6 +119,32 @@ let test_zipf_hybrid_sweep_clean () =
   Alcotest.(check (list (pair int string))) "no failures" [] o.Sweep.failures;
   Alcotest.(check bool) "contended" true (o.Sweep.contention_aborts > 0)
 
+(* Storm pressure used to crash the hybrid manager: the space hunt
+   inside an append could kill the transaction whose record was being
+   appended, and the append then pinned its recycled segment
+   ([Arena.pin: segment already recycled]).  These two seeds raised;
+   the record of a killed transaction is now dropped, and the spec
+   sweep must find nothing wrong with what is logged instead. *)
+let test_storm_hybrid_kill_mid_append () =
+  List.iter
+    (fun seed ->
+      let cfg =
+        Sweep.standard_config ~kind:(hybrid_kind ()) ~seed
+          ~preset:Preset.storm ()
+      in
+      let r = Experiment.run cfg in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: storm kills under pressure" seed)
+        true (r.Experiment.killed > 0);
+      let o = Sweep.run ~spec:true cfg in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: not overloaded" seed)
+        false o.Sweep.overloaded;
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "seed %d: no failures" seed)
+        [] o.Sweep.failures)
+    [ 398; 839 ]
+
 (* Multi-size records plus Pareto lifetimes used to open the
    forward-origin race: the overwrite of a forwarded head slot could
    reach the platter before the forward write on the backlogged
@@ -179,6 +205,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_conservation;
     Alcotest.test_case "zipf/hybrid spec sweep clean (self-supersede)" `Quick
       test_zipf_hybrid_sweep_clean;
+    Alcotest.test_case "storm/hybrid: kill inside an append drops the record"
+      `Quick test_storm_hybrid_kill_mid_append;
     Alcotest.test_case "longtail/el spec sweep clean (forward guard)" `Quick
       test_longtail_el_sweep_clean;
     Alcotest.test_case "forward guard arms under unscaled longtail" `Quick

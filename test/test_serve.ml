@@ -35,6 +35,10 @@ let child_exe =
 let with_server ?(group_fsync = false) ~image ~fresh f =
   let c2s_r, c2s_w = Unix.pipe ~cloexec:false () in
   let s2c_r, s2c_w = Unix.pipe ~cloexec:false () in
+  (* the child must not inherit our ends, or closing ours would never
+     show it EOF *)
+  Unix.set_close_on_exec c2s_w;
+  Unix.set_close_on_exec s2c_r;
   let args =
     Array.concat
       [
@@ -230,6 +234,271 @@ let test_restart_accumulates () =
       Alcotest.(check (list int))
         "both epochs recovered" [ 1; 2 ] (recovered_tids image))
 
+(* ---- the batched session loop ---- *)
+
+(* One write carrying several lines (a pipe delivers it whole, below
+   PIPE_BUF), then the [n] replies it should produce. *)
+let send oc text =
+  output_string oc text;
+  flush oc
+
+let replies ic n = List.init n (fun _ -> input_line ic)
+
+let test_batch_replies_in_order () =
+  with_temp_dir (fun dir ->
+      let image = Filename.concat dir "disk.img" in
+      with_server ~group_fsync:true ~image ~fresh:true (fun _pid ic oc ->
+          send oc
+            "BEGIN 1\nWRITE 1 10 1\nWRITE 1 11 1\nWRITE 1 12 1\n\
+             WRITE 1 13 1\nCOMMIT 1\nSTAT\n";
+          match replies ic 7 with
+          | [ b; w1; w2; w3; w4; c; stat ] ->
+            Alcotest.(check (list string))
+              "six replies in order"
+              [ "ok begun 1"; "ok written 1 10 1"; "ok written 1 11 1";
+                "ok written 1 12 1"; "ok written 1 13 1"; "ok committed 1" ]
+              [ b; w1; w2; w3; w4; c ];
+            (* the commit's segments went out as one pwrite + fsync *)
+            Alcotest.(check (list string))
+              "STAT: one pwrite, one barrier, one commit" [ "1"; "1"; "1" ]
+              (List.map (stat_field stat) [ "pwrites"; "barriers"; "commits" ])
+          | _ -> assert false))
+
+let test_batch_survives_err () =
+  with_temp_dir (fun dir ->
+      let image = Filename.concat dir "disk.img" in
+      with_server ~image ~fresh:true (fun _pid ic oc ->
+          send oc "BEGIN 1\nFROB 1\nWRITE 1 10 1\nBEGIN 1\nCOMMIT 1\n";
+          match replies ic 5 with
+          | [ b; frob; w; again; c ] ->
+            Alcotest.(check bool) "unknown verb answers err" true
+              (String.starts_with ~prefix:"err " frob);
+            Alcotest.(check bool) "double begin answers err" true
+              (String.starts_with ~prefix:"err " again);
+            Alcotest.(check (list string))
+              "the batch ran on past both errors"
+              [ "ok begun 1"; "ok written 1 10 1"; "ok committed 1" ]
+              [ b; w; c ]
+          | _ -> assert false);
+      Alcotest.(check (list int)) "the commit is durable" [ 1 ]
+        (recovered_tids image))
+
+let test_batch_quit_stops () =
+  with_temp_dir (fun dir ->
+      let image = Filename.concat dir "disk.img" in
+      with_server ~image ~fresh:true (fun pid ic oc ->
+          send oc
+            "BEGIN 1\nWRITE 1 10 1\nCOMMIT 1\nQUIT\nBEGIN 2\n\
+             WRITE 2 11 2\nCOMMIT 2\n";
+          Alcotest.(check (list string))
+            "replies up to and including bye"
+            [ "ok begun 1"; "ok written 1 10 1"; "ok committed 1"; "bye" ]
+            (replies ic 4);
+          Alcotest.(check bool) "nothing after bye" true
+            (match input_line ic with
+            | exception End_of_file -> true
+            | _ -> false);
+          let _, status = Unix.waitpid [] pid in
+          Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0));
+      Alcotest.(check (list int)) "the lines after QUIT never ran" [ 1 ]
+        (recovered_tids image))
+
+let test_split_line_runs_once () =
+  with_temp_dir (fun dir ->
+      let image = Filename.concat dir "disk.img" in
+      with_server ~image ~fresh:true (fun _pid ic oc ->
+          (* the reply to BEGIN proves the server has read the first
+             write, half a WRITE line included *)
+          send oc "BEGIN 1\nWRITE 1 1";
+          Alcotest.(check string) "first write's whole line" "ok begun 1"
+            (input_line ic);
+          send oc "0 1\nSTAT\n";
+          Alcotest.(check string) "the split line ran, whole" "ok written 1 10 1"
+            (input_line ic);
+          Alcotest.(check bool) "and only once" true
+            (String.starts_with ~prefix:"stat " (input_line ic))))
+
+let test_eof_runs_last_line () =
+  with_temp_dir (fun dir ->
+      let image = Filename.concat dir "disk.img" in
+      with_server ~image ~fresh:true (fun pid ic oc ->
+          send oc "BEGIN 1\nWRITE 1 10 1\nCOMMIT 1";
+          close_out oc;
+          Alcotest.(check (list string))
+            "the unterminated COMMIT ran"
+            [ "ok begun 1"; "ok written 1 10 1"; "ok committed 1" ]
+            (replies ic 3);
+          let _, status = Unix.waitpid [] pid in
+          Alcotest.(check bool) "clean exit at EOF" true
+            (status = Unix.WEXITED 0));
+      Alcotest.(check (list int)) "and is durable" [ 1 ] (recovered_tids image))
+
+(* Pipelined transactions under group fsync: batches of whole
+   transactions in one write each, SIGKILL while the last batch is
+   being served, and every write whose commit was acked must READ
+   back after a restart. *)
+let test_pipelined_group_fsync_sigkill () =
+  with_temp_dir (fun dir ->
+      let image = Filename.concat dir "disk.img" in
+      let writes = 6 and per_batch = 8 and batches = 6 in
+      let oid tid w = (tid * writes) + w in
+      let batch first =
+        let b = Buffer.create 1024 in
+        for tid = first to first + per_batch - 1 do
+          Printf.bprintf b "BEGIN %d\n" tid;
+          for w = 0 to writes - 1 do
+            Printf.bprintf b "WRITE %d %d %d\n" tid (oid tid w) tid
+          done;
+          Printf.bprintf b "COMMIT %d\n" tid
+        done;
+        Buffer.contents b
+      in
+      let acked =
+        with_server ~group_fsync:true ~image ~fresh:true (fun pid ic oc ->
+            let acked = ref [] in
+            for k = 0 to batches - 1 do
+              let first = 1 + (k * per_batch) in
+              send oc (batch first);
+              (* the last batch is cut short: the kill lands while the
+                 server is still answering it *)
+              let txs = if k = batches - 1 then per_batch / 2 else per_batch in
+              for tid = first to first + txs - 1 do
+                ignore (replies ic (1 + writes));
+                if input_line ic = Printf.sprintf "ok committed %d" tid then
+                  acked := tid :: !acked
+              done
+            done;
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            List.rev !acked)
+      in
+      Alcotest.(check int) "every commit read was acked"
+        (((batches - 1) * per_batch) + (per_batch / 2))
+        (List.length acked);
+      let t = Serve.start (config ~image ~fresh:false) in
+      Fun.protect
+        ~finally:(fun () -> Serve.close t)
+        (fun () ->
+          List.iter
+            (fun tid ->
+              for w = 0 to writes - 1 do
+                let o = oid tid w in
+                Alcotest.(check (option string))
+                  (Printf.sprintf "acked write %d of tid %d" o tid)
+                  (Some (Printf.sprintf "ok read %d %d" o tid))
+                  (fst (Serve.exec t (Printf.sprintf "READ %d" o)))
+              done)
+            acked))
+
+(* A clean shutdown under group fsync writes out what the open
+   transaction's sealed blocks staged after the last COMMIT, leaving
+   the image a per-segment-fsync server leaves. *)
+let test_close_writes_staged () =
+  with_temp_dir (fun dir ->
+      let session ~group_fsync name =
+        let image = Filename.concat dir name in
+        let t =
+          Serve.start { (config ~image ~fresh:true) with Serve.group_fsync }
+        in
+        List.iter
+          (fun line -> ignore (Serve.exec t line))
+          ([ "BEGIN 1"; "WRITE 1 1 1"; "COMMIT 1"; "BEGIN 2" ]
+          @ List.init 80 (fun i -> Printf.sprintf "WRITE 2 %d 2" (i + 10)));
+        let written =
+          match Serve.exec t "STAT" with
+          | Some stat, _ -> int_of_string (stat_field stat "bytes")
+          | None, _ -> assert false
+        in
+        Serve.close t;
+        let ic = open_in_bin image in
+        let bytes = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        (written, bytes)
+      in
+      let written_g, image_g = session ~group_fsync:true "grouped.img" in
+      let _, image_i = session ~group_fsync:false "immediate.img" in
+      Alcotest.(check bool) "segments were staged at close" true
+        (written_g < String.length image_g);
+      Alcotest.(check string) "close wrote them: images byte-identical" image_i
+        image_g)
+
+(* Start-up scans the image once: attach's scan, cut at the torn tail,
+   must recover what the old attach-then-rescan path recovered.  The
+   torn segment holds a whole COMMIT entry, so a scan that kept the
+   partial segment would recover a transaction the truncated image
+   does not hold. *)
+let test_torn_tail_single_scan () =
+  with_temp_dir (fun dir ->
+      let image = Filename.concat dir "disk.img" in
+      with_server ~image ~fresh:true (fun _pid ic oc ->
+          send oc "BEGIN 1\nWRITE 1 10 1\nCOMMIT 1\nQUIT\n";
+          ignore (replies ic 4));
+      (* a predecessor died mid-pwrite: a segment whose COMMIT entry
+         landed, torn inside the entry after it *)
+      let b = El_store.Backend.file ~path:image in
+      let tid = Ids.Tid.of_int 2 and timestamp = Time.zero in
+      let torn_at =
+        let t = El_store.Log_store.attach b in
+        let start = El_store.Backend.size b in
+        El_store.Log_store.append_block t ~gen:0 ~slot:7
+          [ Log_record.begin_ ~tid ~size:8 ~timestamp;
+            Log_record.data ~tid ~oid:(Ids.Oid.of_int 11) ~version:2 ~size:8
+              ~timestamp;
+            Log_record.commit ~tid ~size:8 ~timestamp;
+            Log_record.data ~tid ~oid:(Ids.Oid.of_int 12) ~version:2 ~size:8
+              ~timestamp ];
+        start + El_store.Codec.header_bytes
+        + (3 * El_store.Codec.entry_bytes) + 20
+      in
+      El_store.Backend.truncate b ~len:torn_at;
+      El_store.Backend.close b;
+      let copy name =
+        let path = Filename.concat dir name in
+        let ic = open_in_bin image in
+        let data = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let oc = open_out_bin path in
+        output_string oc data;
+        close_out oc;
+        path
+      in
+      let two_scan = copy "two-scan.img" and one_scan = copy "one-scan.img" in
+      Alcotest.(check bool) "the image is torn" true
+        (let b = El_store.Backend.file ~path:image in
+         Fun.protect
+           ~finally:(fun () -> El_store.Backend.close b)
+           (fun () -> (El_store.Log_store.scan b).El_store.Log_store.s_torn_tail));
+      (* the old start-up: attach, then rescan the truncated image *)
+      let expected, epoch, position =
+        let b = El_store.Backend.file ~path:two_scan in
+        Fun.protect
+          ~finally:(fun () -> El_store.Backend.close b)
+          (fun () ->
+            let t = El_store.Log_store.attach b in
+            ( Recovery.recover_store ~num_objects b,
+              El_store.Log_store.epoch t,
+              El_store.Log_store.position t ))
+      in
+      Alcotest.(check (list int)) "the torn COMMIT is not recovered" [ 1 ]
+        (List.sort compare (List.map Ids.Tid.to_int expected.Recovery.committed_tids));
+      let b = El_store.Backend.file ~path:one_scan in
+      Fun.protect
+        ~finally:(fun () -> El_store.Backend.close b)
+        (fun () ->
+          let t, s = El_store.Log_store.attach_scan b in
+          Alcotest.(check (pair int int)) "same new epoch and seq"
+            (epoch, position)
+            (El_store.Log_store.epoch t, El_store.Log_store.position t);
+          Alcotest.(check bool) "attach's scan = a rescan of its result" true
+            (s = El_store.Log_store.scan b));
+      let t = Serve.start (config ~image ~fresh:false) in
+      Fun.protect
+        ~finally:(fun () -> Serve.close t)
+        (fun () ->
+          Alcotest.(check string) "Serve.recovered = the two-scan path"
+            (Marshal.to_string expected [])
+            (Marshal.to_string (Serve.recovered t) [])))
+
 (* In-process protocol coverage that needs no fork. *)
 let test_exec_protocol () =
   with_temp_dir (fun dir ->
@@ -274,4 +543,20 @@ let suite =
       test_restart_accumulates;
     Alcotest.test_case "protocol errors are survivable" `Quick
       test_exec_protocol;
+    Alcotest.test_case "batch: seven lines, seven replies in order" `Quick
+      test_batch_replies_in_order;
+    Alcotest.test_case "batch: an err mid-batch does not stop it" `Quick
+      test_batch_survives_err;
+    Alcotest.test_case "batch: QUIT mid-batch runs nothing after" `Quick
+      test_batch_quit_stops;
+    Alcotest.test_case "a line split across two writes runs once" `Quick
+      test_split_line_runs_once;
+    Alcotest.test_case "a last line without newline runs at EOF" `Quick
+      test_eof_runs_last_line;
+    Alcotest.test_case "pipelined group fsync: SIGKILL loses no ack" `Quick
+      test_pipelined_group_fsync_sigkill;
+    Alcotest.test_case "clean shutdown writes what group fsync staged"
+      `Quick test_close_writes_staged;
+    Alcotest.test_case "torn tail: one scan = attach + rescan" `Quick
+      test_torn_tail_single_scan;
   ]

@@ -436,6 +436,107 @@ let test_group_sync_coalesces () =
   Alcotest.(check int) "mode switch issued the barrier" 2
     (Backend.counters b).Backend.barriers
 
+(* Manual stages appends in memory: the backend sees nothing until a
+   [sync], which writes everything staged with one pwrite and one
+   barrier, leaving exactly the image an Immediate store writes with
+   a pwrite and a barrier per segment. *)
+let manual_appends t =
+  Log_store.append_block t ~gen:0 ~slot:0 (records_of 3 0);
+  Log_store.append_block t ~gen:1 ~slot:0 (records_of 2 50);
+  Log_store.append_stable t ~oid:(Ids.Oid.of_int 7) ~version:3;
+  Log_store.append_block t ~gen:0 ~slot:1 (records_of 4 80)
+
+let image b = Bytes.to_string (Backend.pread b ~off:0 ~len:(Backend.size b))
+
+let test_manual_stages_until_sync () =
+  let immediate = Backend.mem () in
+  manual_appends (Log_store.create immediate);
+  let b = Backend.mem () in
+  let t = Log_store.create ~sync_mode:Log_store.Manual b in
+  manual_appends t;
+  let c = Backend.counters b in
+  Alcotest.(check int) "no pwrite before sync" 0 c.Backend.pwrites;
+  Alcotest.(check int) "backend still empty" 0 (Backend.size b);
+  Alcotest.(check bool) "store dirty" true (Log_store.dirty t);
+  Log_store.sync t;
+  Alcotest.(check int) "one pwrite for the batch" 1 c.Backend.pwrites;
+  Alcotest.(check int) "one barrier for the batch" 1 c.Backend.barriers;
+  Alcotest.(check string) "image = Immediate's" (image immediate) (image b);
+  Alcotest.(check int) "same bytes counted"
+    (Backend.counters immediate).Backend.bytes_written c.Backend.bytes_written;
+  Log_store.sync t;
+  Alcotest.(check int) "a clean sync writes nothing" 1 c.Backend.pwrites;
+  Alcotest.(check int) "and barriers nothing" 1 c.Backend.barriers
+
+let test_manual_unsynced_never_lands () =
+  with_file_backend (fun b path ->
+      let t = Log_store.create ~sync_mode:Log_store.Manual b in
+      Log_store.append_block t ~gen:0 ~slot:0 (records_of 2 0);
+      Log_store.sync t;
+      let synced = image b in
+      (* staged after the last sync: a crash now must not find them *)
+      Log_store.append_block t ~gen:0 ~slot:1 (records_of 3 10);
+      Log_store.append_stable t ~oid:(Ids.Oid.of_int 4) ~version:9;
+      let other = Backend.file ~path in
+      Fun.protect
+        ~finally:(fun () -> Backend.close other)
+        (fun () ->
+          Alcotest.(check string) "unsynced segments never reached the image"
+            synced (image other);
+          let s = Log_store.scan other in
+          Alcotest.(check int) "scan sees the synced block only" 1
+            (List.length s.Log_store.s_blocks);
+          Alcotest.(check bool) "no stable fact" true
+            (s.Log_store.s_stable = [])))
+
+(* A session that never syncs (a client that only aborts) must not
+   grow the stage without bound: past 1 MiB the buffer is written out,
+   still without a barrier. *)
+let test_manual_stage_is_bounded () =
+  let immediate = Backend.mem () in
+  let b = Backend.mem () in
+  let i = Log_store.create immediate in
+  let t = Log_store.create ~sync_mode:Log_store.Manual b in
+  let appends = 400 in
+  for slot = 0 to appends - 1 do
+    Log_store.append_block i ~gen:0 ~slot (records_of 64 slot);
+    Log_store.append_block t ~gen:0 ~slot (records_of 64 slot)
+  done;
+  let c = Backend.counters b in
+  Alcotest.(check bool) "the stage was written out" true (c.Backend.pwrites > 0);
+  Alcotest.(check bool) "in 1 MiB pieces" true
+    (c.Backend.bytes_written <= c.Backend.pwrites * (1 lsl 20));
+  Alcotest.(check int) "without a barrier" 0 c.Backend.barriers;
+  Log_store.sync t;
+  Alcotest.(check int) "then one sync barriers once" 1 c.Backend.barriers;
+  Alcotest.(check string) "image = Immediate's" (image immediate) (image b)
+
+(* Leaving Manual writes what it staged before the next append: to
+   Immediate with a barrier, to Grouped without one. *)
+let test_leaving_manual_writes_staged () =
+  let immediate = Backend.mem () in
+  manual_appends (Log_store.create immediate);
+  List.iter
+    (fun (name, mode, barriers) ->
+      let b = Backend.mem () in
+      let t = Log_store.create ~sync_mode:Log_store.Manual b in
+      Log_store.append_block t ~gen:0 ~slot:0 (records_of 3 0);
+      Log_store.append_block t ~gen:1 ~slot:0 (records_of 2 50);
+      Log_store.append_stable t ~oid:(Ids.Oid.of_int 7) ~version:3;
+      Log_store.set_sync_mode t mode;
+      let c = Backend.counters b in
+      Alcotest.(check int) (name ^ ": switch wrote the staged bytes") 1
+        c.Backend.pwrites;
+      Alcotest.(check int) (name ^ ": barriers at the switch") barriers
+        c.Backend.barriers;
+      Log_store.append_block t ~gen:0 ~slot:1 (records_of 4 80);
+      Alcotest.(check int) (name ^ ": then a pwrite per segment") 2
+        c.Backend.pwrites;
+      Log_store.sync t;
+      Alcotest.(check string) (name ^ ": image = Immediate's")
+        (image immediate) (image b))
+    [ ("immediate", Log_store.Immediate, 1); ("grouped", Log_store.Grouped, 0) ]
+
 (* ---- crash injection inside the write path ---- *)
 
 (* A pwrite that tears mid-flight: the device keeps a byte prefix of
@@ -679,6 +780,14 @@ let suite =
       test_grouped_sync_bytes_identical;
     Alcotest.test_case "group sync requests coalesce" `Quick
       test_group_sync_coalesces;
+    Alcotest.test_case "manual: staged until one pwrite + barrier" `Quick
+      test_manual_stages_until_sync;
+    Alcotest.test_case "manual: unsynced segments never land" `Quick
+      test_manual_unsynced_never_lands;
+    Alcotest.test_case "manual: the stage is bounded" `Quick
+      test_manual_stage_is_bounded;
+    Alcotest.test_case "leaving manual writes staged bytes" `Quick
+      test_leaving_manual_writes_staged;
     Alcotest.test_case "write fault tears a segment" `Quick
       test_write_fault_torn_segment;
     Alcotest.test_case "mid-run device death: replay = simulated recovery"
