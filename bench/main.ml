@@ -920,27 +920,14 @@ let checkpoint_bench speed =
           }
         ()
     in
-    let sink =
-      {
-        El_workload.Generator.begin_tx =
-          (fun ~tid ~expected_duration ->
-            El_core.Fw_manager.begin_tx fw ~tid ~expected_duration);
-        write_data =
-          (fun ~tid ~oid ~version ~size ->
-            El_core.Fw_manager.write_data fw ~tid ~oid ~version ~size);
-        request_commit =
-          (fun ~tid ~on_ack ->
-            El_core.Fw_manager.request_commit fw ~tid ~on_ack);
-        request_abort =
-          (fun ~tid -> El_core.Fw_manager.request_abort fw ~tid);
-      }
-    in
+    let manager = Experiment.Fw_log fw in
     let generator =
-      El_workload.Generator.create engine ~sink ~mix ~arrival_rate:100.0
-        ~runtime ~num_objects:El_model.Params.num_objects ()
+      El_workload.Generator.create engine
+        ~sink:(Experiment.sink_of manager)
+        ~mix ~arrival_rate:100.0 ~runtime
+        ~num_objects:El_model.Params.num_objects ()
     in
-    El_core.Fw_manager.set_on_kill fw (fun tid ->
-        El_workload.Generator.kill generator tid);
+    Experiment.set_on_kill manager (El_workload.Generator.kill generator);
     El_sim.Engine.run engine ~until:runtime;
     El_core.Fw_manager.stats fw
   in
@@ -959,9 +946,9 @@ let checkpoint_bench speed =
     [
       "paper's ideal (none)";
       string_of_int
-        (match ideal.Experiment.fw_stats with
-        | Some s -> s.El_core.Fw_manager.peak_occupancy
-        | None -> 0);
+        (match ideal.Experiment.stats with
+        | [ Experiment.Fw_log_stats s ] -> s.El_core.Fw_manager.peak_occupancy
+        | _ -> 0);
       fmt_f ideal.Experiment.log_write_rate;
       "0";
     ]
@@ -1025,9 +1012,10 @@ let poisson_bench speed =
         [
           name;
           string_of_int
-            (match fw.Experiment.fw_stats with
-            | Some s -> s.El_core.Fw_manager.peak_occupancy
-            | None -> 0);
+            (match fw.Experiment.stats with
+            | [ Experiment.Fw_log_stats s ] ->
+              s.El_core.Fw_manager.peak_occupancy
+            | _ -> 0);
           (if el.Experiment.feasible then "yes" else "no");
           string_of_int el.Experiment.killed;
         ])
@@ -1566,8 +1554,11 @@ let micro () =
           let live = Experiment.prepare cfg in
           El_sim.Engine.run live.Experiment.engine ~until:(El_model.Time.of_sec 45);
           let image =
-            El_recovery.Recovery.crash live.Experiment.engine
-              (Option.get live.Experiment.el)
+            match live.Experiment.manager with
+            | Experiment.El_log m ->
+              El_recovery.Recovery.crash live.Experiment.engine m
+            | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
+              invalid_arg "recovery bench: EL only"
           in
           fun () -> ignore (El_recovery.Recovery.recover image)))
   in

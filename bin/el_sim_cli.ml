@@ -1215,14 +1215,11 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "group-fsync" ] ~doc)
   in
-  let action image socket fresh objects generations firewall hybrid group_fsync
-      =
+  let action image socket fresh objects generations hybrid group_fsync =
     let kind =
-      match (firewall, hybrid) with
-      | Some _, Some _ -> failwith "--fw and --hybrid are mutually exclusive"
-      | Some blocks, None -> Experiment.Firewall blocks
-      | None, Some qs -> Experiment.Hybrid (Array.of_list qs)
-      | None, None ->
+      match hybrid with
+      | Some qs -> Experiment.Hybrid (Array.of_list qs)
+      | None ->
         Experiment.Ephemeral
           (Policy.default ~generation_sizes:(Array.of_list generations))
     in
@@ -1251,10 +1248,13 @@ let serve_cmd =
           BEGIN/WRITE/COMMIT/ABORT lines (stdin or --socket), every \
           [ok committed] ack is written only after the COMMIT record has \
           been fsynced, and a restart recovers all acked state from the \
-          image.")
+          image.  The log manager is EL (-g) or the EL-FW hybrid \
+          (--hybrid); the FW baseline is not served, since it flushes \
+          nothing to a stable database and a restart would lose acked \
+          writes.")
     Term.(
       const action $ image $ socket $ fresh $ serve_objects
-      $ serve_generations $ firewall $ hybrid $ group_fsync)
+      $ serve_generations $ hybrid $ group_fsync)
 
 let () =
   let subcommands =

@@ -51,13 +51,13 @@ let () =
   let hybrid = Experiment.run (config (Experiment.Hybrid [| 64; 64 |])) in
   describe "ephemeral" el;
   describe "EL-FW hybrid" hybrid;
-  (match hybrid.Experiment.hybrid_stats with
-  | Some s ->
+  (match hybrid.Experiment.stats with
+  | [ Experiment.Hybrid_log_stats s ] ->
     Printf.printf
       "\n  hybrid regenerated %d transactions (%d records rewritten wholesale)\n"
       s.El_core.Hybrid_manager.regenerations
       s.El_core.Hybrid_manager.regenerated_records
-  | None -> ());
+  | _ -> ());
   Printf.printf
     "\n  memory: hybrid uses %.1fx less RAM than EL on this workload --\n\
     \  Section 6's prediction ('can drastically reduce main memory\n\

@@ -141,9 +141,7 @@ let audit_hybrid m =
           v.Hybrid_manager.qa_anchored)
     (Hybrid_manager.audit_view m)
 
-let audit_live (live : Experiment.live) =
-  match (live.Experiment.el, live.Experiment.fw, live.Experiment.hybrid) with
-  | Some m, _, _ -> audit_el m
-  | None, Some m, _ -> audit_fw m
-  | None, None, Some m -> audit_hybrid m
-  | None, None, None -> fail "experiment wired to no manager"
+let audit_manager = function
+  | Experiment.El_log m -> audit_el m
+  | Experiment.Fw_log m -> audit_fw m
+  | Experiment.Hybrid_log m -> audit_hybrid m

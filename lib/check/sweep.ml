@@ -6,8 +6,6 @@ module Mix = El_workload.Mix
 module Tx_type = El_workload.Tx_type
 module Policy = El_core.Policy
 module El_manager = El_core.El_manager
-module Fw_manager = El_core.Fw_manager
-module Hybrid_manager = El_core.Hybrid_manager
 module Recovery = El_recovery.Recovery
 module Preset = El_workload.Workload_preset
 
@@ -75,196 +73,25 @@ type slice_outcome = {
   s_atomic_checks : int;  (** cross-shard transactions atomicity-checked *)
 }
 
+(* Every sweep runs over an [El_shard.Shard_group]; a solo config is
+   the 1-shard group.  Each shard gets its own Reference model and
+   spec tracker.  With several shards the {e composite oracle} adds the
+   global atomic-commit invariant over the recovered per-shard
+   committed sets: no crash point may recover a cross-shard
+   transaction as committed on one shard (decision durable) while a
+   participant branch is missing — and no acknowledged transaction may
+   lack its durable decision.  At one shard none of that runs, and
+   failure messages name no shard. *)
 let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
-    (cfg : Experiment.config) =
-  let reference = Reference.create () in
-  let tracker = if spec then Some (Spec_tracker.create ()) else None in
-  let wrap_sink sink =
-    let sink = if oracle then Reference.wrap reference sink else sink in
-    match tracker with Some t -> Spec_tracker.wrap t sink | None -> sink
-  in
-  let on_kill tid =
-    if oracle then Reference.kill reference tid;
-    match tracker with Some t -> Spec_tracker.kill t tid | None -> ()
-  in
-  let live = Experiment.prepare ~wrap_sink ~on_kill cfg in
-  (match tracker with
-  | Some t ->
-    El_disk.Flush_array.add_flush_observer live.Experiment.flush
-      (Spec_tracker.observe_flush t)
-  | None -> ());
-  let engine = live.Experiment.engine in
-  let failures = ref [] in
-  let pauses = ref 0 in
-  let recoveries = ref 0 in
-  let max_scanned = ref 0 in
-  let torn_blocks = ref 0 in
-  let torn_records = ref 0 in
-  let record_failure ~tag msg =
-    failures := (tag, Engine.events_dispatched engine, msg) :: !failures
-  in
-  let guarded ~tag f =
-    try f () with Auditor.Audit_failure m -> record_failure ~tag m
-  in
-  let audit_point () =
-    let tag = !pauses in
-    incr pauses;
-    if tag mod slices = slice then begin
-      guarded ~tag (fun () -> Auditor.audit_live live);
-      (match tracker with
-      | Some t -> guarded ~tag (fun () -> Spec_tracker.check_invariant t)
-      | None -> ());
-      match live.Experiment.el with
-      | Some m when recover ->
-        incr recoveries;
-        let image = Recovery.crash engine m in
-        let r = Recovery.recover image in
-        if r.Recovery.records_scanned > !max_scanned then
-          max_scanned := r.Recovery.records_scanned;
-        torn_blocks := !torn_blocks + r.Recovery.torn_blocks;
-        torn_records := !torn_records + r.Recovery.torn_records;
-        let a = Recovery.audit image r in
-        if not a.Recovery.ok then
-          record_failure ~tag
-            (Format.asprintf "crash recovery diverged: %a" Recovery.pp_audit a);
-        (match tracker with
-        | Some t ->
-          guarded ~tag (fun () ->
-              Spec_tracker.check_crash t r.Recovery.recovered)
-        | None -> ())
-      | _ -> ()
-    end
-  in
-  let final = max_int in
-  let status =
-    try
-      let continue = ref true in
-      while !continue && !pauses < max_points do
-        let n = Engine.run_steps engine ~until:cfg.Experiment.runtime
-            ~max_steps:stride
-        in
-        audit_point ();
-        if n < stride then continue := false
-      done;
-      (* Settle: finish the run, write out every partial buffer and let
-         pending writes, acks and flushes complete. *)
-      Engine.run engine ~until:cfg.Experiment.runtime;
-      (match live.Experiment.el with Some m -> El_manager.drain m | None -> ());
-      (match live.Experiment.fw with Some m -> Fw_manager.drain m | None -> ());
-      (match live.Experiment.hybrid with
-      | Some m -> Hybrid_manager.drain m
-      | None -> ());
-      Engine.run_all engine;
-      `Ok
-    with
-    | El_manager.Log_overloaded msg ->
-      (* every slice hits the same overload at the same event; report
-         it once *)
-      if slice = 0 then
-        record_failure ~tag:final (Printf.sprintf "log overloaded: %s" msg);
-      `Overloaded
-    | El_fault.Injector.Io_fatal { device; op; reason } ->
-      (* fault streams are per-device and untouched by pauses, so
-         every slice dies at the same op of the same device *)
-      if slice = 0 then
-        record_failure ~tag:final
-          (Printf.sprintf "io fatal on %s op %d: %s"
-             (El_fault.Fault_plan.device_name device)
-             op reason);
-      `Faulted
-  in
-  let overloaded = status = `Overloaded in
-  if status = `Ok && slice = 0 then begin
-    let guarded f = guarded ~tag:final f in
-    let record_failure msg = record_failure ~tag:final msg in
-    guarded (fun () -> Auditor.audit_live live);
-    if oracle then begin
-      List.iter record_failure (Reference.violations reference);
-      let gen_committed = Generator.committed live.Experiment.generator in
-      let model_committed = Reference.committed_count reference in
-      if gen_committed <> model_committed then
-        record_failure
-          (Printf.sprintf
-             "generator committed %d transactions, the model saw %d acks"
-             gen_committed model_committed);
-      (match live.Experiment.el with
-      | Some m ->
-        guarded (fun () -> Reference.check_el reference m);
-        guarded (fun () ->
-            Reference.check_settled_stable reference (El_manager.stable m))
-      | None -> ());
-      (match live.Experiment.hybrid with
-      | Some _ ->
-        guarded (fun () ->
-            Reference.check_settled_stable reference live.Experiment.stable)
-      | None -> ())
-    end;
-    match tracker with
-    | Some t ->
-      List.iter record_failure (Spec_tracker.violations t);
-      (* FW is exempt from the settled flush check for the same reason
-         Reference skips its stable check: the baseline retires records
-         by log-space reuse, not by a full drain to the database. *)
-      if
-        Option.is_some live.Experiment.el
-        || Option.is_some live.Experiment.hybrid
-      then
-        guarded (fun () -> Spec_tracker.check_settled t)
-    | None -> ()
-  end;
-  let outcome =
-  {
-    s_events = Engine.events_dispatched engine;
-    s_pauses = !pauses;
-    s_recoveries = !recoveries;
-    s_failures = List.rev !failures;
-    s_overloaded = overloaded;
-    s_faulted = status = `Faulted;
-    s_committed = Generator.committed live.Experiment.generator;
-    s_killed = Generator.killed live.Experiment.generator;
-    s_contention_aborts =
-      Generator.contention_aborts live.Experiment.generator;
-    s_contention_retries = Generator.retries live.Experiment.generator;
-    s_max_scanned = !max_scanned;
-    s_torn_blocks = !torn_blocks;
-    s_torn_records = !torn_records;
-    s_io_retries =
-      (match live.Experiment.fault with
-      | Some i -> El_fault.Injector.retries i
-      | None -> 0);
-    s_io_remaps =
-      (match live.Experiment.fault with
-      | Some i -> El_fault.Injector.remaps i
-      | None -> 0);
-    s_sheds =
-      (match live.Experiment.fault with
-      | Some i -> El_fault.Injector.sheds i
-      | None -> 0);
-    s_spec_checks =
-      (match tracker with Some t -> Spec_tracker.checks t | None -> 0);
-    s_cross_committed = 0;
-    s_blocked_cross = 0;
-    s_atomic_checks = 0;
-  }
-  in
-  Experiment.dispose live;
-  outcome
-
-(* The sharded slice: same pause/settle skeleton as {!run_slice}, but
-   over an [El_shard.Shard_group] — one Reference model and one spec
-   tracker per shard, per-shard crash/recover/audit at every owned
-   pause, and on top of them the {e composite oracle}: the global
-   atomic-commit invariant over the recovered per-shard committed
-   sets.  No crash point may recover a cross-shard transaction as
-   committed on one shard (decision durable) while a participant
-   branch is missing — and no acknowledged transaction may lack its
-   durable decision. *)
-let run_slice_sharded ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
     (cfg : Experiment.config) =
   let module Shard_group = El_shard.Shard_group in
   let module Two_pc = El_shard.Two_pc in
   let module IntSet = Set.Make (Int) in
   let n = cfg.Experiment.shards in
+  let composite = n > 1 in
+  let on_shard i msg =
+    if composite then Printf.sprintf "shard %d: %s" i msg else msg
+  in
   let refs = Array.init n (fun _ -> Reference.create ()) in
   let trackers =
     if spec then Some (Array.init n (fun _ -> Spec_tracker.create ()))
@@ -310,32 +137,9 @@ let run_slice_sharded ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
   let is_el =
     match cfg.Experiment.kind with Experiment.Ephemeral _ -> true | _ -> false
   in
-  (* Crash every shard at the same engine instant, recover each, and
-     check that the per-shard committed sets jointly satisfy atomic
-     commit for every transaction that ever entered 2PC. *)
-  let atomic_commit_check ~tag ~audit_shards () =
-    incr recoveries;
-    let images = Shard_group.crash_images sg in
-    let results = Array.map (fun img -> Recovery.recover img) images in
-    Array.iteri
-      (fun i (r : Recovery.result) ->
-        if r.Recovery.records_scanned > !max_scanned then
-          max_scanned := r.Recovery.records_scanned;
-        torn_blocks := !torn_blocks + r.Recovery.torn_blocks;
-        torn_records := !torn_records + r.Recovery.torn_records;
-        if audit_shards then begin
-          let a = Recovery.audit images.(i) r in
-          if not a.Recovery.ok then
-            record_failure ~tag
-              (Format.asprintf "shard %d crash recovery diverged: %a" i
-                 Recovery.pp_audit a);
-          match trackers with
-          | Some ts ->
-            guarded ~tag (fun () ->
-                Spec_tracker.check_crash ts.(i) r.Recovery.recovered)
-          | None -> ()
-        end)
-      results;
+  (* The per-shard committed sets jointly satisfy atomic commit for
+     every transaction that ever entered 2PC. *)
+  let atomic_commit_check ~tag (results : Recovery.result array) =
     let sets =
       Array.map
         (fun (r : Recovery.result) ->
@@ -404,6 +208,33 @@ let run_slice_sharded ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
                v.Shard_group.v_gtid))
       (Shard_group.cross_views sg)
   in
+  (* Crash every shard at the same engine instant and recover each. *)
+  let crash_point ~tag ~audit_shards =
+    incr recoveries;
+    let images = Shard_group.crash_images sg in
+    let results = Array.map (fun img -> Recovery.recover img) images in
+    Array.iteri
+      (fun i (r : Recovery.result) ->
+        if r.Recovery.records_scanned > !max_scanned then
+          max_scanned := r.Recovery.records_scanned;
+        torn_blocks := !torn_blocks + r.Recovery.torn_blocks;
+        torn_records := !torn_records + r.Recovery.torn_records;
+        if audit_shards then begin
+          let a = Recovery.audit images.(i) r in
+          if not a.Recovery.ok then
+            record_failure ~tag
+              (Format.asprintf "%scrash recovery diverged: %a"
+                 (if composite then Printf.sprintf "shard %d " i else "")
+                 Recovery.pp_audit a);
+          match trackers with
+          | Some ts ->
+            guarded ~tag (fun () ->
+                Spec_tracker.check_crash ts.(i) r.Recovery.recovered)
+          | None -> ()
+        end)
+      results;
+    if composite then atomic_commit_check ~tag results
+  in
   let audit_point () =
     let tag = !pauses in
     incr pauses;
@@ -411,20 +242,12 @@ let run_slice_sharded ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
       Array.iteri
         (fun i inst ->
           guarded ~tag (fun () ->
-              match
-                ( inst.Experiment.i_el,
-                  inst.Experiment.i_fw,
-                  inst.Experiment.i_hybrid )
-              with
-              | Some m, _, _ -> Auditor.audit_el m
-              | _, Some m, _ -> Auditor.audit_fw m
-              | _, _, Some m -> Auditor.audit_hybrid m
-              | _ -> ());
+              Auditor.audit_manager inst.Experiment.i_manager);
           match trackers with
           | Some ts -> guarded ~tag (fun () -> Spec_tracker.check_invariant ts.(i))
           | None -> ())
         instances;
-      if recover && is_el then atomic_commit_check ~tag ~audit_shards:true ()
+      if recover && is_el then crash_point ~tag ~audit_shards:true
     end
   in
   let final = max_int in
@@ -439,16 +262,22 @@ let run_slice_sharded ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
         audit_point ();
         if n < stride then continue := false
       done;
+      (* Settle: finish the run, write out every partial buffer and let
+         pending writes, acks and flushes complete. *)
       Engine.run engine ~until:cfg.Experiment.runtime;
       Shard_group.drain_managers sg;
       Engine.run_all engine;
       `Ok
     with
     | El_manager.Log_overloaded msg ->
+      (* every slice hits the same overload at the same event; report
+         it once *)
       if slice = 0 then
         record_failure ~tag:final (Printf.sprintf "log overloaded: %s" msg);
       `Overloaded
     | El_fault.Injector.Io_fatal { device; op; reason } ->
+      (* fault streams are per-device and untouched by pauses, so
+         every slice dies at the same op of the same device *)
       if slice = 0 then
         record_failure ~tag:final
           (Printf.sprintf "io fatal on %s op %d: %s"
@@ -460,25 +289,15 @@ let run_slice_sharded ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
   if status = `Ok && slice = 0 then begin
     let guarded f = guarded ~tag:final f in
     let record_failure msg = record_failure ~tag:final msg in
-    Array.iteri
-      (fun i inst ->
-        guarded (fun () ->
-            match
-              ( inst.Experiment.i_el,
-                inst.Experiment.i_fw,
-                inst.Experiment.i_hybrid )
-            with
-            | Some m, _, _ -> Auditor.audit_el m
-            | _, Some m, _ -> Auditor.audit_fw m
-            | _, _, Some m -> Auditor.audit_hybrid m
-            | _ -> ());
-        ignore i)
+    Array.iter
+      (fun inst ->
+        guarded (fun () -> Auditor.audit_manager inst.Experiment.i_manager))
       instances;
     if oracle then begin
       Array.iteri
         (fun i r ->
           List.iter
-            (fun m -> record_failure (Printf.sprintf "shard %d: %s" i m))
+            (fun m -> record_failure (on_shard i m))
             (Reference.violations r))
         refs;
       (* Router conservation: every generator ack is a fast-path single
@@ -494,7 +313,7 @@ let run_slice_sharded ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
              gen_committed singles cross);
       (* Per-shard ack accounting: each shard's model counts its
          singles and decisions (shard_committed) plus its prepared
-         branches. *)
+         branches.  Solo, that is every generator commit. *)
       let commits = Shard_group.shard_committed sg in
       let acks = Shard_group.branch_acks sg in
       Array.iteri
@@ -503,23 +322,29 @@ let run_slice_sharded ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
           let got = Reference.committed_count r in
           if got <> expect then
             record_failure
-              (Printf.sprintf
-                 "shard %d model saw %d acks, router accounted %d (%d \
-                  commits + %d branch acks)"
-                 i got expect commits.(i) acks.(i)))
+              (if composite then
+                 Printf.sprintf
+                   "shard %d model saw %d acks, router accounted %d (%d \
+                    commits + %d branch acks)"
+                   i got expect commits.(i) acks.(i)
+               else
+                 Printf.sprintf
+                   "generator committed %d transactions, the model saw %d \
+                    acks"
+                   expect got))
         refs;
       Array.iteri
         (fun i inst ->
-          match (inst.Experiment.i_el, inst.Experiment.i_hybrid) with
-          | Some m, _ ->
+          match inst.Experiment.i_manager with
+          | Experiment.El_log m ->
             guarded (fun () -> Reference.check_el refs.(i) m);
             guarded (fun () ->
                 Reference.check_settled_stable refs.(i) (El_manager.stable m))
-          | None, Some _ ->
+          | Experiment.Hybrid_log _ ->
             guarded (fun () ->
                 Reference.check_settled_stable refs.(i)
                   inst.Experiment.i_stable)
-          | None, None -> ())
+          | Experiment.Fw_log _ -> ())
         instances
     end;
     (match trackers with
@@ -527,21 +352,28 @@ let run_slice_sharded ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
       Array.iteri
         (fun i t ->
           List.iter
-            (fun m -> record_failure (Printf.sprintf "shard %d: %s" i m))
+            (fun m -> record_failure (on_shard i m))
             (Spec_tracker.violations t);
-          let inst = instances.(i) in
-          if
-            Option.is_some inst.Experiment.i_el
-            || Option.is_some inst.Experiment.i_hybrid
-          then guarded (fun () -> Spec_tracker.check_settled t))
+          (* FW is exempt from the settled flush check for the same
+             reason Reference skips its stable check: the baseline
+             retires records by log-space reuse, not by a full drain to
+             the database. *)
+          match instances.(i).Experiment.i_manager with
+          | Experiment.El_log _ | Experiment.Hybrid_log _ ->
+            guarded (fun () -> Spec_tracker.check_settled t)
+          | Experiment.Fw_log _ -> ())
         ts
     | None -> ());
     (* One last composite check over the settled state: the in-doubt
        resolution of every cross-shard transaction must still satisfy
-       atomic commit after all buffers drained. *)
-    if recover && is_el then
-      atomic_commit_check ~tag:final ~audit_shards:false ()
+       atomic commit after all buffers drained.  Solo there is none,
+       and the extra recovery would only be counted. *)
+    if recover && is_el && composite then
+      crash_point ~tag:final ~audit_shards:false
   end;
+  let injected count =
+    match Shard_group.injector sg with Some i -> count i | None -> 0
+  in
   let outcome =
     {
       s_events = Engine.events_dispatched engine;
@@ -557,18 +389,9 @@ let run_slice_sharded ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
       s_max_scanned = !max_scanned;
       s_torn_blocks = !torn_blocks;
       s_torn_records = !torn_records;
-      s_io_retries =
-        (match Shard_group.injector sg with
-        | Some i -> El_fault.Injector.retries i
-        | None -> 0);
-      s_io_remaps =
-        (match Shard_group.injector sg with
-        | Some i -> El_fault.Injector.remaps i
-        | None -> 0);
-      s_sheds =
-        (match Shard_group.injector sg with
-        | Some i -> El_fault.Injector.sheds i
-        | None -> 0);
+      s_io_retries = injected El_fault.Injector.retries;
+      s_io_remaps = injected El_fault.Injector.remaps;
+      s_sheds = injected El_fault.Injector.sheds;
       s_spec_checks =
         (match trackers with
         | Some ts ->
@@ -587,14 +410,10 @@ let run ?(pool = El_par.Pool.serial) ?(stride = 100) ?(max_points = max_int)
     (cfg : Experiment.config) =
   if stride <= 0 then invalid_arg "Sweep.run: stride must be positive";
   let slices = El_par.Pool.jobs pool in
-  let slice_runner =
-    if cfg.Experiment.shards = 1 then run_slice else run_slice_sharded
-  in
   let parts =
     El_par.Pool.map pool
       (fun slice ->
-        slice_runner ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
-          cfg)
+        run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec cfg)
       (List.init slices Fun.id)
   in
   let p0 = List.hd parts in

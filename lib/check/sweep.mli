@@ -92,18 +92,17 @@ val run :
     out across its workers with an outcome identical to the serial
     sweep's.  Raises [Invalid_argument] if [stride <= 0].
 
-    With [shards > 1] in the config, the run goes through
-    [El_shard.Shard_group] and the oracle becomes composite: one
-    {!Reference} model and one {!Spec_tracker} per shard (each shard's
-    sink traffic — branches, 2PC markers, decision transactions — is
-    shadowed independently), per-shard crash/recover/audit at every
-    owned pause, plus the global atomic-commit invariant over the
-    jointly recovered committed sets: no crash point may recover a
-    cross-shard transaction with a durable decision and a missing
-    branch, and no acknowledged transaction may lack its durable
-    decision record.  The settled checks add router conservation
-    (generator acks = singles + cross) and per-shard ack
-    accounting. *)
+    Every run goes through [El_shard.Shard_group] — a solo config is
+    the 1-shard group, so a config with an [observer] raises
+    [Invalid_argument] — with one {!Reference} model and one
+    {!Spec_tracker} per shard (each shadowing all of its shard's sink
+    traffic) and per-shard crash/recover/audit at every owned pause.
+    With [shards > 1] the oracle becomes composite: at every crash
+    point and once more when settled, no cross-shard transaction may
+    recover with a durable decision and a missing branch, nor an
+    acknowledged one without its durable decision record; the settled
+    checks add router conservation (generator acks = singles + cross)
+    and per-shard ack accounting, and failures name their shard. *)
 
 val kind_name : El_harness.Experiment.manager_kind -> string
 

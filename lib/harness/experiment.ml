@@ -84,6 +84,60 @@ let apply_preset cfg (p : El_workload.Workload_preset.t) =
     retry_backoff = p.El_workload.Workload_preset.retry_backoff;
   }
 
+type manager =
+  | El_log of El_manager.t
+  | Fw_log of Fw_manager.t
+  | Hybrid_log of Hybrid_manager.t
+
+type manager_stats =
+  | El_log_stats of El_manager.stats
+  | Fw_log_stats of Fw_manager.stats
+  | Hybrid_log_stats of Hybrid_manager.stats
+
+(* The operations every manager module shares with its callers. *)
+module type LOG = sig
+  type t
+
+  val begin_tx : t -> tid:Ids.Tid.t -> expected_duration:Time.t -> unit
+
+  val write_data :
+    t -> tid:Ids.Tid.t -> oid:Ids.Oid.t -> version:int -> size:int -> unit
+
+  val request_commit : t -> tid:Ids.Tid.t -> on_ack:(Time.t -> unit) -> unit
+  val request_abort : t -> tid:Ids.Tid.t -> unit
+end
+
+let log_sink (type m) (module M : LOG with type t = m) (m : m) =
+  {
+    Generator.begin_tx =
+      (fun ~tid ~expected_duration -> M.begin_tx m ~tid ~expected_duration);
+    write_data =
+      (fun ~tid ~oid ~version ~size -> M.write_data m ~tid ~oid ~version ~size);
+    request_commit = (fun ~tid ~on_ack -> M.request_commit m ~tid ~on_ack);
+    request_abort = (fun ~tid -> M.request_abort m ~tid);
+  }
+
+let sink_of = function
+  | El_log m -> log_sink (module El_manager) m
+  | Fw_log m -> log_sink (module Fw_manager) m
+  | Hybrid_log m -> log_sink (module Hybrid_manager) m
+
+let drain = function
+  | El_log m -> El_manager.drain m
+  | Fw_log m -> Fw_manager.drain m
+  | Hybrid_log m -> Hybrid_manager.drain m
+
+let set_on_kill manager f =
+  match manager with
+  | El_log m -> El_manager.set_on_kill m f
+  | Fw_log m -> Fw_manager.set_on_kill m f
+  | Hybrid_log m -> Hybrid_manager.set_on_kill m f
+
+let stats_of = function
+  | El_log m -> El_log_stats (El_manager.stats m)
+  | Fw_log m -> Fw_log_stats (Fw_manager.stats m)
+  | Hybrid_log m -> Hybrid_log_stats (Hybrid_manager.stats m)
+
 type result = {
   total_blocks : int;
   log_writes_per_gen : int array;
@@ -107,9 +161,7 @@ type result = {
   commit_latency_mean : float;
   forwarded_records : int;
   recirculated_records : int;
-  el_stats : El_manager.stats option;
-  fw_stats : Fw_manager.stats option;
-  hybrid_stats : Hybrid_manager.stats option;
+  stats : manager_stats list;
   backend_name : string;
   store_pwrites : int;
   store_barriers : int;
@@ -119,12 +171,7 @@ type result = {
 
 type live = {
   engine : Engine.t;
-  generator : Generator.t;
-  flush : Flush_array.t;
-  stable : Stable_db.t;
-  el : El_manager.t option;
-  fw : Fw_manager.t option;
-  hybrid : Hybrid_manager.t option;
+  manager : manager;
   obs : El_obs.Obs.t option;
   fault : El_fault.Injector.t option;
   store : El_store.Log_store.t option;
@@ -133,16 +180,15 @@ type live = {
 
 (* One log-manager plant — everything downstream of the workload sink.
    The solo path builds exactly one; the sharded path
-   ({!El_shard.Shard_group}) builds one per shard on a shared engine,
-   which is why the construction lives in its own function: both paths
-   must create the same components in the same order for the
-   shards = 1 byte-identity contract to hold by construction. *)
+   ({!El_shard.Shard_group}) builds one per shard on a shared engine;
+   the server builds one on the image it attached.  Construction lives
+   in its own function because the solo and sharded paths must create
+   the same components in the same order for the shards = 1
+   byte-identity contract to hold by construction. *)
 type instance = {
   i_stable : Stable_db.t;
   i_flush : Flush_array.t;
-  i_el : El_manager.t option;
-  i_fw : Fw_manager.t option;
-  i_hybrid : Hybrid_manager.t option;
+  i_manager : manager;
   i_store : El_store.Log_store.t option;
   i_sink : Generator.sink;
   i_set_on_kill : (Ids.Tid.t -> unit) -> unit;
@@ -162,33 +208,30 @@ let dispose_instance i = dispose_store i.i_store
 let dispose live = dispose_store live.store
 
 let collect_instance cfg ~generator ~overloaded (inst : instance) =
-  let el_stats = Option.map El_manager.stats inst.i_el in
-  let fw_stats = Option.map Fw_manager.stats inst.i_fw in
-  let hybrid_stats = Option.map Hybrid_manager.stats inst.i_hybrid in
+  let stats = stats_of inst.i_manager in
   let total_blocks, per_gen, mem_peak, evictions, forwarded, recirculated =
-    match (el_stats, fw_stats, hybrid_stats) with
-    | Some s, None, None ->
+    match stats with
+    | El_log_stats s ->
       ( Array.fold_left ( + ) 0 s.El_manager.generation_sizes,
         s.El_manager.log_writes_per_gen,
         s.El_manager.peak_memory_bytes,
         s.El_manager.evictions,
         s.El_manager.forwarded_records,
         s.El_manager.recirculated_records )
-    | None, Some s, None ->
+    | Fw_log_stats s ->
       ( s.Fw_manager.size_blocks,
         [| s.Fw_manager.log_writes |],
         s.Fw_manager.peak_memory_bytes,
         0,
         0,
         0 )
-    | None, None, Some s ->
+    | Hybrid_log_stats s ->
       ( Array.fold_left ( + ) 0 s.Hybrid_manager.queue_sizes,
         s.Hybrid_manager.log_writes_per_queue,
         s.Hybrid_manager.peak_memory_bytes,
         0,
         s.Hybrid_manager.regenerated_records,
         0 )
-    | _ -> assert false
   in
   let log_writes_total = Array.fold_left ( + ) 0 per_gen in
   let seconds = Time.to_sec_f cfg.runtime in
@@ -218,9 +261,7 @@ let collect_instance cfg ~generator ~overloaded (inst : instance) =
       El_metrics.Running_stat.mean (Generator.commit_latency generator);
     forwarded_records = forwarded;
     recirculated_records = recirculated;
-    el_stats;
-    fw_stats;
-    hybrid_stats;
+    stats = [ stats ];
     backend_name =
       (match inst.i_store with
       | None -> "sim"
@@ -249,24 +290,24 @@ let collect_instance cfg ~generator ~overloaded (inst : instance) =
       | Some s -> El_store.Log_store.group_syncs s);
   }
 
-let build_instance engine (cfg : config) ?obs ?inj ~num_objects () =
-  (* The durable store, when one is configured.  [Log_store.create]
-     truncates, so every prepared run starts from a blank image; the
-     file variant gets a unique image inside the caller's directory so
-     parallel sweep slices never clobber one another. *)
-  let store =
-    let sync_mode =
-      if cfg.group_fsync then El_store.Log_store.Grouped
-      else El_store.Log_store.Immediate
-    in
-    match cfg.backend with
-    | Sim -> None
-    | Mem_store ->
-      Some (El_store.Log_store.create ~sync_mode (El_store.Backend.mem ()))
-    | File_store dir ->
-      let path = Filename.temp_file ~temp_dir:dir "el_store" ".img" in
-      Some (El_store.Log_store.create ~sync_mode (El_store.Backend.file ~path))
+(* [Log_store.create] truncates, so every prepared run starts from a
+   blank image; the file variant gets a unique image inside the
+   caller's directory so parallel sweep slices never clobber one
+   another. *)
+let create_store cfg =
+  let sync_mode =
+    if cfg.group_fsync then El_store.Log_store.Grouped
+    else El_store.Log_store.Immediate
   in
+  match cfg.backend with
+  | Sim -> None
+  | Mem_store ->
+    Some (El_store.Log_store.create ~sync_mode (El_store.Backend.mem ()))
+  | File_store dir ->
+    let path = Filename.temp_file ~temp_dir:dir "el_store" ".img" in
+    Some (El_store.Log_store.create ~sync_mode (El_store.Backend.file ~path))
+
+let build_instance engine (cfg : config) ?obs ?inj ~store ~num_objects () =
   (match (obs, store) with
   | Some o, Some s ->
     let pwrites = El_obs.Obs.counter o "store.pwrites" in
@@ -282,6 +323,13 @@ let build_instance engine (cfg : config) ?obs ?inj ~num_objects () =
            | El_store.Backend.Pread _ -> ()
            | El_store.Backend.Barrier -> El_metrics.Counter.add barriers 1))
   | _ -> ());
+  (* Flush_array stripes oids evenly over its drives, so the plant's
+     range is padded up to a multiple of the drive count; the padding
+     oids are simply never written. *)
+  let num_objects =
+    let d = max 1 cfg.flush_drives in
+    (num_objects + d - 1) / d * d
+  in
   let stable = Stable_db.create ~num_objects in
   let flush =
     Flush_array.create engine ~drives:cfg.flush_drives
@@ -289,65 +337,20 @@ let build_instance engine (cfg : config) ?obs ?inj ~num_objects () =
       ~scheduling:cfg.flush_scheduling ~implementation:cfg.flush_impl ?obs
       ?fault:inj ?store ()
   in
-  let el, fw, hybrid, sink =
+  let manager =
     match cfg.kind with
     | Ephemeral policy ->
-      let m =
-        El_manager.create engine ~policy ~flush ~stable ~pooled:cfg.pooling
-          ?obs ?fault:inj ?store ()
-      in
-      let sink =
-        {
-          Generator.begin_tx =
-            (fun ~tid ~expected_duration ->
-              El_manager.begin_tx m ~tid ~expected_duration);
-          write_data =
-            (fun ~tid ~oid ~version ~size ->
-              El_manager.write_data m ~tid ~oid ~version ~size);
-          request_commit =
-            (fun ~tid ~on_ack -> El_manager.request_commit m ~tid ~on_ack);
-          request_abort = (fun ~tid -> El_manager.request_abort m ~tid);
-        }
-      in
-      (Some m, None, None, sink)
+      El_log
+        (El_manager.create engine ~policy ~flush ~stable ~pooled:cfg.pooling
+           ?obs ?fault:inj ?store ())
     | Firewall size_blocks ->
-      let m =
-        Fw_manager.create engine ~size_blocks ?obs ?fault:inj ?store ()
-      in
-      let sink =
-        {
-          Generator.begin_tx =
-            (fun ~tid ~expected_duration ->
-              Fw_manager.begin_tx m ~tid ~expected_duration);
-          write_data =
-            (fun ~tid ~oid ~version ~size ->
-              Fw_manager.write_data m ~tid ~oid ~version ~size);
-          request_commit =
-            (fun ~tid ~on_ack -> Fw_manager.request_commit m ~tid ~on_ack);
-          request_abort = (fun ~tid -> Fw_manager.request_abort m ~tid);
-        }
-      in
-      (None, Some m, None, sink)
+      Fw_log (Fw_manager.create engine ~size_blocks ?obs ?fault:inj ?store ())
     | Hybrid queue_sizes ->
-      let m =
-        Hybrid_manager.create engine ~queue_sizes ~flush ~stable
-          ~pooled:cfg.pooling ?obs ?fault:inj ?store ()
-      in
-      let sink =
-        {
-          Generator.begin_tx =
-            (fun ~tid ~expected_duration ->
-              Hybrid_manager.begin_tx m ~tid ~expected_duration);
-          write_data =
-            (fun ~tid ~oid ~version ~size ->
-              Hybrid_manager.write_data m ~tid ~oid ~version ~size);
-          request_commit =
-            (fun ~tid ~on_ack -> Hybrid_manager.request_commit m ~tid ~on_ack);
-          request_abort = (fun ~tid -> Hybrid_manager.request_abort m ~tid);
-        }
-      in
-      (None, None, Some m, sink)
+      Hybrid_log
+        (Hybrid_manager.create engine ~queue_sizes ~flush ~stable
+           ~pooled:cfg.pooling ?obs ?fault:inj ?store ())
   in
+  let sink = sink_of manager in
   (* Degraded mode: under a fault storm the flush backlog grows
      without bound; past [shed_backlog] newly arriving transactions
      are shed — admitted, then immediately killed and aborted — so
@@ -382,24 +385,19 @@ let build_instance engine (cfg : config) ?obs ?inj ~num_objects () =
         })
     | None -> sink
   in
-  let set_on_kill f =
-    shed_kill := f;
-    (match el with Some m -> El_manager.set_on_kill m f | None -> ());
-    (match fw with Some m -> Fw_manager.set_on_kill m f | None -> ());
-    match hybrid with Some m -> Hybrid_manager.set_on_kill m f | None -> ()
-  in
   {
     i_stable = stable;
     i_flush = flush;
-    i_el = el;
-    i_fw = fw;
-    i_hybrid = hybrid;
+    i_manager = manager;
     i_store = store;
     i_sink = sink;
-    i_set_on_kill = set_on_kill;
+    i_set_on_kill =
+      (fun f ->
+        shed_kill := f;
+        set_on_kill manager f);
   }
 
-let prepare ?(wrap_sink = fun sink -> sink) ?(on_kill = fun _ -> ()) cfg =
+let prepare ?(wrap_sink = fun sink -> sink) cfg =
   if cfg.shards <> 1 then
     invalid_arg
       "Experiment.prepare: shards > 1 runs go through El_shard.Shard_group";
@@ -412,14 +410,10 @@ let prepare ?(wrap_sink = fun sink -> sink) ?(on_kill = fun _ -> ()) cfg =
      without fault injection. *)
   let inj = El_fault.Injector.create cfg.fault in
   let inst =
-    build_instance engine cfg ?obs ?inj ~num_objects:cfg.num_objects ()
+    build_instance engine cfg ?obs ?inj ~store:(create_store cfg)
+      ~num_objects:cfg.num_objects ()
   in
-  let stable = inst.i_stable in
   let flush = inst.i_flush in
-  let el = inst.i_el in
-  let fw = inst.i_fw in
-  let hybrid = inst.i_hybrid in
-  let store = inst.i_store in
   let sink = wrap_sink inst.i_sink in
   (* Contention hooks feed the trace ring only — observability, never
      control flow, so on/off observer identity holds under skew too. *)
@@ -445,11 +439,7 @@ let prepare ?(wrap_sink = fun sink -> sink) ?(on_kill = fun _ -> ()) cfg =
       ~max_retries:cfg.max_retries ~retry_backoff:cfg.retry_backoff
       ~on_contention ~on_retry ~num_objects:cfg.num_objects ()
   in
-  let kill tid =
-    on_kill tid;
-    Generator.kill generator tid
-  in
-  inst.i_set_on_kill kill;
+  inst.i_set_on_kill (Generator.kill generator);
   (* Time-series probes: the backlog/occupancy/memory curves of §4.
      All read-only, sampled at dispatch boundaries by the installed
      observer, so the simulation itself is untouched. *)
@@ -462,8 +452,8 @@ let prepare ?(wrap_sink = fun sink -> sink) ?(on_kill = fun _ -> ()) cfg =
         float_of_int (Generator.active generator));
     El_obs.Obs.add_probe o ~name:"awaiting_ack" (fun () ->
         float_of_int (Generator.awaiting_ack generator));
-    (match el with
-    | Some m ->
+    (match inst.i_manager with
+    | El_log m ->
       Array.iteri
         (fun i _ ->
           El_obs.Obs.add_probe o
@@ -473,16 +463,12 @@ let prepare ?(wrap_sink = fun sink -> sink) ?(on_kill = fun _ -> ()) cfg =
       El_obs.Obs.add_probe o ~name:"live_memory_bytes" (fun () ->
           float_of_int
             (El_core.Ledger.memory_bytes (El_manager.ledger m)))
-    | None -> ());
-    (match fw with
-    | Some m ->
+    | Fw_log m ->
       El_obs.Obs.add_probe o ~name:"fw_occupancy" (fun () ->
           float_of_int (Fw_manager.audit_view m).Fw_manager.ra_occupied);
       El_obs.Obs.add_probe o ~name:"live_memory_bytes" (fun () ->
           float_of_int (Fw_manager.stats m).Fw_manager.current_memory_bytes)
-    | None -> ());
-    (match hybrid with
-    | Some m ->
+    | Hybrid_log m ->
       Array.iteri
         (fun i _ ->
           El_obs.Obs.add_probe o
@@ -493,21 +479,15 @@ let prepare ?(wrap_sink = fun sink -> sink) ?(on_kill = fun _ -> ()) cfg =
         (Hybrid_manager.audit_view m);
       El_obs.Obs.add_probe o ~name:"live_memory_bytes" (fun () ->
           float_of_int
-            (Hybrid_manager.stats m).Hybrid_manager.current_memory_bytes)
-    | None -> ());
+            (Hybrid_manager.stats m).Hybrid_manager.current_memory_bytes));
     El_obs.Obs.install o);
   let rec live =
     {
       engine;
-      generator;
-      flush;
-      stable;
-      el;
-      fw;
-      hybrid;
+      manager = inst.i_manager;
       obs;
       fault = inj;
-      store;
+      store = inst.i_store;
       finish = (fun () -> finish ());
     }
   and finish () =
@@ -533,17 +513,18 @@ let run cfg =
   Fun.protect ~finally:(fun () -> dispose live) live.finish
 
 let run_with_crash_store cfg ~crash_at =
-  (match cfg.kind with
-  | Firewall _ | Hybrid _ ->
-    invalid_arg "Experiment.run_with_crash: FW has no recovery model"
-  | Ephemeral _ -> ());
-  if Time.(crash_at > cfg.runtime) then
-    invalid_arg "Experiment.run_with_crash: crash after end of run";
   let live = prepare cfg in
   Fun.protect
     ~finally:(fun () -> dispose live)
     (fun () ->
-      let manager = Option.get live.el in
+      let manager =
+        match live.manager with
+        | El_log m -> m
+        | Fw_log _ | Hybrid_log _ ->
+          invalid_arg "Experiment.run_with_crash: FW has no recovery model"
+      in
+      if Time.(crash_at > cfg.runtime) then
+        invalid_arg "Experiment.run_with_crash: crash after end of run";
       let holder = ref None in
       Engine.schedule_at live.engine crash_at (fun () ->
           (* Capture the in-memory image first, then freeze the store:

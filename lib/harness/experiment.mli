@@ -112,6 +112,28 @@ val apply_preset : config -> El_workload.Workload_preset.t -> config
     leaving the plant (kind, rate, runtime, drives, sizing, seed,
     observer, fault plan, backend) untouched. *)
 
+(** The three managers the paper compares, behind one value: every
+    caller reaches its manager through it and the functions below. *)
+type manager =
+  | El_log of El_core.El_manager.t
+  | Fw_log of El_core.Fw_manager.t
+  | Hybrid_log of El_core.Hybrid_manager.t
+
+type manager_stats =
+  | El_log_stats of El_core.El_manager.stats
+  | Fw_log_stats of El_core.Fw_manager.stats
+  | Hybrid_log_stats of El_core.Hybrid_manager.stats
+
+val sink_of : manager -> El_workload.Generator.sink
+(** The manager's workload face: begin, write, commit and abort. *)
+
+val drain : manager -> unit
+(** Forces out every partially filled log buffer. *)
+
+val set_on_kill : manager -> (El_model.Ids.Tid.t -> unit) -> unit
+(** Installs the callback the manager runs when it kills a transaction
+    for log space. *)
+
 type result = {
   total_blocks : int;  (** configured log size, all generations *)
   log_writes_per_gen : int array;
@@ -139,9 +161,9 @@ type result = {
   commit_latency_mean : float;  (** seconds, t₃→t₄ *)
   forwarded_records : int;
   recirculated_records : int;
-  el_stats : El_core.El_manager.stats option;
-  fw_stats : El_core.Fw_manager.stats option;
-  hybrid_stats : El_core.Hybrid_manager.stats option;
+  stats : manager_stats list;
+      (** each plant's manager statistics: one entry for a solo run,
+          one per shard (in shard order) for a sharded one *)
   backend_name : string;  (** ["sim"], ["mem"] or ["file"] *)
   store_pwrites : int;  (** store write syscalls (0 under [Sim]) *)
   store_barriers : int;  (** fsync barriers issued (counted no-ops on mem) *)
@@ -157,12 +179,7 @@ val run : config -> result
     want to crash it mid-flight or inspect internals. *)
 type live = {
   engine : El_sim.Engine.t;
-  generator : El_workload.Generator.t;
-  flush : El_disk.Flush_array.t;
-  stable : El_disk.Stable_db.t;
-  el : El_core.El_manager.t option;  (** when [kind] is [Ephemeral] *)
-  fw : El_core.Fw_manager.t option;
-  hybrid : El_core.Hybrid_manager.t option;
+  manager : manager;  (** the manager [kind] selected *)
   obs : El_obs.Obs.t option;
       (** present iff the config's [observer] was set; hand it to
           {!El_obs.Export} after {!live.finish} *)
@@ -185,15 +202,12 @@ val dispose : live -> unit
 
 val prepare :
   ?wrap_sink:(El_workload.Generator.sink -> El_workload.Generator.sink) ->
-  ?on_kill:(El_model.Ids.Tid.t -> unit) ->
   config ->
   live
 (** [wrap_sink] interposes an observer between the workload generator
-    and the log manager (used by the {!El_check} differential oracle
-    to shadow every logging call); it must forward each call to the
-    sink it was given.  [on_kill] is invoked — before the generator is
-    told — whenever the manager kills a transaction.  Both default to
-    doing nothing. *)
+    and the log manager (used by benchmarks to time every logging
+    call); it must forward each call to the sink it was given.  It
+    defaults to the identity. *)
 
 val run_with_crash :
   config -> crash_at:Time.t -> result * El_recovery.Recovery.result * El_recovery.Recovery.audit
@@ -224,15 +238,14 @@ val run_with_crash_store :
 
     One log-manager plant: store, stable database, flush array,
     manager and workload-facing sink.  {!prepare} builds exactly one;
-    [El_shard.Shard_group] builds one per shard on a shared engine.
-    Both go through {!build_instance}, so a 1-shard group is the solo
-    plant by construction. *)
+    [El_shard.Shard_group] builds one per shard on a shared engine;
+    [El_serve.Serve] builds one on the image it attached.  All go
+    through {!build_instance}, so a 1-shard group is the solo plant by
+    construction. *)
 type instance = {
   i_stable : El_disk.Stable_db.t;
   i_flush : El_disk.Flush_array.t;
-  i_el : El_core.El_manager.t option;
-  i_fw : El_core.Fw_manager.t option;
-  i_hybrid : El_core.Hybrid_manager.t option;
+  i_manager : manager;
   i_store : El_store.Log_store.t option;
   i_sink : El_workload.Generator.sink;
       (** the plant's workload face, already wrapped in the degraded
@@ -242,19 +255,24 @@ type instance = {
           shedding wrapper *)
 }
 
+val create_store : config -> El_store.Log_store.t option
+(** A blank store image per the config's [backend] ([None] for [Sim]),
+    a fresh image file per call for [File_store]. *)
+
 val build_instance :
   El_sim.Engine.t ->
   config ->
   ?obs:El_obs.Obs.t ->
   ?inj:El_fault.Injector.t ->
+  store:El_store.Log_store.t option ->
   num_objects:int ->
   unit ->
   instance
-(** Builds one plant on [engine].  [num_objects] sizes the stable
-    database and flush array — the sharded path passes the global oid
-    range plus its 2PC control region, the solo path passes
-    [cfg.num_objects].  Creates its own store image per the config's
-    [backend] (one per instance, so shards never share a disk). *)
+(** Builds one plant on [engine] over [store].  [num_objects] sizes
+    the stable database and flush array — the sharded path passes the
+    global oid range plus its 2PC control region, the others
+    [cfg.num_objects] — padded up to a multiple of [cfg.flush_drives];
+    the padding oids are never written. *)
 
 val dispose_instance : instance -> unit
 (** Closes the instance's store backend and removes its image file,

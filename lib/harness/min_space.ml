@@ -62,7 +62,9 @@ let probe_fw ~run cfg n =
 let min_fw ?pool ?(run = Experiment.run) cfg =
   let probe_fw = probe_fw ~run in
   (* A generous run's peak occupancy brackets the answer: the log can
-     never need fewer blocks than it ever simultaneously occupied. *)
+     never need fewer blocks than it ever simultaneously occupied.  A
+     sharded run sizes every shard's log alike, so its largest shard
+     brackets. *)
   let rec bracket size =
     if size > 16384 then failwith "Min_space.min_fw: workload needs >16384 blocks"
     else begin
@@ -70,9 +72,12 @@ let min_fw ?pool ?(run = Experiment.run) cfg =
       if not r.Experiment.feasible then bracket (size * 4)
       else
         let peak =
-          match r.Experiment.fw_stats with
-          | Some s -> s.El_core.Fw_manager.peak_occupancy
-          | None -> assert false
+          List.fold_left
+            (fun peak -> function
+              | Experiment.Fw_log_stats s ->
+                max peak s.El_core.Fw_manager.peak_occupancy
+              | _ -> peak)
+            0 r.Experiment.stats
         in
         (* The paper's k-block gap must stay free on top of the peak. *)
         (peak, min 16384 (peak + 8))

@@ -49,7 +49,9 @@ val min_fw :
     (bracket mode when [pool] has jobs).  [run] (default
     {!Experiment.run}) executes each probe — the sharded CLI injects
     [El_shard.Shard_group.run_global] here, since this library cannot
-    depend on the shard layer.  Raises [Failure] if no size up to
+    depend on the shard layer.  Under a sharded [run] the size is per
+    shard (every shard's log gets it) and the largest shard's peak
+    occupancy brackets the search.  Raises [Failure] if no size up to
     16384 blocks suffices. *)
 
 val min_el_last_gen :

@@ -1,6 +1,7 @@
 open El_model
 module Engine = El_sim.Engine
 module Experiment = El_harness.Experiment
+module Generator = El_workload.Generator
 
 type config = {
   image : string;
@@ -23,20 +24,11 @@ let default_config ~image =
     group_fsync = false;
   }
 
-(* The same quad every manager exposes, erased to closures so the
-   protocol loop is manager-agnostic (mirrors Experiment's sink). *)
-type sink = {
-  s_begin : tid:Ids.Tid.t -> unit;
-  s_write : tid:Ids.Tid.t -> oid:Ids.Oid.t -> version:int -> size:int -> unit;
-  s_commit : tid:Ids.Tid.t -> on_ack:(Time.t -> unit) -> unit;
-  s_abort : tid:Ids.Tid.t -> unit;
-  s_drain : unit -> unit;
-}
-
 type t = {
   engine : Engine.t;
   store : El_store.Log_store.t;
-  sink : sink;
+  sink : Generator.sink;
+  manager : Experiment.manager;
   killed : (int, unit) Hashtbl.t;
   acked : (int, unit) Hashtbl.t;
   recovered : El_recovery.Recovery.result;
@@ -50,6 +42,11 @@ type t = {
 let expected_duration = Time.of_ms 50
 
 let start cfg =
+  (match cfg.kind with
+  | Experiment.Firewall _ ->
+    (* FW never flushes to a stable database: a restart loses acks *)
+    invalid_arg "Serve.start: the FW baseline has no recovery model"
+  | Experiment.Ephemeral _ | Experiment.Hybrid _ -> ());
   let backend = El_store.Backend.file ~path:cfg.image in
   (* Manual, not Grouped: serve's explicit sync before each commit ack
      is the only barrier needed, and it writes every segment staged
@@ -74,78 +71,27 @@ let start cfg =
       (El_recovery.Recovery.image_of_scan ~num_objects:cfg.num_objects scan)
   in
   let engine = Engine.create ~seed:0 () in
-  let killed = Hashtbl.create 64 in
-  let on_kill tid = Hashtbl.replace killed (Ids.Tid.to_int tid) () in
-  let sink =
-    match cfg.kind with
-    | Experiment.Ephemeral policy ->
-      let flush =
-        El_disk.Flush_array.create engine ~drives:10
-          ~transfer_time:(Time.of_ms 1) ~num_objects:cfg.num_objects ~store ()
-      in
-      let stable = El_disk.Stable_db.create ~num_objects:cfg.num_objects in
-      let m =
-        El_core.El_manager.create engine ~policy ~flush ~stable ~store ()
-      in
-      El_core.El_manager.set_on_kill m on_kill;
+  (* The harness plant on the attached image, with a 1 ms flush
+     transfer.  Its traffic settings go unused: clients are the
+     workload. *)
+  let plant =
+    Experiment.build_instance engine
       {
-        s_begin =
-          (fun ~tid ->
-            El_core.El_manager.begin_tx m ~tid ~expected_duration);
-        s_write =
-          (fun ~tid ~oid ~version ~size ->
-            El_core.El_manager.write_data m ~tid ~oid ~version ~size);
-        s_commit =
-          (fun ~tid ~on_ack ->
-            El_core.El_manager.request_commit m ~tid ~on_ack);
-        s_abort = (fun ~tid -> El_core.El_manager.request_abort m ~tid);
-        s_drain = (fun () -> El_core.El_manager.drain m);
+        (Experiment.default_config ~kind:cfg.kind
+           ~mix:(El_workload.Mix.short_long ~long_fraction:0.0))
+        with
+        Experiment.flush_transfer = Time.of_ms 1;
       }
-    | Experiment.Firewall size_blocks ->
-      let m = El_core.Fw_manager.create engine ~size_blocks ~store () in
-      El_core.Fw_manager.set_on_kill m on_kill;
-      {
-        s_begin =
-          (fun ~tid ->
-            El_core.Fw_manager.begin_tx m ~tid ~expected_duration);
-        s_write =
-          (fun ~tid ~oid ~version ~size ->
-            El_core.Fw_manager.write_data m ~tid ~oid ~version ~size);
-        s_commit =
-          (fun ~tid ~on_ack ->
-            El_core.Fw_manager.request_commit m ~tid ~on_ack);
-        s_abort = (fun ~tid -> El_core.Fw_manager.request_abort m ~tid);
-        s_drain = (fun () -> El_core.Fw_manager.drain m);
-      }
-    | Experiment.Hybrid queue_sizes ->
-      let flush =
-        El_disk.Flush_array.create engine ~drives:10
-          ~transfer_time:(Time.of_ms 1) ~num_objects:cfg.num_objects ~store ()
-      in
-      let stable = El_disk.Stable_db.create ~num_objects:cfg.num_objects in
-      let m =
-        El_core.Hybrid_manager.create engine ~queue_sizes ~flush ~stable
-          ~store ()
-      in
-      El_core.Hybrid_manager.set_on_kill m on_kill;
-      {
-        s_begin =
-          (fun ~tid ->
-            El_core.Hybrid_manager.begin_tx m ~tid ~expected_duration);
-        s_write =
-          (fun ~tid ~oid ~version ~size ->
-            El_core.Hybrid_manager.write_data m ~tid ~oid ~version ~size);
-        s_commit =
-          (fun ~tid ~on_ack ->
-            El_core.Hybrid_manager.request_commit m ~tid ~on_ack);
-        s_abort = (fun ~tid -> El_core.Hybrid_manager.request_abort m ~tid);
-        s_drain = (fun () -> El_core.Hybrid_manager.drain m);
-      }
+      ~store:(Some store) ~num_objects:cfg.num_objects ()
   in
+  let killed = Hashtbl.create 64 in
+  plant.Experiment.i_set_on_kill (fun tid ->
+      Hashtbl.replace killed (Ids.Tid.to_int tid) ());
   {
     engine;
     store;
-    sink;
+    sink = plant.Experiment.i_sink;
+    manager = plant.Experiment.i_manager;
     killed;
     acked = Hashtbl.create 64;
     recovered;
@@ -190,7 +136,8 @@ let exec t line =
       let r =
         guarded (fun () ->
             with_int tid (fun n ->
-                t.sink.s_begin ~tid:(Ids.Tid.of_int n);
+                t.sink.Generator.begin_tx ~tid:(Ids.Tid.of_int n)
+                  ~expected_duration;
                 settle ();
                 ok "begun %d" n))
       in
@@ -211,7 +158,8 @@ let exec t line =
                             if on >= t.num_objects then
                               err "oid %d out of range" on
                             else begin
-                              t.sink.s_write ~tid:(Ids.Tid.of_int tn)
+                              t.sink.Generator.write_data
+                                ~tid:(Ids.Tid.of_int tn)
                                 ~oid:(Ids.Oid.of_int on) ~version:vn ~size:sn;
                               settle ();
                               ok "written %d %d %d" tn on vn
@@ -223,7 +171,7 @@ let exec t line =
         guarded (fun () ->
             with_int tid (fun n ->
                 let acked_at = ref None in
-                t.sink.s_commit ~tid:(Ids.Tid.of_int n)
+                t.sink.Generator.request_commit ~tid:(Ids.Tid.of_int n)
                   ~on_ack:(fun at -> acked_at := Some at);
                 (* Force partial buffers out and run every consequence:
                    by the time drain+settle return, the COMMIT record's
@@ -231,7 +179,7 @@ let exec t line =
                    segment (Immediate) or by the single pwrite + group
                    barrier below — so the ack below is an ack of durable
                    state. *)
-                t.sink.s_drain ();
+                Experiment.drain t.manager;
                 settle ();
                 El_store.Log_store.sync t.store;
                 match !acked_at with
@@ -248,7 +196,7 @@ let exec t line =
       let r =
         guarded (fun () ->
             with_int tid (fun n ->
-                t.sink.s_abort ~tid:(Ids.Tid.of_int n);
+                t.sink.Generator.request_abort ~tid:(Ids.Tid.of_int n);
                 settle ();
                 ok "aborted %d" n))
       in

@@ -1,6 +1,8 @@
 (** [el-sim serve]: a durable-log service over a real disk image.
 
-    The server wires one log manager (EL by default) to a
+    The server builds the harness plant
+    ({!El_harness.Experiment.build_instance}: manager, flush array and
+    stable database — EL by default, or the §6 hybrid) on a
     {!El_store.Backend.file} image and accepts transactions over a
     line protocol — from stdin or a Unix-domain socket.  Each command
     steps the simulation engine until every consequence has settled,
@@ -47,6 +49,7 @@ type config = {
       (** [true] truncates the image; [false] (default) attaches to
           whatever committed state it holds and recovers it *)
   kind : El_harness.Experiment.manager_kind;
+      (** [Ephemeral] or [Hybrid]; {!start} refuses [Firewall] *)
   num_objects : int;
   group_fsync : bool;
       (** [true] runs the store in {!El_store.Log_store.Manual} mode:
@@ -65,10 +68,13 @@ type t
 
 val start : config -> t
 (** Opens (or creates) the image, recovers its committed state, and
-    wires a fresh manager to it on a new store epoch — prior epochs'
+    builds a fresh plant on it on a new store epoch — prior epochs'
     blocks stay durable and are never shadowed by the new run.  The
     image is read once: {!El_store.Log_store.attach_scan}'s scan, cut
     at any torn tail, is what recovery replays.  Raises
+    [Invalid_argument] for a [Firewall] kind before it touches the
+    image: the FW baseline reclaims its ring without flushing to a
+    stable database, so a restart would lose acked writes.  Raises
     [Unix.Unix_error] if the image path is unusable. *)
 
 val recovered : t -> El_recovery.Recovery.result

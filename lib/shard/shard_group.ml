@@ -404,18 +404,12 @@ let prepare ?(wrap_shard_sink = fun _ sink -> sink)
     Partition.create ?ctl_slots ~shards:n
       ~num_objects:cfg.Experiment.num_objects ()
   in
-  (* Each plant's flush array spans data + control oids, padded up to
-     a multiple of the drive count (Flush_array requires it; the
-     padding oids are simply never written). *)
-  let plant_objects =
-    let total = Partition.total_objects part in
-    let d = max 1 cfg.Experiment.flush_drives in
-    (total + d - 1) / d * d
-  in
+  (* Each plant's flush array spans data + control oids. *)
   let sg_instances =
     Array.init n (fun _ ->
-        Experiment.build_instance sg_engine cfg ?inj ~num_objects:plant_objects
-          ())
+        Experiment.build_instance sg_engine cfg ?inj
+          ~store:(Experiment.create_store cfg)
+          ~num_objects:(Partition.total_objects part) ())
   in
   let sinks =
     Array.mapi
@@ -483,16 +477,7 @@ let prepare ?(wrap_shard_sink = fun _ sink -> sink)
 
 let drain_managers t =
   Array.iter
-    (fun inst ->
-      (match inst.Experiment.i_el with
-      | Some m -> El_core.El_manager.drain m
-      | None -> ());
-      (match inst.Experiment.i_fw with
-      | Some m -> El_core.Fw_manager.drain m
-      | None -> ());
-      match inst.Experiment.i_hybrid with
-      | Some m -> El_core.Hybrid_manager.drain m
-      | None -> ())
+    (fun inst -> Experiment.drain inst.Experiment.i_manager)
     t.sg_instances
 
 type shard_stat = {
@@ -517,7 +502,8 @@ type run_result = {
 
 (* Plant counters sum; workload-global counters (identical in every
    element — they read the one shared generator) come from shard 0;
-   backlog peaks don't add, they max. *)
+   backlog peaks don't add, they max; manager stats list every plant,
+   in shard order. *)
 let merge_results (cfg : Experiment.config) (rs : Experiment.result array) =
   let sum f = Array.fold_left (fun a r -> a + f r) 0 rs in
   let maxi f = Array.fold_left (fun a r -> max a (f r)) 0 rs in
@@ -561,9 +547,7 @@ let merge_results (cfg : Experiment.config) (rs : Experiment.result array) =
     flush_backlog_peak = maxi (fun r -> r.Experiment.flush_backlog_peak);
     forwarded_records = sum (fun r -> r.Experiment.forwarded_records);
     recirculated_records = sum (fun r -> r.Experiment.recirculated_records);
-    el_stats = None;
-    fw_stats = None;
-    hybrid_stats = None;
+    stats = List.concat_map (fun r -> r.Experiment.stats) (Array.to_list rs);
     store_pwrites = sum (fun r -> r.Experiment.store_pwrites);
     store_barriers = sum (fun r -> r.Experiment.store_barriers);
     store_bytes_written = sum (fun r -> r.Experiment.store_bytes_written);
@@ -635,9 +619,9 @@ let run_global cfg = (run cfg).r_global
 let crash_images t =
   Array.map
     (fun inst ->
-      match inst.Experiment.i_el with
-      | Some m -> Recovery.crash t.sg_engine m
-      | None ->
+      match inst.Experiment.i_manager with
+      | Experiment.El_log m -> Recovery.crash t.sg_engine m
+      | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
         invalid_arg "Shard_group.crash_images: EL shards only (no FW model)")
     t.sg_instances
 

@@ -62,8 +62,8 @@ val injector : t -> El_fault.Injector.t option
     one stream across all shards, consumed in deterministic order. *)
 
 val drain_managers : t -> unit
-(** [El_manager.drain]-equivalent on every shard's manager — the
-    sweep's settle step. *)
+(** {!Experiment.drain} on every shard's manager — the sweep's settle
+    step. *)
 
 (** {2 2PC registry views — the composite oracle's raw material} *)
 
@@ -146,7 +146,8 @@ type shard_stat = {
 type run_result = {
   r_global : Experiment.result;
       (** workload-global counters plus plant counters summed across
-          shards; at [shards = 1] exactly the solo result *)
+          shards, and every shard's manager stats in shard order; at
+          [shards = 1] exactly the solo result *)
   r_shards : shard_stat array;
   r_single_committed : int;
   r_cross_committed : int;

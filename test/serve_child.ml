@@ -12,14 +12,14 @@ let () =
   in
   let fresh = flag "--fresh" in
   let group_fsync = flag "--group-fsync" in
+  let defaults = El_serve.Serve.default_config ~image in
+  let kind =
+    if flag "--hybrid" then El_harness.Experiment.Hybrid [| 32; 32 |]
+    else defaults.El_serve.Serve.kind
+  in
   let t =
     El_serve.Serve.start
-      {
-        (El_serve.Serve.default_config ~image) with
-        El_serve.Serve.fresh;
-        num_objects = 1_000;
-        group_fsync;
-      }
+      { defaults with El_serve.Serve.fresh; kind; num_objects = 1_000; group_fsync }
   in
   El_serve.Serve.serve_channel t stdin stdout;
   El_serve.Serve.close t

@@ -11,6 +11,12 @@ module Sweep = El_check.Sweep
 module Auditor = El_check.Auditor
 module Reference = El_check.Reference
 
+let el_manager (live : Experiment.live) =
+  match live.Experiment.manager with
+  | Experiment.El_log m -> m
+  | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
+    Alcotest.fail "an EL run expected"
+
 let pp_failures fs =
   String.concat "; "
     (List.map (fun (at, msg) -> Printf.sprintf "[event %d] %s" at msg) fs)
@@ -148,7 +154,11 @@ let test_sweep_45ms_all_kinds () =
    diverge from the spec — a crash landing inside a forced flush's
    transfer window finds the record gone from the log and not yet in
    the stable database.  This pins that the spec oracle actually has
-   teeth: the hazard cannot be silently re-introduced. *)
+   teeth: the hazard cannot be silently re-introduced.  It also pins
+   the sweep's one-shard contract — a solo config is the 1-shard
+   group: its failures name no shard and each crash point costs one
+   recovery, with no extra settled-state recovery — while at two
+   shards every crash-recovery divergence keeps its shard label. *)
 let test_eager_dispose_caught_by_spec () =
   let cfg = scarce_45ms_config ~eager:true ~seed:7 () in
   let o = Sweep.run ~stride:25 ~spec:true cfg in
@@ -156,7 +166,23 @@ let test_eager_dispose_caught_by_spec () =
   let is_spec (_, msg) = Astring_like.contains msg "spec:" in
   Alcotest.(check bool)
     "at least one divergence is a spec-oracle finding" true
-    (List.exists is_spec o.Sweep.failures)
+    (List.exists is_spec o.Sweep.failures);
+  let crash_diverged (_, msg) =
+    Astring_like.contains msg "crash recovery diverged"
+  in
+  let names_shard (_, msg) = String.starts_with ~prefix:"shard" msg in
+  Alcotest.(check bool) "solo: crash recovery diverges" true
+    (List.exists crash_diverged o.Sweep.failures);
+  Alcotest.(check bool) "solo: no failure names a shard" false
+    (List.exists names_shard o.Sweep.failures);
+  Alcotest.(check int) "solo: one recovery per crash point" o.Sweep.points
+    o.Sweep.recoveries;
+  let o2 = Sweep.run ~stride:25 ~spec:true { cfg with Experiment.shards = 2 } in
+  let diverged = List.filter crash_diverged o2.Sweep.failures in
+  Alcotest.(check bool) "2 shards: crash recovery diverges" true
+    (diverged <> []);
+  Alcotest.(check bool) "2 shards: each divergence names its shard" true
+    (List.for_all names_shard diverged)
 
 (* Differential oracle under randomised run parameters: seeds, abort
    fractions, arrival burstiness, and both flushing manager kinds. *)
@@ -197,7 +223,7 @@ let test_corrupted_image_caught () =
   let live = Experiment.prepare cfg in
   Engine.run live.Experiment.engine ~until:(Time.of_sec 15);
   let image =
-    Recovery.crash live.Experiment.engine (Option.get live.Experiment.el)
+    Recovery.crash live.Experiment.engine (el_manager live)
   in
   let sane = Recovery.recover image in
   Alcotest.(check bool) "pristine image audits ok" true
@@ -283,7 +309,7 @@ let test_torn_checksum_caught () =
   let live = Experiment.prepare cfg in
   Engine.run live.Experiment.engine ~until:(Time.of_sec 15);
   let image =
-    Recovery.crash live.Experiment.engine (Option.get live.Experiment.el)
+    Recovery.crash live.Experiment.engine (el_manager live)
   in
   Alcotest.(check bool) "pristine image audits ok" true
     (Recovery.audit image (Recovery.recover image)).Recovery.ok;
@@ -339,7 +365,7 @@ let test_auditor_standalone () =
       let cfg = Sweep.standard_config ~kind ~seed:5 () in
       let live = Experiment.prepare cfg in
       Engine.run live.Experiment.engine ~until:(Time.of_sec 10);
-      Auditor.audit_live live)
+      Auditor.audit_manager live.Experiment.manager)
     (Sweep.standard_kinds ())
 
 let suite =

@@ -258,7 +258,10 @@ let test_invariants_after_runs () =
     in
     let live = El_harness.Experiment.prepare cfg in
     ignore (live.El_harness.Experiment.finish ());
-    M.check_invariants (Option.get live.El_harness.Experiment.el)
+    match live.El_harness.Experiment.manager with
+    | El_harness.Experiment.El_log m -> M.check_invariants m
+    | El_harness.Experiment.Fw_log _ | El_harness.Experiment.Hybrid_log _ ->
+      Alcotest.fail "an EL run expected"
   in
   audit (Policy.default ~generation_sizes:[| 18; 16 |]) ~seed:1;
   audit (Policy.default ~generation_sizes:[| 18; 10 |]) ~seed:2;

@@ -26,14 +26,14 @@ let test_fw_bandwidth_matches_payload_math () =
 
 let test_fw_peak_occupancy_near_paper () =
   let r = Experiment.run (paper_cfg ~kind:(Experiment.Firewall 512) ()) in
-  match r.Experiment.fw_stats with
-  | Some s ->
+  match r.Experiment.stats with
+  | [ Experiment.Fw_log_stats s ] ->
     Alcotest.(check bool)
       (Printf.sprintf "peak occupancy ~121 (got %d)" s.El_core.Fw_manager.peak_occupancy)
       true
       (s.El_core.Fw_manager.peak_occupancy >= 110
       && s.El_core.Fw_manager.peak_occupancy <= 130)
-  | None -> Alcotest.fail "fw stats expected"
+  | _ -> Alcotest.fail "fw stats expected"
 
 let test_el_bandwidth_overhead_small () =
   let fw = Experiment.run (paper_cfg ~kind:(Experiment.Firewall 512) ()) in
@@ -191,6 +191,21 @@ let test_lifetime_hint_reduces_forwarding () =
     < base.Experiment.forwarded_records / 2);
   Alcotest.(check bool) "still no kills" true hinted.Experiment.feasible
 
+(* An object count the drives do not divide: the plant pads its flush
+   array, the workload still draws from the whole requested range. *)
+let test_ragged_object_count () =
+  let policy = Policy.default ~generation_sizes:[| 18; 16 |] in
+  let r =
+    Experiment.run
+      {
+        (paper_cfg ~kind:(Experiment.Ephemeral policy) ~runtime:20 ()) with
+        Experiment.num_objects = 10_001;
+        flush_drives = 10;
+      }
+  in
+  Alcotest.(check bool) "feasible" true r.Experiment.feasible;
+  Alcotest.(check bool) "flushed" true (r.Experiment.flushes_completed > 0)
+
 let suite =
   [
     Alcotest.test_case "FW bandwidth matches payload arithmetic" `Quick
@@ -217,4 +232,6 @@ let suite =
       test_fifo_flush_hurts_locality;
     Alcotest.test_case "lifetime hints cut forward traffic" `Quick
       test_lifetime_hint_reduces_forwarding;
+    Alcotest.test_case "a ragged object count runs" `Quick
+      test_ragged_object_count;
   ]

@@ -7,6 +7,12 @@ module Policy = El_core.Policy
 module Mix = El_workload.Mix
 module G = El_workload.Generator
 
+let el_manager (live : Experiment.live) =
+  match live.Experiment.manager with
+  | Experiment.El_log m -> m
+  | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
+    Alcotest.fail "an EL run expected"
+
 (* ---- Poisson arrivals ---- *)
 
 let count_arrivals ~process ~seed =
@@ -87,9 +93,9 @@ let test_poisson_needs_more_space () =
     }
   in
   let peak process =
-    match (Experiment.run (cfg process)).Experiment.fw_stats with
-    | Some s -> s.El_core.Fw_manager.peak_occupancy
-    | None -> Alcotest.fail "fw stats"
+    match (Experiment.run (cfg process)).Experiment.stats with
+    | [ Experiment.Fw_log_stats s ] -> s.El_core.Fw_manager.peak_occupancy
+    | _ -> Alcotest.fail "fw stats"
   in
   let det = peak G.Deterministic and poisson = peak G.Poisson in
   Alcotest.(check bool)
@@ -210,8 +216,7 @@ let test_timing_estimate_from_image () =
   let live = Experiment.prepare cfg in
   El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec 20);
   let image =
-    El_recovery.Recovery.crash live.Experiment.engine
-      (Option.get live.Experiment.el)
+    El_recovery.Recovery.crash live.Experiment.engine (el_manager live)
   in
   let result = El_recovery.Recovery.recover image in
   let t = El_recovery.Timing.estimate image result in

@@ -13,6 +13,12 @@ module Sweep = El_check.Sweep
 module Recovery = El_recovery.Recovery
 module Policy = El_core.Policy
 
+let el_manager (live : Experiment.live) =
+  match live.Experiment.manager with
+  | Experiment.El_log m -> m
+  | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
+    Alcotest.fail "an EL run expected"
+
 let kind_of name = List.assoc name (Sweep.standard_kinds ())
 
 let expect_invalid name f =
@@ -277,7 +283,7 @@ let test_torn_exact_suffix () =
   let live = Experiment.prepare cfg in
   El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec 15);
   let image =
-    Recovery.crash live.Experiment.engine (Option.get live.Experiment.el)
+    Recovery.crash live.Experiment.engine (el_manager live)
   in
   let rec pick = function
     | [] -> None

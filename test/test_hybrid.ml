@@ -33,11 +33,11 @@ let test_hybrid_runs_clean () =
   Alcotest.(check bool) "feasible" true r.Experiment.feasible;
   Alcotest.(check bool) "committed most transactions" true
     (r.Experiment.committed > 2200);
-  match r.Experiment.hybrid_stats with
-  | Some s ->
+  match r.Experiment.stats with
+  | [ Experiment.Hybrid_log_stats s ] ->
     Alcotest.(check int) "no queue unaccounted" r.Experiment.log_writes_total
       s.Hybrid.total_log_writes
-  | None -> Alcotest.fail "hybrid stats expected"
+  | _ -> Alcotest.fail "hybrid stats expected"
 
 let test_hybrid_memory_beats_el () =
   let hybrid = Experiment.run (config (Experiment.Hybrid [| 64; 64 |])) in
@@ -58,13 +58,13 @@ let test_hybrid_pays_bandwidth_under_pressure () =
      predicts for the memory savings. *)
   let pressured = Experiment.run (config (Experiment.Hybrid [| 12; 24 |])) in
   let relaxed = Experiment.run (config (Experiment.Hybrid [| 64; 64 |])) in
-  (match pressured.Experiment.hybrid_stats with
-  | Some s ->
+  (match pressured.Experiment.stats with
+  | [ Experiment.Hybrid_log_stats s ] ->
     Alcotest.(check bool) "regenerations happened" true
       (s.Hybrid.regenerations > 0);
     Alcotest.(check bool) "many records rewritten" true
       (s.Hybrid.regenerated_records > s.Hybrid.regenerations)
-  | None -> Alcotest.fail "hybrid stats expected");
+  | _ -> Alcotest.fail "hybrid stats expected");
   Alcotest.(check bool)
     (Printf.sprintf "regeneration premium: %.1f vs %.1f w/s"
        pressured.Experiment.log_write_rate relaxed.Experiment.log_write_rate)

@@ -94,6 +94,26 @@ let test_min_fw_end_to_end () =
   in
   Alcotest.(check bool) "one less kills" true (not r.Experiment.feasible)
 
+(* A sharded search sizes every shard's log alike and brackets on the
+   largest shard's peak occupancy. *)
+let test_min_fw_sharded () =
+  let cfg =
+    {
+      (El_check.Sweep.standard_config ~kind:(Experiment.Firewall 120) ~seed:3
+         ())
+      with
+      Experiment.shards = 2;
+    }
+  in
+  let run = El_shard.Shard_group.run_global in
+  let blocks, result = Min_space.min_fw ~run cfg in
+  Alcotest.(check int) "13 blocks per shard" 13 blocks;
+  Alcotest.(check bool) "result feasible" true result.Experiment.feasible;
+  Alcotest.(check int) "stats for each shard" 2
+    (List.length result.Experiment.stats);
+  let r = run { cfg with Experiment.kind = Experiment.Firewall 12 } in
+  Alcotest.(check bool) "12 blocks per shard kill" false r.Experiment.feasible
+
 let test_min_el_last_gen_end_to_end () =
   let make_policy sizes =
     { (Policy.default ~generation_sizes:sizes) with Policy.recirculate = false }
@@ -121,6 +141,8 @@ let suite =
       test_bracket_mode_logic;
     Alcotest.test_case "FW minimum-space search (30s runs)" `Slow
       test_min_fw_end_to_end;
+    Alcotest.test_case "FW minimum-space search at 2 shards" `Quick
+      test_min_fw_sharded;
     Alcotest.test_case "EL last-generation search (30s runs)" `Slow
       test_min_el_last_gen_end_to_end;
   ]

@@ -5,6 +5,12 @@ module Recovery = El_recovery.Recovery
 module Mix = El_workload.Mix
 module Tx = El_workload.Tx_type
 
+let el_manager (live : Experiment.live) =
+  match live.Experiment.manager with
+  | Experiment.El_log m -> m
+  | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
+    Alcotest.fail "an EL run expected"
+
 let el_config ?(sizes = [| 8; 8 |]) ?(recirculate = true) ?(runtime = 30)
     ?(seed = 42) ?(abort_fraction = 0.0) ?(rate = 40.0) () =
   let mix =
@@ -78,7 +84,7 @@ let test_redo_idempotent () =
   let live = Experiment.prepare cfg in
   El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec 20);
   let image =
-    Recovery.crash live.Experiment.engine (Option.get live.Experiment.el)
+    Recovery.crash live.Experiment.engine (el_manager live)
   in
   let r1 = Recovery.recover image in
   let r2 = Recovery.recover image in
@@ -137,7 +143,7 @@ let test_audit_with_invariants () =
   let cfg = el_config ~sizes:[| 5; 5 |] ~seed:13 () in
   let live = Experiment.prepare cfg in
   El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec 17);
-  let manager = Option.get live.Experiment.el in
+  let manager = el_manager live in
   El_core.El_manager.check_invariants manager;
   let image = Recovery.crash live.Experiment.engine manager in
   let result = Recovery.recover image in
@@ -177,7 +183,7 @@ let prop_recover_idempotent_order_insensitive =
       let live = Experiment.prepare cfg in
       El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec crash_s);
       let image =
-        Recovery.crash live.Experiment.engine (Option.get live.Experiment.el)
+        Recovery.crash live.Experiment.engine (el_manager live)
       in
       let sorted_tids (r : Recovery.result) =
         List.sort Ids.Tid.compare r.Recovery.committed_tids
@@ -216,7 +222,7 @@ let test_corrupted_checksums_caught () =
   let live = Experiment.prepare cfg in
   El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec 15);
   let image =
-    Recovery.crash live.Experiment.engine (Option.get live.Experiment.el)
+    Recovery.crash live.Experiment.engine (el_manager live)
   in
   Alcotest.(check bool) "pristine image audits ok" true
     (Recovery.audit image (Recovery.recover image)).Recovery.ok;

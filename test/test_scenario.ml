@@ -174,9 +174,9 @@ let test_forward_guard_arms () =
   in
   let r = Experiment.run cfg in
   let parks =
-    match r.Experiment.el_stats with
-    | Some s -> s.El_core.El_manager.fwd_guard_parks
-    | None -> 0
+    match r.Experiment.stats with
+    | [ Experiment.El_log_stats s ] -> s.El_core.El_manager.fwd_guard_parks
+    | _ -> 0
   in
   Alcotest.(check bool) "guard armed" true (parks > 0);
   Alcotest.(check bool)
@@ -188,10 +188,10 @@ let test_forward_guard_arms () =
    manager. *)
 let test_guard_inert_on_uniform () =
   let r = Experiment.run (preset_config Preset.uniform) in
-  match r.Experiment.el_stats with
-  | None -> Alcotest.fail "expected EL stats"
-  | Some s ->
+  match r.Experiment.stats with
+  | [ Experiment.El_log_stats s ] ->
     Alcotest.(check int) "no parks" 0 s.El_core.El_manager.fwd_guard_parks
+  | _ -> Alcotest.fail "expected EL stats"
 
 let suite =
   [

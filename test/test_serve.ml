@@ -7,6 +7,7 @@
 open El_model
 module Serve = El_serve.Serve
 module Recovery = El_recovery.Recovery
+module Experiment = El_harness.Experiment
 
 let with_temp_dir f =
   let dir = Filename.temp_file "el_serve_test" "" in
@@ -32,7 +33,7 @@ let config ~image ~fresh =
 let child_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "serve_child.exe"
 
-let with_server ?(group_fsync = false) ~image ~fresh f =
+let with_server ?(group_fsync = false) ?(hybrid = false) ~image ~fresh f =
   let c2s_r, c2s_w = Unix.pipe ~cloexec:false () in
   let s2c_r, s2c_w = Unix.pipe ~cloexec:false () in
   (* the child must not inherit our ends, or closing ours would never
@@ -45,6 +46,7 @@ let with_server ?(group_fsync = false) ~image ~fresh f =
         [| child_exe; image |];
         (if fresh then [| "--fresh" |] else [||]);
         (if group_fsync then [| "--group-fsync" |] else [||]);
+        (if hybrid then [| "--hybrid" |] else [||]);
       ]
   in
   let pid = Unix.create_process child_exe args c2s_r s2c_w Unix.stderr in
@@ -499,6 +501,102 @@ let test_torn_tail_single_scan () =
             (Marshal.to_string expected [])
             (Marshal.to_string (Serve.recovered t) [])))
 
+(* The hybrid manager serves too: SIGKILL it with a transaction open,
+   with and without group fsync, and every acked write must READ back
+   after a restart. *)
+let test_hybrid_sigkill_reads_back () =
+  List.iter
+    (fun group_fsync ->
+      with_temp_dir (fun dir ->
+          let image = Filename.concat dir "disk.img" in
+          let txs = 60 and writes = 4 in
+          let oid tid w = (tid * writes) + w in
+          let acked =
+            with_server ~group_fsync ~hybrid:true ~image ~fresh:true
+              (fun pid ic oc ->
+                let acked = ref [] in
+                for tid = 1 to txs do
+                  ignore (command oc ic (Printf.sprintf "BEGIN %d" tid));
+                  for w = 0 to writes - 1 do
+                    ignore
+                      (command oc ic
+                         (Printf.sprintf "WRITE %d %d %d" tid (oid tid w) tid))
+                  done;
+                  if
+                    command oc ic (Printf.sprintf "COMMIT %d" tid)
+                    = Printf.sprintf "ok committed %d" tid
+                  then acked := tid :: !acked
+                done;
+                ignore (command oc ic "BEGIN 1000");
+                ignore (command oc ic "WRITE 1000 1 1000");
+                Unix.kill pid Sys.sigkill;
+                ignore (Unix.waitpid [] pid);
+                List.rev !acked)
+          in
+          Alcotest.(check int) "every commit acked" txs (List.length acked);
+          let t =
+            Serve.start
+              {
+                (config ~image ~fresh:false) with
+                Serve.kind = Experiment.Hybrid [| 32; 32 |];
+              }
+          in
+          Fun.protect
+            ~finally:(fun () -> Serve.close t)
+            (fun () ->
+              List.iter
+                (fun tid ->
+                  for w = 0 to writes - 1 do
+                    let o = oid tid w in
+                    Alcotest.(check (option string))
+                      (Printf.sprintf "group_fsync %b: acked write %d of tid %d"
+                         group_fsync o tid)
+                      (Some (Printf.sprintf "ok read %d %d" o tid))
+                      (fst (Serve.exec t (Printf.sprintf "READ %d" o)))
+                  done)
+                acked)))
+    [ false; true ]
+
+(* The FW baseline flushes nothing to a stable database, so a restart
+   would lose acked writes: the server refuses it before it opens the
+   image. *)
+let test_fw_refused () =
+  with_temp_dir (fun dir ->
+      let image = Filename.concat dir "disk.img" in
+      Alcotest.check_raises "FW refused"
+        (Invalid_argument "Serve.start: the FW baseline has no recovery model")
+        (fun () ->
+          ignore
+            (Serve.start
+               {
+                 (config ~image ~fresh:true) with
+                 Serve.kind = Experiment.Firewall 200;
+               }));
+      Alcotest.(check bool) "image untouched" false (Sys.file_exists image))
+
+(* An object count the flush drives do not divide: the plant pads its
+   range, and the server still serves exactly the requested one. *)
+let test_ragged_object_count () =
+  with_temp_dir (fun dir ->
+      let image = Filename.concat dir "disk.img" in
+      let t =
+        Serve.start
+          { (config ~image ~fresh:true) with Serve.num_objects = 12_345 }
+      in
+      Fun.protect
+        ~finally:(fun () -> Serve.close t)
+        (fun () ->
+          List.iter
+            (fun (line, reply) ->
+              Alcotest.(check (option string)) line (Some reply)
+                (fst (Serve.exec t line)))
+            [
+              ("BEGIN 1", "ok begun 1");
+              ("WRITE 1 12344 1", "ok written 1 12344 1");
+              ("COMMIT 1", "ok committed 1");
+              ("READ 12345", "err oid 12345 out of range");
+            ]))
+
 (* In-process protocol coverage that needs no fork. *)
 let test_exec_protocol () =
   with_temp_dir (fun dir ->
@@ -559,4 +657,10 @@ let suite =
       `Quick test_close_writes_staged;
     Alcotest.test_case "torn tail: one scan = attach + rescan" `Quick
       test_torn_tail_single_scan;
+    Alcotest.test_case "hybrid: SIGKILL loses no acked write" `Quick
+      test_hybrid_sigkill_reads_back;
+    Alcotest.test_case "FW is refused before the image is opened" `Quick
+      test_fw_refused;
+    Alcotest.test_case "a ragged object count serves its last oid" `Quick
+      test_ragged_object_count;
   ]

@@ -13,6 +13,12 @@ module Experiment = El_harness.Experiment
 module Recovery = El_recovery.Recovery
 module Sweep = El_check.Sweep
 
+let el_manager (live : Experiment.live) =
+  match live.Experiment.manager with
+  | Experiment.El_log m -> m
+  | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
+    Alcotest.fail "an EL run expected"
+
 let with_temp_dir f =
   let dir = Filename.temp_file "el_store_test" "" in
   Sys.remove dir;
@@ -639,8 +645,7 @@ let test_write_fault_replay_agrees () =
         ~on_tear:(fun () ->
           image :=
             Some
-              (Recovery.crash live.Experiment.engine
-                 (Option.get live.Experiment.el)))
+              (Recovery.crash live.Experiment.engine (el_manager live)))
         b
         ~after_pwrites:(total / 2)
         ~keep_bytes:max_int;
@@ -686,8 +691,7 @@ let test_write_fault_torn_prefix () =
             ~on_tear:(fun () ->
               image :=
                 Some
-                  (Recovery.crash live.Experiment.engine
-                     (Option.get live.Experiment.el)))
+                  (Recovery.crash live.Experiment.engine (el_manager live)))
             b
             ~after_pwrites:((total / 2) + k)
             ~keep_bytes:(Codec.header_bytes + (Codec.entry_bytes / 2));
