@@ -513,7 +513,7 @@ let store_bench speed =
       List.sort compare
         (List.map Ids.Tid.to_int r.El_recovery.Recovery.committed_tids) )
   in
-  let run_backend ?(group_fsync = false) backend =
+  let run_backend backend =
     let cfg =
       {
         (Paper.base_config ~kind:(Experiment.Ephemeral policy) ~long_pct:5 ())
@@ -521,7 +521,6 @@ let store_bench speed =
         Experiment.runtime;
         backend;
         num_objects = 100_000;
-        group_fsync;
       }
     in
     let t0 = Unix.gettimeofday () in
@@ -551,8 +550,6 @@ let store_bench speed =
             [
               ("mem", run_backend Experiment.Mem_store);
               ("file", run_backend (Experiment.File_store dir));
-              ( "file+group",
-                run_backend ~group_fsync:true (Experiment.File_store dir) );
             ]))
   in
   let t =
@@ -592,40 +589,10 @@ let store_bench speed =
   Format.printf
     "@.mem and file recover %s state; every ack came after pwrite+fsync.@."
     (if backends_identical then "identical" else "DIFFERENT (bug!)");
-  let barriers name =
-    match List.assoc_opt name runs with
-    | Some ((result : Experiment.result), _, _, _, _) ->
-      result.Experiment.store_barriers
-    | None -> 0
-  in
-  let group_syncs =
-    match List.assoc_opt "file+group" runs with
-    | Some ((result : Experiment.result), _, _, _, _) ->
-      result.Experiment.store_group_syncs
-    | None -> 0
-  in
-  let immediate_barriers = barriers "file" in
-  let grouped_barriers = barriers "file+group" in
-  Printf.printf
-    "group fsync: %d barriers (per-segment) -> %d (%d grouped waves), \
-     %.1fx fewer\n"
-    immediate_barriers grouped_barriers group_syncs
-    (float_of_int immediate_barriers /. float_of_int (max 1 grouped_barriers));
   add_section "store"
     (J.Obj
        (("backend", J.String "mem+file")
        :: ("backends_identical", J.Bool backends_identical)
-       :: ( "group_fsync",
-            J.Obj
-              [
-                ("immediate_barriers", J.Int immediate_barriers);
-                ("grouped_barriers", J.Int grouped_barriers);
-                ("group_syncs", J.Int group_syncs);
-                ( "barrier_reduction",
-                  J.Float
-                    (float_of_int immediate_barriers
-                    /. float_of_int (max 1 grouped_barriers)) );
-              ] )
        :: ("alloc", alloc)
        :: List.concat_map
             (fun (name, (result, sim, audit, wall, agrees)) ->
@@ -635,8 +602,6 @@ let store_bench speed =
                     [
                       ("pwrites", J.Int result.Experiment.store_pwrites);
                       ("barriers", J.Int result.Experiment.store_barriers);
-                      ( "group_syncs",
-                        J.Int result.Experiment.store_group_syncs );
                       ( "bytes_written",
                         J.Int result.Experiment.store_bytes_written );
                       ("wall_s", J.Float wall);

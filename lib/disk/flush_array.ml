@@ -326,9 +326,7 @@ let rec dispatch t d =
         (match t.store with
         | Some store ->
           El_store.Log_store.append_stable store ~oid:(Ids.Oid.of_int oid)
-            ~version;
-          El_store.Log_store.request_group_sync store ~schedule:(fun k ->
-              El_sim.Engine.schedule_after t.engine Time.zero k)
+            ~version
         | None -> ());
         (match t.on_flush with
         | Some f -> f (Ids.Oid.of_int oid) ~version

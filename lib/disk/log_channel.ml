@@ -94,13 +94,7 @@ let persist_completed t payload =
   match (t.store, payload) with
   | Some store, Some p ->
     let slot, records = p () in
-    El_store.Log_store.append_block store ~gen:t.label ~slot records;
-    (* one barrier per settle wave under Grouped sync: every block
-       completion that lands at this simulated instant appends first,
-       and the zero-delay event — queued behind them all — barriers
-       once (a no-op under Immediate or Manual) *)
-    El_store.Log_store.request_group_sync store ~schedule:(fun k ->
-        El_sim.Engine.schedule_after t.engine Time.zero k)
+    El_store.Log_store.append_block store ~gen:t.label ~slot records
   | _ -> ()
 
 let rec start_next t =

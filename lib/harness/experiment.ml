@@ -37,7 +37,6 @@ type config = {
   pooling : bool;
       (* recycle ledger entries / arena segments instead of
          allocating; behaviour-identical, off for A/B profiling *)
-  group_fsync : bool;  (* batch store barriers per settle wave *)
   shards : int;
       (* oid-range partitions, one manager plant each; 1 = the solo
          path.  [prepare] itself only accepts 1 — sharded runs go
@@ -66,7 +65,6 @@ let default_config ~kind ~mix =
     fault = El_fault.Fault_plan.empty;
     backend = Sim;
     pooling = true;
-    group_fsync = false;
     shards = 1;
   }
 
@@ -166,7 +164,6 @@ type result = {
   store_pwrites : int;
   store_barriers : int;
   store_bytes_written : int;
-  store_group_syncs : int;
 }
 
 type live = {
@@ -284,10 +281,6 @@ let collect_instance cfg ~generator ~overloaded (inst : instance) =
       | Some s ->
         (El_store.Backend.counters (El_store.Log_store.backend s))
           .El_store.Backend.bytes_written);
-    store_group_syncs =
-      (match inst.i_store with
-      | None -> 0
-      | Some s -> El_store.Log_store.group_syncs s);
   }
 
 (* [Log_store.create] truncates, so every prepared run starts from a
@@ -295,17 +288,12 @@ let collect_instance cfg ~generator ~overloaded (inst : instance) =
    caller's directory so parallel sweep slices never clobber one
    another. *)
 let create_store cfg =
-  let sync_mode =
-    if cfg.group_fsync then El_store.Log_store.Grouped
-    else El_store.Log_store.Immediate
-  in
   match cfg.backend with
   | Sim -> None
-  | Mem_store ->
-    Some (El_store.Log_store.create ~sync_mode (El_store.Backend.mem ()))
+  | Mem_store -> Some (El_store.Log_store.create (El_store.Backend.mem ()))
   | File_store dir ->
     let path = Filename.temp_file ~temp_dir:dir "el_store" ".img" in
-    Some (El_store.Log_store.create ~sync_mode (El_store.Backend.file ~path))
+    Some (El_store.Log_store.create (El_store.Backend.file ~path))
 
 let build_instance engine (cfg : config) ?obs ?inj ~store ~num_objects () =
   (match (obs, store) with
@@ -481,32 +469,24 @@ let prepare ?(wrap_sink = fun sink -> sink) cfg =
           float_of_int
             (Hybrid_manager.stats m).Hybrid_manager.current_memory_bytes));
     El_obs.Obs.install o);
-  let rec live =
-    {
-      engine;
-      manager = inst.i_manager;
-      obs;
-      fault = inj;
-      store = inst.i_store;
-      finish = (fun () -> finish ());
-    }
-  and finish () =
+  let finish () =
     let overloaded =
       try
         Engine.run engine ~until:cfg.runtime;
         false
       with El_manager.Log_overloaded _ -> true
     in
-    (* Under Grouped sync a tail of appended-but-unsynced segments can
-       remain; one final barrier makes the end-of-run image durable
-       (no-op when clean or Immediate). *)
-    (match live.store with
-    | Some s -> El_store.Log_store.sync s
-    | None -> ());
     (match obs with Some o -> El_obs.Obs.finish o | None -> ());
     collect_instance cfg ~generator ~overloaded inst
   in
-  live
+  {
+    engine;
+    manager = inst.i_manager;
+    obs;
+    fault = inj;
+    store = inst.i_store;
+    finish;
+  }
 
 let run cfg =
   let live = prepare cfg in

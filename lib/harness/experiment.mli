@@ -88,11 +88,6 @@ type config = {
           fresh structures each time, for A/B allocation profiling.
           Results are byte-identical either way (pinned by a
           regression test). *)
-  group_fsync : bool;
-      (** [true] puts the store (when [backend] is not [Sim]) in
-          {!El_store.Log_store.Grouped} sync mode: segments appended
-          while the engine settles share one barrier instead of one
-          each.  [false] (default) fsyncs every segment. *)
   shards : int;
       (** number of oid-range partitions, each with its own manager
           plant (1 — the default — is the solo path).  {!prepare}
@@ -168,9 +163,6 @@ type result = {
   store_pwrites : int;  (** store write syscalls (0 under [Sim]) *)
   store_barriers : int;  (** fsync barriers issued (counted no-ops on mem) *)
   store_bytes_written : int;
-  store_group_syncs : int;
-      (** grouped-barrier waves actually issued (0 under [Sim] or
-          [Immediate] sync) *)
 }
 
 val run : config -> result
@@ -257,7 +249,10 @@ type instance = {
 
 val create_store : config -> El_store.Log_store.t option
 (** A blank store image per the config's [backend] ([None] for [Sim]),
-    a fresh image file per call for [File_store]. *)
+    a fresh image file per call for [File_store].  The store is
+    {!El_store.Log_store.Immediate}: each segment is written and
+    barriered the moment the simulation completes it, so a crash mark
+    taken at any instant sees exactly the simulation's durable state. *)
 
 val build_instance :
   El_sim.Engine.t ->

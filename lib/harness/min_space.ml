@@ -7,53 +7,34 @@ let min_feasible ?(pool = Pool.serial) ~lo ~hi probe =
   if not result_at_hi.Experiment.feasible then None
   else begin
     let jobs = Pool.jobs pool in
-    if jobs = 1 then begin
-      (* Plain binary search — the historical serial path, kept
-         verbatim so [jobs = 1] runs are byte-identical to a world
-         without pools.
-         Invariant: [best] is feasible at [best_n]; everything below
-         [lo'] is known infeasible. *)
-      let rec refine lo' best_n best =
-        if lo' >= best_n then Some (best_n, best)
-        else begin
-          let mid = (lo' + best_n) / 2 in
-          let r = probe mid in
-          if r.Experiment.feasible then refine lo' mid r
-          else refine (mid + 1) best_n best
-        end
-      in
-      refine lo hi result_at_hi
-    end
-    else begin
-      (* Speculative bracket mode: each round probes up to [jobs]
-         evenly spaced candidates of the open bracket [lo', best_n)
-         concurrently, then narrows the bracket as if the probes had
-         been answered one by one in ascending order.  Feasibility is
-         monotone in the log size, so the smallest feasible candidate
-         bounds the bracket above and every infeasible candidate below
-         it raises the floor — the search converges to exactly the
-         binary search's minimum (with [jobs = 1] the candidate set
-         degenerates to the binary-search midpoint). *)
-      let rec refine lo' best_n best =
-        if lo' >= best_n then Some (best_n, best)
-        else begin
-          let width = best_n - lo' in
-          let k = min jobs width in
-          let candidates =
-            List.sort_uniq compare
-              (List.init k (fun i -> lo' + (width * (i + 1) / (k + 1))))
-          in
-          let results = Pool.map pool (fun n -> (n, probe n)) candidates in
-          let rec scan lo' = function
-            | [] -> refine lo' best_n best
-            | (n, r) :: _ when r.Experiment.feasible -> refine lo' n r
-            | (n, _) :: rest -> scan (n + 1) rest
-          in
-          scan lo' results
-        end
-      in
-      refine lo hi result_at_hi
-    end
+    (* Bracket search: each round probes up to [jobs] evenly spaced
+       candidates of the open bracket [lo', best_n) concurrently, then
+       narrows the bracket as if the probes had been answered one by
+       one in ascending order.  Feasibility is monotone in the log
+       size, so the smallest feasible candidate bounds the bracket
+       above and every infeasible candidate below it raises the floor.
+       At [jobs = 1] the one candidate is the binary-search midpoint.
+       Invariant: [best] is feasible at [best_n]; everything below
+       [lo'] is known infeasible. *)
+    let rec refine lo' best_n best =
+      if lo' >= best_n then Some (best_n, best)
+      else begin
+        let width = best_n - lo' in
+        let k = min jobs width in
+        let candidates =
+          List.sort_uniq compare
+            (List.init k (fun i -> lo' + (width * (i + 1) / (k + 1))))
+        in
+        let results = Pool.map pool (fun n -> (n, probe n)) candidates in
+        let rec scan lo' = function
+          | [] -> refine lo' best_n best
+          | (n, r) :: _ when r.Experiment.feasible -> refine lo' n r
+          | (n, _) :: rest -> scan (n + 1) rest
+        in
+        scan lo' results
+      end
+    in
+    refine lo hi result_at_hi
   end
 
 let probe_fw ~run cfg n =

@@ -1,37 +1,9 @@
 open El_model
 
-type sealed = { payload : Log_record.t; stamp : int }
-
-(* A stand-in for a per-record CRC over the serialized bytes: an
-   explicit integer mix of every field, so that any corruption the
-   tests (or the torn-write model) introduce changes the stamp.  The
-   simulation never serializes records, so the mix is over the logical
-   fields directly. *)
-let checksum (r : Log_record.t) =
-  let kind_tag, oid, version =
-    match r.Log_record.kind with
-    | Log_record.Begin -> (1, 0, 0)
-    | Log_record.Commit -> (2, 0, 0)
-    | Log_record.Abort -> (3, 0, 0)
-    | Log_record.Data { oid; version } -> (4, Ids.Oid.to_int oid, version)
-  in
-  let mix acc x = (acc * 0x01000193) lxor (x land max_int) in
-  List.fold_left mix 0x811c9dc5
-    [
-      Ids.Tid.to_int r.Log_record.tid;
-      kind_tag;
-      oid;
-      version;
-      r.Log_record.size;
-      Time.to_us r.Log_record.timestamp;
-    ]
-
-let seal payload = { payload; stamp = checksum payload }
-let corrupt_seal payload = { payload; stamp = lnot (checksum payload) }
-let seal_valid s = s.stamp = checksum s.payload
+type block = { records : Log_record.t list; torn : int }
 
 type image = {
-  blocks : sealed list list;
+  blocks : block list;
   stable : El_disk.Stable_db.t;
   reference : (Ids.Oid.t * int) list;
   crash_time : Time.t;
@@ -39,20 +11,20 @@ type image = {
 
 let crash engine manager =
   let module M = El_core.El_manager in
-  let durable = M.durable_blocks manager in
   let blocks =
     List.map
       (fun (db : M.durable_block) ->
         match db.M.db_torn_prefix with
-        | None -> List.map seal db.M.db_records
+        | None -> { records = db.M.db_records; torn = 0 }
         | Some k ->
           (* The torn write persisted the first [k] records intact;
-             the suffix hit the platter garbled, so its checksums
-             cannot validate. *)
-          List.mapi
-            (fun i r -> if i < k then seal r else corrupt_seal r)
-            db.M.db_records)
-      durable
+             the suffix hit the platter garbled and reads back as
+             nothing. *)
+          {
+            records = List.filteri (fun i _ -> i < k) db.M.db_records;
+            torn = List.length db.M.db_records - k;
+          })
+      (M.durable_blocks manager)
   in
   let reference =
     let acked = M.committed_reference manager in
@@ -66,45 +38,35 @@ let crash engine manager =
        transactions' durable writes into the ground truth. *)
     let torn_committed = Hashtbl.create 4 in
     List.iter
-      (fun (db : M.durable_block) ->
-        match db.M.db_torn_prefix with
-        | None -> ()
-        | Some k ->
-          List.iteri
-            (fun i (r : Log_record.t) ->
-              if i < k then
-                match r.Log_record.kind with
-                | Log_record.Commit ->
-                  Hashtbl.replace torn_committed
-                    (Ids.Tid.to_int r.Log_record.tid)
-                    ()
-                | Log_record.Begin | Log_record.Abort | Log_record.Data _ ->
-                  ())
-            db.M.db_records)
-      durable;
+      (fun b ->
+        if b.torn > 0 then
+          List.iter
+            (fun (r : Log_record.t) ->
+              match r.Log_record.kind with
+              | Log_record.Commit ->
+                Hashtbl.replace torn_committed
+                  (Ids.Tid.to_int r.Log_record.tid)
+                  ()
+              | Log_record.Begin | Log_record.Abort | Log_record.Data _ -> ())
+            b.records)
+      blocks;
     if Hashtbl.length torn_committed = 0 then acked
     else begin
       let best = Ids.Oid.Table.create 64 in
       List.iter
-        (fun (db : M.durable_block) ->
-          let persisted =
-            match db.M.db_torn_prefix with
-            | Some k -> k
-            | None -> List.length db.M.db_records
-          in
-          List.iteri
-            (fun i (r : Log_record.t) ->
-              if i < persisted then
-                match r.Log_record.kind with
-                | Log_record.Data { oid; version }
-                  when Hashtbl.mem torn_committed
-                         (Ids.Tid.to_int r.Log_record.tid) -> (
-                  match Ids.Oid.Table.find_opt best oid with
-                  | Some v when v >= version -> ()
-                  | Some _ | None -> Ids.Oid.Table.replace best oid version)
-                | _ -> ())
-            db.M.db_records)
-        durable;
+        (fun b ->
+          List.iter
+            (fun (r : Log_record.t) ->
+              match r.Log_record.kind with
+              | Log_record.Data { oid; version }
+                when Hashtbl.mem torn_committed
+                       (Ids.Tid.to_int r.Log_record.tid) -> (
+                match Ids.Oid.Table.find_opt best oid with
+                | Some v when v >= version -> ()
+                | Some _ | None -> Ids.Oid.Table.replace best oid version)
+              | _ -> ())
+            b.records)
+        blocks;
       let seen = Ids.Oid.Table.create 64 in
       let merged =
         List.map
@@ -138,48 +100,31 @@ type result = {
   torn_records : int;
 }
 
-(* A block is valid up to its first failing checksum: writes are
-   sequential within a block, so a torn write garbles a suffix, and
-   anything past the first bad stamp is untrustworthy even if a later
-   stamp happens to validate. *)
-let valid_prefix sealed_block =
-  let rec take acc n = function
-    | s :: rest when seal_valid s -> take (s.payload :: acc) n rest
-    | rest -> (List.rev acc, List.length rest + n)
-  in
-  take [] 0 sealed_block
-
 let recover ?obs image =
   let torn_blocks = ref 0 in
   let torn_records = ref 0 in
-  let records =
-    List.concat_map
-      (fun block ->
-        let kept, discarded = valid_prefix block in
-        if discarded > 0 then begin
-          incr torn_blocks;
-          torn_records := !torn_records + discarded
-        end;
-        kept)
-      image.blocks
-  in
+  List.iter
+    (fun b ->
+      if b.torn > 0 then begin
+        incr torn_blocks;
+        torn_records := !torn_records + b.torn
+      end)
+    image.blocks;
+  let iter_records f = List.iter (fun b -> List.iter f b.records) image.blocks in
   (* Pass 1 within the single scan: the committed transaction set is
      known once every record has been seen, so we fold the scan into a
      table first and then redo — still one read of the log. *)
   let committed = Ids.Tid.Table.create 1024 in
   let scanned = ref 0 in
-  List.iter
-    (fun (r : Log_record.t) ->
+  iter_records (fun (r : Log_record.t) ->
       incr scanned;
       match r.kind with
       | Log_record.Commit -> Ids.Tid.Table.replace committed r.tid ()
-      | Log_record.Begin | Log_record.Abort | Log_record.Data _ -> ())
-    records;
+      | Log_record.Begin | Log_record.Abort | Log_record.Data _ -> ());
   let recovered = El_disk.Stable_db.copy image.stable in
   let applied = ref 0 in
   let skipped = ref 0 in
-  List.iter
-    (fun (r : Log_record.t) ->
+  iter_records (fun (r : Log_record.t) ->
       match r.kind with
       | Log_record.Data { oid; version } when Ids.Tid.Table.mem committed r.tid
         ->
@@ -195,8 +140,7 @@ let recover ?obs image =
         else incr skipped
       | Log_record.Data _ | Log_record.Begin | Log_record.Commit
       | Log_record.Abort ->
-        incr skipped)
-    records;
+        incr skipped);
   (match obs with
   | None -> ()
   | Some o ->
@@ -223,24 +167,17 @@ let recover ?obs image =
 
 (* ---- recovery from a store image ---- *)
 
-(* A discarded store entry decoded to nothing — the scan already
-   established its checksum failed, so any corrupt seal stands in for
-   it; recovery only counts it as torn. *)
-let discarded_placeholder =
-  Log_record.abort ~tid:(Ids.Tid.of_int 0) ~size:1 ~timestamp:Time.zero
-
 let image_of_scan ~num_objects ?(reference = [])
     (s : El_store.Log_store.scan) =
-  let blocks =
-    List.map
-      (fun (b : El_store.Log_store.block) ->
-        List.map seal b.El_store.Log_store.sb_records
-        @ List.init b.El_store.Log_store.sb_discarded (fun _ ->
-              corrupt_seal discarded_placeholder))
-      s.El_store.Log_store.s_blocks
-  in
   {
-    blocks;
+    blocks =
+      List.map
+        (fun (b : El_store.Log_store.block) ->
+          {
+            records = b.El_store.Log_store.sb_records;
+            torn = b.El_store.Log_store.sb_discarded;
+          })
+        s.El_store.Log_store.s_blocks;
     stable =
       El_disk.Stable_db.of_pairs ~num_objects s.El_store.Log_store.s_stable;
     reference;

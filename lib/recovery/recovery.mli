@@ -9,50 +9,38 @@
     - a {!crash} captures what would survive a failure at an instant:
       every durable log block (including stale copies in freed slots —
       a real scan cannot tell them apart) and the stable database
-      version as of the completed flushes.  Records are captured
-      {e sealed} — stamped with a per-record checksum standing in for
-      the CRC a real log would store — and a block whose write was
-      torn by the crash carries valid stamps only on the prefix that
-      reached the platter;
-    - {!recover} replays the image: each block is trusted up to its
-      first failing checksum (writes are sequential within a block, so
-      everything past the first bad stamp is garbage), torn tails are
-      discarded and counted; then a transaction is committed iff a
-      COMMIT record of it survives, and for every object the newest
-      committed version wins (version numbers order updates even when
-      recirculation has shuffled physical order, standing in for the
-      paper's timestamps); redo is idempotent on the stable version;
+      version as of the completed flushes.  A block whose write was
+      torn by the crash keeps only the prefix that reached the platter
+      intact, plus a count of the records its garbled tail lost;
+    - {!recover} replays the image: torn tails are counted, then a
+      transaction is committed iff a COMMIT record of it survives, and
+      for every object the newest committed version wins (version
+      numbers order updates even when recirculation has shuffled
+      physical order, standing in for the paper's timestamps); redo is
+      idempotent on the stable version;
     - {!audit} compares the recovered database with the reference
       committed state captured alongside the crash image.
 
     Recovery time is proportional to the records scanned, which is why
-    the paper equates less disk space with faster recovery; {!stats}
-    reports the scan size so benchmarks can quantify that claim. *)
+    the paper equates less disk space with faster recovery;
+    [records_scanned] reports the scan size so benchmarks can quantify
+    that claim. *)
 
 open El_model
 
-type sealed = { payload : Log_record.t; stamp : int }
-(** One on-disk record with its checksum stamp as a crash would read
-    them.  [stamp = checksum payload] iff the record persisted
-    intact. *)
-
-val checksum : Log_record.t -> int
-(** Deterministic mix of every logical field — the simulation's stand-
-    in for a CRC over the serialized bytes. *)
-
-val seal : Log_record.t -> sealed
-(** A validly stamped record. *)
-
-val corrupt_seal : Log_record.t -> sealed
-(** A record whose stamp cannot validate — what a torn or corrupted
-    sector reads back as.  Exposed for negative tests. *)
-
-val seal_valid : sealed -> bool
+type block = {
+  records : Log_record.t list;
+      (** the records that reached the platter intact, in on-disk
+          order *)
+  torn : int;  (** how many records the block's torn tail lost *)
+}
+(** One durable block as a crash (or a store scan) reads it back.
+    Writes are sequential within a block, so a torn write loses a
+    suffix: everything from the first bad record on is gone, even a
+    later record that would still read back whole. *)
 
 type image = {
-  blocks : sealed list list;
-      (** every durable block's sealed records, in on-disk order
-          within each block; block order is immaterial *)
+  blocks : block list;  (** every durable block; order is immaterial *)
   stable : El_disk.Stable_db.t;  (** stable version at the crash point *)
   reference : (Ids.Oid.t * int) list;
       (** ground truth: newest durably-committed version per object *)
@@ -61,9 +49,9 @@ type image = {
 
 val crash : El_sim.Engine.t -> El_core.El_manager.t -> image
 (** Captures the crash image of an EL-managed log, now.  A block write
-    in service with a torn fault verdict persists only its prefix:
-    the suffix is captured with corrupt seals, replacing whatever the
-    slot durably held before.
+    in service with a torn fault verdict persists only its prefix,
+    replacing whatever the slot durably held before; the lost suffix
+    is its [torn] count.
 
     The [reference] is the manager's acked committed state, adjusted
     for the durability point: a transaction whose COMMIT record
@@ -74,20 +62,19 @@ val crash : El_sim.Engine.t -> El_core.El_manager.t -> image
 type result = {
   recovered : El_disk.Stable_db.t;  (** the database after redo *)
   committed_tids : Ids.Tid.t list;
-  records_scanned : int;  (** checksum-valid records scanned *)
+  records_scanned : int;  (** intact records scanned *)
   redo_applied : int;  (** data records whose version won *)
   redo_skipped : int;  (** stale copies, uncommitted or aborted records *)
-  torn_blocks : int;  (** blocks with a discarded (invalid) tail *)
-  torn_records : int;  (** records discarded from torn tails *)
+  torn_blocks : int;  (** blocks with a torn tail *)
+  torn_records : int;  (** records lost to torn tails *)
 }
 
 val recover : ?obs:El_obs.Obs.t -> image -> result
-(** The single pass: validate checksums (each block trusted up to its
-    first failing stamp), scan, determine the committed transaction
-    set, redo newest committed versions onto a copy of the stable
-    version.  With [obs], emits a [Recovery_scan] trace event — plus a
-    [Torn_discard] event when any tail was dropped — stamped at the
-    image's crash time. *)
+(** The single pass: count torn tails, scan the intact records,
+    determine the committed transaction set, redo newest committed
+    versions onto a copy of the stable version.  With [obs], emits a
+    [Recovery_scan] trace event — plus a [Torn_discard] event when any
+    tail was lost — stamped at the image's crash time. *)
 
 val image_of_scan :
   num_objects:int ->
@@ -95,12 +82,13 @@ val image_of_scan :
   El_store.Log_store.scan ->
   image
 (** Lifts a durable-store scan into a crash image: each surviving
-    block's valid records are sealed, its discarded (bad-checksum)
-    entries become corrupt seals so the torn counters match a
-    simulated crash of the same state, and the stable version is
-    rebuilt from the persisted install facts.  [reference] defaults to
-    empty — a real restart has no ground truth; pass one to {!audit}
-    against in-simulation expectations.  [crash_time] is {!Time.zero}:
+    block keeps the records {!El_store.Log_store.scan} decoded before
+    its first bad checksum, and the entries it cut become the block's
+    [torn] count, so the torn counters match a simulated crash of the
+    same state; the stable version is rebuilt from the persisted
+    install facts.  [reference] defaults to empty — a real restart has
+    no ground truth; pass one to {!audit} against in-simulation
+    expectations.  [crash_time] is {!Time.zero}:
     a scanned image carries no clock. *)
 
 val recover_store :

@@ -26,11 +26,10 @@ let estimate ?(model = default) (image : Recovery.image)
        image does not say; derive from actual sizes instead *)
     let bytes =
       List.fold_left
-        (fun acc block ->
+        (fun acc (b : Recovery.block) ->
           List.fold_left
-            (fun acc (s : Recovery.sealed) ->
-              acc + s.Recovery.payload.Log_record.size)
-            acc block)
+            (fun acc (r : Log_record.t) -> acc + r.Log_record.size)
+            acc b.Recovery.records)
         0 image.Recovery.blocks
     in
     (bytes + Params.block_payload - 1) / Params.block_payload

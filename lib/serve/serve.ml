@@ -29,10 +29,12 @@ type t = {
   store : El_store.Log_store.t;
   sink : Generator.sink;
   manager : Experiment.manager;
-  killed : (int, unit) Hashtbl.t;
-  acked : (int, unit) Hashtbl.t;
+  killed : (int, unit) Hashtbl.t;  (* killed tids not yet told so *)
   recovered : El_recovery.Recovery.result;
   num_objects : int;
+  mutable last_tid : int;
+      (* the highest tid begun this session or carried by a record of
+         the start-up scan; -1 when there is none *)
   mutable commits : int;  (* COMMIT commands acked, for the stat line *)
 }
 
@@ -48,11 +50,6 @@ let start cfg =
     invalid_arg "Serve.start: the FW baseline has no recovery model"
   | Experiment.Ephemeral _ | Experiment.Hybrid _ -> ());
   let backend = El_store.Backend.file ~path:cfg.image in
-  (* Manual, not Grouped: serve's explicit sync before each commit ack
-     is the only barrier needed, and it writes every segment staged
-     since the last one with a single pwrite; scheduled per-wave syncs
-     would barrier at every completion instant of the settle for no
-     durability benefit. *)
   let sync_mode =
     if cfg.group_fsync then El_store.Log_store.Manual
     else El_store.Log_store.Immediate
@@ -69,6 +66,14 @@ let start cfg =
   let recovered =
     El_recovery.Recovery.recover
       (El_recovery.Recovery.image_of_scan ~num_objects:cfg.num_objects scan)
+  in
+  let scanned_tid =
+    List.fold_left
+      (fun m (b : El_store.Log_store.block) ->
+        List.fold_left
+          (fun m (r : Log_record.t) -> max m (Ids.Tid.to_int r.Log_record.tid))
+          m b.El_store.Log_store.sb_records)
+      (-1) scan.El_store.Log_store.s_blocks
   in
   let engine = Engine.create ~seed:0 () in
   (* The harness plant on the attached image, with a 1 ms flush
@@ -93,14 +98,14 @@ let start cfg =
     sink = plant.Experiment.i_sink;
     manager = plant.Experiment.i_manager;
     killed;
-    acked = Hashtbl.create 64;
     recovered;
     num_objects = cfg.num_objects;
+    last_tid = scanned_tid;
     commits = 0;
   }
 
 let recovered t = t.recovered
-let tid_of_ack t tid = Hashtbl.mem t.acked (Ids.Tid.to_int tid)
+
 let close t =
   (* under --group-fsync, segments appended since the last COMMIT are
      still staged; a clean shutdown writes them out *)
@@ -133,13 +138,22 @@ let exec t line =
   | verb :: args -> (
     match (String.uppercase_ascii verb, args) with
     | "BEGIN", [ tid ] ->
+      (* Recovery pairs records by tid, so a reused tid would let an
+         old COMMIT vouch for the new transaction's writes (or the new
+         COMMIT for an aborted one's): every BEGIN takes a fresh tid. *)
       let r =
         guarded (fun () ->
             with_int tid (fun n ->
-                t.sink.Generator.begin_tx ~tid:(Ids.Tid.of_int n)
-                  ~expected_duration;
-                settle ();
-                ok "begun %d" n))
+                if n <= t.last_tid then
+                  err "tid %d is not above %d, the highest tid used" n
+                    t.last_tid
+                else begin
+                  t.last_tid <- n;
+                  t.sink.Generator.begin_tx ~tid:(Ids.Tid.of_int n)
+                    ~expected_duration;
+                  settle ();
+                  ok "begun %d" n
+                end))
       in
       (Some r, true)
     | "WRITE", ([ _; _; _ ] | [ _; _; _; _ ]) ->
@@ -185,10 +199,12 @@ let exec t line =
                 match !acked_at with
                 | Some _ ->
                   t.commits <- t.commits + 1;
-                  Hashtbl.replace t.acked n ();
                   ok "committed %d" n
                 | None ->
-                  if Hashtbl.mem t.killed n then err "killed %d" n
+                  if Hashtbl.mem t.killed n then begin
+                    Hashtbl.remove t.killed n;
+                    err "killed %d" n
+                  end
                   else err "commit of %d did not ack" n))
       in
       (Some r, true)
@@ -248,7 +264,7 @@ let exec t line =
              (List.length t.recovered.El_recovery.Recovery.committed_tids)
              t.commits fsyncs_per_commit
              (match El_store.Log_store.sync_mode t.store with
-             | El_store.Log_store.Grouped | El_store.Log_store.Manual -> "on"
+             | El_store.Log_store.Manual -> "on"
              | El_store.Log_store.Immediate -> "off")),
         true )
     | "QUIT", [] -> (Some "bye", false)

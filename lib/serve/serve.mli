@@ -17,7 +17,11 @@
 
     One command per line, case-insensitive verbs, integer arguments:
 
-    - [BEGIN <tid>] → [ok begun <tid>]
+    - [BEGIN <tid>] → [ok begun <tid>], or [err] unless [tid] is
+      above every tid begun in this session and every tid the image's
+      surviving records carry: recovery pairs records by tid, so a
+      reused tid would recover an earlier transaction's COMMIT as the
+      new one's (or the new COMMIT as an aborted one's)
     - [WRITE <tid> <oid> <version> [<size>]] →
       [ok written <tid> <oid> <version>]  (size defaults to 100 bytes)
     - [COMMIT <tid>] → [ok committed <tid>], or [err killed <tid>] if
@@ -40,8 +44,6 @@
     Anything else answers [err <reason>]; a malformed argument or a
     protocol misuse (e.g. beginning a tid twice) answers [err] without
     disturbing the server. *)
-
-open El_model
 
 type config = {
   image : string;  (** path to the disk image *)
@@ -110,7 +112,3 @@ val close : t -> unit
     that [group_fsync] staged after the last COMMIT, so a clean
     shutdown leaves the whole image, as a per-segment-fsync server
     does. *)
-
-val tid_of_ack : t -> Ids.Tid.t -> bool
-(** Whether this server acked a commit of [tid] in this session (not
-    counting recovered history).  For tests. *)

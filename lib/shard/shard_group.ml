@@ -4,7 +4,6 @@ module Generator = El_workload.Generator
 module Recovery = El_recovery.Recovery
 module Experiment = El_harness.Experiment
 module Spsc = El_par.Spsc
-module IntSet = Set.Make (Int)
 
 (* Operations travelling generator → shard through the SPSC mailbox.
    The ack closures ride along: under the deterministic engine the
@@ -122,9 +121,6 @@ let view g =
   }
 
 let cross_views t = List.rev_map view t.cross_log
-let live_views t =
-  Hashtbl.fold (fun _ g acc -> view g :: acc) t.registry []
-  |> List.sort (fun a b -> compare a.v_gtid b.v_gtid)
 
 let single_committed t =
   if t.cfg.Experiment.shards = 1 then Generator.committed (generator t)
@@ -551,7 +547,6 @@ let merge_results (cfg : Experiment.config) (rs : Experiment.result array) =
     store_pwrites = sum (fun r -> r.Experiment.store_pwrites);
     store_barriers = sum (fun r -> r.Experiment.store_barriers);
     store_bytes_written = sum (fun r -> r.Experiment.store_bytes_written);
-    store_group_syncs = sum (fun r -> r.Experiment.store_group_syncs);
   }
 
 let collect t ~overloaded =
@@ -598,12 +593,6 @@ let finish t =
       false
     with El_core.El_manager.Log_overloaded _ -> true
   in
-  Array.iter
-    (fun inst ->
-      match inst.Experiment.i_store with
-      | Some s -> El_store.Log_store.sync s
-      | None -> ())
-    t.sg_instances;
   collect t ~overloaded
 
 let dispose t = Array.iter Experiment.dispose_instance t.sg_instances
@@ -614,7 +603,7 @@ let run cfg =
 
 let run_global cfg = (run cfg).r_global
 
-(* --- Crash capture and sharded recovery -------------------------- *)
+(* --- Crash capture ---------------------------------------------- *)
 
 let crash_images t =
   Array.map
@@ -624,31 +613,3 @@ let crash_images t =
       | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
         invalid_arg "Shard_group.crash_images: EL shards only (no FW model)")
     t.sg_instances
-
-let recover_shards ?pool images =
-  let recover_one img = Recovery.recover img in
-  let results =
-    match pool with
-    | None -> List.map recover_one (Array.to_list images)
-    | Some p -> El_par.Pool.map p recover_one (Array.to_list images)
-  in
-  Array.of_list results
-
-let resolve_in_doubt t ~committed_tids =
-  let sets =
-    Array.map
-      (fun tids ->
-        List.fold_left
-          (fun s tid -> IntSet.add (Ids.Tid.to_int tid) s)
-          IntSet.empty tids)
-      committed_tids
-  in
-  List.map
-    (fun v ->
-      let decision_durable =
-        IntSet.mem
-          (Ids.Tid.to_int (Two_pc.decision_tid ~gtid:v.v_gtid))
-          sets.(v.v_coordinator)
-      in
-      (v, Two_pc.resolve ~decision_durable))
-    (cross_views t)

@@ -10,8 +10,7 @@
     deterministic engine each mailbox is drained to empty inside the
     producing call, so event order is exactly that of a direct call;
     the rings are the hand-off seam a wall-clock multi-domain driver
-    uses, and {!recover_shards} already fans per-shard recovery out
-    across {!El_par.Pool} domains.
+    uses.
 
     A transaction whose writes all landed on one shard commits
     locally — no coordination at all (the adaptive fast path).  A
@@ -95,10 +94,6 @@ val cross_views : t -> gtx_view list
     oldest first — both settled and in-flight.  Empty unless
     [retain_cross] was set. *)
 
-val live_views : t -> gtx_view list
-(** Transactions currently in the registry (not yet settled),
-    regardless of [retain_cross]. *)
-
 (** {2 Counters} *)
 
 val single_committed : t -> int
@@ -160,8 +155,7 @@ val collect : t -> overloaded:bool -> run_result
     the engine themselves. *)
 
 val finish : t -> run_result
-(** Runs the engine to the config's runtime, syncs every store and
-    collects.  Overload on any shard stops the whole run, as solo. *)
+(** Runs the engine to the config's runtime and collects.  Overload on any shard stops the whole run, as solo. *)
 
 val dispose : t -> unit
 (** Closes and removes every shard's store image. *)
@@ -173,28 +167,10 @@ val run_global : Experiment.config -> Experiment.result
 (** Just the aggregate — the drop-in the min-space search probes with
     when [shards > 1]. *)
 
-(** {2 Crash capture and sharded recovery} *)
+(** {2 Crash capture} *)
 
 val crash_images : t -> El_recovery.Recovery.image array
 (** One crash image per shard, captured at the same engine instant
     (no events run between captures — the engine is halted while this
     executes).  EL managers only, like {!El_recovery.Recovery.crash};
     raises [Invalid_argument] on FW or hybrid shards. *)
-
-val recover_shards :
-  ?pool:El_par.Pool.t ->
-  El_recovery.Recovery.image array ->
-  El_recovery.Recovery.result array
-(** Recovers every shard's image — across the pool's domains when one
-    is given (one shard per domain), serially otherwise.  Recovery is
-    embarrassingly parallel across shards; results are in shard
-    order either way. *)
-
-val resolve_in_doubt :
-  t ->
-  committed_tids:Ids.Tid.t list array ->
-  (gtx_view * [ `Committed | `Aborted ]) list
-(** Presumed-abort resolution of every retained cross-shard
-    transaction against the per-shard recovered committed sets: a
-    transaction is committed iff its decision tid is in its
-    coordinator's set ({!Two_pc.resolve}). *)

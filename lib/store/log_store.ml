@@ -1,6 +1,6 @@
 open El_model
 
-type sync_mode = Immediate | Grouped | Manual
+type sync_mode = Immediate | Manual
 
 type t = {
   backend : Backend.t;
@@ -11,10 +11,8 @@ type t = {
   mutable staged : int;
       (* Manual: bytes of [scratch] encoded but not yet written; they
          belong at [write_off - staged] *)
-  mutable sync_mode : sync_mode;
-  mutable dirty : bool;  (* bytes written since the last barrier *)
-  mutable sync_scheduled : bool;  (* a group sync is already queued *)
-  mutable group_syncs : int;  (* barriers issued by {!sync} *)
+  sync_mode : sync_mode;
+  mutable dirty : bool;  (* Manual: bytes staged since the last barrier *)
 }
 
 let backend t = t.backend
@@ -28,7 +26,6 @@ let segment_bytes count = Codec.header_bytes + (count * Codec.entry_bytes)
 
 let sync_mode t = t.sync_mode
 let dirty t = t.dirty
-let group_syncs t = t.group_syncs
 
 (* Past this many staged bytes a Manual append writes the buffer out
    first, so a session that never commits cannot grow it without
@@ -46,31 +43,15 @@ let sync t =
   write_staged t;
   if t.dirty then begin
     Backend.barrier t.backend;
-    t.dirty <- false;
-    t.group_syncs <- t.group_syncs + 1
-  end
-
-let set_sync_mode t mode =
-  (* leaving Manual must not strand staged bytes, and entering
-     Immediate must not strand written-but-unsynced ones *)
-  if mode <> Manual then write_staged t;
-  if mode = Immediate then sync t;
-  t.sync_mode <- mode
-
-let request_group_sync t ~schedule =
-  if t.sync_mode = Grouped && t.dirty && not t.sync_scheduled then begin
-    t.sync_scheduled <- true;
-    schedule (fun () ->
-        t.sync_scheduled <- false;
-        sync t)
+    t.dirty <- false
   end
 
 let append_segment t ~gen ~slot entries ~corrupt_from =
   let count = List.length entries in
   let len = segment_bytes count in
   if t.staged > 0 && t.staged + len > stage_limit then write_staged t;
-  (* Manual stages each segment behind the ones before it; the other
-     modes write it at once, so [pos] is 0 for them *)
+  (* Manual stages each segment behind the ones before it; Immediate
+     writes it at once, so [pos] is 0 there *)
   let pos = t.staged in
   if Bytes.length t.scratch < pos + len then begin
     let b = Bytes.create (max (pos + len) (2 * Bytes.length t.scratch)) in
@@ -98,9 +79,6 @@ let append_segment t ~gen ~slot entries ~corrupt_from =
   | Immediate ->
     Backend.pwrite t.backend ~off:t.write_off ~len t.scratch;
     Backend.barrier t.backend
-  | Grouped ->
-    Backend.pwrite t.backend ~off:t.write_off ~len t.scratch;
-    t.dirty <- true
   | Manual ->
     t.staged <- pos + len;
     t.dirty <- true);
@@ -279,8 +257,6 @@ let make backend ~epoch ~seq ~write_off ~sync_mode =
     staged = 0;
     sync_mode;
     dirty = false;
-    sync_scheduled = false;
-    group_syncs = 0;
   }
 
 let create ?(sync_mode = Immediate) backend =

@@ -23,27 +23,21 @@
     the [file] backend that is pwrite+fsync, so the ack survives
     SIGKILL.
 
-    Under {!Grouped} and {!Manual} the barrier is decoupled from the
-    append: appends mark the store dirty and the barrier is issued by
-    {!sync}.  Under {!Grouped} each append still [pwrite]s at once, and
-    the simulation's channels also call {!request_group_sync}, which
-    coalesces every append of a same-instant completion wave under a
-    single barrier, so simulated acks and their barrier land at the
-    same instant.  {!Manual} issues nothing on its own: an append only
-    encodes its segment into the store's write buffer, behind the
-    segments staged before it, and {!sync} writes the whole buffer with
-    one [pwrite] and then barriers once.  It is the serve loop's mode,
-    where drain-and-settle appends many segments (the sealed block plus
-    each stable install) and one {!sync} before the commit ack covers
-    them all with one pwrite and one fsync.  (A buffer that outgrows
-    1 MiB is written out, without a barrier, before the next append
-    stages.)  The contract shifts accordingly: an append alone is
-    {e not} durable — under {!Manual} it has not even reached the
-    backend — and an ack may only follow a completed {!sync}.  Callers
-    that honour that rule keep exactly the Immediate crash guarantees
-    while paying one fsync per settle wave (or per commit) instead of
-    one per segment.  Whatever the mode, the bytes that reach the
-    image, and their offsets, are the same.
+    Under {!Manual} the barrier is decoupled from the append, and so is
+    the write: an append only encodes its segment into the store's
+    write buffer, behind the segments staged before it, and {!sync}
+    writes the whole buffer with one [pwrite] and then barriers once.
+    It is the serve loop's group commit, where drain-and-settle appends
+    many segments (the sealed block plus each stable install) and one
+    {!sync} before the commit ack covers them all with one pwrite and
+    one fsync.  (A buffer that outgrows 1 MiB is written out, without a
+    barrier, before the next append stages.)  The contract shifts
+    accordingly: an append alone is {e not} durable — it has not even
+    reached the backend — and an ack may only follow a completed
+    {!sync}.  Callers that honour that rule keep exactly the Immediate
+    crash guarantees while paying one fsync per commit instead of one
+    per segment.  Whatever the mode, the bytes that reach the image,
+    and their offsets, are the same.
 
     {2 Epochs}
 
@@ -58,15 +52,12 @@ type t
 
 (** When the backend barrier runs relative to appends. *)
 type sync_mode =
-  | Immediate  (** one barrier per appended segment (the default) *)
-  | Grouped
-      (** appends only mark the store dirty; {!sync} (or a scheduled
-          {!request_group_sync}) barriers once for every append since
-          the last barrier *)
+  | Immediate
+      (** one pwrite and one barrier per appended segment (the
+          default) *)
   | Manual
-      (** appends stage in memory and {!request_group_sync} is
-          ignored: only an explicit {!sync} writes (one [pwrite] for
-          everything staged) and barriers *)
+      (** appends stage in memory: only an explicit {!sync} writes
+          (one [pwrite] for everything staged) and barriers *)
 
 val create : ?sync_mode:sync_mode -> Backend.t -> t
 (** Truncates the backend and starts at epoch 0, seq 0. *)
@@ -80,29 +71,13 @@ val epoch : t -> int
 
 val sync_mode : t -> sync_mode
 
-val set_sync_mode : t -> sync_mode -> unit
-(** Switching away from [Manual] first writes the staged bytes, and
-    switching to [Immediate] first {!sync}s, so no appended bytes are
-    left unwritten or without a barrier. *)
-
 val dirty : t -> bool
-(** Bytes have been appended since the last barrier ([Grouped] or
-    [Manual]). *)
+(** Bytes have been appended since the last barrier ([Manual] only). *)
 
 val sync : t -> unit
 (** Writes any staged bytes ([Manual]) with one [pwrite], then
-    barriers if dirty; a no-op on a clean store. *)
-
-val request_group_sync : t -> schedule:((unit -> unit) -> unit) -> unit
-(** Asks for a {!sync} to run at a caller-chosen later point — the
-    channels pass an end-of-settle-wave scheduler, so however many
-    block writes complete at one simulated instant, the wave ends in
-    exactly one barrier.  Idempotent while a sync is already queued;
-    a no-op when the store is clean or the mode is not [Grouped]. *)
-
-val group_syncs : t -> int
-(** Barriers issued by {!sync} (the group-commit counter, reported by
-    the serve [stat] line and the store bench). *)
+    barriers if dirty; a no-op on a clean store, and so always under
+    [Immediate]. *)
 
 val position : t -> int
 (** The next sequence number to be assigned.  A scan bounded by

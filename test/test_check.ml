@@ -211,12 +211,12 @@ let prop_sweep_random =
       not o.Sweep.overloaded)
 
 (* Negative test: the recovery auditor must catch a semantically
-   corrupted image.  We take a genuine crash image, bump the version
-   of one durably committed data record and RE-SEAL it — the checksum
-   validates, the content lies — and expect the audit to fail: the
-   recovered database now holds a version nobody committed.  This
-   pins down that the differential audit catches what the CRC layer
-   cannot. *)
+   corrupted image.  We take a genuine crash image and bump the version
+   of one durably committed data record, leaving its block whole — the
+   record reads back intact, the content lies — and expect the audit
+   to fail: the recovered database now holds a version nobody
+   committed.  This pins down that the differential audit catches what
+   the checksum layer cannot. *)
 let test_corrupted_image_caught () =
   let kind = List.assoc "el" (Sweep.standard_kinds ()) in
   let cfg = Sweep.standard_config ~kind ~seed:42 () in
@@ -230,7 +230,7 @@ let test_corrupted_image_caught () =
     (Recovery.audit image sane).Recovery.ok;
   let payloads =
     List.concat_map
-      (List.map (fun (s : Recovery.sealed) -> s.Recovery.payload))
+      (fun (b : Recovery.block) -> b.Recovery.records)
       image.Recovery.blocks
   in
   (* Find a durable data record carrying the newest committed version
@@ -258,23 +258,25 @@ let test_corrupted_image_caught () =
   (match List.find_opt is_target payloads with
   | None -> Alcotest.fail "no committed data record in a 15 s image"
   | Some victim ->
-    let corrupt (s : Recovery.sealed) =
-      if s.Recovery.payload == victim then
+    let corrupt (r : Log_record.t) =
+      if r == victim then
         match victim.Log_record.kind with
         | Log_record.Data { oid; version } ->
-          Recovery.seal
-            {
-              victim with
-              Log_record.kind =
-                Log_record.Data { oid; version = version + 1000 };
-            }
+          {
+            victim with
+            Log_record.kind = Log_record.Data { oid; version = version + 1000 };
+          }
         | _ -> assert false
-      else s
+      else r
     in
     let corrupted =
       {
         image with
-        Recovery.blocks = List.map (List.map corrupt) image.Recovery.blocks;
+        Recovery.blocks =
+          List.map
+            (fun (b : Recovery.block) ->
+              { b with Recovery.records = List.map corrupt b.Recovery.records })
+            image.Recovery.blocks;
       }
     in
     let r = Recovery.recover corrupted in
@@ -283,10 +285,10 @@ let test_corrupted_image_caught () =
     Alcotest.(check bool) "spurious version reported" true
       (audit.Recovery.spurious <> []))
 
-(* Torn-checksum negative: invalidate the stamps on every durable copy
-   of a committed-but-unflushed version.  Prefix validation must
-   discard those records (and everything behind them in their blocks),
-   recovery counts the discarded tails, and the audit reports the
+(* Torn-checksum negative: tear every durable block at its first copy
+   of a committed-but-unflushed version, as a bad checksum there would.
+   Those records (and everything behind them in their blocks) are
+   lost, recovery counts the torn tails, and the audit reports the
    version missing — durability violations cannot hide behind the
    checksum layer.  The flush array is starved so such a version
    exists: once a version is flushed, the stable database alone can
@@ -315,7 +317,7 @@ let test_torn_checksum_caught () =
     (Recovery.audit image (Recovery.recover image)).Recovery.ok;
   let payloads =
     List.concat_map
-      (List.map (fun (s : Recovery.sealed) -> s.Recovery.payload))
+      (fun (b : Recovery.block) -> b.Recovery.records)
       image.Recovery.blocks
   in
   let has_copy (oid, v) (r : Log_record.t) =
@@ -334,19 +336,21 @@ let test_torn_checksum_caught () =
   | None -> Alcotest.fail "no unflushed committed version in a 15 s image"
   | Some (oid, version) ->
     let hits = ref 0 in
-    let corrupt (s : Recovery.sealed) =
-      match s.Recovery.payload.Log_record.kind with
-      | Log_record.Data { oid = o; version = v }
-        when Ids.Oid.equal o oid && v = version ->
-        incr hits;
-        Recovery.corrupt_seal s.Recovery.payload
-      | _ -> s
+    let tear (b : Recovery.block) =
+      let rec cut kept = function
+        | [] -> b
+        | r :: rest when has_copy (oid, version) r ->
+          incr hits;
+          {
+            Recovery.records = List.rev kept;
+            torn = b.Recovery.torn + 1 + List.length rest;
+          }
+        | r :: rest -> cut (r :: kept) rest
+      in
+      cut [] b.Recovery.records
     in
     let corrupted =
-      {
-        image with
-        Recovery.blocks = List.map (List.map corrupt) image.Recovery.blocks;
-      }
+      { image with Recovery.blocks = List.map tear image.Recovery.blocks }
     in
     Alcotest.(check bool) "found a durable copy to corrupt" true (!hits > 0);
     let r = Recovery.recover corrupted in

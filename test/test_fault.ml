@@ -273,8 +273,9 @@ let prop_fatal_deterministic =
       attempt () = attempt ())
 
 (* Torn recovery is exactly suffix removal: recovering an image whose
-   block has a corrupted tail equals recovering the image with that
-   tail cut off, and the discard counters report the tail's size. *)
+   block lost its tail to a torn write equals recovering the image with
+   that tail cut off cleanly, and the torn counters report the tail's
+   size. *)
 let test_torn_exact_suffix () =
   let cfg =
     Sweep.standard_config ~kind:(kind_of "el") ~runtime:(Time.of_sec 20)
@@ -287,38 +288,26 @@ let test_torn_exact_suffix () =
   in
   let rec pick = function
     | [] -> None
-    | b :: rest -> if List.length b >= 2 then Some b else pick rest
+    | (b : Recovery.block) :: rest ->
+      if List.length b.Recovery.records >= 2 then Some b else pick rest
   in
   match pick image.Recovery.blocks with
   | None -> Alcotest.fail "no multi-record block in a 15 s image"
   | Some b ->
-    let n = List.length b in
+    let n = List.length b.Recovery.records in
     let k = n / 2 in
-    let torn_block =
-      List.mapi
-        (fun i (s : Recovery.sealed) ->
-          if i < k then s else Recovery.corrupt_seal s.Recovery.payload)
-        b
-    in
-    let torn =
+    let prefix = List.filteri (fun i _ -> i < k) b.Recovery.records in
+    let with_block block =
       {
         image with
         Recovery.blocks =
           List.map
-            (fun bl -> if bl == b then torn_block else bl)
+            (fun bl -> if bl == b then block else bl)
             image.Recovery.blocks;
       }
     in
-    let truncated =
-      {
-        image with
-        Recovery.blocks =
-          List.map
-            (fun bl ->
-              if bl == b then List.filteri (fun i _ -> i < k) bl else bl)
-            image.Recovery.blocks;
-      }
-    in
+    let torn = with_block { Recovery.records = prefix; torn = n - k } in
+    let truncated = with_block { Recovery.records = prefix; torn = 0 } in
     let rt = Recovery.recover torn in
     let rs = Recovery.recover truncated in
     Alcotest.(check bool) "same recovered database" true

@@ -28,7 +28,9 @@ let test_binary_search_logic () =
     Alcotest.(check int) "finds the threshold" threshold n;
     Alcotest.(check bool) "result is the feasible one" true r.Experiment.feasible
   | None -> Alcotest.fail "expected a result");
-  Alcotest.(check bool) "logarithmic probe count" true (List.length !calls <= 9)
+  Alcotest.(check (list int)) "binary-search probe order"
+    [ 128; 66; 35; 51; 43; 39; 37; 36 ]
+    (List.rev !calls)
 
 let test_search_all_infeasible () =
   let probe _ = fake_result ~feasible:false in

@@ -201,10 +201,10 @@ let prop_recover_idempotent_order_insensitive =
       && sorted_tids r1 = sorted_tids r3
       && r1.Recovery.records_scanned = r3.Recovery.records_scanned)
 
-(* Negative case for the checksum machinery: an image whose every
-   stamp is corrupted recovers nothing, counts every non-empty block
-   as a torn tail, and fails the audit — the durably committed state
-   is missing from the recovered database.  The flush array is starved
+(* Negative case for torn blocks: an image whose every block tore at
+   its first record recovers nothing, counts every non-empty block as
+   a torn tail, and fails the audit — the durably committed state is
+   missing from the recovered database.  The flush array is starved
    so that committed state provably lags the stable version: a fully
    caught-up stable database would survive the loss of the log.  The
    30 ms transfer makes the starvation real (2 drives cannot keep up
@@ -236,8 +236,8 @@ let test_corrupted_checksums_caught () =
       image with
       Recovery.blocks =
         List.map
-          (List.map (fun (s : Recovery.sealed) ->
-               Recovery.corrupt_seal s.Recovery.payload))
+          (fun (b : Recovery.block) ->
+            { Recovery.records = []; torn = List.length b.Recovery.records })
           image.Recovery.blocks;
     }
   in

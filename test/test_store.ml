@@ -201,6 +201,31 @@ let test_store_torn_suffix () =
   Alcotest.(check int) "valid prefix" 3 (List.length bl.Log_store.sb_records);
   Alcotest.(check int) "discarded" 2 bl.Log_store.sb_discarded
 
+(* A bad checksum mid-segment cuts the block there: writes are
+   sequential within a block, so no entry behind a corrupt one can be
+   trusted, even one whose own checksum still holds. *)
+let test_first_bad_checksum_cuts () =
+  let b = Backend.mem () in
+  let t = Log_store.create b in
+  Log_store.append_block t ~gen:0 ~slot:0 (records_of 5 0);
+  let entry i = Codec.header_bytes + (i * Codec.entry_bytes) in
+  let byte = Backend.pread b ~off:(entry 2 + 1) ~len:1 in
+  Bytes.set byte 0 (Char.chr (Char.code (Bytes.get byte 0) lxor 0xff));
+  Backend.pwrite b ~off:(entry 2 + 1) byte;
+  let img = Backend.pread b ~off:0 ~len:(Backend.size b) in
+  let checksums i = Codec.decode_entry img ~pos:(entry i) <> None in
+  Alcotest.(check bool) "entry 2 fails its checksum" false (checksums 2);
+  Alcotest.(check bool) "entries 3 and 4 still checksum" true
+    (checksums 3 && checksums 4);
+  let bl = List.hd (Log_store.scan b).Log_store.s_blocks in
+  Alcotest.(check int) "the scan keeps entries 0 and 1" 2
+    (List.length bl.Log_store.sb_records);
+  Alcotest.(check int) "and discards from entry 2 on" 3
+    bl.Log_store.sb_discarded;
+  let r = Recovery.recover_store ~num_objects:100 b in
+  Alcotest.(check int) "one torn block" 1 r.Recovery.torn_blocks;
+  Alcotest.(check int) "three torn records" 3 r.Recovery.torn_records
+
 let test_store_upto () =
   let b = Backend.mem () in
   let t = Log_store.create b in
@@ -390,58 +415,6 @@ let test_crash_mark_fidelity () =
           (Marshal.to_string (view st) []))
     [ 1; 2; 3 ]
 
-(* Grouped sync must change barrier counts only: the same appends end
-   in a byte-identical image once the final [sync] lands, with one
-   barrier for the batch instead of one per segment. *)
-let test_grouped_sync_bytes_identical () =
-  let run sync_mode =
-    let b = Backend.mem () in
-    let t = Log_store.create ~sync_mode b in
-    Log_store.append_block t ~gen:0 ~slot:0 (records_of 3 0);
-    Log_store.append_block t ~gen:1 ~slot:0 (records_of 2 50);
-    Log_store.append_stable t ~oid:(Ids.Oid.of_int 7) ~version:3;
-    Log_store.sync t;
-    let size = Backend.size b in
-    ( Bytes.to_string (Backend.pread b ~off:0 ~len:size),
-      (Backend.counters b).Backend.barriers,
-      Log_store.group_syncs t )
-  in
-  let bytes_i, barriers_i, gs_i = run Log_store.Immediate in
-  let bytes_g, barriers_g, gs_g = run Log_store.Grouped in
-  Alcotest.(check string) "images byte-identical" bytes_i bytes_g;
-  Alcotest.(check int) "immediate: a barrier per segment" 3 barriers_i;
-  Alcotest.(check int) "grouped: one barrier for the batch" 1 barriers_g;
-  Alcotest.(check int) "immediate: sync finds nothing dirty" 0 gs_i;
-  Alcotest.(check int) "grouped: one sync wave" 1 gs_g
-
-(* request_group_sync coalesces: many requests in one settle wave
-   schedule one callback, and a clean store schedules nothing. *)
-let test_group_sync_coalesces () =
-  let b = Backend.mem () in
-  let t = Log_store.create ~sync_mode:Log_store.Grouped b in
-  let pending = ref [] in
-  let schedule k = pending := k :: !pending in
-  Log_store.append_block t ~gen:0 ~slot:0 (records_of 1 0);
-  Log_store.request_group_sync t ~schedule;
-  Log_store.append_block t ~gen:0 ~slot:1 (records_of 1 10);
-  Log_store.request_group_sync t ~schedule;
-  Alcotest.(check int) "second request coalesced" 1 (List.length !pending);
-  List.iter (fun k -> k ()) !pending;
-  Alcotest.(check int) "one barrier covers both segments" 1
-    (Backend.counters b).Backend.barriers;
-  Alcotest.(check bool) "store clean after the wave" false (Log_store.dirty t);
-  pending := [];
-  Log_store.request_group_sync t ~schedule;
-  Alcotest.(check int) "clean store schedules nothing" 0
-    (List.length !pending);
-  (* leaving Grouped mode flushes rather than stranding dirty bytes *)
-  Log_store.append_block t ~gen:0 ~slot:2 (records_of 1 20);
-  Log_store.set_sync_mode t Log_store.Immediate;
-  Alcotest.(check bool) "mode switch drains dirtiness" false
-    (Log_store.dirty t);
-  Alcotest.(check int) "mode switch issued the barrier" 2
-    (Backend.counters b).Backend.barriers
-
 (* Manual stages appends in memory: the backend sees nothing until a
    [sync], which writes everything staged with one pwrite and one
    barrier, leaving exactly the image an Immediate store writes with
@@ -516,32 +489,6 @@ let test_manual_stage_is_bounded () =
   Log_store.sync t;
   Alcotest.(check int) "then one sync barriers once" 1 c.Backend.barriers;
   Alcotest.(check string) "image = Immediate's" (image immediate) (image b)
-
-(* Leaving Manual writes what it staged before the next append: to
-   Immediate with a barrier, to Grouped without one. *)
-let test_leaving_manual_writes_staged () =
-  let immediate = Backend.mem () in
-  manual_appends (Log_store.create immediate);
-  List.iter
-    (fun (name, mode, barriers) ->
-      let b = Backend.mem () in
-      let t = Log_store.create ~sync_mode:Log_store.Manual b in
-      Log_store.append_block t ~gen:0 ~slot:0 (records_of 3 0);
-      Log_store.append_block t ~gen:1 ~slot:0 (records_of 2 50);
-      Log_store.append_stable t ~oid:(Ids.Oid.of_int 7) ~version:3;
-      Log_store.set_sync_mode t mode;
-      let c = Backend.counters b in
-      Alcotest.(check int) (name ^ ": switch wrote the staged bytes") 1
-        c.Backend.pwrites;
-      Alcotest.(check int) (name ^ ": barriers at the switch") barriers
-        c.Backend.barriers;
-      Log_store.append_block t ~gen:0 ~slot:1 (records_of 4 80);
-      Alcotest.(check int) (name ^ ": then a pwrite per segment") 2
-        c.Backend.pwrites;
-      Log_store.sync t;
-      Alcotest.(check string) (name ^ ": image = Immediate's")
-        (image immediate) (image b))
-    [ ("immediate", Log_store.Immediate, 1); ("grouped", Log_store.Grouped, 0) ]
 
 (* ---- crash injection inside the write path ---- *)
 
@@ -770,6 +717,8 @@ let suite =
     Alcotest.test_case "header roundtrip" `Quick test_header_roundtrip;
     Alcotest.test_case "scan dedups reused slots" `Quick test_store_scan_dedup;
     Alcotest.test_case "torn suffix discarded" `Quick test_store_torn_suffix;
+    Alcotest.test_case "the first bad checksum cuts the block" `Quick
+      test_first_bad_checksum_cuts;
     Alcotest.test_case "scan honours crash mark" `Quick test_store_upto;
     Alcotest.test_case "attach bumps the epoch" `Quick test_attach_epochs;
     Alcotest.test_case "truncated image loses only the tail" `Quick
@@ -780,18 +729,12 @@ let suite =
       test_sim_mem_result_identity;
     Alcotest.test_case "crash mark freezes the sim image" `Quick
       test_crash_mark_fidelity;
-    Alcotest.test_case "grouped sync: same bytes, fewer barriers" `Quick
-      test_grouped_sync_bytes_identical;
-    Alcotest.test_case "group sync requests coalesce" `Quick
-      test_group_sync_coalesces;
     Alcotest.test_case "manual: staged until one pwrite + barrier" `Quick
       test_manual_stages_until_sync;
     Alcotest.test_case "manual: unsynced segments never land" `Quick
       test_manual_unsynced_never_lands;
     Alcotest.test_case "manual: the stage is bounded" `Quick
       test_manual_stage_is_bounded;
-    Alcotest.test_case "leaving manual writes staged bytes" `Quick
-      test_leaving_manual_writes_staged;
     Alcotest.test_case "write fault tears a segment" `Quick
       test_write_fault_torn_segment;
     Alcotest.test_case "mid-run device death: replay = simulated recovery"
