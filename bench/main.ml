@@ -1,22 +1,25 @@
 (* Benchmark harness: regenerates every figure and in-text result of
-   the paper's evaluation (§4) and runs Bechamel micro-benchmarks of
-   the core machinery.
+   the paper's evaluation (§4), plus the beyond-the-paper sections.
+   Every number it prints is counted by the simulator, so the output
+   is a function of the arguments alone; wall-clock speed is
+   perfbench's job.
 
    Usage:
      bench/main.exe [--quick] [--jobs N] [--json PATH]
                     [fig4] [fig5] [fig6] [fig7]
-                    [headline] [scarce] [rates] [recovery] [ablation]
-                    [gens] [adaptive] [checkpoint] [poisson] [hotpath]
-                    [store] [shards] [micro]
+                    [headline] [scarce] [rates] [recovery] [store]
+                    [workloads] [ablation] [gens] [adaptive]
+                    [checkpoint] [poisson] [shards]
 
-   With no selector, everything runs.  --quick shortens the simulated
-   runs (120 s instead of the paper's 500 s) and coarsens sweeps; the
-   shapes still hold, absolute numbers move slightly.  --jobs N runs
-   the independent simulations behind each sweep on N domains (default
-   1 = serial; tables and JSON are identical either way, see
-   lib/par).  --json writes a machine-readable summary ("el-bench/1"
-   schema) of every section that ran, for CI regression checks and
-   committed baselines. *)
+   With no selector, everything runs; an unknown selector exits 2.
+   --quick shortens the simulated runs (120 s instead of the paper's
+   500 s) and coarsens sweeps; the shapes still hold, absolute numbers
+   move slightly.  --jobs N runs the independent simulations behind
+   each sweep on N domains (default 1 = serial; the tables are
+   identical either way, see lib/par, and so is the JSON but for its
+   "alloc" counters).  --json writes a machine-readable summary
+   ("el-bench/1" schema) of every section that ran, for CI regression
+   checks and committed baselines. *)
 
 open El_model
 module Table = El_metrics.Table
@@ -38,7 +41,7 @@ module J = El_obs.Jsonx
 
 (* The work pool behind every sweep; main swaps it for a real one
    when --jobs N > 1 is given.  Sections always collect results in
-   submission order, so the output is identical at any job count. *)
+   submission order, so the tables are identical at any job count. *)
 let pool = ref El_par.Pool.serial
 
 let json_sections : (string * J.t) list ref = ref []
@@ -62,10 +65,8 @@ let add_section name doc =
 let j_ints a = J.List (Array.to_list (Array.map (fun i -> J.Int i) a))
 
 (* Allocation accounting: every section carries an "alloc" object with
-   the GC words its workload allocated.  Unlike throughput rates —
-   hopelessly noisy on a shared box — allocation counts are
-   deterministic for a fixed seed and mode, so CI can regress them
-   tightly. *)
+   the GC words its workload allocated, deterministic for a fixed
+   seed, mode and job count. *)
 let with_alloc f =
   let s0 = Gc.quick_stat () in
   let r = f () in
@@ -296,8 +297,7 @@ let fig7 speed =
   print_endline
     "Paper's anchors: space falls 34 -> 28 blocks while total bandwidth\n\
      rises only 12.87 -> 12.99 writes/s; shrinking further kills\n\
-     transactions.";
-  result
+     transactions."
 
 let headline speed =
   heading "In-text headline (5% mix): EL with recirculation vs FW";
@@ -394,8 +394,7 @@ let scarce speed =
            J.Float s.baseline_mean_flush_distance );
          ("flush_backlog_peak", J.Int s.flush_backlog_peak);
          ("alloc", alloc);
-       ]);
-  s
+       ])
 
 let rates speed =
   heading "In-text: database update rate vs transaction mix";
@@ -498,8 +497,7 @@ let recovery_bench speed =
 (* The same crash/recover run as [recovery], but on the real-bytes
    path: once per store backend, with the store replay cross-checked
    against the simulated recovery.  Reports the I/O the durability
-   contract costs (pwrites, fsync barriers, bytes) and the wall-clock
-   spread between mem and file. *)
+   contract costs (pwrites, fsync barriers, bytes). *)
 let store_bench speed =
   heading "Durable store: mem vs file backends on the real-bytes path";
   let runtime =
@@ -523,13 +521,11 @@ let store_bench speed =
         num_objects = 100_000;
       }
     in
-    let t0 = Unix.gettimeofday () in
     let result, sim, audit, store = Experiment.run_with_crash_store cfg ~crash_at in
-    let wall = Unix.gettimeofday () -. t0 in
     let agrees =
       match store with Some s -> view s = view sim | None -> false
     in
-    (result, sim, audit, wall, agrees)
+    (result, sim, audit, agrees)
   in
   let with_image_dir f =
     let dir = Filename.temp_file "el-bench-store" "" in
@@ -560,13 +556,12 @@ let store_bench speed =
           ("pwrites", Table.Right);
           ("fsyncs", Table.Right);
           ("MB written", Table.Right);
-          ("wall s", Table.Right);
           ("replay agrees", Table.Left);
           ("audit", Table.Left);
         ]
   in
   List.iter
-    (fun (name, (result, _sim, audit, wall, agrees)) ->
+    (fun (name, (result, _sim, audit, agrees)) ->
       Table.add_row t
         [
           name;
@@ -574,7 +569,6 @@ let store_bench speed =
           string_of_int result.Experiment.store_barriers;
           fmt_f
             (float_of_int result.Experiment.store_bytes_written /. 1048576.);
-          fmt_f wall;
           (if agrees then "yes" else "DIVERGES");
           (if audit.El_recovery.Recovery.ok then "OK" else "FAILED");
         ])
@@ -582,8 +576,8 @@ let store_bench speed =
   Table.print t;
   let backends_identical =
     match runs with
-    | (_, (_, sim0, _, _, _)) :: rest ->
-      List.for_all (fun (_, (_, sim, _, _, _)) -> view sim = view sim0) rest
+    | (_, (_, sim0, _, _)) :: rest ->
+      List.for_all (fun (_, (_, sim, _, _)) -> view sim = view sim0) rest
     | [] -> false
   in
   Format.printf
@@ -595,7 +589,7 @@ let store_bench speed =
        :: ("backends_identical", J.Bool backends_identical)
        :: ("alloc", alloc)
        :: List.concat_map
-            (fun (name, (result, sim, audit, wall, agrees)) ->
+            (fun (name, (result, sim, audit, agrees)) ->
               [
                 ( name,
                   J.Obj
@@ -604,7 +598,6 @@ let store_bench speed =
                       ("barriers", J.Int result.Experiment.store_barriers);
                       ( "bytes_written",
                         J.Int result.Experiment.store_bytes_written );
-                      ("wall_s", J.Float wall);
                       ("replay_agrees", J.Bool agrees);
                       ("audit_ok", J.Bool audit.El_recovery.Recovery.ok);
                       ( "committed_txs",
@@ -995,277 +988,6 @@ let poisson_bench speed =
      evaluation' and defers probabilistic models.  Under Poisson bursts\n\
      both schemes need a little headroom beyond the deterministic minima."
 
-(* ---- hot-path micro-benchmarks: the structures the O(log n)
-   refactor made sub-linear, measured directly ---- *)
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let hotpath speed =
-  heading "Hot-path micro-benchmarks (flush dispatch, ledger indexes, appends)";
-  let gc0 = Gc.quick_stat () in
-  let module F = El_disk.Flush_array in
-  let module Engine = El_sim.Engine in
-  let objects = 1_000_000 in
-  (* 1. Flush-backlog dispatch throughput: enqueue B requests on one
-     drive, then drain.  Every service is one scheduling pick — O(B)
-     under Reference, O(log B) under Indexed — so the drain isolates
-     pick cost. *)
-  let drain impl backlog =
-    let e = Engine.create () in
-    let f =
-      F.create e ~drives:1 ~transfer_time:(Time.of_us 1) ~num_objects:objects
-        ~implementation:impl ()
-    in
-    F.set_on_flush f (fun _ ~version:_ -> ());
-    let x = ref 88172645463325252 in
-    for _ = 1 to backlog do
-      (* xorshift: deterministic, seed-independent oid stream *)
-      x := !x lxor (!x lsl 13);
-      x := !x lxor (!x lsr 7);
-      x := !x lxor (!x lsl 17);
-      F.request f (Ids.Oid.of_int (abs !x mod objects)) ~version:1
-    done;
-    let (), secs = wall (fun () -> Engine.run_all e) in
-    F.check_invariants f;
-    (float_of_int (F.picks f) /. secs, secs)
-  in
-  let backlogs =
-    match speed with
-    | `Quick -> [ 1_000; 10_000 ]
-    | `Full -> [ 1_000; 10_000; 50_000 ]
-  in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("backlog", Table.Right);
-          ("Reference picks/s", Table.Right);
-          ("Indexed picks/s", Table.Right);
-          ("speedup", Table.Right);
-        ]
-  in
-  let dispatch_rows =
-    List.map
-      (fun b ->
-        let ref_rate, _ = drain F.Reference b in
-        let idx_rate, _ = drain F.Indexed b in
-        let speedup = idx_rate /. ref_rate in
-        Table.add_row t
-          [
-            string_of_int b;
-            fmt_f0 ref_rate;
-            fmt_f0 idx_rate;
-            fmt_f speedup ^ "x";
-          ];
-        J.Obj
-          [
-            ("backlog", J.Int b);
-            ("reference_picks_per_sec", J.Float ref_rate);
-            ("indexed_picks_per_sec", J.Float idx_rate);
-            ("speedup", J.Float speedup);
-          ])
-      backlogs
-  in
-  Table.print t;
-  print_newline ();
-  (* 2. Ledger throughput with a large active window: every iteration
-     consults oldest_active and live_cells, which the incremental
-     indexes serve in O(1) instead of full LOT/LTT walks. *)
-  let ledger_ops () =
-    let module L = El_core.Ledger in
-    let l = L.create ~remove_cell:(fun _ -> ()) () in
-    let window = 10_000 in
-    let iters = match speed with `Quick -> 30_000 | `Full -> 100_000 in
-    let ops = ref 0 in
-    let w0 = Gc.minor_words () in
-    let (), secs =
-      wall (fun () ->
-          for i = 0 to iters - 1 do
-            let tid = Ids.Tid.of_int i in
-            ignore
-              (L.begin_tx l ~tid ~expected_duration:(Time.of_sec 1)
-                 ~timestamp:(Time.of_us i) ~size:8);
-            ignore
-              (L.write_data l ~tid
-                 ~oid:(Ids.Oid.of_int (i * 7919 mod 500_000))
-                 ~version:i ~size:100 ~timestamp:(Time.of_us i));
-            ignore (L.oldest_active l);
-            ignore (L.live_cells l);
-            ops := !ops + 4;
-            if i >= window then begin
-              let victim = Ids.Tid.of_int (i - window) in
-              ignore
-                (L.request_commit l ~tid:victim ~timestamp:(Time.of_us i)
-                   ~size:8);
-              let to_flush = L.commit_durable l ~tid:victim in
-              List.iter
-                (fun (oid, version) ->
-                  ignore (L.flush_complete l ~oid ~version))
-                to_flush;
-              ops := !ops + 2 + List.length to_flush
-            end
-          done;
-          (* drain the remaining window through the O(1) victim head *)
-          let continue = ref true in
-          while !continue do
-            match L.oldest_active l with
-            | None -> continue := false
-            | Some e ->
-              L.kill l ~tid:e.El_core.Cell.e_tid;
-              ops := !ops + 2
-          done)
-    in
-    L.check_invariants l;
-    let words_per_op = (Gc.minor_words () -. w0) /. float_of_int !ops in
-    (float_of_int !ops /. secs, !ops, words_per_op)
-  in
-  let ledger_rate, ledger_total, ledger_words = ledger_ops () in
-  Printf.printf
-    "ledger: %s ops/s (%d begin/write/commit/kill ops, 10k-tx active window, \
-     %.2f minor words/op)\n\n"
-    (fmt_f0 ledger_rate) ledger_total ledger_words;
-  (* 3. Hybrid long-transaction appends: stub accumulation is O(1)
-     amortised (prepend + lazy reverse) where it used to rebuild the
-     whole list per record. *)
-  let hybrid_append len =
-    let e = Engine.create () in
-    let flush =
-      F.create e ~drives:1 ~transfer_time:(Time.of_us 1) ~num_objects:objects ()
-    in
-    let stable = El_disk.Stable_db.create ~num_objects:objects in
-    let queue = (len * 100 / El_model.Params.block_payload) + 16 in
-    let h =
-      El_core.Hybrid_manager.create e ~queue_sizes:[| queue |] ~flush ~stable ()
-    in
-    let tid = Ids.Tid.of_int 1 in
-    El_core.Hybrid_manager.begin_tx h ~tid ~expected_duration:(Time.of_sec 10);
-    let w0 = Gc.minor_words () in
-    let (), secs =
-      wall (fun () ->
-          for i = 1 to len do
-            El_core.Hybrid_manager.write_data h ~tid ~oid:(Ids.Oid.of_int i)
-              ~version:i ~size:100
-          done)
-    in
-    let words = (Gc.minor_words () -. w0) /. float_of_int len in
-    Engine.run_all e;
-    (float_of_int len /. secs, words)
-  in
-  let lengths =
-    match speed with
-    | `Quick -> [ 1_000; 5_000 ]
-    | `Full -> [ 1_000; 5_000; 20_000 ]
-  in
-  (* single-shot appends are noisy on a loaded box; keep the best of a
-     few repetitions, which is the machine's actual capability *)
-  let append_reps = match speed with `Quick -> 2 | `Full -> 5 in
-  let append_rows =
-    List.map
-      (fun len ->
-        (* settle the major collector: the earlier bench stages leave
-           floating garbage whose incremental slices would otherwise be
-           charged to this loop's allocations *)
-        Gc.compact ();
-        let best = ref 0.0 and words = ref infinity in
-        for _ = 1 to append_reps do
-          let rate, w = hybrid_append len in
-          if rate > !best then best := rate;
-          if w < !words then words := w
-        done;
-        Printf.printf
-          "hybrid append: %6d-record tx  %12s records/s  %.2f minor words/record\n"
-          len (fmt_f0 !best) !words;
-        J.Obj
-          [
-            ("records", J.Int len);
-            ("records_per_sec", J.Float !best);
-            ("minor_words_per_record", J.Float !words);
-          ])
-      lengths
-  in
-  print_newline ();
-  (* 4. Whole-simulation wall-clock on the scarce-flush scenario (the
-     deepest backlog any paper figure builds), Reference vs Indexed,
-     with a result-identity check: the elevator must change how fast
-     the answer arrives, never the answer. *)
-  let scarce_cfg impl =
-    {
-      (Paper.base_config ~speed
-         ~kind:
-           (Experiment.Ephemeral (Policy.default ~generation_sizes:[| 24; 7 |]))
-         ~long_pct:5 ()) with
-      Experiment.flush_transfer = Time.of_ms 45;
-      Experiment.flush_impl = impl;
-    }
-  in
-  (* Wall-clock flips sign run-to-run under ±10-20% machine noise, so
-     each implementation gets best-of-2 and the regression field below
-     carries a generous 1.25x tolerance; the allocation counts are the
-     tight, deterministic regression signal. *)
-  let run_scarce impl =
-    let cfg = scarce_cfg impl in
-    let w0 = Gc.minor_words () in
-    let r, secs = wall (fun () -> Experiment.run cfg) in
-    let words_per_tx =
-      (Gc.minor_words () -. w0) /. float_of_int (max 1 r.Experiment.committed)
-    in
-    (r, secs, words_per_tx)
-  in
-  let best_of impl =
-    let r, secs0, words = run_scarce impl in
-    let best = ref secs0 in
-    let _, secs1, _ = run_scarce impl in
-    if secs1 < !best then best := secs1;
-    (r, !best, words)
-  in
-  let r_ref, ref_secs, ref_words = best_of El_disk.Flush_array.Reference in
-  let r_idx, idx_secs, idx_words = best_of El_disk.Flush_array.Indexed in
-  let identical = Marshal.to_string r_ref [] = Marshal.to_string r_idx [] in
-  let indexed_not_slower = idx_secs <= 1.25 *. ref_secs in
-  Printf.printf
-    "scarce-flush wall-clock: Reference %.3fs (%.0f words/tx), Indexed %.3fs \
-     (%.0f words/tx) (results %s)\n"
-    ref_secs ref_words idx_secs idx_words
-    (if identical then "identical" else "DIVERGED");
-  if not identical then failwith "hotpath: Reference/Indexed results diverged";
-  let gc1 = Gc.quick_stat () in
-  add_section "hotpath"
-    (J.Obj
-       [
-         ("dispatch", J.List dispatch_rows);
-         ( "ledger",
-           J.Obj
-             [
-               ("ops_per_sec", J.Float ledger_rate);
-               ("ops", J.Int ledger_total);
-               ("minor_words_per_op", J.Float ledger_words);
-             ] );
-         ("hybrid_append", J.List append_rows);
-         ( "scarce_wallclock",
-           J.Obj
-             [
-               ("reference_secs", J.Float ref_secs);
-               ("indexed_secs", J.Float idx_secs);
-               ("reference_words_per_tx", J.Float ref_words);
-               ("indexed_words_per_tx", J.Float idx_words);
-               ("indexed_not_slower", J.Bool indexed_not_slower);
-               ("results_identical", J.Bool identical);
-             ] );
-         ( "alloc",
-           J.Obj
-             [
-               ( "minor_words",
-                 J.Float (gc1.Gc.minor_words -. gc0.Gc.minor_words) );
-               ( "major_words",
-                 J.Float (gc1.Gc.major_words -. gc0.Gc.major_words) );
-               ( "promoted_words",
-                 J.Float (gc1.Gc.promoted_words -. gc0.Gc.promoted_words) );
-             ] );
-       ])
-
 (* ---- multi-shard scale-out: oid-range partitions + cross-shard 2PC
    (lib/shard) ---- *)
 
@@ -1285,9 +1007,7 @@ let shard_cfg ~runtime ~rate ~objects ~drives ~gens ~shards ~seed =
   }
 
 let shard_row cfg =
-  let t0 = Unix.gettimeofday () in
   let rr = Shard_group.run cfg in
-  let wall = Unix.gettimeofday () -. t0 in
   let shard_committed =
     Array.map (fun (s : Shard_group.shard_stat) -> s.Shard_group.ss_committed)
       rr.Shard_group.r_shards
@@ -1301,7 +1021,7 @@ let shard_row cfg =
       (Printf.sprintf
          "shard bench: per-shard commits (%d) do not sum to global (%d)" sum
          rr.Shard_group.r_global.Experiment.committed);
-  (rr, shard_committed, wall)
+  (rr, shard_committed)
 
 let shards_bench speed =
   heading "Multi-shard scale-out: oid-range partitions with cross-shard 2PC";
@@ -1327,11 +1047,10 @@ let shards_bench speed =
           ("blocked", Table.Right);
           ("per-shard commits", Table.Left);
           ("log w/s", Table.Right);
-          ("wall s", Table.Right);
         ]
   in
   List.iter
-    (fun (n, ((rr : Shard_group.run_result), shard_committed, wall)) ->
+    (fun (n, ((rr : Shard_group.run_result), shard_committed)) ->
       Table.add_row t
         [
           string_of_int n;
@@ -1343,7 +1062,6 @@ let shards_bench speed =
           String.concat "+"
             (Array.to_list (Array.map string_of_int shard_committed));
           fmt_f rr.Shard_group.r_global.Experiment.log_write_rate;
-          fmt_f wall;
         ])
     rows;
   Table.print t;
@@ -1353,11 +1071,8 @@ let shards_bench speed =
      commits on exactly one shard, cross-shard transactions pay one\n\
      PREPARE marker per branch plus a decision record on their\n\
      coordinator.";
-  (* The scale headline: a million-object database on four plants.
-     The measured run commits what the simulated runtime admits; the
-     10^7-transaction figure is a labelled extrapolation from the
-     measured wall-clock per committed transaction, not a measured
-     run. *)
+  (* The scale headline: a million-object database on four plants,
+     committing what the simulated runtime admits. *)
   let h_rate, h_runtime =
     match speed with `Full -> (2000.0, 300.0) | `Quick -> (1000.0, 60.0)
   in
@@ -1365,20 +1080,16 @@ let shards_bench speed =
     shard_cfg ~runtime:h_runtime ~rate:h_rate ~objects:1_000_000 ~drives:128
       ~gens:[| 320; 256 |] ~shards:4 ~seed:42
   in
-  let (hr, h_shard_committed, h_wall), h_alloc =
+  let (hr, h_shard_committed), h_alloc =
     with_alloc (fun () -> shard_row h_cfg)
   in
   let h_committed = hr.Shard_group.r_global.Experiment.committed in
-  let target_tx = 10_000_000 in
-  let extrapolated_wall =
-    h_wall *. (float_of_int target_tx /. float_of_int (max 1 h_committed))
-  in
   let ht =
     Table.create ~columns:[ ("metric", Table.Left); ("value", Table.Right) ]
   in
   Table.add_row ht [ "objects"; "1,000,000" ];
   Table.add_row ht [ "shards"; "4" ];
-  Table.add_row ht [ "committed (measured)"; string_of_int h_committed ];
+  Table.add_row ht [ "committed"; string_of_int h_committed ];
   Table.add_row ht
     [
       "cross-shard commits";
@@ -1389,12 +1100,6 @@ let shards_bench speed =
       "updates/s";
       fmt_f hr.Shard_group.r_global.Experiment.updates_per_sec;
     ];
-  Table.add_row ht [ "wall s (measured)"; fmt_f h_wall ];
-  Table.add_row ht
-    [
-      "wall s to 10^7 tx (extrapolated)";
-      fmt_f extrapolated_wall;
-    ];
   Table.print ht;
   add_section "shards"
     (J.Obj
@@ -1402,7 +1107,7 @@ let shards_bench speed =
          ( "sweep",
            J.List
              (List.map
-                (fun (n, ((rr : Shard_group.run_result), sc, wall)) ->
+                (fun (n, ((rr : Shard_group.run_result), sc)) ->
                   J.Obj
                     [
                       ("shards", J.Int n);
@@ -1418,7 +1123,6 @@ let shards_bench speed =
                       ( "log_write_rate",
                         J.Float rr.Shard_group.r_global.Experiment.log_write_rate
                       );
-                      ("wall_s", J.Float wall);
                     ])
                 rows) );
          ( "headline",
@@ -1431,130 +1135,10 @@ let shards_bench speed =
                ("shard_committed", j_ints h_shard_committed);
                ( "updates_per_sec",
                  J.Float hr.Shard_group.r_global.Experiment.updates_per_sec );
-               ("wall_s", J.Float h_wall);
-               ("target_tx", J.Int target_tx);
-               ("extrapolated_wall_s_to_target", J.Float extrapolated_wall);
-               ("extrapolated", J.Bool true);
                ("alloc", h_alloc);
              ] );
          ("alloc", alloc);
        ])
-
-(* ---- Bechamel micro-benchmarks: one Test.make per figure/table plus
-   the core data structures ---- *)
-
-let micro () =
-  heading "Bechamel micro-benchmarks (simulator and data structures)";
-  let open Bechamel in
-  let open Toolkit in
-  let short_sim kind =
-    Staged.stage (fun () ->
-        let mix = El_workload.Mix.short_long ~long_fraction:0.05 in
-        let cfg =
-          {
-            (Experiment.default_config ~kind ~mix) with
-            Experiment.runtime = El_model.Time.of_sec 5;
-          }
-        in
-        ignore (Experiment.run cfg))
-  in
-  let test_fig4_fw =
-    Test.make ~name:"fig4/5/6: FW 5s sim (123 blocks)"
-      (short_sim (Experiment.Firewall 123))
-  in
-  let test_fig4_el =
-    Test.make ~name:"fig4/5/6: EL 5s sim (18+16, no recirc)"
-      (short_sim
-         (Experiment.Ephemeral
-            {
-              (Policy.default ~generation_sizes:[| 18; 16 |]) with
-              Policy.recirculate = false;
-            }))
-  in
-  let test_fig7 =
-    Test.make ~name:"fig7/headline: EL 5s sim (18+10, recirc)"
-      (short_sim
-         (Experiment.Ephemeral (Policy.default ~generation_sizes:[| 18; 10 |])))
-  in
-  let test_scarce =
-    Test.make ~name:"scarce: EL 5s sim (45 ms flushes)"
-      (Staged.stage (fun () ->
-           let mix = El_workload.Mix.short_long ~long_fraction:0.05 in
-           let cfg =
-             {
-               (Experiment.default_config
-                  ~kind:
-                    (Experiment.Ephemeral
-                       (Policy.default ~generation_sizes:[| 20; 11 |]))
-                  ~mix) with
-               Experiment.runtime = El_model.Time.of_sec 5;
-               Experiment.flush_transfer = El_model.Time.of_ms 45;
-             }
-           in
-           ignore (Experiment.run cfg)))
-  in
-  let test_event_queue =
-    Test.make ~name:"event queue: 1k push+pop"
-      (Staged.stage (fun () ->
-           let q = El_sim.Event_queue.create () in
-           for i = 0 to 999 do
-             El_sim.Event_queue.push q ~time:(i * 7919 mod 1000) i
-           done;
-           while not (El_sim.Event_queue.is_empty q) do
-             ignore (El_sim.Event_queue.pop q)
-           done))
-  in
-  let test_recovery =
-    Test.make ~name:"recovery: single pass over a crash image"
-      (Staged.stage
-         (let policy = Policy.default ~generation_sizes:[| 18; 12 |] in
-          let cfg =
-            {
-              (Experiment.default_config
-                 ~kind:(Experiment.Ephemeral policy)
-                 ~mix:(El_workload.Mix.short_long ~long_fraction:0.05)) with
-              Experiment.runtime = El_model.Time.of_sec 60;
-            }
-          in
-          let live = Experiment.prepare cfg in
-          El_sim.Engine.run live.Experiment.engine ~until:(El_model.Time.of_sec 45);
-          let image =
-            match live.Experiment.manager with
-            | Experiment.El_log m ->
-              El_recovery.Recovery.crash live.Experiment.engine m
-            | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
-              invalid_arg "recovery bench: EL only"
-          in
-          fun () -> ignore (El_recovery.Recovery.recover image)))
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~kde:None () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-45s %12.0f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "%-45s (no estimate)\n%!" name)
-        results)
-    [
-      test_fig4_fw;
-      test_fig4_el;
-      test_fig7;
-      test_scarce;
-      test_event_queue;
-      test_recovery;
-    ]
 
 (* pulls "--json PATH" (anywhere in the argument list) out of [args] *)
 let rec extract_json acc = function
@@ -1579,17 +1163,44 @@ let rec extract_jobs acc = function
       exit 2)
   | a :: rest -> extract_jobs (a :: acc) rest
 
+(* Every section, in the order a full run takes them. *)
+let sections =
+  [
+    ("fig4", fig4);
+    ("fig5", fig5);
+    ("fig6", fig6);
+    ("rates", rates);
+    ("fig7", fig7);
+    ("headline", headline);
+    ("scarce", scarce);
+    ("recovery", recovery_bench);
+    ("store", store_bench);
+    ("workloads", workloads_bench);
+    ("ablation", ablation);
+    ("gens", gens_sweep);
+    ("adaptive", adaptive_bench);
+    ("checkpoint", checkpoint_bench);
+    ("poisson", poisson_bench);
+    ("shards", shards_bench);
+  ]
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let json_path, args = extract_json [] args in
   let jobs, args = extract_jobs [] args in
-  pool := El_par.Pool.create ~jobs;
-  at_exit (fun () -> El_par.Pool.shutdown !pool);
   let quick = List.mem "--quick" args in
   let speed : Paper.speed = if quick then `Quick else `Full in
   let selectors = List.filter (fun a -> a <> "--quick") args in
+  (match List.filter (fun s -> not (List.mem_assoc s sections)) selectors with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "bench: unknown section %s; valid sections: %s\n"
+      (String.concat " " unknown)
+      (String.concat " " (List.map fst sections));
+    exit 2);
+  pool := El_par.Pool.create ~jobs;
+  at_exit (fun () -> El_par.Pool.shutdown !pool);
   let all = selectors = [] in
-  let want s = all || List.mem s selectors in
   Printf.printf
     "Ephemeral Logging (Keen & Dally, SIGMOD 1993) -- evaluation reproduction\n";
   Printf.printf "mode: %s, %s\n"
@@ -1597,24 +1208,9 @@ let () =
     | `Full -> "full (500s simulated runs, paper parameters)"
     | `Quick -> "quick (120s simulated runs)")
     (if jobs = 1 then "serial" else Printf.sprintf "%d jobs" jobs);
-  if want "fig4" then fig4 speed;
-  if want "fig5" then fig5 speed;
-  if want "fig6" then fig6 speed;
-  if want "rates" then rates speed;
-  if want "fig7" then ignore (fig7 speed);
-  if want "headline" then headline speed;
-  if want "scarce" then ignore (scarce speed);
-  if want "recovery" then recovery_bench speed;
-  if want "store" then store_bench speed;
-  if want "workloads" then workloads_bench speed;
-  if want "ablation" then ablation speed;
-  if want "gens" then gens_sweep speed;
-  if want "adaptive" then adaptive_bench speed;
-  if want "checkpoint" then checkpoint_bench speed;
-  if want "poisson" then poisson_bench speed;
-  if want "hotpath" then hotpath speed;
-  if want "shards" then shards_bench speed;
-  if want "micro" then micro ();
+  List.iter
+    (fun (name, run) -> if all || List.mem name selectors then run speed)
+    sections;
   match json_path with
   | None -> ()
   | Some path ->

@@ -298,7 +298,6 @@ let print_shard_table (rr : El_shard.Shard_group.run_result) =
           ("committed", El_metrics.Table.Right);
           ("branch acks", El_metrics.Table.Right);
           ("decisions", El_metrics.Table.Right);
-          ("mailbox ops", El_metrics.Table.Right);
           ("log writes", El_metrics.Table.Right);
         ]
   in
@@ -311,7 +310,6 @@ let print_shard_table (rr : El_shard.Shard_group.run_result) =
           string_of_int s.ss_committed;
           string_of_int s.ss_branch_acks;
           string_of_int s.ss_decisions;
-          string_of_int s.ss_mailbox_ops;
           string_of_int s.ss_result.Experiment.log_writes_total;
         ])
     rr.El_shard.Shard_group.r_shards;

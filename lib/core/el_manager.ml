@@ -930,21 +930,6 @@ let audit_view t =
       })
     t.gens
 
-let durable_records t =
-  let acc = ref [] in
-  Array.iter
-    (fun g ->
-      Array.iter
-        (function
-          | None -> ()
-          | Some block ->
-            Block.iter
-              (fun (tr : Cell.tracked) -> acc := tr.Cell.record :: !acc)
-              block)
-        g.g_durable)
-    t.gens;
-  !acc
-
 type durable_block = {
   db_gen : int;
   db_slot : int;

@@ -146,11 +146,6 @@ val audit_view : t -> gen_audit array
 
 (** {2 Recovery support} *)
 
-val durable_records : t -> Log_record.t list
-(** Every record in every block whose disk write has completed, across
-    all generations — including stale copies in freed-but-not-yet
-    -overwritten slots, exactly what a post-crash scan would read. *)
-
 (** One on-disk block as a crash would find it.  [db_torn_prefix =
     Some k] marks the block whose write was in service with a torn
     verdict at the crash: only its first [k] records persisted intact
@@ -164,9 +159,10 @@ type durable_block = {
 }
 
 val durable_blocks : t -> durable_block list
-(** The block-granular view of {!durable_records}, for checksummed
-    recovery: completed blocks verbatim, plus — per generation — the
-    write in service at the crash when (and only when) its fault
+(** Every block whose disk write has completed, across all generations
+    — including stale copies in freed-but-not-yet-overwritten slots,
+    exactly what a post-crash scan would read — plus, per generation,
+    the write in service at the crash when (and only when) its fault
     verdict was torn.  Reading this never draws fault randomness. *)
 
 val committed_reference : t -> (Ids.Oid.t * int) list

@@ -893,5 +893,3 @@ let stats t =
     live_transactions = Ids.Tid.Table.length t.txs;
     unflushed_objects = Ids.Oid.Table.length t.unflushed;
   }
-
-let arena_stats t = Arena.stats t.arena

@@ -75,11 +75,6 @@ type stats = {
 
 val stats : t -> stats
 
-val arena_stats : t -> Arena.stats
-(** Allocation-discipline counters of the packed-record arena: fresh
-    buffer allocations vs free-list reuses and the live-segment
-    count. *)
-
 (** Read-only snapshot of one queue's ring for the external invariant
     auditor. *)
 type queue_audit = {

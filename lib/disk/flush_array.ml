@@ -57,7 +57,6 @@ type t = {
   mutable completed : int;
   mutable forced_count : int;
   mutable superseded : int;
-  mutable picks : int;
   distances : El_metrics.Running_stat.t;
   obs : El_obs.Obs.t option;
   fault : El_fault.Injector.device_state option array;
@@ -102,7 +101,6 @@ let create engine ~drives ~transfer_time ~num_objects
     completed = 0;
     forced_count = 0;
     superseded = 0;
-    picks = 0;
     distances = El_metrics.Running_stat.create ~name:"flush oid distance" ();
     obs;
     fault =
@@ -235,7 +233,6 @@ let pick_next_indexed t d =
   | Nearest -> pick_nearest_indexed d idx
 
 let pick_next t d =
-  t.picks <- t.picks + 1;
   (match t.obs with
   | None -> ()
   | Some o -> El_metrics.Counter.incr (El_obs.Obs.counter o "flush.picks"));
@@ -386,23 +383,11 @@ let peak_backlog t = t.peak_backlog
 let flushes_completed t = t.completed
 let forced_flushes t = t.forced_count
 let superseded t = t.superseded
-let picks t = t.picks
 let mean_distance t = El_metrics.Running_stat.mean t.distances
 let distance_stat t = t.distances
 
 let max_rate_per_sec t =
   float_of_int (Array.length t.drives) /. Time.to_sec_f t.transfer_time
-
-let drain_time t =
-  let now = El_sim.Engine.now t.engine in
-  let worst = ref now in
-  Array.iter
-    (fun d ->
-      let backlog = Hashtbl.length d.pending_tbl + if d.busy then 1 else 0 in
-      let finish = Time.add now (Time.mul_int t.transfer_time backlog) in
-      if Time.(finish > !worst) then worst := finish)
-    t.drives;
-  !worst
 
 let check_invariants t =
   Array.iter

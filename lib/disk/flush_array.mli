@@ -96,11 +96,6 @@ val forced_flushes : t -> int
 val superseded : t -> int
 (** Requests replaced in place before being serviced. *)
 
-val picks : t -> int
-(** Scheduling decisions taken (one per dispatch attempt, including
-    the one that finds the backlog empty).  Each pick costs O(log B)
-    under [Indexed] and O(B) under [Reference]. *)
-
 val mean_distance : t -> float
 (** Mean wrapped oid distance between successively flushed objects on
     the same drive (§4's locality metric). *)
@@ -109,10 +104,6 @@ val distance_stat : t -> El_metrics.Running_stat.t
 
 val max_rate_per_sec : t -> float
 (** The array's aggregate service capacity, drives / transfer_time. *)
-
-val drain_time : t -> Time.t
-(** Simulated time by which the current backlog will have been fully
-    served, assuming no further arrivals. *)
 
 val check_invariants : t -> unit
 (** Cross-checks the elevator indexes against the pending table: every

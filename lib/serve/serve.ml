@@ -281,20 +281,17 @@ let answer t oc line =
     output_char oc '\n');
   continue
 
+let max_line = 65536
+
 let serve_channel t ic oc =
-  (* [buf.[0, held)] is the start of a line whose newline has not
+  (* [b.[0, held)] is the start of a line whose newline has not
      arrived yet.  Each read appends what has arrived, every complete
      line in it runs in order, and all their replies leave in one
-     flush before the next read can block. *)
-  let buf = ref (Bytes.create 65536) in
+     flush before the next read can block.  A partial line that fills
+     the buffer is refused and ends the session. *)
+  let b = Bytes.create max_line in
   let held = ref 0 in
   let rec loop () =
-    if !held = Bytes.length !buf then begin
-      let b = Bytes.create (2 * !held) in
-      Bytes.blit !buf 0 b 0 !held;
-      buf := b
-    end;
-    let b = !buf in
     let n = input ic b !held (Bytes.length b - !held) in
     if n = 0 then begin
       (* EOF: a last line without its newline still runs *)
@@ -317,7 +314,12 @@ let serve_channel t ic oc =
       if continue then begin
         Bytes.blit b start b 0 (stop - start);
         held := stop - start;
-        loop ()
+        if !held < max_line then loop ()
+        else begin
+          output_string oc (err "line longer than %d bytes" max_line);
+          output_char oc '\n';
+          flush oc
+        end
       end
     end
   in

@@ -43,7 +43,8 @@
 
     Anything else answers [err <reason>]; a malformed argument or a
     protocol misuse (e.g. beginning a tid twice) answers [err] without
-    disturbing the server. *)
+    disturbing the server.  A line longer than 65536 bytes is the one
+    error that ends the session (see {!serve_channel}). *)
 
 type config = {
   image : string;  (** path to the disk image *)
@@ -97,14 +98,17 @@ val serve_channel : t -> in_channel -> out_channel -> unit
     batch.  A COMMIT's response is queued only after its fsync, so the
     ack promise is unchanged.  A line split across reads runs once,
     when its newline arrives; a last line without a newline runs at
-    EOF; [QUIT] answers [bye] and nothing after it in the batch runs. *)
+    EOF; [QUIT] answers [bye] and nothing after it in the batch runs.
+    A line may be at most 65536 bytes, its newline included: a longer
+    one answers [err line longer than 65536 bytes] and ends the
+    session without running. *)
 
 val serve_socket : t -> socket_path:string -> unit
 (** Binds a Unix-domain socket (unlinking any stale file first) and
     serves clients sequentially, forever — the caller terminates the
     process.  Each accepted connection is one {!serve_channel}
-    session, batched the same way; [QUIT] ends the connection, not
-    the server. *)
+    session, batched the same way; [QUIT] or an over-long line ends
+    the connection, not the server. *)
 
 val close : t -> unit
 (** Syncs the store and closes the image's file descriptor.  Every

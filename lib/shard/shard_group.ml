@@ -3,17 +3,6 @@ module Engine = El_sim.Engine
 module Generator = El_workload.Generator
 module Recovery = El_recovery.Recovery
 module Experiment = El_harness.Experiment
-module Spsc = El_par.Spsc
-
-(* Operations travelling generator → shard through the SPSC mailbox.
-   The ack closures ride along: under the deterministic engine the
-   consumer runs inside the producing call, so the closures fire in
-   exactly the order a direct call would produce. *)
-type op =
-  | Begin of Ids.Tid.t * Time.t
-  | Write of Ids.Tid.t * Ids.Oid.t * int * int  (* oid, version, size *)
-  | Commit of Ids.Tid.t * (Time.t -> unit)
-  | Abort of Ids.Tid.t
 
 (* One shard's 2PC control region as a slot pool.  Slots hold the
    PREPARE marker / decision record oids of in-flight cross-shard
@@ -80,7 +69,6 @@ type t = {
   sg_instances : Experiment.instance array;
   sg_inj : El_fault.Injector.t option;
   sinks : Generator.sink array;  (* oracle-wrapped shard sinks *)
-  mailboxes : op Spsc.t array;
   slot_pools : slot_pool array;
   registry : (int, gtx) Hashtbl.t;  (* gtid -> live gtx *)
   retain_cross : bool;
@@ -104,9 +92,7 @@ let decision_duration = Time.of_ms 1
 let ctl_version ~gtid = gtid + 1
 
 let engine t = t.sg_engine
-let partition t = t.part
 let instances t = t.sg_instances
-let config t = t.cfg
 let injector t = t.sg_inj
 let generator t = Option.get t.gen
 
@@ -128,37 +114,14 @@ let single_committed t =
 
 let cross_committed t = t.cross
 let blocked t = t.blocked_n
-let prepares_written t = t.prepares
 
 let shard_committed t =
   if t.cfg.Experiment.shards = 1 then [| Generator.committed (generator t) |]
   else Array.copy t.shard_commits
 
-let mailbox_ops t = Array.map Spsc.pushed t.mailboxes
 let branch_acks t = Array.copy t.branch_ack_n
 
 (* --- The router ------------------------------------------------- *)
-
-let post t p op =
-  if not (Spsc.try_push t.mailboxes.(p) op) then
-    failwith "Shard_group: shard mailbox overflow"
-
-let drain t p =
-  let sink = t.sinks.(p) in
-  let box = t.mailboxes.(p) in
-  let rec loop () =
-    match Spsc.try_pop box with
-    | None -> ()
-    | Some op ->
-      (match op with
-      | Begin (tid, d) -> sink.Generator.begin_tx ~tid ~expected_duration:d
-      | Write (tid, oid, version, size) ->
-        sink.Generator.write_data ~tid ~oid ~version ~size
-      | Commit (tid, on_ack) -> sink.Generator.request_commit ~tid ~on_ack
-      | Abort tid -> sink.Generator.request_abort ~tid);
-      loop ()
-  in
-  loop ()
 
 let settle t g =
   Hashtbl.remove t.registry (Two_pc.gtid g.pc)
@@ -193,7 +156,7 @@ let decision_ack t g c at =
     (Option.get g.client_ack) at
 
 (* All branches durable: run the decision transaction on the
-   coordinator.  Every post is re-checked against the phase — the
+   coordinator.  Every call is re-checked against the phase — the
    coordinator's manager may kill the decision transaction while it is
    still active (an eviction reaching the last head), which blocks the
    protocol. *)
@@ -205,15 +168,13 @@ let start_decision t g =
   g.decision_slot <- Some slot;
   let doid = Partition.ctl_oid t.part ~shard:c ~slot in
   g.decision_oid <- Some doid;
-  post t c (Begin (dtid, decision_duration));
-  drain t c;
+  let sink = t.sinks.(c) in
+  sink.Generator.begin_tx ~tid:dtid ~expected_duration:decision_duration;
   if Two_pc.phase g.pc = Two_pc.Deciding then begin
-    post t c (Write (dtid, doid, ctl_version ~gtid, marker_size));
-    drain t c;
-    if Two_pc.phase g.pc = Two_pc.Deciding then begin
-      post t c (Commit (dtid, decision_ack t g c));
-      drain t c
-    end
+    sink.Generator.write_data ~tid:dtid ~oid:doid
+      ~version:(ctl_version ~gtid) ~size:marker_size;
+    if Two_pc.phase g.pc = Two_pc.Deciding then
+      sink.Generator.request_commit ~tid:dtid ~on_ack:(decision_ack t g c)
   end
 
 let branch_ack t g p at =
@@ -257,17 +218,14 @@ let route_write t ~tid ~oid ~version ~size =
   | None -> ()  (* killed earlier in this same dispatch; events raced *)
   | Some g ->
     let p = Partition.owner t.part oid in
+    let sink = t.sinks.(p) in
     (match Two_pc.touch g.pc ~shard:p with
-    | `Begun ->
-      post t p (Begin (tid, g.duration));
-      drain t p
+    | `Begun -> sink.Generator.begin_tx ~tid ~expected_duration:g.duration
     | `Already -> ());
     (* the begin may have been shed (degraded mode kills at admission):
        the transaction is then already dead *)
-    if Two_pc.phase g.pc = Two_pc.Running then begin
-      post t p (Write (tid, oid, version, size));
-      drain t p
-    end
+    if Two_pc.phase g.pc = Two_pc.Running then
+      sink.Generator.write_data ~tid ~oid ~version ~size
 
 let route_abort t ~tid =
   match Hashtbl.find_opt t.registry (Ids.Tid.to_int tid) with
@@ -277,10 +235,8 @@ let route_abort t ~tid =
     Two_pc.abort g.pc;
     List.iter
       (fun p ->
-        if not (List.mem p g.dead_shards) then begin
-          post t p (Abort tid);
-          drain t p
-        end)
+        if not (List.mem p g.dead_shards) then
+          t.sinks.(p).Generator.request_abort ~tid)
       ps;
     settle t g
 
@@ -294,15 +250,13 @@ let route_commit t ~tid ~on_ack =
     if Two_pc.participants g.pc = [] then begin
       let c = Two_pc.coordinator g.pc in
       ignore (Two_pc.touch g.pc ~shard:c);
-      post t c (Begin (tid, g.duration));
-      drain t c
+      t.sinks.(c).Generator.begin_tx ~tid ~expected_duration:g.duration
     end;
     if Two_pc.phase g.pc = Two_pc.Running then begin
       g.client_ack <- Some on_ack;
       match Two_pc.start_commit g.pc with
       | [ p ] ->
-        post t p (Commit (tid, single_ack t g p));
-        drain t p
+        t.sinks.(p).Generator.request_commit ~tid ~on_ack:(single_ack t g p)
       | ps ->
         if t.retain_cross then t.cross_log <- g :: t.cross_log;
         List.iter
@@ -316,21 +270,19 @@ let route_commit t ~tid ~on_ack =
               let moid = Partition.ctl_oid t.part ~shard:p ~slot in
               g.marker_oids <- (p, moid) :: g.marker_oids;
               t.prepares <- t.prepares + 1;
-              post t p (Write (tid, moid, ctl_version ~gtid, marker_size));
-              drain t p;
+              t.sinks.(p).Generator.write_data ~tid ~oid:moid
+                ~version:(ctl_version ~gtid) ~size:marker_size;
               (match Two_pc.phase g.pc with
               | Two_pc.Preparing _ ->
-                post t p (Commit (tid, branch_ack t g p));
-                drain t p
+                t.sinks.(p).Generator.request_commit ~tid
+                  ~on_ack:(branch_ack t g p)
               | Two_pc.Blocked -> ()  (* this branch died mid-marker *)
               | _ -> assert false)
             | Two_pc.Blocked ->
               (* the protocol died while fanning out; this branch was
                  never asked to prepare, so abort it outright *)
-              if not (List.mem p g.dead_shards) then begin
-                post t p (Abort tid);
-                drain t p
-              end
+              if not (List.mem p g.dead_shards) then
+                t.sinks.(p).Generator.request_abort ~tid
             | _ -> assert false)
           ps
     end
@@ -365,11 +317,7 @@ let on_manager_kill t i tid =
         g.dead_shards <- i :: g.dead_shards;
         let ps = Two_pc.participants g.pc in
         List.iter
-          (fun p ->
-            if p <> i then begin
-              post t p (Abort tid);
-              drain t p
-            end)
+          (fun p -> if p <> i then t.sinks.(p).Generator.request_abort ~tid)
           ps;
         settle t g;
         Generator.kill (generator t) tid
@@ -420,7 +368,6 @@ let prepare ?(wrap_shard_sink = fun _ sink -> sink)
       sg_instances;
       sg_inj = inj;
       sinks;
-      mailboxes = Array.init n (fun _ -> Spsc.create ~capacity:1024);
       slot_pools =
         Array.init n (fun _ -> make_slot_pool (Partition.ctl_slots part));
       registry = Hashtbl.create 1024;
@@ -483,7 +430,6 @@ type shard_stat = {
   ss_committed : int;
   ss_branch_acks : int;
   ss_decisions : int;
-  ss_mailbox_ops : int;
   ss_result : Experiment.result;
 }
 
@@ -560,7 +506,6 @@ let collect t ~overloaded =
     if Array.length rs = 1 then rs.(0) else merge_results t.cfg rs
   in
   let commits = shard_committed t in
-  let ops = mailbox_ops t in
   let shards =
     Array.mapi
       (fun i r ->
@@ -572,7 +517,6 @@ let collect t ~overloaded =
           ss_committed = commits.(i);
           ss_branch_acks = t.branch_ack_n.(i);
           ss_decisions = t.decision_n.(i);
-          ss_mailbox_ops = ops.(i);
           ss_result = r;
         })
       rs

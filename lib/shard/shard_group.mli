@@ -4,13 +4,9 @@
     {!El_harness.Experiment.instance} plants — each with its own
     manager, flush array, stable database and (optionally) durable
     store — on one shared simulation engine, and interposes a router
-    between the workload generator and the plants.  Routed operations
-    travel through per-shard {!El_par.Spsc} mailboxes: the generator
-    is the single producer, the shard the single consumer.  Under the
-    deterministic engine each mailbox is drained to empty inside the
-    producing call, so event order is exactly that of a direct call;
-    the rings are the hand-off seam a wall-clock multi-domain driver
-    uses.
+    between the workload generator and the plants.  The router calls
+    each shard's sink directly, inside the generator's call, so event
+    order is exactly that of one plant driven by the generator.
 
     A transaction whose writes all landed on one shard commits
     locally — no coordination at all (the adaptive fast path).  A
@@ -52,9 +48,7 @@ val prepare :
 
 val engine : t -> El_sim.Engine.t
 val generator : t -> El_workload.Generator.t
-val partition : t -> Partition.t
 val instances : t -> Experiment.instance array
-val config : t -> Experiment.config
 
 val injector : t -> El_fault.Injector.t option
 (** The shared fault injector, when the config's plan is non-empty —
@@ -107,16 +101,10 @@ val blocked : t -> int
     branch or decision): never acknowledged, resolved by presumed
     abort at recovery. *)
 
-val prepares_written : t -> int
-(** PREPARE marker records written into participant logs. *)
-
 val shard_committed : t -> int array
 (** Per shard: transactions whose commit completed there — fast-path
     singles on their shard, cross-shard transactions on their
     coordinator.  Sums to the generator's committed count. *)
-
-val mailbox_ops : t -> int array
-(** Per shard: operations routed through its SPSC mailbox. *)
 
 val branch_acks : t -> int array
 (** Per shard: 2PC branch commits acknowledged durable there.  A
@@ -134,7 +122,6 @@ type shard_stat = {
   ss_committed : int;  (** see {!shard_committed} *)
   ss_branch_acks : int;
   ss_decisions : int;  (** decision transactions coordinated here *)
-  ss_mailbox_ops : int;
   ss_result : Experiment.result;  (** this plant's own counters *)
 }
 
@@ -146,22 +133,16 @@ type run_result = {
   r_shards : shard_stat array;
   r_single_committed : int;
   r_cross_committed : int;
-  r_prepares : int;
+  r_prepares : int;  (** PREPARE marker records written *)
   r_blocked : int;
 }
-
-val collect : t -> overloaded:bool -> run_result
-(** Collects without running — for steppers (the sweep) that drove
-    the engine themselves. *)
-
-val finish : t -> run_result
-(** Runs the engine to the config's runtime and collects.  Overload on any shard stops the whole run, as solo. *)
 
 val dispose : t -> unit
 (** Closes and removes every shard's store image. *)
 
 val run : Experiment.config -> run_result
-(** [prepare] + [finish] + [dispose]. *)
+(** [prepare], run the engine to the config's runtime, collect, then
+    [dispose].  Overload on any shard stops the whole run, as solo. *)
 
 val run_global : Experiment.config -> Experiment.result
 (** Just the aggregate — the drop-in the min-space search probes with

@@ -33,6 +33,9 @@ type t = {
   on_contention : tid:Ids.Tid.t -> oid:Ids.Oid.t -> attempt:int -> unit;
   on_retry : tid:Ids.Tid.t -> attempt:int -> unit;
   txs : tx Ids.Tid.Table.t;
+      (* launched transactions until they reach [Done] or [Aborted]:
+         only [kill] reads it, and a [Killed] entry stays so a repeated
+         kill is a no-op *)
   mutable next_tid : int;
   mutable started : int;
   mutable committed : int;
@@ -61,6 +64,7 @@ let finish t tx =
   in
   if wants_abort then begin
     tx.state <- Aborted;
+    Ids.Tid.Table.remove t.txs tx.tid;
     t.active <- t.active - 1;
     t.aborted <- t.aborted + 1;
     t.sink.request_abort ~tid:tx.tid
@@ -73,6 +77,7 @@ let finish t tx =
     t.sink.request_commit ~tid:tx.tid ~on_ack:(fun ack_time ->
         if tx.state = Commit_wait then begin
           tx.state <- Done;
+          Ids.Tid.Table.remove t.txs tx.tid;
           t.awaiting_ack <- t.awaiting_ack - 1;
           t.committed <- t.committed + 1;
           El_metrics.Running_stat.observe t.latency
@@ -144,6 +149,7 @@ and contended t tx oid =
   t.contention_aborts <- t.contention_aborts + 1;
   t.on_contention ~tid:tx.tid ~oid ~attempt:tx.attempt;
   tx.state <- Aborted;
+  Ids.Tid.Table.remove t.txs tx.tid;
   release_oids t tx;
   t.active <- t.active - 1;
   t.aborted <- t.aborted + 1;

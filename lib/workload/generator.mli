@@ -89,8 +89,10 @@ val kill : t -> Ids.Tid.t -> unit
 (** Called by the log manager when it kills a transaction (FW log
     full; EL record reaching the last head with recirculation off; or
     unrecirculatable record).  Cancels the transaction's remaining
-    activity and releases its oids.  Idempotent; raises
-    [Invalid_argument] for an unknown tid. *)
+    activity and releases its oids.  Idempotent.  The generator
+    forgets a transaction once it commits or aborts, so it raises
+    [Invalid_argument] for such a tid, as for one it never launched,
+    and for one still waiting for its commit acknowledgement. *)
 
 val oid_pool : t -> Oid_pool.t
 

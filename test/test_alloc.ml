@@ -8,7 +8,9 @@
      every query at every universe point;
    - pooling is invisible: the same seeded run is Marshal-identical
      with entry/chunk recycling on and off, across all three managers
-     and the adversarial presets. *)
+     and the adversarial presets;
+   - a long hybrid transaction's appends allocate a flat handful of
+     minor words per record, however long it grows. *)
 
 open El_model
 module Arena = El_core.Arena
@@ -240,6 +242,45 @@ let test_pooling_identity () =
         (Sweep.standard_kinds ()))
     [ ("contention", Preset.contention); ("longtail", Preset.longtail) ]
 
+(* ---- hybrid append allocation ---- *)
+
+(* Minor words per record of one [len]-record hybrid transaction's
+   appends.  Stub accumulation is O(1) amortised (prepend + lazy
+   reverse); rebuilding the stub list per record would make this grow
+   with [len]. *)
+let hybrid_append_words len =
+  let engine = El_sim.Engine.create () in
+  let num_objects = 100_000 in
+  let flush =
+    El_disk.Flush_array.create engine ~drives:1 ~transfer_time:(Time.of_us 1)
+      ~num_objects ()
+  in
+  let stable = El_disk.Stable_db.create ~num_objects in
+  let queue = (len * 100 / Params.block_payload) + 16 in
+  let h =
+    El_core.Hybrid_manager.create engine ~queue_sizes:[| queue |] ~flush
+      ~stable ()
+  in
+  let tid = Ids.Tid.of_int 1 in
+  El_core.Hybrid_manager.begin_tx h ~tid ~expected_duration:(Time.of_sec 10);
+  let w0 = Gc.minor_words () in
+  for i = 1 to len do
+    El_core.Hybrid_manager.write_data h ~tid ~oid:(Ids.Oid.of_int i)
+      ~version:i ~size:100
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int len
+
+let test_hybrid_append_words () =
+  List.iter
+    (fun len ->
+      let words = hybrid_append_words len in
+      if words > 4.0 then
+        Alcotest.failf
+          "a %d-record hybrid transaction allocates %.2f minor words per \
+           record (at most 4)"
+          len words)
+    [ 1_000; 5_000 ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_arena_roundtrip;
@@ -254,4 +295,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bitset_model;
     Alcotest.test_case "pooled == unpooled (3 seeds x 3 kinds x 2 presets)"
       `Slow test_pooling_identity;
+    Alcotest.test_case "hybrid append: at most 4 minor words per record"
+      `Quick test_hybrid_append_words;
   ]

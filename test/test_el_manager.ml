@@ -109,13 +109,18 @@ let test_flush_cycle_to_stable () =
   Alcotest.(check int) "LOT drained" 0 stats.M.lot_entries;
   Alcotest.(check int) "LTT drained" 0 stats.M.ltt_entries
 
+(* Every record a post-crash scan would read. *)
+let durable_records m =
+  List.concat_map (fun (b : M.durable_block) -> b.M.db_records)
+    (M.durable_blocks m)
+
 let test_abort_record_written () =
   let rig = make_rig () in
   tx rig ~n:1 ~oids:[ 5 ] ~size:50;
   M.request_abort rig.manager ~tid:(tid 1);
   M.drain rig.manager;
   Engine.run_all rig.engine;
-  let records = M.durable_records rig.manager in
+  let records = durable_records rig.manager in
   let aborts =
     List.filter (fun (r : Log_record.t) -> r.kind = Log_record.Abort) records
   in
@@ -219,11 +224,11 @@ let test_durable_records_only_after_write () =
   let rig = make_rig () in
   tx rig ~n:1 ~oids:[ 1 ] ~size:50;
   Alcotest.(check int) "nothing durable before any write" 0
-    (List.length (M.durable_records rig.manager));
+    (List.length (durable_records rig.manager));
   M.drain rig.manager;
   Engine.run_all rig.engine;
   Alcotest.(check int) "begin+data durable after drain" 2
-    (List.length (M.durable_records rig.manager))
+    (List.length (durable_records rig.manager))
 
 let test_occupancy_bounded () =
   let rig = make_rig ~sizes:[| 4; 4 |] ~payload:200 () in

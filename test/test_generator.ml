@@ -138,7 +138,21 @@ let test_kill_cancels () =
   Alcotest.(check int) "idempotent" 1 (G.killed gen);
   Alcotest.check_raises "unknown tid"
     (Invalid_argument "Generator.kill: unknown tid") (fun () ->
-      G.kill gen (Ids.Tid.of_int 999))
+      G.kill gen (Ids.Tid.of_int 999));
+  (* A committed transaction is forgotten: killing its tid is refused
+     like killing one never launched. *)
+  let engine = Engine.create () in
+  let gen =
+    G.create engine
+      ~sink:(recording_sink engine ~ack_delay:(Time.of_ms 1) (ref []))
+      ~mix:(one_type ~duration_ms:10 ~num_records:1)
+      ~arrival_rate:1.0 ~runtime:(Time.of_ms 5) ~num_objects:100 ()
+  in
+  Engine.run_all engine;
+  Alcotest.(check int) "transaction 0 committed" 1 (G.committed gen);
+  Alcotest.check_raises "a committed tid is unknown"
+    (Invalid_argument "Generator.kill: unknown tid") (fun () ->
+      G.kill gen (Ids.Tid.of_int 0))
 
 let test_aborts () =
   let engine = Engine.create () in

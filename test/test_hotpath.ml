@@ -9,7 +9,9 @@
      equal keys to the earlier arrival) is pinned by construction;
    - the ledger's incremental oldest-active list and live-cell
      counter agree with from-scratch recomputation;
-   - a whole simulation is bit-identical under either picker. *)
+   - a whole simulation is bit-identical under either picker, and the
+     Indexed picker allocates at most 1.1x the Reference scan's minor
+     words per committed transaction. *)
 
 open El_model
 module Engine = El_sim.Engine
@@ -257,12 +259,21 @@ let test_experiment_identity () =
     }
   in
   let run impl =
-    Marshal.to_string
-      (Experiment.run { base with Experiment.flush_impl = impl })
-      []
+    let w0 = Gc.minor_words () in
+    let r = Experiment.run { base with Experiment.flush_impl = impl } in
+    let words_per_tx =
+      (Gc.minor_words () -. w0) /. float_of_int (max 1 r.Experiment.committed)
+    in
+    (Marshal.to_string r [], words_per_tx)
   in
-  Alcotest.(check bool) "bit-identical results" true
-    (run F.Reference = run F.Indexed)
+  let reference, reference_words = run F.Reference in
+  let indexed, indexed_words = run F.Indexed in
+  Alcotest.(check bool) "bit-identical results" true (reference = indexed);
+  if indexed_words > 1.1 *. reference_words then
+    Alcotest.failf
+      "Indexed allocates %.1f minor words per committed transaction, \
+       Reference %.1f (at most 1.1x)"
+      indexed_words reference_words
 
 let suite =
   [

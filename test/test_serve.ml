@@ -335,6 +335,32 @@ let test_eof_runs_last_line () =
             (status = Unix.WEXITED 0));
       Alcotest.(check (list int)) "and is durable" [ 1 ] (recovered_tids image))
 
+(* A partial line that fills the server's 64 KiB read buffer is
+   refused and ends the session; the image stays servable. *)
+let test_line_cap () =
+  with_temp_dir (fun dir ->
+      let image = Filename.concat dir "disk.img" in
+      with_server ~image ~fresh:true (fun pid ic oc ->
+          (* exactly one buffer's worth: every byte is in the pipe
+             before the server can answer, and a server with no cap
+             waits for more instead of answering *)
+          send oc (String.make 65536 'A');
+          let ready, _, _ =
+            Unix.select [ Unix.descr_of_in_channel ic ] [] [] 30.0
+          in
+          Alcotest.(check bool) "a full buffer is answered" true (ready <> []);
+          Alcotest.(check string) "the line is refused"
+            "err line longer than 65536 bytes" (input_line ic);
+          Alcotest.(check bool) "and the session ended" true
+            (match input_line ic with
+            | exception End_of_file -> true
+            | _ -> false);
+          let _, status = Unix.waitpid [] pid in
+          Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0));
+      with_server ~image ~fresh:false (fun _pid ic oc ->
+          Alcotest.(check string) "a fresh session serves BEGIN" "ok begun 1"
+            (command oc ic "BEGIN 1")))
+
 (* Pipelined transactions under group fsync: batches of whole
    transactions in one write each, SIGKILL while the last batch is
    being served, and every write whose commit was acked must READ
@@ -718,6 +744,8 @@ let suite =
       test_split_line_runs_once;
     Alcotest.test_case "a last line without newline runs at EOF" `Quick
       test_eof_runs_last_line;
+    Alcotest.test_case "a line over 64 KiB is refused, ends the session"
+      `Quick test_line_cap;
     Alcotest.test_case "pipelined group fsync: SIGKILL loses no ack" `Quick
       test_pipelined_group_fsync_sigkill;
     Alcotest.test_case "clean shutdown writes what group fsync staged"

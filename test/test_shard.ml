@@ -1,15 +1,14 @@
-(* The multi-shard scale-out's tests: partitioner laws, the SPSC
-   mailbox, a QCheck state-machine model of the two-phase-commit
-   lifecycle against a reference, deterministic crash-point sweeps
-   under the sharded composite oracle, and the Marshal identity
-   pinning a 1-shard group to the solo path. *)
+(* The multi-shard scale-out's tests: partitioner laws, a QCheck
+   state-machine model of the two-phase-commit lifecycle against a
+   reference, deterministic crash-point sweeps under the sharded
+   composite oracle, and the Marshal identity pinning a 1-shard group
+   to the solo path. *)
 
 open El_model
 module Experiment = El_harness.Experiment
 module Partition = El_shard.Partition
 module Two_pc = El_shard.Two_pc
 module Shard_group = El_shard.Shard_group
-module Spsc = El_par.Spsc
 module Sweep = El_check.Sweep
 
 (* ---- partitioner ---- *)
@@ -97,40 +96,6 @@ let test_partition_validation () =
   Alcotest.check_raises "fewer objects than shards rejected"
     (Invalid_argument "Partition.create: fewer objects than shards") (fun () ->
       ignore (Partition.create ~shards:4 ~num_objects:3 ()))
-
-(* ---- SPSC mailbox ---- *)
-
-let test_spsc_order_and_bounds () =
-  let q = Spsc.create ~capacity:5 in
-  Alcotest.(check int) "capacity rounds to a power of two" 8 (Spsc.capacity q);
-  Alcotest.(check bool) "fresh ring empty" true (Spsc.is_empty q);
-  for i = 0 to 7 do
-    Alcotest.(check bool)
-      (Printf.sprintf "push %d fits" i)
-      true (Spsc.try_push q i)
-  done;
-  Alcotest.(check bool) "push past capacity refused" false (Spsc.try_push q 8);
-  Alcotest.(check int) "length at capacity" 8 (Spsc.length q);
-  for i = 0 to 7 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "pop %d in FIFO order" i)
-      (Some i) (Spsc.try_pop q)
-  done;
-  Alcotest.(check (option int)) "empty ring pops nothing" None (Spsc.try_pop q);
-  Alcotest.(check int) "pushed counts enqueues, not occupancy" 8
-    (Spsc.pushed q);
-  (* wrap around: the ring keeps working after head/tail lap it *)
-  for round = 0 to 4 do
-    for i = 0 to 5 do
-      ignore (Spsc.try_push q ((round * 10) + i))
-    done;
-    for i = 0 to 5 do
-      Alcotest.(check (option int))
-        (Printf.sprintf "round %d pop %d" round i)
-        (Some ((round * 10) + i))
-        (Spsc.try_pop q)
-    done
-  done
 
 (* ---- 2PC lifecycle: QCheck state machine vs. a reference model ---- *)
 
@@ -410,7 +375,7 @@ let test_shard_accounting () =
       Alcotest.(check bool)
         (Printf.sprintf "shard %d routed traffic" s.Shard_group.ss_shard)
         true
-        (s.Shard_group.ss_mailbox_ops > 0))
+        (s.Shard_group.ss_result.Experiment.log_writes_total > 0))
     rr.Shard_group.r_shards
 
 let suite =
@@ -423,8 +388,6 @@ let suite =
       test_partition_coordinator;
     Alcotest.test_case "partition validates its inputs" `Quick
       test_partition_validation;
-    Alcotest.test_case "spsc order, bounds and wrap" `Quick
-      test_spsc_order_and_bounds;
     QCheck_alcotest.to_alcotest prop_two_pc_model;
     Alcotest.test_case "2pc rejects illegal steps" `Quick
       test_two_pc_violations;
