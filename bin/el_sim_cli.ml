@@ -181,7 +181,8 @@ let apply_scenario cfg = function
   | None -> cfg
   | Some p -> Experiment.apply_preset cfg p
 
-(* Shared by every sweeping subcommand (min-space, paper, check): the
+(* Shared by every sweeping subcommand (min-space, check, fault,
+   conform): the
    independent simulations fan out across $(docv) domains; outputs
    are identical to --jobs 1 (see lib/par). *)
 let jobs_term =
@@ -444,62 +445,6 @@ let recover_cmd =
           With --backend mem|file, also replay the durable image frozen at \
           the crash instant and compare the two recovered states.")
     Term.(const action $ config_term $ scenario_term $ crash_at)
-
-let paper_cmd =
-  let what =
-    let doc = "Which experiment: fig4|fig5|fig6|fig7|headline|scarce|rates." in
-    Arg.(value & pos 0 string "headline" & info [] ~doc ~docv:"EXPERIMENT")
-  in
-  let quick =
-    let doc = "Quick mode (120s simulated runs instead of 500s)." in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let action what quick jobs =
-    with_pool jobs @@ fun pool ->
-    let speed : El_harness.Paper.speed = if quick then `Quick else `Full in
-    let exe = Sys.executable_name in
-    ignore exe;
-    match what with
-    | "headline" ->
-      let h = El_harness.Paper.headline ~pool ~speed () in
-      Printf.printf
-        "FW %d blocks @ %.2f w/s; EL %d blocks @ %.2f w/s => %.1fx space, \
-         +%.1f%% bandwidth (paper: 4.4x, +12%%)\n"
-        h.fw_blocks h.fw_bandwidth h.el_blocks h.el_bandwidth h.space_ratio
-        h.bandwidth_increase_pct
-    | "scarce" ->
-      let s = El_harness.Paper.scarce_flush ~pool ~speed () in
-      Printf.printf
-        "EL %d blocks @ %.2f w/s; mean flush distance %.0f (25ms baseline \
-         %.0f); paper: 31 blocks, 13.96 w/s, 109k vs 235k\n"
-        s.total_blocks s.bandwidth s.mean_flush_distance
-        s.baseline_mean_flush_distance
-    | "fig7" ->
-      let f = El_harness.Paper.fig7 ~pool ~speed () in
-      Printf.printf "gen0 fixed at %d\n" f.g0;
-      List.iter
-        (fun (r : El_harness.Paper.fig7_row) ->
-          Printf.printf "g1=%2d total=%2d bw_last=%.2f bw_total=%.2f %s\n" r.g1
-            r.total_blocks r.bw_last r.bw_total
-            (if r.feasible then "" else "(kills)"))
-        f.rows
-    | "fig4" | "fig5" | "fig6" | "rates" ->
-      let rows = El_harness.Paper.figs_4_5_6 ~pool ~speed () in
-      List.iter
-        (fun (r : El_harness.Paper.mix_row) ->
-          Printf.printf
-            "mix=%2d%%: FW %3d blk %.2f w/s %5dB | EL %3d blk (%s) %.2f w/s \
-             %5dB | %3.0f upd/s\n"
-            r.long_pct r.fw_blocks r.fw_bandwidth r.fw_memory r.el_blocks
-            (String.concat "+"
-               (Array.to_list (Array.map string_of_int r.el_sizes)))
-            r.el_bandwidth r.el_memory r.updates_per_sec)
-        rows
-    | other -> Printf.eprintf "unknown experiment %S\n" other
-  in
-  Cmd.v
-    (Cmd.info "paper" ~doc:"Reproduce a published experiment.")
-    Term.(const action $ what $ quick $ jobs_term)
 
 let adaptive_cmd =
   let initial =
@@ -1256,7 +1201,7 @@ let serve_cmd =
 
 let () =
   let subcommands =
-    [ run_cmd; min_space_cmd; recover_cmd; paper_cmd; adaptive_cmd; check_cmd;
+    [ run_cmd; min_space_cmd; recover_cmd; adaptive_cmd; check_cmd;
       fault_cmd; conform_cmd; trace_cmd; serve_cmd ]
   in
   (* One list, one synopsis: the summary is generated from the

@@ -168,8 +168,7 @@ let run_cell ?pool ~shards ~runtime ~rate ~seed ~stride ~max_points ~min_points
     failures = List.rev !failures;
   }
 
-let run ?pool ?(shards = 1) ?(presets = Preset.all)
-    ?(kinds = Sweep.standard_kinds ()) ?(runtime = Time.of_sec 20)
+let run ?pool ?(shards = 1) ?(presets = Preset.all) ?(runtime = Time.of_sec 20)
     ?(rate = 40.0) ?(seed = 42) ?(stride = 100) ?(max_points = max_int)
     ?(min_points = 0) ?(store_dir = ".") ?(store_runtime = Time.of_sec 6) () =
   let cells =
@@ -178,7 +177,7 @@ let run ?pool ?(shards = 1) ?(presets = Preset.all)
         List.map
           (run_cell ?pool ~shards ~runtime ~rate ~seed ~stride ~max_points
              ~min_points ~store_dir ~store_runtime p)
-          kinds)
+          (Sweep.standard_kinds ()))
       presets
   in
   {

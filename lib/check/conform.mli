@@ -50,7 +50,6 @@ val run :
   ?pool:El_par.Pool.t ->
   ?shards:int ->
   ?presets:El_workload.Workload_preset.t list ->
-  ?kinds:(string * El_harness.Experiment.manager_kind) list ->
   ?runtime:Time.t ->
   ?rate:float ->
   ?seed:int ->
@@ -61,8 +60,8 @@ val run :
   ?store_runtime:Time.t ->
   unit ->
   report
-(** Runs the full matrix.  Defaults: all six presets, the three
-    {!Sweep.standard_kinds}, 20 s runs at 40 TPS, seed 42, stride 100,
+(** Runs the full matrix over the three {!Sweep.standard_kinds}.
+    Defaults: all six presets, 20 s runs at 40 TPS, seed 42, stride 100,
     uncapped audit points, no minimum-point requirement, store images
     in the current directory, 6 s store-leg runs.  [min_points] makes
     a cell whose base or torn sweep paused fewer than that many times

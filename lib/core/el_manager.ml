@@ -71,7 +71,6 @@ type t = {
   mutable kills : int;
   mutable evictions : int;
   mutable forced_head_flushes : int;
-  mutable nondurable_head_reads : int;
   mutable fwd_guard_parks : int;
   mutable acked : int;
   obs : El_obs.Obs.t option;
@@ -146,7 +145,6 @@ let create engine ~policy ~flush ~stable ?(write_time = Params.tau_disk_write)
       kills = 0;
       evictions = 0;
       forced_head_flushes = 0;
-      nondurable_head_reads = 0;
       fwd_guard_parks = 0;
       acked = 0;
       obs;
@@ -468,8 +466,6 @@ and forward t g s survivors =
           stop := true
         end
         else begin
-          if mandatory && g.g_state.(s) <> Durable then
-            t.nondurable_head_reads <- t.nondurable_head_reads + 1;
           (* Under the forced-flush policy a committed update is
              flushed at the head instead of waiting for a scheduled
              flush — but its record is pinned and carried until the
@@ -566,8 +562,6 @@ and advance_head t g =
   (* If the head caught up with the buffer still being filled, the
      generation is far too small; seal it so it can be processed. *)
   if Some s = current_slot g then seal_current t g;
-  if g.g_state.(s) <> Durable then
-    t.nondurable_head_reads <- t.nondurable_head_reads + 1;
   let survivors = survivors_of g s in
   emit t
     (El_obs.Event.Head_advance
@@ -827,7 +821,6 @@ type stats = {
   kills : int;
   evictions : int;
   forced_head_flushes : int;
-  nondurable_head_reads : int;
   fwd_guard_parks : int;
   peak_occupancy_per_gen : int array;
   peak_memory_bytes : int;
@@ -851,7 +844,6 @@ let stats t =
     kills = t.kills;
     evictions = t.evictions;
     forced_head_flushes = t.forced_head_flushes;
-    nondurable_head_reads = t.nondurable_head_reads;
     fwd_guard_parks = t.fwd_guard_parks;
     peak_occupancy_per_gen =
       Array.map (fun g -> El_metrics.Gauge.max_value g.g_occupancy) t.gens;
@@ -869,16 +861,34 @@ let ledger t = t.ledger
 let policy t = t.policy
 let occupied_blocks t = Array.map (fun g -> g.g_occupied) t.gens
 
+let slot_occupied g s =
+  g.g_occupied = g.g_size
+  || (s - g.g_head + g.g_size) mod g.g_size < g.g_occupied
+
+(* The checks that name what they caught raise [Failure] with it. *)
+let violated fmt = Format.kasprintf failwith fmt
+
 let check_invariants t =
   Ledger.check_invariants t.ledger;
+  let fifo = t.policy.Policy.placement = Policy.Youngest in
+  let listed = ref 0 in
   Array.iter
     (fun g ->
       Cell.Cell_list.check_invariants g.g_cells;
       assert (g.g_occupied >= 0 && g.g_occupied <= g.g_size);
       assert (g.g_head >= 0 && g.g_head < g.g_size);
       assert (g.g_tail >= 0 && g.g_tail < g.g_size);
+      if g.g_tail <> (g.g_head + g.g_occupied) mod g.g_size then
+        violated "gen %d: tail %d <> head %d + occupied %d (mod %d)" g.g_index
+          g.g_tail g.g_head g.g_occupied g.g_size;
+      let gauge = El_metrics.Gauge.value g.g_occupancy in
+      if gauge <> g.g_occupied then
+        violated "gen %d: occupancy gauge %d <> occupied %d" g.g_index gauge
+          g.g_occupied;
+      let last_pos = ref (-1) in
       List.iter
         (fun (c : Cell.t) ->
+          incr listed;
           assert (c.Cell.gen = g.g_index);
           assert (not (Cell.is_garbage c.Cell.tracked));
           if c.Cell.slot = Cell.staged_slot then
@@ -887,48 +897,48 @@ let check_invariants t =
           else begin
             assert (c.Cell.slot >= 0 && c.Cell.slot < g.g_size);
             (* the record's block really holds it *)
-            match g.g_blocks.(c.Cell.slot) with
+            (match g.g_blocks.(c.Cell.slot) with
             | Some block ->
               assert
                 (List.exists
                    (fun (tr : Cell.tracked) -> tr == c.Cell.tracked)
                    (El_disk.Block.items block))
-            | None -> assert false
+            | None -> assert false);
+            if not (slot_occupied g c.Cell.slot) then
+              violated "gen %d: cell in unoccupied slot %d (head %d, occ %d)"
+                g.g_index c.Cell.slot g.g_head g.g_occupied;
+            (* FIFO: head-to-tail cell order follows ring slot order.
+               Only provable for non-last generations under the base
+               placement: staging (last gen) and lifetime hints
+               interleave entry points. *)
+            if fifo && not g.g_last then begin
+              let p = (c.Cell.slot - g.g_head + g.g_size) mod g.g_size in
+              if p < !last_pos then
+                violated
+                  "gen %d: FIFO order violated — slot %d (ring %d) listed \
+                   after ring position %d"
+                  g.g_index c.Cell.slot p !last_pos;
+              last_pos := p
+            end
           end)
         (Cell.Cell_list.to_list g.g_cells))
-    t.gens
-
-type gen_audit = {
-  ga_index : int;
-  ga_size : int;
-  ga_head : int;
-  ga_tail : int;
-  ga_occupied : int;
-  ga_last : bool;
-  ga_occupancy_gauge : int;
-  ga_cells : Cell.t list;
-  ga_staged : int;
-}
-
-let audit_view t =
-  Array.map
-    (fun g ->
-      let cells = Cell.Cell_list.to_list g.g_cells in
-      {
-        ga_index = g.g_index;
-        ga_size = g.g_size;
-        ga_head = g.g_head;
-        ga_tail = g.g_tail;
-        ga_occupied = g.g_occupied;
-        ga_last = g.g_last;
-        ga_occupancy_gauge = El_metrics.Gauge.value g.g_occupancy;
-        ga_cells = cells;
-        ga_staged =
-          List.length
-            (List.filter (fun (c : Cell.t) -> c.Cell.slot = Cell.staged_slot)
-               cells);
-      })
-    t.gens
+    t.gens;
+  (* no cell is orphaned on either side *)
+  let live = Ledger.live_cells t.ledger in
+  if live <> !listed then
+    violated "ledger reaches %d live cells but generation lists hold %d" live
+      !listed;
+  (* The stable version may lag the durably committed state but never
+     lead it, and never hold an object that was never committed. *)
+  Stable_db.iter t.stable (fun oid stable_version ->
+      match Ids.Oid.Table.find_opt t.committed_ref oid with
+      | None ->
+        violated "stable holds %a v%d but no commit of it is durable"
+          Ids.Oid.pp oid stable_version
+      | Some committed ->
+        if stable_version > committed then
+          violated "stable holds %a v%d ahead of durably committed v%d"
+            Ids.Oid.pp oid stable_version committed)
 
 type durable_block = {
   db_gen : int;

@@ -94,9 +94,6 @@ type stats = {
       (** committed updates flushed because their record reached a
           head (non-zero under the [Force_flush] policy, or with
           recirculation off) *)
-  nondurable_head_reads : int;
-      (** head blocks processed before their write completed — only
-          possible in pathologically small configurations *)
   fwd_guard_parks : int;
       (** log writes held back because their slot was the origin of a
           forward write still in flight in the next generation: the
@@ -116,33 +113,27 @@ val ledger : t -> Ledger.t
 val policy : t -> Policy.t
 
 val check_invariants : t -> unit
-(** Deep structural audit, for tests: circular cell lists intact;
-    every live cell within its generation's bounds (or staged in the
-    last generation's recirculation buffer); occupancy within size;
-    LOT/LTT cross-consistency (see {!Ledger.check_invariants}).
-    Raises [Assert_failure] on violation. *)
+(** Every invariant of the manager, stated here only (the sweep's
+    {!El_check.Auditor} calls this at each pause):
+    - LOT/LTT cross-consistency ({!Ledger.check_invariants});
+    - per generation: circular cell list intact, head, tail and
+      occupancy within bounds, [tail = head + occupied (mod size)],
+      occupancy gauge equal to [occupied];
+    - per listed cell: right generation, not garbage, held by its
+      slot's block, and in an occupied slot (or staged in the last
+      generation's recirculation buffer);
+    - FIFO: under [Youngest] placement, every non-last generation lists
+      its cells in head-to-tail ring order;
+    - {!Ledger.live_cells} equals the number of listed cells;
+    - the stable database holds no object without a durable commit
+      and no version ahead of the durably committed one.
+    The ring equation, the gauge, a cell's occupied slot, FIFO order,
+    the cell count and the stable checks raise [Failure] naming the
+    generation, slot, oid and versions involved; every other check
+    raises [Assert_failure]. *)
 
 val occupied_blocks : t -> int array
 (** Current occupancy per generation. *)
-
-(** A read-only snapshot of one generation's ring state, exposed for
-    the external invariant auditor ({!El_check.Auditor}): slot
-    accounting, occupancy gauge, and the cell list in head-to-tail
-    order.  Mutating the listed cells is the auditor's responsibility
-    to avoid. *)
-type gen_audit = {
-  ga_index : int;
-  ga_size : int;
-  ga_head : int;  (** oldest occupied slot *)
-  ga_tail : int;  (** next slot to assign *)
-  ga_occupied : int;
-  ga_last : bool;
-  ga_occupancy_gauge : int;  (** current value of the occupancy gauge *)
-  ga_cells : Cell.t list;  (** head-to-tail cell list *)
-  ga_staged : int;  (** cells staged for recirculation (last gen only) *)
-}
-
-val audit_view : t -> gen_audit array
 
 (** {2 Recovery support} *)
 

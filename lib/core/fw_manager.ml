@@ -26,9 +26,7 @@ type t = {
   engine : El_sim.Engine.t;
   size : int;
   block_payload : int;
-  gap : int;
   tx_record_size : int;
-  bytes_per_tx : int;
   live : int array;  (* per-slot count of records from active transactions *)
   mutable head : int;
   mutable tail : int;
@@ -48,6 +46,9 @@ type t = {
   mutable checkpoint_writes : int;
   obs : El_obs.Obs.t option;
 }
+
+let gap = Params.head_tail_gap
+let bytes_per_tx = Params.fw_bytes_per_tx
 
 let emit t kind =
   match t.obs with
@@ -87,13 +88,10 @@ let take_checkpoint t =
     reclaim t
 
 let create engine ~size_blocks ?(block_payload = Params.block_payload)
-    ?(head_tail_gap = Params.head_tail_gap)
-    ?(buffers = Params.buffers_per_generation)
     ?(write_time = Params.tau_disk_write)
-    ?(tx_record_size = Params.tx_record_size)
-    ?(bytes_per_tx = Params.fw_bytes_per_tx) ?checkpointing ?obs ?fault ?store
+    ?(tx_record_size = Params.tx_record_size) ?checkpointing ?obs ?fault ?store
     () =
-  if size_blocks < head_tail_gap + 2 then
+  if size_blocks < gap + 2 then
     invalid_arg "Fw_manager.create: log needs at least gap+2 blocks";
   (match checkpointing with
   | Some c ->
@@ -104,16 +102,14 @@ let create engine ~size_blocks ?(block_payload = Params.block_payload)
     engine;
     size = size_blocks;
     block_payload;
-    gap = head_tail_gap;
     tx_record_size;
-    bytes_per_tx;
     live = Array.make size_blocks 0;
     head = 0;
     tail = 0;
     occupied = 0;
     channel =
-      Log_channel.create engine ~write_time ~buffer_pool:buffers ?obs
-        ~label:0
+      Log_channel.create engine ~write_time
+        ~buffer_pool:Params.buffers_per_generation ?obs ~label:0
         ?fault:(Option.map (fun inj -> El_fault.Injector.log_gen inj 0) fault)
         ?store ();
     current = None;
@@ -202,7 +198,7 @@ let terminate ?(committed = false) t tx =
     | (Some _ | None), _ -> drop_tx_records t tx);
     active_unlink t tx;
     Ids.Tid.Table.remove t.txs tx.tid;
-    El_metrics.Gauge.add t.memory (-t.bytes_per_tx);
+    El_metrics.Gauge.add t.memory (-bytes_per_tx);
     reclaim t
   end
 
@@ -238,9 +234,9 @@ let seal_current t =
 
 let ensure_space t =
   (* Invariant: at least [gap] free blocks after assigning one. *)
-  while free_slots t < t.gap + 1 do
+  while free_slots t < gap + 1 do
     reclaim t;
-    if free_slots t < t.gap + 1 then kill_oldest_active t
+    if free_slots t < gap + 1 then kill_oldest_active t
   done
 
 let assign_slot t =
@@ -299,7 +295,7 @@ let begin_tx t ~tid ~expected_duration:_ =
   in
   Ids.Tid.Table.replace t.txs tid tx;
   active_append t tx;
-  El_metrics.Gauge.add t.memory t.bytes_per_tx;
+  El_metrics.Gauge.add t.memory bytes_per_tx;
   append t
     ~rec_:
       (Log_record.begin_ ~tid ~size:t.tx_record_size
@@ -362,22 +358,7 @@ let request_abort t ~tid =
 
 let drain t = seal_current t
 
-type ring_audit = {
-  ra_size : int;
-  ra_head : int;
-  ra_tail : int;
-  ra_occupied : int;
-  ra_live_records : int;
-}
-
-let audit_view t =
-  {
-    ra_size = t.size;
-    ra_head = t.head;
-    ra_tail = t.tail;
-    ra_occupied = t.occupied;
-    ra_live_records = Array.fold_left ( + ) 0 t.live;
-  }
+let occupied_blocks t = t.occupied
 
 let slot_occupied t s =
   t.occupied = t.size || (s - t.head + t.size) mod t.size < t.occupied
@@ -415,7 +396,7 @@ let check_invariants t =
   assert (!pinned = Array.fold_left ( + ) 0 t.live);
   assert
     (El_metrics.Gauge.value t.memory
-    = t.bytes_per_tx * Ids.Tid.Table.length t.txs);
+    = bytes_per_tx * Ids.Tid.Table.length t.txs);
   (* the active list holds exactly the table's transactions, in
      non-decreasing begun_at order *)
   let walked = ref 0 in

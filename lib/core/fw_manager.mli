@@ -33,18 +33,17 @@ val create :
   El_sim.Engine.t ->
   size_blocks:int ->
   ?block_payload:int ->
-  ?head_tail_gap:int ->
-  ?buffers:int ->
   ?write_time:Time.t ->
   ?tx_record_size:int ->
-  ?bytes_per_tx:int ->
   ?checkpointing:checkpointing ->
   ?obs:El_obs.Obs.t ->
   ?fault:El_fault.Injector.t ->
   ?store:El_store.Log_store.t ->
   unit ->
   t
-(** Raises [Invalid_argument] if [size_blocks < head_tail_gap + 2].
+(** The log keeps the paper's k-block head-tail gap and buffer pool
+    ({!El_model.Params}).  Raises [Invalid_argument] if [size_blocks]
+    is below that gap plus 2.
     Without [checkpointing] this is the paper's idealised FW: records
     stop mattering the moment their transaction terminates.  With
     [store], every sealed block is appended to the durable log before
@@ -77,22 +76,17 @@ type stats = {
 
 val stats : t -> stats
 
-(** Read-only snapshot of the ring for the external invariant auditor. *)
-type ring_audit = {
-  ra_size : int;
-  ra_head : int;
-  ra_tail : int;
-  ra_occupied : int;
-  ra_live_records : int;  (** records still pinning log space *)
-}
-
-val audit_view : t -> ring_audit
+val occupied_blocks : t -> int
+(** Blocks currently between the head and the tail. *)
 
 val check_invariants : t -> unit
-(** Deep structural audit, for tests: ring accounting ([tail = head +
-    occupied], occupancy within size), live-record counts non-negative
-    and confined to occupied slots, every transaction's record slots
-    inside the occupied region, per-slot pins equal to the sum of
-    transaction record lists plus records awaiting a checkpoint, and
-    the memory gauge equal to 22 bytes per live transaction.  Raises
+(** Every invariant of the manager, stated here only (the sweep's
+    {!El_check.Auditor} calls this at each pause): ring accounting
+    (head, tail and occupancy within bounds, [tail = head + occupied
+    (mod size)]), live-record counts non-negative and confined to
+    occupied slots, every transaction's record slots inside the
+    occupied region, per-slot pins equal to the sum of transaction
+    record lists plus records awaiting a checkpoint, the memory gauge
+    equal to 22 bytes per live transaction, and the active list
+    holding exactly the live transactions in begin order.  Raises
     [Assert_failure] on violation. *)

@@ -71,7 +71,6 @@ type t = {
   flush : Flush_array.t;
   stable : Stable_db.t;
   block_payload : int;
-  gap : int;
   tx_record_size : int;
   arena : Arena.t;
   queues : queue array;
@@ -91,6 +90,7 @@ type t = {
   obs : El_obs.Obs.t option;
 }
 
+let gap = Params.head_tail_gap
 let bytes_per_tx = Params.fw_bytes_per_tx
 let bytes_per_object = Params.el_bytes_per_object
 
@@ -156,8 +156,6 @@ let retire t tx =
 
 let create engine ~queue_sizes ~flush ~stable
     ?(block_payload = Params.block_payload)
-    ?(head_tail_gap = Params.head_tail_gap)
-    ?(buffers = Params.buffers_per_generation)
     ?(write_time = Params.tau_disk_write)
     ?(tx_record_size = Params.tx_record_size) ?(pooled = true) ?obs ?fault
     ?store () =
@@ -166,7 +164,7 @@ let create engine ~queue_sizes ~flush ~stable
   if tx_record_size <= 0 then invalid_arg "Log_record: non-positive size";
   Array.iter
     (fun s ->
-      if s < head_tail_gap + 2 then
+      if s < gap + 2 then
         invalid_arg "Hybrid_manager.create: queue needs at least gap+2 blocks")
     queue_sizes;
   let n = Array.length queue_sizes in
@@ -181,8 +179,8 @@ let create engine ~queue_sizes ~flush ~stable
       q_tail = 0;
       q_occupied = 0;
       q_channel =
-        Log_channel.create engine ~write_time ~buffer_pool:buffers ?obs
-          ~label:i
+        Log_channel.create engine ~write_time
+          ~buffer_pool:Params.buffers_per_generation ?obs ~label:i
           ?fault:
             (Option.map (fun inj -> El_fault.Injector.log_gen inj i) fault)
           ?store ();
@@ -196,7 +194,6 @@ let create engine ~queue_sizes ~flush ~stable
       flush;
       stable;
       block_payload;
-      gap = head_tail_gap;
       tx_record_size;
       arena = Arena.create ~pooled ();
       queues = Array.init n make_queue;
@@ -531,7 +528,7 @@ and advance_head t q =
     victims
 
 and ensure_space t q =
-  let target = t.gap + 1 in
+  let target = gap + 1 in
   let budget = ref ((2 * q.q_size) + 4) in
   while free_slots q < target do
     advance_head t q;
@@ -745,27 +742,7 @@ let request_abort t ~tid =
 
 let drain t = Array.iter (fun q -> seal_current t q) t.queues
 
-type queue_audit = {
-  qa_index : int;
-  qa_size : int;
-  qa_head : int;
-  qa_tail : int;
-  qa_occupied : int;
-  qa_anchored : int;
-}
-
-let audit_view t =
-  Array.map
-    (fun q ->
-      {
-        qa_index = q.q_index;
-        qa_size = q.q_size;
-        qa_head = q.q_head;
-        qa_tail = q.q_tail;
-        qa_occupied = q.q_occupied;
-        qa_anchored = Array.fold_left ( + ) 0 q.anchors;
-      })
-    t.queues
+let occupied_blocks t = Array.map (fun q -> q.q_occupied) t.queues
 
 let check_invariants t =
   Array.iter

@@ -31,8 +31,6 @@ val create :
   flush:El_disk.Flush_array.t ->
   stable:El_disk.Stable_db.t ->
   ?block_payload:int ->
-  ?head_tail_gap:int ->
-  ?buffers:int ->
   ?write_time:Time.t ->
   ?tx_record_size:int ->
   ?pooled:bool ->
@@ -75,25 +73,18 @@ type stats = {
 
 val stats : t -> stats
 
-(** Read-only snapshot of one queue's ring for the external invariant
-    auditor. *)
-type queue_audit = {
-  qa_index : int;
-  qa_size : int;
-  qa_head : int;
-  qa_tail : int;
-  qa_occupied : int;
-  qa_anchored : int;  (** transactions anchored across the queue's slots *)
-}
-
-val audit_view : t -> queue_audit array
+val occupied_blocks : t -> int array
+(** Current occupancy per queue. *)
 
 val check_invariants : t -> unit
-(** Deep structural audit, for tests: per-queue ring accounting,
-    anchor counts matching the anchored lists and confined to occupied
-    slots, every live transaction anchored exactly where its anchor
-    claims, committed transactions retaining exactly their unflushed
-    stubs, the committed-unflushed table consistent with its writers,
-    and the memory gauge matching the §6 per-transaction and
-    per-object byte accounting.  Raises [Assert_failure] on
-    violation. *)
+(** Every invariant of the manager, stated here only (the sweep's
+    {!El_check.Auditor} calls this at each pause): per-queue ring
+    accounting (head, tail and occupancy within bounds, [tail = head +
+    occupied (mod size)]), anchor counts matching the anchored lists
+    and confined to occupied slots, every live transaction anchored
+    exactly where its anchor claims, committed transactions retaining
+    exactly their unflushed stubs, the committed-unflushed table
+    consistent with its writers, one live arena segment per live
+    transaction plus the unwritten abort blocks, and the memory gauge
+    matching the §6 per-transaction and per-object byte accounting.
+    Raises [Assert_failure] on violation. *)

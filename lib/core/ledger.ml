@@ -4,8 +4,6 @@ type t = {
   lot : Cell.lot_entry Ids.Oid.Table.t;
   ltt : Cell.ltt_entry Ids.Tid.Table.t;
   remove_cell : Cell.t -> unit;
-  bytes_per_tx : int;
-  bytes_per_object : int;
   memory : El_metrics.Gauge.t;
   mutable unflushed : int;
   mutable live : int;  (* non-garbage cells reachable from the tables *)
@@ -28,14 +26,14 @@ type t = {
   mutable ltt_spare : Cell.ltt_entry list;
 }
 
-let create ~remove_cell ?(bytes_per_tx = Params.el_bytes_per_tx)
-    ?(bytes_per_object = Params.el_bytes_per_object) ?(pooled = true) () =
+let bytes_per_tx = Params.el_bytes_per_tx
+let bytes_per_object = Params.el_bytes_per_object
+
+let create ~remove_cell ?(pooled = true) () =
   {
     lot = Ids.Oid.Table.create 1024;
     ltt = Ids.Tid.Table.create 1024;
     remove_cell;
-    bytes_per_tx;
-    bytes_per_object;
     memory = El_metrics.Gauge.create ~name:"LOT+LTT bytes" ();
     unflushed = 0;
     live = 0;
@@ -107,10 +105,10 @@ let ltt_size t = Ids.Tid.Table.length t.ltt
 
 (* ---- memory accounting ---- *)
 
-let mem_add_tx t = El_metrics.Gauge.add t.memory t.bytes_per_tx
-let mem_del_tx t = El_metrics.Gauge.add t.memory (-t.bytes_per_tx)
-let mem_add_obj t = El_metrics.Gauge.add t.memory t.bytes_per_object
-let mem_del_obj t = El_metrics.Gauge.add t.memory (-t.bytes_per_object)
+let mem_add_tx t = El_metrics.Gauge.add t.memory bytes_per_tx
+let mem_del_tx t = El_metrics.Gauge.add t.memory (-bytes_per_tx)
+let mem_add_obj t = El_metrics.Gauge.add t.memory bytes_per_object
+let mem_del_obj t = El_metrics.Gauge.add t.memory (-bytes_per_object)
 
 let memory_bytes t = El_metrics.Gauge.value t.memory
 let peak_memory_bytes t = El_metrics.Gauge.max_value t.memory
@@ -521,7 +519,7 @@ let check_invariants t =
         assert (Ids.Oid.Table.length e.write_set > 0))
     t.ltt;
   let expected_mem =
-    (t.bytes_per_tx * ltt_size t) + (t.bytes_per_object * lot_size t)
+    (bytes_per_tx * ltt_size t) + (bytes_per_object * lot_size t)
   in
   assert (memory_bytes t = expected_mem);
   (* Incremental indexes agree with from-scratch recomputation. *)

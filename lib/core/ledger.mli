@@ -22,8 +22,9 @@
     caller supplies [remove_cell], invoked whenever a cell is disposed
     so the log manager can unlink it from its generation's cell list.
 
-    Main-memory accounting follows §4: [bytes_per_tx] per LTT entry
-    plus [bytes_per_object] per LOT entry, tracked as a high-water
+    Main-memory accounting follows §4: the paper's 40 bytes per LTT
+    entry plus 40 per LOT entry ({!El_model.Params.el_bytes_per_tx},
+    {!El_model.Params.el_bytes_per_object}), tracked as a high-water
     gauge. *)
 
 open El_model
@@ -32,13 +33,10 @@ type t
 
 val create :
   remove_cell:(Cell.t -> unit) ->
-  ?bytes_per_tx:int ->
-  ?bytes_per_object:int ->
   ?pooled:bool ->
   unit ->
   t
-(** Defaults: the paper's 40 bytes per transaction and per object.
-    [pooled] (default [true]) recycles retired LOT/LTT entries through
+(** [pooled] (default [true]) recycles retired LOT/LTT entries through
     free lists, so steady-state transaction churn allocates no new
     table entries; [false] allocates fresh records, for A/B allocation
     profiling.  Behaviour is identical either way. *)

@@ -21,6 +21,8 @@ let of_pairs ~num_objects pairs =
 let version t oid = Ids.Oid.Table.find_opt t.versions oid
 let objects_written t = Ids.Oid.Table.length t.versions
 
+let iter t f = Ids.Oid.Table.iter f t.versions
+
 let snapshot t =
   Ids.Oid.Table.fold (fun oid v acc -> (oid, v) :: acc) t.versions []
 

@@ -29,6 +29,9 @@ val version : t -> Ids.Oid.t -> int option
 
 val objects_written : t -> int
 
+val iter : t -> (Ids.Oid.t -> int -> unit) -> unit
+(** Visits every (oid, version) pair, in unspecified order. *)
+
 val snapshot : t -> (Ids.Oid.t * int) list
 (** All (oid, version) pairs, in unspecified order. *)
 

@@ -28,8 +28,10 @@ let run_epoch cfg make_policy sizes =
 (* One controller pass: walk the generations oldest-first (the last
    generation is where kills bite, so it is the most delicate dial)
    shrinking each unfrozen generation until it pushes back. *)
-let tune cfg ?(make_policy = default_policy) ~initial ?(max_epochs = 64)
-    ?(shrink_step = 2) ?bandwidth_slack () =
+let max_epochs = 64
+
+let tune cfg ?(make_policy = default_policy) ~initial ?(shrink_step = 2)
+    ?bandwidth_slack () =
   if Array.length initial = 0 then invalid_arg "Adaptive.tune: no generations";
   if shrink_step <= 0 then invalid_arg "Adaptive.tune: non-positive step";
   let floor_size = Params.head_tail_gap + 1 in

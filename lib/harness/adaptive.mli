@@ -38,15 +38,14 @@ val tune :
   Experiment.config ->
   ?make_policy:(int array -> El_core.Policy.t) ->
   initial:int array ->
-  ?max_epochs:int ->
   ?shrink_step:int ->
   ?bandwidth_slack:float ->
   unit ->
   outcome
 (** [tune cfg ~initial ()] runs the controller.  [cfg]'s [kind] field
     is ignored (replaced per epoch); its runtime is one epoch.
-    [make_policy] defaults to the paper's policy (recirculation on);
-    [max_epochs] defaults to 64; [shrink_step] (blocks removed per
+    It runs at most 64 epochs.  [make_policy] defaults to the paper's
+    policy (recirculation on); [shrink_step] (blocks removed per
     healthy epoch, per generation) defaults to 2.
 
     [bandwidth_slack], when given, bounds how much log bandwidth the

@@ -440,31 +440,27 @@ let prepare ?(wrap_sink = fun sink -> sink) cfg =
         float_of_int (Generator.active generator));
     El_obs.Obs.add_probe o ~name:"awaiting_ack" (fun () ->
         float_of_int (Generator.awaiting_ack generator));
-    (match inst.i_manager with
-    | El_log m ->
+    let ring_probes ring occupied =
       Array.iteri
         (fun i _ ->
           El_obs.Obs.add_probe o
-            ~name:(Printf.sprintf "gen%d_occupancy" i)
-            (fun () -> float_of_int (El_manager.occupied_blocks m).(i)))
-        (El_manager.occupied_blocks m);
+            ~name:(Printf.sprintf "%s%d_occupancy" ring i)
+            (fun () -> float_of_int (occupied ()).(i)))
+        (occupied ())
+    in
+    (match inst.i_manager with
+    | El_log m ->
+      ring_probes "gen" (fun () -> El_manager.occupied_blocks m);
       El_obs.Obs.add_probe o ~name:"live_memory_bytes" (fun () ->
           float_of_int
             (El_core.Ledger.memory_bytes (El_manager.ledger m)))
     | Fw_log m ->
       El_obs.Obs.add_probe o ~name:"fw_occupancy" (fun () ->
-          float_of_int (Fw_manager.audit_view m).Fw_manager.ra_occupied);
+          float_of_int (Fw_manager.occupied_blocks m));
       El_obs.Obs.add_probe o ~name:"live_memory_bytes" (fun () ->
           float_of_int (Fw_manager.stats m).Fw_manager.current_memory_bytes)
     | Hybrid_log m ->
-      Array.iteri
-        (fun i _ ->
-          El_obs.Obs.add_probe o
-            ~name:(Printf.sprintf "queue%d_occupancy" i)
-            (fun () ->
-              (Hybrid_manager.audit_view m).(i).Hybrid_manager.qa_occupied
-              |> float_of_int))
-        (Hybrid_manager.audit_view m);
+      ring_probes "queue" (fun () -> Hybrid_manager.occupied_blocks m);
       El_obs.Obs.add_probe o ~name:"live_memory_bytes" (fun () ->
           float_of_int
             (Hybrid_manager.stats m).Hybrid_manager.current_memory_bytes));

@@ -52,11 +52,10 @@ let coarse_candidates = function
   | `Full -> [ 6; 8; 10; 12; 14; 16; 18; 20; 22; 24; 26; 30 ]
   | `Quick -> [ 8; 12; 16; 20; 24 ]
 
-let figs_4_5_6 ?(pool = Pool.serial) ?(speed = `Full)
-    ?(mixes = [ 5; 10; 20; 30; 40 ]) () =
+let figs_4_5_6 ?(pool = Pool.serial) ?(speed = `Full) () =
   (* One pool job per mix point; the searches inside a point stay
      serial (nesting would degrade to serial anyway).  Pool.map keeps
-     submission order, so the rows come back in [mixes] order at any
+     submission order, so the rows come back in mix order at any
      job count. *)
   Pool.map pool
     (fun long_pct ->
@@ -84,7 +83,7 @@ let figs_4_5_6 ?(pool = Pool.serial) ?(speed = `Full)
         el_memory = el_result.Experiment.peak_memory_bytes;
         updates_per_sec = el_result.Experiment.updates_per_sec;
       })
-    mixes
+    [ 5; 10; 20; 30; 40 ]
 
 type fig7_row = {
   g1 : int;

@@ -38,9 +38,8 @@ type mix_row = {
   updates_per_sec : float;  (** §4: 210 rising to 280 *)
 }
 
-val figs_4_5_6 :
-  ?pool:El_par.Pool.t -> ?speed:speed -> ?mixes:int list -> unit -> mix_row list
-(** Default mixes: 5, 10, 20, 30, 40 — the paper's x-axis range.
+val figs_4_5_6 : ?pool:El_par.Pool.t -> ?speed:speed -> unit -> mix_row list
+(** One row per mix 5, 10, 20, 30, 40 — the paper's x-axis range.
     With a [pool], each mix point runs as one pool job. *)
 
 (** One point of Figure 7's trade-off sweep. *)

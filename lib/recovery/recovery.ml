@@ -167,8 +167,7 @@ let recover ?obs image =
 
 (* ---- recovery from a store image ---- *)
 
-let image_of_scan ~num_objects ?(reference = [])
-    (s : El_store.Log_store.scan) =
+let image_of_scan ~num_objects (s : El_store.Log_store.scan) =
   {
     blocks =
       List.map
@@ -180,7 +179,7 @@ let image_of_scan ~num_objects ?(reference = [])
         s.El_store.Log_store.s_blocks;
     stable =
       El_disk.Stable_db.of_pairs ~num_objects s.El_store.Log_store.s_stable;
-    reference;
+    reference = [];
     crash_time = Time.zero;
   }
 

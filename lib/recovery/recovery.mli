@@ -76,20 +76,15 @@ val recover : ?obs:El_obs.Obs.t -> image -> result
     [Recovery_scan] trace event — plus a [Torn_discard] event when any
     tail was lost — stamped at the image's crash time. *)
 
-val image_of_scan :
-  num_objects:int ->
-  ?reference:(Ids.Oid.t * int) list ->
-  El_store.Log_store.scan ->
-  image
+val image_of_scan : num_objects:int -> El_store.Log_store.scan -> image
 (** Lifts a durable-store scan into a crash image: each surviving
     block keeps the records {!El_store.Log_store.scan} decoded before
     its first bad checksum, and the entries it cut become the block's
     [torn] count, so the torn counters match a simulated crash of the
     same state; the stable version is rebuilt from the persisted
-    install facts.  [reference] defaults to empty — a real restart has
-    no ground truth; pass one to {!audit} against in-simulation
-    expectations.  [crash_time] is {!Time.zero}:
-    a scanned image carries no clock. *)
+    install facts.  [reference] is empty: a real restart has no
+    ground truth.  [crash_time] is {!Time.zero}: a scanned image
+    carries no clock. *)
 
 val recover_store :
   ?obs:El_obs.Obs.t ->

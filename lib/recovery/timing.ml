@@ -1,24 +1,19 @@
 open El_model
 
-type cost_model = {
-  positioning : Time.t;
-  per_block : Time.t;
-  per_record : Time.t;
-}
+let positioning = Time.of_ms 15
+let per_block = Time.of_ms 1
+let per_record = Time.of_us 20
 
-let default =
-  { positioning = Time.of_ms 15; per_block = Time.of_ms 1; per_record = Time.of_us 20 }
-
-let single_pass ?(model = default) ~regions ~blocks ~records () =
+let single_pass ~regions ~blocks ~records () =
   if regions < 0 || blocks < 0 || records < 0 then
     invalid_arg "Timing.single_pass: negative inputs";
   Time.add
     (Time.add
-       (Time.mul_int model.positioning regions)
-       (Time.mul_int model.per_block blocks))
-    (Time.mul_int model.per_record records)
+       (Time.mul_int positioning regions)
+       (Time.mul_int per_block blocks))
+    (Time.mul_int per_record records)
 
-let estimate ?(model = default) (image : Recovery.image)
+let estimate (image : Recovery.image)
     (result : Recovery.result) =
   (* records per 2000-byte block is what the image actually held *)
   let blocks =
@@ -34,10 +29,9 @@ let estimate ?(model = default) (image : Recovery.image)
     in
     (bytes + Params.block_payload - 1) / Params.block_payload
   in
-  single_pass ~model ~regions:2 ~blocks
-    ~records:result.Recovery.records_scanned ()
+  single_pass ~regions:2 ~blocks ~records:result.Recovery.records_scanned ()
 
-let fw_two_pass ?(model = default) ~blocks ~records () =
-  single_pass ~model ~regions:2 ~blocks:(2 * blocks) ~records:(2 * records) ()
+let fw_two_pass ~blocks ~records () =
+  single_pass ~regions:2 ~blocks:(2 * blocks) ~records:(2 * records) ()
 
 let pp ppf t = Format.fprintf ppf "%.1f ms" (Time.to_sec_f t *. 1000.0)

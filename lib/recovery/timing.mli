@@ -7,38 +7,27 @@
     feasible".  This module turns those claims into numbers with a
     simple disk/CPU cost model:
 
-    - one initial positioning delay per contiguous log region (a
-      generation is one contiguous circular array on disk);
-    - a per-block streaming transfer time;
-    - a per-record CPU cost for the single redo pass.
+    - 15 ms of positioning (seek + rotation) per contiguous log region
+      (a generation is one contiguous circular array on disk);
+    - 1 ms of streaming transfer per 2 KB block;
+    - 20 µs of CPU per record for the single redo pass.
 
-    The defaults are deliberately conservative early-1990s values in
-    the spirit of the paper's 15 ms block writes. *)
+    These are deliberately conservative early-1990s values in the
+    spirit of the paper's 15 ms block writes. *)
 
 open El_model
 
-type cost_model = {
-  positioning : Time.t;  (** seek + rotation to reach a log region *)
-  per_block : Time.t;  (** streaming transfer of one 2 KB block *)
-  per_record : Time.t;  (** CPU to examine/redo one record *)
-}
-
-val default : cost_model
-(** 15 ms positioning, 1 ms per block, 20 µs per record. *)
-
-val single_pass :
-  ?model:cost_model -> regions:int -> blocks:int -> records:int -> unit -> Time.t
+val single_pass : regions:int -> blocks:int -> records:int -> unit -> Time.t
 (** Time to read [blocks] spread over [regions] contiguous areas and
     process [records] in one pass — EL's recovery, and this library's
     {!Recovery.recover}. *)
 
-val estimate : ?model:cost_model -> Recovery.image -> Recovery.result -> Time.t
+val estimate : Recovery.image -> Recovery.result -> Time.t
 (** Estimate for an actual recovery: regions = 1 + generations is not
     recoverable from the image, so a single region per 2 KB-block run
     is approximated as [regions = 2] (stable log area + one wrap). *)
 
-val fw_two_pass :
-  ?model:cost_model -> blocks:int -> records:int -> unit -> Time.t
+val fw_two_pass : blocks:int -> records:int -> unit -> Time.t
 (** The traditional two-pass (undo then redo) method the paper
     contrasts with (§4): the span is read twice, records are examined
     twice. *)

@@ -126,20 +126,22 @@ and write_one_data_record t tx =
     (* Skewed draw: the distribution picked a specific object.  Our
        own write set may be re-updated freely; another active writer's
        object is a contention collision. *)
-    if List.exists (fun o -> Ids.Oid.compare o oid = 0) tx.held_oids then begin
-      let version = Oid_pool.next_version t.pool oid in
-      t.data_records <- t.data_records + 1;
-      t.sink.write_data ~tid:tx.tid ~oid ~version
-        ~size:tx.ty.Tx_type.record_size
-    end
+    if List.exists (fun o -> Ids.Oid.compare o oid = 0) tx.held_oids then
+      write_data t tx oid
     else if Oid_pool.claim t.pool oid then write_record t tx oid
     else contended t tx oid
 
 and write_record t tx oid =
   tx.held_oids <- oid :: tx.held_oids;
-  let version = Oid_pool.next_version t.pool oid in
+  write_data t tx oid
+
+(* The n-th data record of the run installs version n: versions only
+   have to rise per object, and the record count does that without a
+   per-object counter. *)
+and write_data t tx oid =
   t.data_records <- t.data_records + 1;
-  t.sink.write_data ~tid:tx.tid ~oid ~version ~size:tx.ty.Tx_type.record_size
+  t.sink.write_data ~tid:tx.tid ~oid ~version:t.data_records
+    ~size:tx.ty.Tx_type.record_size
 
 (* A draw landed on another active writer's object: abort this
    transaction (its records become garbage, exactly like a

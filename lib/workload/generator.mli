@@ -31,7 +31,8 @@ type sink = {
           lifetime hint available to the §6 placement extension *)
   write_data :
     tid:Ids.Tid.t -> oid:Ids.Oid.t -> version:int -> size:int -> unit;
-      (** a data record enters the log *)
+      (** a data record enters the log; the run's n-th data record
+          carries [version] n, so each object's versions rise *)
   request_commit : tid:Ids.Tid.t -> on_ack:(Time.t -> unit) -> unit;
       (** a COMMIT record enters the log; [on_ack] fires when it is
           durable (time t₄ of Figure 3) *)

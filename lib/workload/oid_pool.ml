@@ -1,18 +1,10 @@
 open El_model
 
-type t = {
-  num_objects : int;
-  held : unit Ids.Oid.Table.t;
-  versions : int Ids.Oid.Table.t;
-}
+type t = { num_objects : int; held : unit Ids.Oid.Table.t }
 
 let create ~num_objects =
   if num_objects <= 0 then invalid_arg "Oid_pool.create: no objects";
-  {
-    num_objects;
-    held = Ids.Oid.Table.create 512;
-    versions = Ids.Oid.Table.create 512;
-  }
+  { num_objects; held = Ids.Oid.Table.create 512 }
 
 let acquire t rng =
   if Ids.Oid.Table.length t.held >= t.num_objects then None
@@ -61,14 +53,6 @@ let release t oid =
   if not (Ids.Oid.Table.mem t.held oid) then
     invalid_arg "Oid_pool.release: oid not held";
   Ids.Oid.Table.remove t.held oid
-
-let next_version t oid =
-  let v = match Ids.Oid.Table.find_opt t.versions oid with
-    | Some v -> v + 1
-    | None -> 1
-  in
-  Ids.Oid.Table.replace t.versions oid v;
-  v
 
 let in_use t = Ids.Oid.Table.length t.held
 let num_objects t = t.num_objects

@@ -4,8 +4,7 @@
 
     The database has NUM_OBJECTS = 10⁷ objects while only a few
     hundred are in use at any instant, so rejection sampling from the
-    engine's RNG terminates essentially immediately; the pool also
-    tracks the per-object version counters used by recovery. *)
+    engine's RNG terminates essentially immediately. *)
 
 open El_model
 
@@ -33,10 +32,6 @@ val release : t -> Ids.Oid.t -> unit
 (** Returns an oid to the free pool — when its transaction requests
     termination (commits) or is aborted/killed.  Raises
     [Invalid_argument] if the oid was not held. *)
-
-val next_version : t -> Ids.Oid.t -> int
-(** Increments and returns the object's version counter; each data
-    record carries the version it installs. *)
 
 val in_use : t -> int
 val num_objects : t -> int

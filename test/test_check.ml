@@ -372,6 +372,38 @@ let test_auditor_standalone () =
       Auditor.audit_manager live.Experiment.manager)
     (Sweep.standard_kinds ())
 
+(* The stable database may lag the durably committed state but never
+   lead it.  A version past a committed one, or any version of an
+   object never committed, must fail the audit. *)
+let test_auditor_catches_stable_ahead () =
+  let cfg =
+    Sweep.standard_config ~kind:(List.assoc "el" (Sweep.standard_kinds ())) ()
+  in
+  let caught what corrupt =
+    let live = Experiment.prepare cfg in
+    Engine.run live.Experiment.engine ~until:(Time.of_sec 10);
+    let m = el_manager live in
+    let committed = El_core.El_manager.committed_reference m in
+    if committed = [] then Alcotest.fail "nothing committed in 10 s";
+    corrupt (El_core.El_manager.stable m) committed;
+    match Auditor.audit_manager live.Experiment.manager with
+    | () -> Alcotest.failf "%s: the audit passed" what
+    | exception Auditor.Audit_failure msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S mentions stable holds" what msg)
+        true
+        (Astring_like.contains msg "stable holds")
+  in
+  caught "version ahead" (fun stable committed ->
+      let oid, version = List.hd committed in
+      El_disk.Stable_db.apply stable oid ~version:(version + 1));
+  caught "never committed" (fun stable committed ->
+      let rec fresh i =
+        let oid = Ids.Oid.of_int i in
+        if List.mem_assoc oid committed then fresh (i + 1) else oid
+      in
+      El_disk.Stable_db.apply stable (fresh 0) ~version:1)
+
 let suite =
   [
     Alcotest.test_case "crash sweep: EL, 3 seeds x 100+ points" `Slow
@@ -396,4 +428,6 @@ let suite =
       test_torn_checksum_caught;
     Alcotest.test_case "auditor runs standalone on all kinds" `Quick
       test_auditor_standalone;
+    Alcotest.test_case "auditor catches a stable version ahead of commits"
+      `Quick test_auditor_catches_stable_ahead;
   ]

@@ -195,6 +195,41 @@ let test_versions_monotone () =
     (List.rev !events);
   Alcotest.(check bool) "versions strictly increase per object" true !ok
 
+let test_versions_count_records () =
+  (* The n-th data record carries version n.  Twenty objects force
+     rewrites, and each object's versions must still rise. *)
+  let engine = Engine.create () in
+  let events = ref [] in
+  let sink = recording_sink engine ~ack_delay:(Time.of_ms 1) events in
+  let gen =
+    G.create engine ~sink ~mix:(one_type ~duration_ms:10 ~num_records:2)
+      ~arrival_rate:50.0 ~runtime:(Time.of_sec 5) ~num_objects:20 ()
+  in
+  Engine.run_all engine;
+  let writes =
+    List.filter_map
+      (function
+        | Data (_, oid, version, _) -> Some (oid, version)
+        | Begin _ | Commit _ | Abort _ -> None)
+      (List.rev !events)
+  in
+  let n = List.length writes in
+  Alcotest.(check int) "n = data_records_written" (G.data_records_written gen) n;
+  Alcotest.(check (list int)) "versions are 1..n in write order"
+    (List.init n (fun i -> i + 1))
+    (List.map snd writes);
+  let oids = List.sort_uniq compare (List.map fst writes) in
+  Alcotest.(check bool) "objects are rewritten" true (List.length oids < n);
+  List.iter
+    (fun oid ->
+      let versions =
+        List.filter_map (fun (o, v) -> if o = oid then Some v else None) writes
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "o%d's versions rise" oid)
+        (List.sort_uniq compare versions) versions)
+    oids
+
 let suite =
   [
     Alcotest.test_case "Figure 3 timeline" `Quick test_figure3_timeline;
@@ -208,4 +243,6 @@ let suite =
     Alcotest.test_case "abort injection" `Quick test_aborts;
     Alcotest.test_case "object versions are monotone" `Quick
       test_versions_monotone;
+    Alcotest.test_case "versions count data records" `Quick
+      test_versions_count_records;
   ]

@@ -107,13 +107,6 @@ let test_pool_release () =
       Pool.release pool (Ids.Oid.of_int 0);
       Pool.release pool (Ids.Oid.of_int 0))
 
-let test_pool_versions () =
-  let pool = Pool.create ~num_objects:10 in
-  let o = Ids.Oid.of_int 4 in
-  Alcotest.(check int) "v1" 1 (Pool.next_version pool o);
-  Alcotest.(check int) "v2" 2 (Pool.next_version pool o);
-  Alcotest.(check int) "independent" 1 (Pool.next_version pool (Ids.Oid.of_int 5))
-
 let prop_pool_constraint =
   QCheck.Test.make ~name:"no oid is held twice concurrently" ~count:50
     QCheck.(small_int)
@@ -378,7 +371,6 @@ let suite =
     Alcotest.test_case "oid pool uniqueness & exhaustion" `Quick
       test_pool_uniqueness;
     Alcotest.test_case "oid pool release" `Quick test_pool_release;
-    Alcotest.test_case "version counters" `Quick test_pool_versions;
     QCheck_alcotest.to_alcotest prop_pool_constraint;
     Alcotest.test_case "Zipf chi-square goodness of fit" `Quick
       test_zipf_chi_square;
