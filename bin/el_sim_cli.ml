@@ -1217,7 +1217,7 @@ let () =
   let code =
     try Cmd.eval ~catch:false (Cmd.group info subcommands)
     with
-    | Failure msg | Sys_error msg ->
+    | Failure msg | Sys_error msg | Invalid_argument msg ->
       Printf.eprintf "el-sim: %s\n" msg;
       2
     | Unix.Unix_error (e, fn, arg) ->

@@ -9,7 +9,7 @@
 
 exception Audit_failure of string
 (** A violated invariant, as a message prefixed with the manager kind
-    (["el: ..."]); {!Reference} and {!Spec_tracker} raise it too. *)
+    (["el: ..."]); {!Spec_tracker} raises it too. *)
 
 val audit_manager : El_harness.Experiment.manager -> unit
 (** Runs the [check_invariants] of whichever manager the value holds. *)

@@ -125,10 +125,10 @@ let run_cell ?pool ~shards ~runtime ~rate ~seed ~stride ~max_points ~min_points
     failures := Printf.sprintf "%s: %s" battery msg :: !failures
   in
   (* Battery 1: the audited crash-point sweep — Auditor at every
-     pause, crash/recover/audit at every EL pause, the Reference
-     differential model and the machine-checked durable-log spec over
-     the whole run.  With [shards > 1] the sweep runs the sharded
-     composite oracle instead (per-shard models plus the global
+     pause, crash/recover/audit at every EL pause, and the
+     machine-checked durable-log spec, with its settled and spec
+     checks, over the whole run.  With [shards > 1] the sweep runs the
+     sharded composite oracle instead (per-shard models plus the global
      atomic-commit invariant over every crash point). *)
   let cfg = Sweep.standard_config ~kind ~runtime ~rate ~seed ~preset:p () in
   let cfg = { cfg with Experiment.shards } in

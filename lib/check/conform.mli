@@ -5,9 +5,8 @@
     divergence instead of stopping at the first:
 
     + the audited crash-point sweep ({!Sweep.run} with the
-      {!Reference} differential oracle, the {!Spec_tracker}
-      durable-log state machine and a crash/recover/audit cycle at
-      every EL pause);
+      {!Spec_tracker} durable-log state machine, its settled and spec
+      checks, and a crash/recover/audit cycle at every EL pause);
     + the same traffic under a torn-write fault plan (0.2 per log
       write), so every crash image carries checksum-failing tails
       recovery must discard without dropping a committed update;

@@ -1,32 +1,36 @@
 (* Drives the pure durable-log state machine (lib/spec) from a live
-   run and checks the implementation against it — the differential
-   side of the spec oracle.
+   run and checks the implementation against it — the sweep's one
+   shadow model of the durable-log contract.
 
-   The tracker mirrors [Reference]: it interposes on the workload
-   sink, so every begin/write/commit/abort becomes a spec step, the
-   manager's kills arrive through [kill], and flush completions
-   arrive through [observe_flush] (registered on the flush array).
-   Illegal steps are collected as violations rather than raised — a
-   sink callback runs deep inside the event loop.  The explicit
-   checks ([check_invariant] at every pause, [check_crash] against
-   each recovered image, [check_settled] at the end) raise
-   [Auditor.Audit_failure] like every other auditor. *)
+   The tracker interposes on the workload sink, so every
+   begin/write/commit/abort becomes a spec step, the manager's kills
+   arrive through [kill], and flush completions arrive through
+   [observe_flush] (registered on the flush array).  Illegal steps
+   are collected as violations rather than raised — a sink callback
+   runs deep inside the event loop.  The explicit checks
+   ([check_invariant] at every pause, [check_crash] against each
+   recovered image, [check_settled], [check_el] and
+   [check_settled_stable] at the end) raise [Auditor.Audit_failure]
+   like every other auditor. *)
 
 open El_model
 module Generator = El_workload.Generator
+module El_manager = El_core.El_manager
 module Stable_db = El_disk.Stable_db
 module Spec = El_spec.Durable_log
 
 type t = {
   mutable spec : Spec.t;
+  mutable committed_count : int;  (** legal [Commit_ack] steps *)
   mutable violations : string list;  (** newest first *)
   mutable checks : int;
 }
 
-let create () = { spec = Spec.init; violations = []; checks = 0 }
+let create () =
+  { spec = Spec.init; committed_count = 0; violations = []; checks = 0 }
 
-let violation t fmt =
-  Format.kasprintf (fun s -> t.violations <- s :: t.violations) fmt
+let illegal t msg =
+  t.violations <- Printf.sprintf "spec: illegal step — %s" msg :: t.violations
 
 (* One transition of the model.  A rejected step means the
    implementation performed an action the durable-log contract
@@ -36,7 +40,7 @@ let violation t fmt =
 let apply t step =
   match Spec.step t.spec step with
   | Ok spec -> t.spec <- spec
-  | Error msg -> violation t "spec: illegal step — %s" msg
+  | Error msg -> illegal t msg
 
 let wrap t (sink : Generator.sink) =
   {
@@ -55,7 +59,11 @@ let wrap t (sink : Generator.sink) =
            the group commit firing. *)
         apply t (Spec.Log_extension tid);
         let on_ack time =
-          apply t (Spec.Commit_ack tid);
+          (match Spec.step t.spec (Spec.Commit_ack tid) with
+          | Ok spec ->
+            t.spec <- spec;
+            t.committed_count <- t.committed_count + 1
+          | Error msg -> illegal t msg);
           on_ack time
         in
         sink.Generator.request_commit ~tid ~on_ack);
@@ -75,6 +83,7 @@ let observe_flush t oid ~version =
   apply t (Spec.Flush_complete (oid, version));
   apply t (Spec.Superblock_advance (oid, version))
 
+let committed_count t = t.committed_count
 let violations t = List.rev t.violations
 let checks t = t.checks
 
@@ -138,3 +147,59 @@ let check_settled t =
       | None ->
         fail "spec: settled run never flushed acked %a v%d" Ids.Oid.pp oid v)
     (Spec.persistent t.spec)
+
+(* The settled comparisons against the manager.  The spec's acked map
+   is the committed database state: per object, the newest version an
+   acknowledged transaction wrote (max-merged at each ack, like the
+   manager's own committed table), in oid order. *)
+let check_el t m =
+  let acked = El_manager.acked_commits m in
+  if acked <> t.committed_count then
+    fail "oracle: manager acknowledged %d commits, model holds %d" acked
+      t.committed_count;
+  let manager =
+    List.sort
+      (fun (a, _) (b, _) -> Ids.Oid.compare a b)
+      (El_manager.committed_reference m)
+  in
+  let rec compare_versions = function
+    | [], [] -> ()
+    | (oid, vm) :: _, [] ->
+      fail "oracle: model commits %a v%d, absent from manager reference"
+        Ids.Oid.pp oid vm
+    | [], (oid, vr) :: _ ->
+      fail "oracle: manager reference holds %a v%d the model never committed"
+        Ids.Oid.pp oid vr
+    | (om, vm) :: restm, (or_, vr) :: restr ->
+      let c = Ids.Oid.compare om or_ in
+      if c < 0 then
+        fail "oracle: model commits %a v%d, absent from manager reference"
+          Ids.Oid.pp om vm
+      else if c > 0 then
+        fail "oracle: manager reference holds %a v%d the model never committed"
+          Ids.Oid.pp or_ vr
+      else if vm <> vr then
+        fail "oracle: %a committed at v%d in the model, v%d in the manager"
+          Ids.Oid.pp om vm vr
+      else compare_versions (restm, restr)
+  in
+  compare_versions (Spec.persistent t.spec, manager)
+
+let check_settled_stable t stable =
+  List.iter
+    (fun (oid, version) ->
+      match Stable_db.version stable oid with
+      | None ->
+        fail "oracle: committed %a v%d never reached the stable version"
+          Ids.Oid.pp oid version
+      | Some v when v <> version ->
+        fail "oracle: stable holds %a v%d, model committed v%d" Ids.Oid.pp oid
+          v version
+      | Some _ -> ())
+    (Spec.persistent t.spec);
+  List.iter
+    (fun (oid, v) ->
+      if Spec.acked_version t.spec oid = None then
+        fail "oracle: stable holds %a v%d but no transaction committed it"
+          Ids.Oid.pp oid v)
+    (Stable_db.snapshot stable)

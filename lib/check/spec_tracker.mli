@@ -1,14 +1,19 @@
-(** The spec oracle: drives the {!El_spec.Durable_log} state machine
-    from a live run and checks the implementation against it.
+(** The sweep's shadow model: drives the {!El_spec.Durable_log} state
+    machine from a live run and checks the implementation against it.
 
-    Like {!Reference}, the tracker interposes on the workload sink —
-    every begin/write/commit-request/ack/abort becomes a spec step —
-    and the manager's kills arrive through {!kill}.  Flush completions
-    arrive through {!observe_flush}, registered on the run's
+    The tracker interposes on the workload sink — every
+    begin/write/commit-request/ack/abort becomes a spec step — and the
+    manager's kills arrive through {!kill}.  Flush completions arrive
+    through {!observe_flush}, registered on the run's
     {!El_disk.Flush_array} with [add_flush_observer].  An illegal step
-    (one the durable-log contract forbids) is recorded as a violation,
-    not raised; the explicit checks raise {!Auditor.Audit_failure}
-    with a ["spec:"]-prefixed message. *)
+    (one the durable-log contract forbids: a duplicate begin, a write
+    or commit outside the running phase, an ack without a commit
+    request, ...) is recorded as a violation, not raised.  The
+    explicit checks raise {!Auditor.Audit_failure}: the spec's own
+    ({!check_invariant}, {!check_crash}, {!check_settled}) with a
+    ["spec:"]-prefixed message, the settled comparisons against the
+    manager ({!check_el}, {!check_settled_stable}) with an
+    ["oracle:"]-prefixed one. *)
 
 open El_model
 
@@ -28,6 +33,9 @@ val observe_flush : t -> Ids.Oid.t -> version:int -> unit
     stable database serves the version from the same completion, so
     this steps both [Flush_complete] and [Superblock_advance]. *)
 
+val committed_count : t -> int
+(** Transactions whose commit acknowledgement was a legal step. *)
+
 val check_invariant : t -> unit
 (** The [persistent ⊆ ephemeral] invariant, checked at a pause
     point.  Raises {!Auditor.Audit_failure} on violation. *)
@@ -45,8 +53,23 @@ val check_settled : t -> unit
 (** After the run settles every acked version must have completed its
     flush.  Raises {!Auditor.Audit_failure} otherwise. *)
 
+val check_el : t -> El_core.El_manager.t -> unit
+(** Settled-state comparison: the manager's durably-committed
+    reference state and acknowledged-commit count must equal the
+    spec's acked versions and {!committed_count}.  Raises
+    {!Auditor.Audit_failure} on divergence. *)
+
+val check_settled_stable : t -> El_disk.Stable_db.t -> unit
+(** Settled-state comparison: the stable database must hold exactly
+    the newest acked version of every acked object and nothing else —
+    every acknowledged commit was flushed, no uncommitted write
+    leaked.  Only valid once all pending flushes have completed
+    (manager drained, engine run dry).  Raises
+    {!Auditor.Audit_failure} on divergence. *)
+
 val violations : t -> string list
 (** Illegal steps recorded while tracing, oldest first. *)
 
 val checks : t -> int
-(** Explicit spec checks performed (invariant, crash, settled). *)
+(** Explicit spec checks performed (invariant, crash, settled); the
+    settled comparisons against the manager are not counted. *)

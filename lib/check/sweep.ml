@@ -74,9 +74,12 @@ type slice_outcome = {
 }
 
 (* Every sweep runs over an [El_shard.Shard_group]; a solo config is
-   the 1-shard group.  Each shard gets its own Reference model and
-   spec tracker.  With several shards the {e composite oracle} adds the
-   global atomic-commit invariant over the recovered per-shard
+   the 1-shard group.  Each shard gets its own spec tracker, the one
+   shadow model of its sink traffic, wired in whenever [oracle] or
+   [spec] is set: [oracle] gates the settled comparisons against the
+   managers, [spec] the spec's own checks (the only ones counted in
+   [s_spec_checks]).  With several shards the {e composite oracle}
+   adds the global atomic-commit invariant over the recovered per-shard
    committed sets: no crash point may recover a cross-shard
    transaction as committed on one shard (decision durable) while a
    participant branch is missing — and no acknowledged transaction may
@@ -92,33 +95,24 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
   let on_shard i msg =
     if composite then Printf.sprintf "shard %d: %s" i msg else msg
   in
-  let refs = Array.init n (fun _ -> Reference.create ()) in
-  let trackers =
-    if spec then Some (Array.init n (fun _ -> Spec_tracker.create ()))
-    else None
-  in
+  let tracked = oracle || spec in
+  let trackers = Array.init n (fun _ -> Spec_tracker.create ()) in
   let wrap_shard_sink i sink =
-    let sink = if oracle then Reference.wrap refs.(i) sink else sink in
-    match trackers with
-    | Some ts -> Spec_tracker.wrap ts.(i) sink
-    | None -> sink
+    if tracked then Spec_tracker.wrap trackers.(i) sink else sink
   in
   let on_shard_kill i tid =
-    if oracle then Reference.kill refs.(i) tid;
-    match trackers with Some ts -> Spec_tracker.kill ts.(i) tid | None -> ()
+    if tracked then Spec_tracker.kill trackers.(i) tid
   in
   let sg =
     Shard_group.prepare ~wrap_shard_sink ~on_shard_kill ~retain_cross:true cfg
   in
   let instances = Shard_group.instances sg in
-  (match trackers with
-  | Some ts ->
+  if tracked then
     Array.iteri
       (fun i inst ->
         El_disk.Flush_array.add_flush_observer inst.Experiment.i_flush
-          (Spec_tracker.observe_flush ts.(i)))
-      instances
-  | None -> ());
+          (Spec_tracker.observe_flush trackers.(i)))
+      instances;
   let engine = Shard_group.engine sg in
   let generator = Shard_group.generator sg in
   let failures = ref [] in
@@ -226,11 +220,9 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
               (Format.asprintf "%scrash recovery diverged: %a"
                  (if composite then Printf.sprintf "shard %d " i else "")
                  Recovery.pp_audit a);
-          match trackers with
-          | Some ts ->
+          if spec then
             guarded ~tag (fun () ->
-                Spec_tracker.check_crash ts.(i) r.Recovery.recovered)
-          | None -> ()
+                Spec_tracker.check_crash trackers.(i) r.Recovery.recovered)
         end)
       results;
     if composite then atomic_commit_check ~tag results
@@ -243,9 +235,8 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
         (fun i inst ->
           guarded ~tag (fun () ->
               Auditor.audit_manager inst.Experiment.i_manager);
-          match trackers with
-          | Some ts -> guarded ~tag (fun () -> Spec_tracker.check_invariant ts.(i))
-          | None -> ())
+          if spec then
+            guarded ~tag (fun () -> Spec_tracker.check_invariant trackers.(i)))
         instances;
       if recover && is_el then crash_point ~tag ~audit_shards:true
     end
@@ -294,12 +285,6 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
         guarded (fun () -> Auditor.audit_manager inst.Experiment.i_manager))
       instances;
     if oracle then begin
-      Array.iteri
-        (fun i r ->
-          List.iter
-            (fun m -> record_failure (on_shard i m))
-            (Reference.violations r))
-        refs;
       (* Router conservation: every generator ack is a fast-path single
          or an acknowledged 2PC transaction — nothing else may ack. *)
       let gen_committed = Generator.committed generator in
@@ -317,9 +302,9 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
       let commits = Shard_group.shard_committed sg in
       let acks = Shard_group.branch_acks sg in
       Array.iteri
-        (fun i r ->
+        (fun i t ->
           let expect = commits.(i) + acks.(i) in
-          let got = Reference.committed_count r in
+          let got = Spec_tracker.committed_count t in
           if got <> expect then
             record_failure
               (if composite then
@@ -332,38 +317,35 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
                    "generator committed %d transactions, the model saw %d \
                     acks"
                    expect got))
-        refs;
+        trackers;
       Array.iteri
         (fun i inst ->
           match inst.Experiment.i_manager with
           | Experiment.El_log m ->
-            guarded (fun () -> Reference.check_el refs.(i) m);
+            guarded (fun () -> Spec_tracker.check_el trackers.(i) m);
             guarded (fun () ->
-                Reference.check_settled_stable refs.(i) (El_manager.stable m))
+                Spec_tracker.check_settled_stable trackers.(i)
+                  (El_manager.stable m))
           | Experiment.Hybrid_log _ ->
             guarded (fun () ->
-                Reference.check_settled_stable refs.(i)
+                Spec_tracker.check_settled_stable trackers.(i)
                   inst.Experiment.i_stable)
           | Experiment.Fw_log _ -> ())
         instances
     end;
-    (match trackers with
-    | Some ts ->
-      Array.iteri
-        (fun i t ->
-          List.iter
-            (fun m -> record_failure (on_shard i m))
-            (Spec_tracker.violations t);
-          (* FW is exempt from the settled flush check for the same
-             reason Reference skips its stable check: the baseline
-             retires records by log-space reuse, not by a full drain to
-             the database. *)
-          match instances.(i).Experiment.i_manager with
-          | Experiment.El_log _ | Experiment.Hybrid_log _ ->
-            guarded (fun () -> Spec_tracker.check_settled t)
-          | Experiment.Fw_log _ -> ())
-        ts
-    | None -> ());
+    Array.iteri
+      (fun i t ->
+        List.iter
+          (fun m -> record_failure (on_shard i m))
+          (Spec_tracker.violations t);
+        (* FW is exempt from the settled flush check, as from the
+           stable comparison above: the baseline retires records by
+           log-space reuse, not by a full drain to the database. *)
+        match instances.(i).Experiment.i_manager with
+        | Experiment.El_log _ | Experiment.Hybrid_log _ ->
+          if spec then guarded (fun () -> Spec_tracker.check_settled t)
+        | Experiment.Fw_log _ -> ())
+      trackers;
     (* One last composite check over the settled state: the in-doubt
        resolution of every cross-shard transaction must still satisfy
        atomic commit after all buffers drained.  Solo there is none,
@@ -393,10 +375,7 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
       s_io_remaps = injected El_fault.Injector.remaps;
       s_sheds = injected El_fault.Injector.sheds;
       s_spec_checks =
-        (match trackers with
-        | Some ts ->
-          Array.fold_left (fun a t -> a + Spec_tracker.checks t) 0 ts
-        | None -> 0);
+        Array.fold_left (fun a t -> a + Spec_tracker.checks t) 0 trackers;
       s_cross_committed = Shard_group.cross_committed sg;
       s_blocked_cross = Shard_group.blocked sg;
       s_atomic_checks = !atomic_checks;

@@ -12,7 +12,7 @@
       at that exact event without disturbing the run;
 
     then lets the run settle (generator finished, manager drained,
-    engine run dry) and performs the final {!Reference} differential
+    engine run dry) and performs the final {!Spec_tracker} settled
     checks.  Failures are collected, not raised, so one sweep reports
     every divergence it finds.
 
@@ -81,22 +81,26 @@ val run :
 (** [stride] (default 100) is the number of events between pauses;
     [max_points] caps the number of pauses (default: no cap);
     [recover] (default true) enables the per-pause crash/recovery
-    cycle on EL runs; [oracle] (default true) enables the differential
-    model and its settled-state checks; [spec] (default false) also
-    replays the run against the {!El_spec.Durable_log} state machine
-    via {!Spec_tracker} — every sink event, kill and flush completion
-    must be a legal step, the [persistent ⊆ ephemeral] invariant must
-    hold at every pause, each recovered crash image must agree with
-    the spec's durable promises, and the settled state must have
-    flushed every ack; [pool] (default serial) fans the audit pauses
+    cycle on EL runs.  Whenever [oracle] or [spec] is set, the run is
+    replayed against the {!El_spec.Durable_log} state machine via one
+    {!Spec_tracker} per shard: every sink event, kill and flush
+    completion must be a legal step.  [oracle] (default true) adds the
+    settled-state checks against the managers (router conservation,
+    per-shard ack accounting, {!Spec_tracker.check_el},
+    {!Spec_tracker.check_settled_stable}); [spec] (default false) adds
+    the spec's own checks — the [persistent ⊆ ephemeral] invariant
+    must hold at every pause, each recovered crash image must agree
+    with the spec's durable promises, and the settled state must have
+    flushed every ack — and only these count in [spec_checks];
+    [pool] (default serial) fans the audit pauses
     out across its workers with an outcome identical to the serial
     sweep's.  Raises [Invalid_argument] if [stride <= 0].
 
     Every run goes through [El_shard.Shard_group] — a solo config is
     the 1-shard group, so a config with an [observer] raises
-    [Invalid_argument] — with one {!Reference} model and one
-    {!Spec_tracker} per shard (each shadowing all of its shard's sink
-    traffic) and per-shard crash/recover/audit at every owned pause.
+    [Invalid_argument] — with one {!Spec_tracker} per shard
+    (shadowing all of its shard's sink traffic) and per-shard
+    crash/recover/audit at every owned pause.
     With [shards > 1] the oracle becomes composite: at every crash
     point and once more when settled, no cross-shard transaction may
     recover with a durable decision and a missing branch, nor an

@@ -453,8 +453,6 @@ let writer_tid (cell : Cell.t) =
    full LTT fold that made every firewall victim search O(|LTT|). *)
 let oldest_active t = t.act_head
 
-let iter_lot t f = Ids.Oid.Table.iter (fun _ e -> f e) t.lot
-
 (* O(1): counter maintained at every cell attach/dispose.  The from-
    scratch recomputation survives below as the cross-check used by
    [check_invariants]. *)

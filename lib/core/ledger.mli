@@ -151,8 +151,6 @@ val peak_memory_bytes : t -> int
 val unflushed_objects : t -> int
 (** LOT entries whose committed update awaits flushing. *)
 
-val iter_lot : t -> (Cell.lot_entry -> unit) -> unit
-
 val live_cells : t -> int
 (** Number of live (non-garbage) cells reachable from the tables: one
     per LOT committed update, one per LOT uncommitted update, one per

@@ -374,10 +374,6 @@ let enqueue t oid ~version ~forced =
 let request t oid ~version = enqueue t oid ~version ~forced:false
 let request_forced t oid ~version = enqueue t oid ~version ~forced:true
 
-let is_pending t oid =
-  let d = drive_of t oid in
-  Hashtbl.mem d.pending_tbl (Ids.Oid.to_int oid)
-
 let pending t = t.pending_count
 let peak_backlog t = t.peak_backlog
 let flushes_completed t = t.completed

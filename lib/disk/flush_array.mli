@@ -85,8 +85,6 @@ val request_forced : t -> Ids.Oid.t -> version:int -> unit
     a generation must be written out immediately, causing random I/O
     (§2.2).  Counted separately in {!forced_flushes}. *)
 
-val is_pending : t -> Ids.Oid.t -> bool
-
 val pending : t -> int
 (** Requests accepted but not yet completed (the flush backlog). *)
 

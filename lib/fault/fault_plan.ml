@@ -6,8 +6,6 @@ let device_name = function
   | Log_gen i -> Printf.sprintf "gen%d" i
   | Flush_drive i -> Printf.sprintf "drive%d" i
 
-let pp_device ppf d = Format.pp_print_string ppf (device_name d)
-
 type window = { w_from : Time.t; w_until : Time.t; w_factor : float }
 
 type spec = {

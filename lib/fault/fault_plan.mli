@@ -40,8 +40,6 @@ type device = Log_gen of int | Flush_drive of int
 val device_name : device -> string
 (** ["gen0"], ["drive3"], ... — used in trace events and messages. *)
 
-val pp_device : Format.formatter -> device -> unit
-
 type window = { w_from : Time.t; w_until : Time.t; w_factor : float }
 
 type spec = {

@@ -28,7 +28,6 @@ let stddev t = sqrt (variance t)
 let sample_variance t =
   if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
 
-let sample_stddev t = sqrt (sample_variance t)
 let min_value t = t.min_v
 let max_value t = t.max_v
 

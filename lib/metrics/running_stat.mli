@@ -32,9 +32,6 @@ val sample_variance : t -> float
 val stddev : t -> float
 (** [sqrt (variance t)] — the population standard deviation. *)
 
-val sample_stddev : t -> float
-(** [sqrt (sample_variance t)]. *)
-
 val min_value : t -> float
 (** [infinity] when empty. *)
 

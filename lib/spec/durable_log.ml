@@ -51,11 +51,6 @@ let error step fmt =
     (fun msg -> Error (Format.asprintf "%a: %s" pp_step step msg))
     fmt
 
-let phase_of t tid =
-  match Tid_map.find_opt tid t.txs with
-  | Some tx -> Some tx.phase
-  | None -> None
-
 let acked_version t oid = Oid_map.find_opt oid t.acked
 let flushed_version t oid = Oid_map.find_opt oid t.flushed
 let floor_version t oid = Oid_map.find_opt oid t.stable_floor

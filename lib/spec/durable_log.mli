@@ -73,7 +73,6 @@ val may_survive : t -> Ids.Oid.t -> int -> bool
     have persisted — e.g. inside a torn prefix — without the ack ever
     firing). *)
 
-val phase_of : t -> Ids.Tid.t -> tx_phase option
 val acked_version : t -> Ids.Oid.t -> int option
 val flushed_version : t -> Ids.Oid.t -> int option
 val floor_version : t -> Ids.Oid.t -> int option

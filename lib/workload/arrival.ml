@@ -11,9 +11,9 @@ let process_name = function
   | Burst _ -> "burst"
 
 (* Exponential variate by inversion; clamped away from zero so two
-   arrivals never collapse onto the same microsecond en masse.  The
-   formula is shared with the historical Poisson path in [Generator],
-   so seeded Poisson runs are byte-identical to pre-burst builds. *)
+   arrivals never collapse onto the same microsecond en masse.  Poisson
+   gaps, burst gaps, ON/OFF windows and the generator's retry backoff
+   all draw through it. *)
 let exponential_us rng ~mean_us =
   let u = Random.State.float rng 1.0 in
   let x = -.mean_us *. log (1.0 -. u) in

@@ -38,8 +38,6 @@ let acquire t rng =
     Some oid
   end
 
-let is_held t oid = Ids.Oid.Table.mem t.held oid
-
 let claim t oid =
   if Ids.Oid.to_int oid < 0 || Ids.Oid.to_int oid >= t.num_objects then
     invalid_arg "Oid_pool.claim: oid outside the database";

@@ -17,9 +17,6 @@ val acquire : t -> Random.State.t -> Ids.Oid.t option
     and marks it held.  [None] only if every object is held (possible
     in stress tests with tiny databases). *)
 
-val is_held : t -> Ids.Oid.t -> bool
-(** Whether an active transaction currently holds the oid. *)
-
 val claim : t -> Ids.Oid.t -> bool
 (** Attempts to mark a {e specific} oid held — the skewed-draw path,
     where the drawing distribution (not the pool) picks the object.

@@ -9,7 +9,6 @@ module Experiment = El_harness.Experiment
 module Recovery = El_recovery.Recovery
 module Sweep = El_check.Sweep
 module Auditor = El_check.Auditor
-module Reference = El_check.Reference
 
 let el_manager (live : Experiment.live) =
   match live.Experiment.manager with
@@ -404,6 +403,60 @@ let test_auditor_catches_stable_ahead () =
       in
       El_disk.Stable_db.apply stable (fresh 0) ~version:1)
 
+(* The tracker's settled comparisons have teeth: one tracker driven
+   by hand through a stub sink that keeps each commit's [on_ack], then
+   held against stable databases that diverge from what it saw
+   acked. *)
+let test_tracker_settled_checks () =
+  let module Spec_tracker = El_check.Spec_tracker in
+  let module Generator = El_workload.Generator in
+  let module Stable_db = El_disk.Stable_db in
+  let acks = ref [] in
+  let stub =
+    {
+      Generator.begin_tx = (fun ~tid:_ ~expected_duration:_ -> ());
+      write_data = (fun ~tid:_ ~oid:_ ~version:_ ~size:_ -> ());
+      request_commit = (fun ~tid:_ ~on_ack -> acks := on_ack :: !acks);
+      request_abort = (fun ~tid:_ -> ());
+    }
+  in
+  let t = Spec_tracker.create () in
+  let sink = Spec_tracker.wrap t stub in
+  let tid = Ids.Tid.of_int 1 in
+  sink.Generator.begin_tx ~tid ~expected_duration:(Time.of_ms 400);
+  sink.Generator.write_data ~tid ~oid:(Ids.Oid.of_int 5) ~version:1 ~size:100;
+  sink.Generator.request_commit ~tid ~on_ack:ignore;
+  let on_ack =
+    match !acks with
+    | [ f ] -> f
+    | _ -> Alcotest.fail "one commit request expected"
+  in
+  on_ack Time.zero;
+  Alcotest.(check int) "one ack counted" 1 (Spec_tracker.committed_count t);
+  Alcotest.(check (list string)) "a legal run" [] (Spec_tracker.violations t);
+  on_ack Time.zero;
+  Alcotest.(check int) "a second ack is not counted" 1
+    (Spec_tracker.committed_count t);
+  Alcotest.(check int) "a second ack is a violation" 1
+    (List.length (Spec_tracker.violations t));
+  let db pairs =
+    Stable_db.of_pairs ~num_objects:16
+      (List.map (fun (o, v) -> (Ids.Oid.of_int o, v)) pairs)
+  in
+  Spec_tracker.check_settled_stable t (db [ (5, 1) ]);
+  let caught what pairs needle =
+    match Spec_tracker.check_settled_stable t (db pairs) with
+    | () -> Alcotest.failf "%s: the check passed" what
+    | exception Auditor.Audit_failure msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S mentions %S" what msg needle)
+        true
+        (Astring_like.contains msg needle)
+  in
+  caught "empty db" [] "never reached the stable version";
+  caught "newer version" [ (5, 2) ] "stable holds o5 v2";
+  caught "extra object" [ (5, 1); (6, 1) ] "no transaction committed it"
+
 let suite =
   [
     Alcotest.test_case "crash sweep: EL, 3 seeds x 100+ points" `Slow
@@ -430,4 +483,6 @@ let suite =
       test_auditor_standalone;
     Alcotest.test_case "auditor catches a stable version ahead of commits"
       `Quick test_auditor_catches_stable_ahead;
+    Alcotest.test_case "tracker's settled checks catch a diverged stable db"
+      `Quick test_tracker_settled_checks;
   ]

@@ -245,17 +245,30 @@ let member k = function
   | Jobj fields -> List.assoc_opt k fields
   | _ -> None
 
-let observed_cfg =
+let observed_cfg kind =
   {
-    (Experiment.default_config
-       ~kind:(Experiment.Ephemeral (Policy.default ~generation_sizes:[| 18; 12 |]))
+    (Experiment.default_config ~kind
        ~mix:(Mix.short_long ~long_fraction:0.05)) with
     Experiment.runtime = Time.of_sec 20;
     observer = Some Obs.default_config;
   }
 
+let el_18_12 =
+  Experiment.Ephemeral (Policy.default ~generation_sizes:[| 18; 12 |])
+
+(* Each manager kind with its occupancy probe columns and the ring
+   size (in blocks) that bounds each. *)
+let observed_kinds =
+  [
+    ("el", el_18_12, [ ("gen0_occupancy", 18); ("gen1_occupancy", 12) ]);
+    ("fw", Experiment.Firewall 200, [ ("fw_occupancy", 200) ]);
+    ( "hybrid",
+      Experiment.Hybrid [| 18; 12 |],
+      [ ("queue0_occupancy", 18); ("queue1_occupancy", 12) ] );
+  ]
+
 let test_chrome_trace_valid_and_ordered () =
-  let live = Experiment.prepare observed_cfg in
+  let live = Experiment.prepare (observed_cfg el_18_12) in
   let (_ : Experiment.result) = live.Experiment.finish () in
   let obs = Option.get live.Experiment.obs in
   let doc = parse_json (Export.chrome_trace obs) in
@@ -303,34 +316,57 @@ let test_chrome_trace_valid_and_ordered () =
   | _ -> Alcotest.fail "summary schema marker missing"
 
 let test_timeseries_csv_shape () =
-  let live = Experiment.prepare observed_cfg in
-  let (_ : Experiment.result) = live.Experiment.finish () in
-  let obs = Option.get live.Experiment.obs in
-  let lines =
-    String.split_on_char '\n' (String.trim (Export.timeseries_csv obs))
-  in
-  match lines with
-  | header :: rows ->
-    let cols = String.split_on_char ',' header in
-    Alcotest.(check string) "first column is time_s" "time_s" (List.hd cols);
-    Alcotest.(check bool) "probe columns present" true
-      (List.mem "flush_backlog" cols && List.mem "gen0_occupancy" cols);
-    (* 20 s at 100 ms: samples at 0.0 .. 20.0 inclusive *)
-    Alcotest.(check int) "one row per 100 ms" 201 (List.length rows);
-    List.iter
-      (fun row ->
-        Alcotest.(check int) "row arity matches header" (List.length cols)
-          (List.length (String.split_on_char ',' row)))
-      rows
-  | [] -> Alcotest.fail "empty csv"
+  List.iter
+    (fun (name, kind, occupancy) ->
+      let live = Experiment.prepare (observed_cfg kind) in
+      let (_ : Experiment.result) = live.Experiment.finish () in
+      let obs = Option.get live.Experiment.obs in
+      let lines =
+        String.split_on_char '\n' (String.trim (Export.timeseries_csv obs))
+      in
+      let label what = Printf.sprintf "%s: %s" name what in
+      match lines with
+      | header :: rows ->
+        let cols = String.split_on_char ',' header in
+        Alcotest.(check string) (label "first column is time_s") "time_s"
+          (List.hd cols);
+        Alcotest.(check bool) (label "probe columns present") true
+          (List.mem "flush_backlog" cols
+          && List.for_all (fun (c, _) -> List.mem c cols) occupancy);
+        (* 20 s at 100 ms: samples at 0.0 .. 20.0 inclusive *)
+        Alcotest.(check int) (label "one row per 100 ms") 201
+          (List.length rows);
+        List.iter
+          (fun line ->
+            let cells = String.split_on_char ',' line in
+            Alcotest.(check int) (label "row arity matches header")
+              (List.length cols) (List.length cells);
+            let row = List.combine cols cells in
+            List.iter
+              (fun (c, size) ->
+                let cell = List.assoc c row in
+                let v = float_of_string cell in
+                if not (v >= 0.0 && v <= float_of_int size) then
+                  Alcotest.failf "%s: %s = %s outside [0, %d]" name c cell
+                    size)
+              occupancy)
+          rows
+      | [] -> Alcotest.fail (label "empty csv"))
+    observed_kinds
 
 (* ---- determinism: observability must not perturb the simulation ---- *)
 
 let test_observer_does_not_change_result () =
-  let off = Experiment.run { observed_cfg with Experiment.observer = None } in
-  let on = Experiment.run observed_cfg in
-  Alcotest.(check bool) "same-seed results byte-identical" true
-    (Marshal.to_string off [] = Marshal.to_string on [])
+  List.iter
+    (fun (name, kind, _) ->
+      let cfg = observed_cfg kind in
+      let off = Experiment.run { cfg with Experiment.observer = None } in
+      let on = Experiment.run cfg in
+      Alcotest.(check bool)
+        (name ^ ": same-seed results byte-identical")
+        true
+        (Marshal.to_string off [] = Marshal.to_string on []))
+    observed_kinds
 
 let suite =
   [
