@@ -38,15 +38,24 @@ val committed_count : t -> int
 
 val check_invariant : t -> unit
 (** The [persistent ⊆ ephemeral] invariant, checked at a pause
-    point.  Raises {!Auditor.Audit_failure} on violation. *)
+    point.  Raises {!Auditor.Audit_failure} on violation.
+
+    It checks ({!El_spec.Durable_log.check_objects}) only the objects
+    flushed since the last passing check and then forgets them, which
+    checks the whole invariant: an object's record fails only through
+    its own flush, and an ack only raises the bound it is held under.
+    A failing check keeps them, so every later check reports the same
+    first violation. *)
 
 val check_crash : t -> El_disk.Stable_db.t -> unit
-(** Checks a recovered database against the spec at the crash point:
-    every acked version is served at least as new, any newer version
-    is one {!El_spec.Durable_log.may_survive} allows (a log-extended
+(** Checks the invariant as {!check_invariant} does, then a recovered
+    database against the spec at the crash point: every acked version
+    is served at least as new, any newer version is one
+    {!El_spec.Durable_log.may_survive} allows (a log-extended
     transaction's write — e.g. a COMMIT persisted inside a torn
-    prefix), and nothing never-acked-nor-log-extended survives.
-    "Zero lost acked commits", machine-checked.  Raises
+    prefix), and nothing never-acked-nor-log-extended survives (a
+    database holding no more objects than are acked holds nothing
+    else).  "Zero lost acked commits", machine-checked.  Raises
     {!Auditor.Audit_failure} on divergence. *)
 
 val check_settled : t -> unit

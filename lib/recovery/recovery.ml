@@ -194,10 +194,6 @@ type audit = {
 }
 
 let audit image result =
-  let reference = Ids.Oid.Table.create 1024 in
-  List.iter
-    (fun (oid, v) -> Ids.Oid.Table.replace reference oid v)
-    image.reference;
   let missing =
     List.filter
       (fun (oid, v) ->
@@ -207,12 +203,26 @@ let audit image result =
       image.reference
   in
   let spurious =
-    List.filter
-      (fun (oid, v) ->
-        match Ids.Oid.Table.find_opt reference oid with
-        | Some w -> w <> v
-        | None -> true)
-      (El_disk.Stable_db.snapshot result.recovered)
+    (* With nothing missing, the recovered database holds every object
+       the reference names, each once; if it holds no more objects,
+       it holds nothing else. *)
+    if
+      missing = []
+      && El_disk.Stable_db.objects_written result.recovered
+         = List.length image.reference
+    then []
+    else begin
+      let reference = Ids.Oid.Table.create 1024 in
+      List.iter
+        (fun (oid, v) -> Ids.Oid.Table.replace reference oid v)
+        image.reference;
+      List.filter
+        (fun (oid, v) ->
+          match Ids.Oid.Table.find_opt reference oid with
+          | Some w -> w <> v
+          | None -> true)
+        (El_disk.Stable_db.snapshot result.recovered)
+    end
   in
   { ok = missing = [] && spurious = []; missing; spurious }
 

@@ -43,7 +43,9 @@ type image = {
   blocks : block list;  (** every durable block; order is immaterial *)
   stable : El_disk.Stable_db.t;  (** stable version at the crash point *)
   reference : (Ids.Oid.t * int) list;
-      (** ground truth: newest durably-committed version per object *)
+      (** ground truth: newest durably-committed version per object,
+          naming each object once (as {!crash} and {!image_of_scan}
+          build it) *)
   crash_time : Time.t;
 }
 
@@ -108,6 +110,9 @@ type audit = {
 val audit : image -> result -> audit
 (** Compares against the image's reference.  [ok] is atomicity and
     durability in one bit: every durably-committed update recovered,
-    nothing else. *)
+    nothing else.  When nothing is missing and the recovered database
+    holds as many objects as the reference names, it holds nothing
+    else, so the search for spurious versions is skipped; this relies
+    on the reference naming each object once. *)
 
 val pp_audit : Format.formatter -> audit -> unit

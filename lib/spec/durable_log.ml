@@ -6,12 +6,13 @@ type tx_phase = Running | Log_extended | Acked | Aborted | Killed
 
 type tx = { phase : tx_phase; writes : int Oid_map.t }
 
-type t = {
-  txs : tx Tid_map.t;
-  acked : int Oid_map.t;
-  flushed : int Oid_map.t;
-  stable_floor : int Oid_map.t;
-}
+(* One object's durable promises: the newest version an acked
+   transaction wrote, the last completed flush and the superblock
+   floor.  An object enters the map at its first ack, and a flush needs
+   an ack, so [acked] is always there. *)
+type obj = { acked : int; flushed : int option; floor : int option }
+
+type t = { txs : tx Tid_map.t; objs : obj Oid_map.t }
 
 type step =
   | Begin of Ids.Tid.t
@@ -24,13 +25,7 @@ type step =
   | Superblock_advance of Ids.Oid.t * int
   | Crash
 
-let init =
-  {
-    txs = Tid_map.empty;
-    acked = Oid_map.empty;
-    flushed = Oid_map.empty;
-    stable_floor = Oid_map.empty;
-  }
+let init = { txs = Tid_map.empty; objs = Oid_map.empty }
 
 let pp_step ppf = function
   | Begin tid -> Format.fprintf ppf "Begin %a" Ids.Tid.pp tid
@@ -51,9 +46,14 @@ let error step fmt =
     (fun msg -> Error (Format.asprintf "%a: %s" pp_step step msg))
     fmt
 
-let acked_version t oid = Oid_map.find_opt oid t.acked
-let flushed_version t oid = Oid_map.find_opt oid t.flushed
-let floor_version t oid = Oid_map.find_opt oid t.stable_floor
+let acked_version t oid =
+  match Oid_map.find_opt oid t.objs with Some o -> Some o.acked | None -> None
+
+let flushed_version t oid =
+  match Oid_map.find_opt oid t.objs with Some o -> o.flushed | None -> None
+
+let floor_version t oid =
+  match Oid_map.find_opt oid t.objs with Some o -> o.floor | None -> None
 
 (* The crash step: every in-memory structure (transaction table,
    buffers, ledger) vanishes; the durable contract — acked commits,
@@ -99,16 +99,17 @@ let step t s =
     match Tid_map.find_opt tid t.txs with
     | None -> error s "ack for unknown transaction"
     | Some ({ phase = Log_extended; writes } as tx) ->
-      let acked =
+      let objs =
         Oid_map.fold
           (fun oid v acc ->
             match Oid_map.find_opt oid acc with
-            | Some w when w >= v -> acc
-            | Some _ | None -> Oid_map.add oid v acc)
-          writes t.acked
+            | Some o when o.acked >= v -> acc
+            | Some o -> Oid_map.add oid { o with acked = v } acc
+            | None ->
+              Oid_map.add oid { acked = v; flushed = None; floor = None } acc)
+          writes t.objs
       in
-      Ok
-        { t with txs = Tid_map.add tid { tx with phase = Acked } t.txs; acked }
+      Ok { txs = Tid_map.add tid { tx with phase = Acked } t.txs; objs }
     | Some _ -> error s "ack without a preceding log extension")
   | Abort tid -> (
     match Tid_map.find_opt tid t.txs with
@@ -123,94 +124,107 @@ let step t s =
       Ok { t with txs = Tid_map.add tid { tx with phase = Killed } t.txs }
     | Some _ -> error s "kill outside the running phase")
   | Flush_complete (oid, v) -> (
-    match Oid_map.find_opt oid t.acked with
+    match Oid_map.find_opt oid t.objs with
     | None -> error s "flush completion for a never-acked object"
-    | Some a when v > a -> error s "flush completion ahead of acked v%d" a
-    | Some _ -> (
-      match Oid_map.find_opt oid t.flushed with
+    | Some o when v > o.acked ->
+      error s "flush completion ahead of acked v%d" o.acked
+    | Some o -> (
+      match o.flushed with
       | Some f when v < f -> error s "flush completion regresses from v%d" f
-      | Some _ | None -> Ok { t with flushed = Oid_map.add oid v t.flushed }))
+      | Some _ | None ->
+        let o = { o with flushed = Some v } in
+        Ok { t with objs = Oid_map.add oid o t.objs }))
   | Superblock_advance (oid, v) -> (
-    match Oid_map.find_opt oid t.flushed with
-    | None -> error s "superblock advance without a completed flush"
-    | Some f when v > f -> error s "superblock advance ahead of flushed v%d" f
-    | Some _ -> (
-      match Oid_map.find_opt oid t.stable_floor with
+    match Oid_map.find_opt oid t.objs with
+    | None | Some { flushed = None; _ } ->
+      error s "superblock advance without a completed flush"
+    | Some { flushed = Some f; _ } when v > f ->
+      error s "superblock advance ahead of flushed v%d" f
+    | Some o -> (
+      match o.floor with
       | Some fl when v < fl -> error s "superblock regresses from v%d" fl
       | Some _ | None ->
-        Ok { t with stable_floor = Oid_map.add oid v t.stable_floor }))
+        let o = { o with floor = Some v } in
+        Ok { t with objs = Oid_map.add oid o t.objs }))
   | Crash -> Ok (crash t)
 
 (* The [persistent ⊆ ephemeral]-style invariant (cf. verified-betrfs
-   DiskLog's SupersedesDisk): what the superblock claims never exceeds
-   what has been flushed, and what has been flushed never exceeds what
-   was acked — the persistent image is always a prefix (version-wise)
-   of the ephemeral contract. *)
-let check t =
-  let err fmt = Format.kasprintf (fun m -> Error m) fmt in
-  let bad =
-    Oid_map.fold
-      (fun oid fl acc ->
-        match acc with
-        | Error _ -> acc
-        | Ok () -> (
-          match Oid_map.find_opt oid t.flushed with
-          | Some f when fl <= f -> acc
-          | Some f ->
-            err "invariant: superblock v%d of %a ahead of flushed v%d" fl
-              Ids.Oid.pp oid f
-          | None ->
-            err "invariant: superblock v%d of %a without a flush" fl Ids.Oid.pp
-              oid))
-      t.stable_floor (Ok ())
-  in
-  match bad with
-  | Error _ -> bad
-  | Ok () ->
-    Oid_map.fold
-      (fun oid f acc ->
-        match acc with
-        | Error _ -> acc
-        | Ok () -> (
-          match Oid_map.find_opt oid t.acked with
-          | Some a when f <= a -> acc
-          | Some a ->
-            err "invariant: flushed v%d of %a ahead of acked v%d" f Ids.Oid.pp
-              oid a
-          | None ->
-            err "invariant: flushed v%d of %a never acked" f Ids.Oid.pp oid))
-      t.flushed (Ok ())
+   DiskLog's SupersedesDisk), one object's record at a time: what the
+   superblock claims never exceeds what has been flushed, and what has
+   been flushed never exceeds what was acked — the persistent image is
+   always a prefix (version-wise) of the ephemeral contract. *)
+let floor_error oid o =
+  match (o.floor, o.flushed) with
+  | Some fl, Some f when fl > f ->
+    Some
+      (Format.asprintf "invariant: superblock v%d of %a ahead of flushed v%d"
+         fl Ids.Oid.pp oid f)
+  | Some fl, None ->
+    Some
+      (Format.asprintf "invariant: superblock v%d of %a without a flush" fl
+         Ids.Oid.pp oid)
+  | Some _, Some _ | None, _ -> None
 
-let persistent t = Oid_map.bindings t.acked
+let flushed_error oid o =
+  match o.flushed with
+  | Some f when f > o.acked ->
+    Some
+      (Format.asprintf "invariant: flushed v%d of %a ahead of acked v%d" f
+         Ids.Oid.pp oid o.acked)
+  | Some _ | None -> None
+
+(* Superblock violations are reported before flush ones, each at the
+   lowest failing oid, whatever the order of [oids]. *)
+let check_objects t oids =
+  let lowest error =
+    List.fold_left
+      (fun low oid ->
+        match low with
+        | Some (l, _) when Ids.Oid.compare l oid <= 0 -> low
+        | Some _ | None -> (
+          match Oid_map.find_opt oid t.objs with
+          | None -> low
+          | Some o -> (
+            match error oid o with Some m -> Some (oid, m) | None -> low)))
+      None oids
+  in
+  match lowest floor_error with
+  | Some (_, m) -> Error m
+  | None -> (
+    match lowest flushed_error with Some (_, m) -> Error m | None -> Ok ())
+
+let check t = check_objects t (Oid_map.fold (fun oid _ l -> oid :: l) t.objs [])
+
+let persistent t =
+  List.rev (Oid_map.fold (fun oid o l -> (oid, o.acked) :: l) t.objs [])
 
 (* Whether a recovered image may legitimately hold [version] of [oid].
-   The acked version itself always may (and must).  A *newer* version
-   may only appear if some transaction that wrote it reached its log
-   extension: its COMMIT record can be durable — e.g. inside a torn
-   prefix — even though the ack never fired.  Anything else (a stale
-   version, or a write of a killed/aborted/running transaction) must
-   not survive. *)
+   The acked version itself always may (and must); an older one never
+   may.  A *newer* version, or any version of a never-acked object, may
+   only appear if a transaction that reached its log extension but not
+   its ack wrote it: its COMMIT record can be durable — e.g. inside a
+   torn prefix — even though the ack never fired.  (Acked transactions
+   wrote nothing above the acked version.)  Writes of killed, aborted
+   or running transactions must not survive. *)
 let may_survive t oid version =
-  (match Oid_map.find_opt oid t.acked with
-  | Some a -> version = a
-  | None -> false)
-  || Tid_map.exists
-       (fun _ tx ->
-         (match tx.phase with
-         | Log_extended | Acked -> true
-         | Running | Aborted | Killed -> false)
-         &&
-         match Oid_map.find_opt oid tx.writes with
-         | Some v -> v = version
-         | None -> false)
-       t.txs
+  match acked_version t oid with
+  | Some a when version = a -> true
+  | Some a when version < a -> false
+  | Some _ | None ->
+    Tid_map.exists
+      (fun _ tx ->
+        (match tx.phase with
+        | Log_extended -> true
+        | Running | Acked | Aborted | Killed -> false)
+        &&
+        match Oid_map.find_opt oid tx.writes with
+        | Some v -> v = version
+        | None -> false)
+      t.txs
 
 let equal_tx a b = a.phase = b.phase && Oid_map.equal ( = ) a.writes b.writes
 
 let equal a b =
-  Tid_map.equal equal_tx a.txs b.txs
-  && Oid_map.equal ( = ) a.acked b.acked
-  && Oid_map.equal ( = ) a.flushed b.flushed
-  && Oid_map.equal ( = ) a.stable_floor b.stable_floor
+  Tid_map.equal equal_tx a.txs b.txs && Oid_map.equal ( = ) a.objs b.objs
 
 let num_txs t = Tid_map.cardinal t.txs

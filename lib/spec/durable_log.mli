@@ -56,7 +56,18 @@ val step : t -> step -> (t, string) result
 val check : t -> (unit, string) result
 (** The invariant: per object, stable floor ≤ flushed ≤ acked — the
     persistent image never claims more than the ephemeral contract
-    (cf. DiskLog's [SupersedesDisk]). *)
+    (cf. DiskLog's [SupersedesDisk]).  {!check_objects} over every
+    acked object. *)
+
+val check_objects : t -> Ids.Oid.t list -> (unit, string) result
+(** The invariant over the listed objects only, in {!check}'s order
+    and with its messages: a superblock ahead of its flush is reported
+    before a flush ahead of its ack, each at the lowest failing oid,
+    whatever the order of the list.  An object never acked holds no
+    promise and passes.  Each object's record changes only by its own
+    steps, and an ack only raises the bound a flush is held under, so
+    checking the objects flushed since a passing check checks the
+    whole invariant. *)
 
 val crash : t -> t
 (** Total form of the [Crash] step: wipes volatile transaction state,
@@ -68,10 +79,11 @@ val persistent : t -> (Ids.Oid.t * int) list
 
 val may_survive : t -> Ids.Oid.t -> int -> bool
 (** Whether a recovered image may legitimately hold this exact
-    version: the acked version itself, or a newer version written by a
-    transaction whose log extension happened (its COMMIT record may
-    have persisted — e.g. inside a torn prefix — without the ack ever
-    firing). *)
+    version: the acked version itself, never a version below it, and
+    above it (or of a never-acked object) only a version written by a
+    transaction that is log-extended but not acked (its COMMIT record
+    may have persisted — e.g. inside a torn prefix — without the ack
+    ever firing). *)
 
 val acked_version : t -> Ids.Oid.t -> int option
 val flushed_version : t -> Ids.Oid.t -> int option

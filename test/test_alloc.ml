@@ -10,7 +10,10 @@
      with entry/chunk recycling on and off, across all three managers
      and the adversarial presets;
    - a long hybrid transaction's appends allocate a flat handful of
-     minor words per record, however long it grows. *)
+     minor words per record, however long it grows;
+   - the spec tracker's pause check allocates nothing for objects
+     untouched since the last one, and its crash check a flat handful
+     of words per acked object. *)
 
 open El_model
 module Arena = El_core.Arena
@@ -281,6 +284,75 @@ let test_hybrid_append_words () =
           len words)
     [ 1_000; 5_000 ]
 
+(* ---- spec tracker pause and crash checks ---- *)
+
+(* A tracker driven through [n] transactions that each write, commit,
+   ack and flush one object of their own, so it holds [n] acked,
+   flushed objects. *)
+let tracked_history n =
+  let module Generator = El_workload.Generator in
+  let t = El_check.Spec_tracker.create () in
+  let stub =
+    {
+      Generator.begin_tx = (fun ~tid:_ ~expected_duration:_ -> ());
+      write_data = (fun ~tid:_ ~oid:_ ~version:_ ~size:_ -> ());
+      request_commit = (fun ~tid:_ ~on_ack -> on_ack Time.zero);
+      request_abort = (fun ~tid:_ -> ());
+    }
+  in
+  let sink = El_check.Spec_tracker.wrap t stub in
+  for i = 0 to n - 1 do
+    let tid = Ids.Tid.of_int (i + 1) and oid = Ids.Oid.of_int i in
+    sink.Generator.begin_tx ~tid ~expected_duration:(Time.of_ms 400);
+    sink.Generator.write_data ~tid ~oid ~version:1 ~size:100;
+    sink.Generator.request_commit ~tid ~on_ack:ignore;
+    El_check.Spec_tracker.observe_flush t oid ~version:1
+  done;
+  t
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* A pause check pays for what was flushed since the last one: a walk
+   over every object at each pause grows with the history. *)
+let test_tracker_pause_words () =
+  let n = 5_000 in
+  let t = tracked_history n in
+  El_check.Spec_tracker.check_invariant t;
+  let words =
+    minor_words (fun () -> El_check.Spec_tracker.check_invariant t)
+  in
+  if words > 64.0 then
+    Alcotest.failf
+      "a pause check after %d quiet objects allocates %.0f minor words (at \
+       most 64)"
+      n words
+
+(* A crash check whose recovered database holds exactly the acked
+   versions makes one pass over them; explaining every recovered object
+   a second time doubles it.  The sweep checks the pause invariant just
+   before each crash point, so the check starts with nothing flushed
+   since. *)
+let test_tracker_crash_words () =
+  let n = 5_000 in
+  let t = tracked_history n in
+  El_check.Spec_tracker.check_invariant t;
+  let db =
+    El_disk.Stable_db.of_pairs ~num_objects:n
+      (List.init n (fun i -> (Ids.Oid.of_int i, 1)))
+  in
+  let words =
+    minor_words (fun () -> El_check.Spec_tracker.check_crash t db)
+    /. float_of_int n
+  in
+  if words > 15.0 then
+    Alcotest.failf
+      "a crash check over %d acked objects allocates %.1f minor words per \
+       object (at most 15)"
+      n words
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_arena_roundtrip;
@@ -297,4 +369,8 @@ let suite =
       `Slow test_pooling_identity;
     Alcotest.test_case "hybrid append: at most 4 minor words per record"
       `Quick test_hybrid_append_words;
+    Alcotest.test_case "tracker pause check: at most 64 minor words" `Quick
+      test_tracker_pause_words;
+    Alcotest.test_case "tracker crash check: at most 15 words per object"
+      `Quick test_tracker_crash_words;
   ]

@@ -457,6 +457,72 @@ let test_tracker_settled_checks () =
   caught "newer version" [ (5, 2) ] "stable holds o5 v2";
   caught "extra object" [ (5, 1); (6, 1) ] "no transaction committed it"
 
+(* The reverse passes that look for recovered objects nobody committed
+   are skipped when the sizes settle them; one extra object must still
+   be caught, by the recovery audit and by the tracker's crash check. *)
+let test_size_settled_skips_catch () =
+  let module Spec_tracker = El_check.Spec_tracker in
+  let module Generator = El_workload.Generator in
+  let module Stable_db = El_disk.Stable_db in
+  let kind = List.assoc "el" (Sweep.standard_kinds ()) in
+  let live = Experiment.prepare (Sweep.standard_config ~kind ~seed:42 ()) in
+  Engine.run live.Experiment.engine ~until:(Time.of_sec 15);
+  let image = Recovery.crash live.Experiment.engine (el_manager live) in
+  let r = Recovery.recover image in
+  Alcotest.(check bool) "pristine image audits ok" true
+    (Recovery.audit image r).Recovery.ok;
+  let rec fresh i =
+    let oid = Ids.Oid.of_int i in
+    if Stable_db.version r.Recovery.recovered oid = None then oid
+    else fresh (i + 1)
+  in
+  let extra = fresh 0 in
+  Stable_db.apply r.Recovery.recovered extra ~version:1;
+  let a = Recovery.audit image r in
+  let pairs = List.map (fun (o, v) -> (Ids.Oid.to_int o, v)) in
+  Alcotest.(check bool) "extra object fails the audit" false a.Recovery.ok;
+  Alcotest.(check (list (pair int int))) "nothing missing" []
+    (pairs a.Recovery.missing);
+  Alcotest.(check (list (pair int int)))
+    "the extra object is spurious"
+    [ (Ids.Oid.to_int extra, 1) ]
+    (pairs a.Recovery.spurious);
+  let acks = ref [] in
+  let stub =
+    {
+      Generator.begin_tx = (fun ~tid:_ ~expected_duration:_ -> ());
+      write_data = (fun ~tid:_ ~oid:_ ~version:_ ~size:_ -> ());
+      request_commit = (fun ~tid:_ ~on_ack -> acks := on_ack :: !acks);
+      request_abort = (fun ~tid:_ -> ());
+    }
+  in
+  let t = Spec_tracker.create () in
+  let sink = Spec_tracker.wrap t stub in
+  let write tid oid version =
+    let tid = Ids.Tid.of_int tid in
+    sink.Generator.begin_tx ~tid ~expected_duration:(Time.of_ms 400);
+    sink.Generator.write_data ~tid ~oid:(Ids.Oid.of_int oid) ~version
+      ~size:100;
+    sink.Generator.request_commit ~tid ~on_ack:ignore
+  in
+  write 1 5 1;
+  List.iter (fun on_ack -> on_ack Time.zero) !acks;
+  let db pairs =
+    Stable_db.of_pairs ~num_objects:16
+      (List.map (fun (o, v) -> (Ids.Oid.of_int o, v)) pairs)
+  in
+  Spec_tracker.check_crash t (db [ (5, 1) ]);
+  (match Spec_tracker.check_crash t (db [ (5, 1); (6, 1) ]) with
+  | () -> Alcotest.fail "an unacked extra object passed the crash check"
+  | exception Auditor.Audit_failure msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S mentions never acked" msg)
+      true
+      (Astring_like.contains msg "never acked nor log-extended"));
+  write 2 7 9;
+  Spec_tracker.check_crash t (db [ (5, 1); (7, 9) ]);
+  Alcotest.(check (list string)) "a legal run" [] (Spec_tracker.violations t)
+
 let suite =
   [
     Alcotest.test_case "crash sweep: EL, 3 seeds x 100+ points" `Slow
@@ -485,4 +551,6 @@ let suite =
       `Quick test_auditor_catches_stable_ahead;
     Alcotest.test_case "tracker's settled checks catch a diverged stable db"
       `Quick test_tracker_settled_checks;
+    Alcotest.test_case "size-settled reverse passes still catch an extra object"
+      `Quick test_size_settled_skips_catch;
   ]

@@ -111,6 +111,32 @@ let test_may_survive_torn_prefix () =
   Alcotest.(check bool) "ack survives the crash" true
     (Spec.may_survive c (oid 0) 3)
 
+(* A version below the acked one is stale, whoever wrote it.  Here an
+   acked transaction's write was superseded by a later ack. *)
+let test_may_survive_refuses_superseded () =
+  let commit s t v =
+    let s = ok "begin" s (Spec.Begin (tid t)) in
+    let s = ok "append" s (Spec.Append (tid t, oid 0, v)) in
+    let s = ok "extension" s (Spec.Log_extension (tid t)) in
+    ok "ack" s (Spec.Commit_ack (tid t))
+  in
+  let s = commit (commit Spec.init 1 1) 2 2 in
+  Alcotest.(check bool) "newest ack may survive" true
+    (Spec.may_survive s (oid 0) 2);
+  Alcotest.(check bool)
+    "superseded acked version may not survive" false
+    (Spec.may_survive s (oid 0) 1)
+
+(* ... and here a log-extended transaction wrote below the ack. *)
+let test_may_survive_refuses_stale_extension () =
+  let s = acked_state () in
+  let s = ok "begin2" s (Spec.Begin (tid 2)) in
+  let s = ok "append2" s (Spec.Append (tid 2, oid 0, 2)) in
+  let s = ok "extension2" s (Spec.Log_extension (tid 2)) in
+  Alcotest.(check bool)
+    "log-extended write below the ack may not survive" false
+    (Spec.may_survive s (oid 0) 2)
+
 (* Random step sequences over a small universe: 5 transactions,
    3 objects, versions 1-6.  Illegal steps are skipped (the state is
    unchanged by construction), so a replayed prefix is always a
@@ -193,6 +219,54 @@ let prop_acked_monotone =
       in
       !ok)
 
+(* The one-record state replays like its steps: a small model keeps
+   each transaction's writes (wiped by a crash) and, per object, the
+   highest version an acked transaction wrote and the last accepted
+   flush and superblock.  Checking the 3 objects by name is checking
+   the whole state. *)
+let prop_records_replay_steps =
+  QCheck.Test.make ~name:"one record per object replays its steps" ~count:500
+    steps_arb (fun codes ->
+      let writes = Hashtbl.create 8 in
+      let acked = Hashtbl.create 4 in
+      let flushed = Hashtbl.create 4 in
+      let floor = Hashtbl.create 4 in
+      let s =
+        List.fold_left
+          (fun s code ->
+            let step = step_of code in
+            match Spec.step s step with
+            | Error _ -> s
+            | Ok s' ->
+              (match step with
+              | Spec.Begin t -> Hashtbl.replace writes t []
+              | Spec.Append (t, o, v) ->
+                Hashtbl.replace writes t
+                  ((o, v) :: List.remove_assoc o (Hashtbl.find writes t))
+              | Spec.Commit_ack t ->
+                List.iter
+                  (fun (o, v) ->
+                    match Hashtbl.find_opt acked o with
+                    | Some w when w >= v -> ()
+                    | Some _ | None -> Hashtbl.replace acked o v)
+                  (Hashtbl.find writes t)
+              | Spec.Flush_complete (o, v) -> Hashtbl.replace flushed o v
+              | Spec.Superblock_advance (o, v) -> Hashtbl.replace floor o v
+              | Spec.Crash -> Hashtbl.reset writes
+              | Spec.Log_extension _ | Spec.Abort _ | Spec.Kill _ -> ());
+              s')
+          Spec.init codes
+      in
+      let oids = List.init 3 oid in
+      List.for_all
+        (fun o ->
+          Spec.acked_version s o = Hashtbl.find_opt acked o
+          && Spec.flushed_version s o = Hashtbl.find_opt flushed o
+          && Spec.floor_version s o = Hashtbl.find_opt floor o)
+        oids
+      && Spec.check_objects s oids = Spec.check s
+      && Spec.check_objects s (List.rev oids) = Spec.check s)
+
 let suite =
   [
     Alcotest.test_case "happy path" `Quick test_happy_path;
@@ -201,8 +275,13 @@ let suite =
       test_abort_and_kill_discard;
     Alcotest.test_case "may_survive models torn-prefix commits" `Quick
       test_may_survive_torn_prefix;
+    Alcotest.test_case "may_survive refuses a superseded ack" `Quick
+      test_may_survive_refuses_superseded;
+    Alcotest.test_case "may_survive refuses an extension below the ack"
+      `Quick test_may_survive_refuses_stale_extension;
     QCheck_alcotest.to_alcotest prop_invariant_preserved;
     QCheck_alcotest.to_alcotest prop_crash_monotone;
     QCheck_alcotest.to_alcotest prop_recovery_idempotent;
     QCheck_alcotest.to_alcotest prop_acked_monotone;
+    QCheck_alcotest.to_alcotest prop_records_replay_steps;
   ]
