@@ -4,8 +4,9 @@
 
    The tracker interposes on the workload sink, so every
    begin/write/commit/abort becomes a spec step, the manager's kills
-   arrive through [kill], and flush completions arrive through
-   [observe_flush] (registered on the flush array).  Illegal steps
+   arrive through [kill], flush completions arrive through
+   [observe_flush] (registered on the flush array), and installs into
+   the stable database through [watch_stable].  Illegal steps
    are collected as violations rather than raised — a sink callback
    runs deep inside the event loop.  The explicit checks
    ([check_invariant] at every pause, [check_crash] against each
@@ -24,6 +25,9 @@ type t = {
   mutable spec : Spec.t;
   mutable touched : Oid_set.t;
       (** objects flushed since the last passing invariant check *)
+  mutable stable : Stable_db.t option;  (** the watched stable database *)
+  mutable installed : Oid_set.t;
+      (** objects installed into it since the last passing crash check *)
   mutable committed_count : int;  (** legal [Commit_ack] steps *)
   mutable violations : string list;  (** newest first *)
   mutable checks : int;
@@ -33,6 +37,8 @@ let create () =
   {
     spec = Spec.init;
     touched = Oid_set.empty;
+    stable = None;
+    installed = Oid_set.empty;
     committed_count = 0;
     violations = [];
     checks = 0;
@@ -93,6 +99,13 @@ let observe_flush t oid ~version =
   apply t (Spec.Superblock_advance (oid, version));
   t.touched <- Oid_set.add oid t.touched
 
+let watch_stable t stable =
+  if Option.is_some t.stable then
+    invalid_arg "Spec_tracker.watch_stable: twice";
+  t.stable <- Some stable;
+  Stable_db.on_install stable (fun oid ~version:_ ~previous:_ ->
+      t.installed <- Oid_set.add oid t.installed)
+
 let committed_count t = t.committed_count
 let violations t = List.rev t.violations
 let checks t = t.checks
@@ -113,46 +126,117 @@ let check_invariant t =
   t.checks <- t.checks + 1;
   check_touched t
 
+let pp_version ppf = function
+  | Some v -> Format.fprintf ppf "v%d" v
+  | None -> Format.pp_print_string ppf "nothing"
+
+(* The stable database serves the spec's superblock floor: checked for
+   each object installed since this last passed, it holds for every
+   object, because the stable database changes only by installs and,
+   in this implementation, the floor only at the install of the same
+   flush completion.  A failing check keeps the set. *)
+let check_floors t stable =
+  Oid_set.iter
+    (fun oid ->
+      let served = Stable_db.version stable oid in
+      let floor = Spec.floor_version t.spec oid in
+      if served <> floor then
+        fail "spec: stable serves %a %a but the superblock floor is %a"
+          Ids.Oid.pp oid pp_version served pp_version floor)
+    t.installed;
+  t.installed <- Oid_set.empty
+
+(* The overlays a recovered database reads through down to its root
+   (the recovery's redo, and any overlay between it and the root),
+   which must be the watched stable database. *)
+let overlays t recovered =
+  let rec walk db acc =
+    match Stable_db.base db with
+    | Some b -> walk b (db :: acc)
+    | None -> (
+      match t.stable with
+      | Some s when s == db -> acc
+      | Some _ | None ->
+        invalid_arg
+          "Spec_tracker.check_crash: not an overlay of the watched stable \
+           database")
+  in
+  walk recovered []
+
+(* An acked object's verdict: served at least as new, and any newer
+   version one a log-extended transaction wrote. *)
+let acked_verdict t recovered oid =
+  match Spec.acked_version t.spec oid with
+  | None -> None
+  | Some v -> (
+    match Stable_db.version recovered oid with
+    | None ->
+      Some (Format.asprintf "acked %a v%d lost by recovery" Ids.Oid.pp oid v)
+    | Some r when r = v -> None
+    | Some r when r > v ->
+      if Spec.may_survive t.spec oid r then None
+      else
+        Some
+          (Format.asprintf
+             "recovery advanced %a to v%d, which no log-extended transaction \
+              wrote (acked v%d)"
+             Ids.Oid.pp oid r v)
+    | Some r ->
+      Some
+        (Format.asprintf "acked %a v%d regressed to v%d after recovery"
+           Ids.Oid.pp oid v r))
+
+(* A never-acked object may survive only as a log-extended write. *)
+let unacked_verdict t recovered oid =
+  match Stable_db.version recovered oid with
+  | Some r
+    when Spec.acked_version t.spec oid = None
+         && not (Spec.may_survive t.spec oid r) ->
+    Some
+      (Format.asprintf
+         "recovery holds %a v%d that was never acked nor log-extended"
+         Ids.Oid.pp oid r)
+  | Some _ | None -> None
+
+(* Fails with the verdict of the lowest candidate that has one, as an
+   ascending pass would; [candidates] may repeat an oid. *)
+let fail_lowest verdict candidates =
+  let low = ref None in
+  candidates (fun oid ->
+      match !low with
+      | Some (l, _) when Ids.Oid.compare l oid <= 0 -> ()
+      | Some _ | None -> (
+        match verdict oid with Some m -> low := Some (oid, m) | None -> ()));
+  match !low with Some (_, m) -> fail "spec: %s" m | None -> ()
+
 (* The contract at a crash point, checked against the recovered
    database: every acked version is served at least as new (and any
    excess is explainable by a log-extended transaction whose COMMIT
    may have persisted — e.g. inside a torn prefix), and nothing that
    was never acked nor log-extended survives.  The live spec state is
    used as-is: [may_survive] needs the in-flight transactions the
-   crash would have wiped. *)
+   crash would have wiped.
+
+   The recovered database is the stable one overlaid with the redo,
+   and the stable one serves every floor ([check_floors]), so an
+   object the overlays do not name reads its floor: the acked version
+   for a settled object, nothing for one never acked.  Only the
+   unsettled objects and the overlays' need judging; reporting the
+   lowest failing oid reports what a pass over every acked object, in
+   oid order, would. *)
 let check_crash t recovered =
   t.checks <- t.checks + 1;
   check_touched t;
-  let acked = ref 0 in
-  List.iter
-    (fun (oid, v) ->
-      incr acked;
-      match Stable_db.version recovered oid with
-      | None -> fail "spec: acked %a v%d lost by recovery" Ids.Oid.pp oid v
-      | Some r when r = v -> ()
-      | Some r when r > v ->
-        if not (Spec.may_survive t.spec oid r) then
-          fail
-            "spec: recovery advanced %a to v%d, which no log-extended \
-             transaction wrote (acked v%d)"
-            Ids.Oid.pp oid r v
-      | Some r ->
-        fail "spec: acked %a v%d regressed to v%d after recovery" Ids.Oid.pp
-          oid v r)
-    (Spec.persistent t.spec);
-  (* Every acked object is in [recovered] now, so when it holds no more
-     objects than that, none is left to explain. *)
-  if Stable_db.objects_written recovered > !acked then
-    List.iter
-      (fun (oid, r) ->
-        if
-          Spec.acked_version t.spec oid = None
-          && not (Spec.may_survive t.spec oid r)
-        then
-          fail
-            "spec: recovery holds %a v%d that was never acked nor log-extended"
-            Ids.Oid.pp oid r)
-      (Stable_db.snapshot recovered)
+  let layers = overlays t recovered in
+  Option.iter (check_floors t) t.stable;
+  let redo f =
+    List.iter (fun db -> Stable_db.iter_overlay db (fun oid _ -> f oid)) layers
+  in
+  let unsettled = Spec.unsettled t.spec in
+  fail_lowest (acked_verdict t recovered) (fun f ->
+      Oid_set.iter f unsettled;
+      redo (fun oid -> if not (Oid_set.mem oid unsettled) then f oid));
+  fail_lowest (unacked_verdict t recovered) redo
 
 (* After the run settles (all buffers written, flushes drained) every
    acked version must have completed its flush — "ack implies

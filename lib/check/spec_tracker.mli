@@ -13,7 +13,9 @@
     ({!check_invariant}, {!check_crash}, {!check_settled}) with a
     ["spec:"]-prefixed message, the settled comparisons against the
     manager ({!check_el}, {!check_settled_stable}) with an
-    ["oracle:"]-prefixed one. *)
+    ["oracle:"]-prefixed one.  Installs into the plant's stable
+    database reach the tracker from the database itself
+    ({!watch_stable}), not only from flush completions. *)
 
 open El_model
 
@@ -32,6 +34,13 @@ val observe_flush : t -> Ids.Oid.t -> version:int -> unit
 (** A database-drive flush completed.  In this implementation the
     stable database serves the version from the same completion, so
     this steps both [Flush_complete] and [Superblock_advance]. *)
+
+val watch_stable : t -> El_disk.Stable_db.t -> unit
+(** Watches the plant's live stable database: every install into it,
+    whoever makes it, marks its object for {!check_crash}'s floor
+    check, so an install that bypasses the flush array is caught too.
+    Call it before the run installs anything.  Raises
+    [Invalid_argument] on a second call. *)
 
 val committed_count : t -> int
 (** Transactions whose commit acknowledgement was a legal step. *)
@@ -53,10 +62,21 @@ val check_crash : t -> El_disk.Stable_db.t -> unit
     is served at least as new, any newer version is one
     {!El_spec.Durable_log.may_survive} allows (a log-extended
     transaction's write — e.g. a COMMIT persisted inside a torn
-    prefix), and nothing never-acked-nor-log-extended survives (a
-    database holding no more objects than are acked holds nothing
-    else).  "Zero lost acked commits", machine-checked.  Raises
-    {!Auditor.Audit_failure} on divergence. *)
+    prefix), and nothing never-acked-nor-log-extended survives.  "Zero
+    lost acked commits", machine-checked.  Raises
+    {!Auditor.Audit_failure} on divergence.
+
+    The recovered database must be an overlay (a recovery's redo,
+    possibly over further overlays) of the database given to
+    {!watch_stable}; otherwise [Invalid_argument].  The check first
+    proves that the stable database serves the spec's superblock floor
+    for every object installed since the last passing check.  Every
+    object neither unsettled
+    ({!El_spec.Durable_log.unsettled}) nor named by the overlays then
+    reads its floor in the recovered database, so only those objects
+    are judged, in oid order: the cost follows the flush backlog and
+    the redo, not the history, and the first failure is the one a pass
+    over every acked object would report. *)
 
 val check_settled : t -> unit
 (** After the run settles every acked version must have completed its

@@ -35,6 +35,128 @@ type outcome = {
   atomic_checks : int;
 }
 
+(* The composite atomic-commit oracle over the cross-shard
+   transactions, judged by open transaction.  Durable evidence comes in
+   two forms.  The committed-tid sets only cover transactions whose
+   records are still in the log — ephemeral logging discards them once
+   flushed — so the lasting evidence is the recovered database's
+   version at the transaction's control oids: versions there are
+   gtids, slots are reused only after durable settlement, and versions
+   are monotone per oid, so [recovered version >= gtid] proves the
+   record was durable no matter how long ago the log let go of it.
+
+   An acked transaction whose decision oid and every marker oid the
+   live stable databases already serve at [>= ctl_version gtid] can
+   fail no later point: a recovered version is at least the stable
+   one, stable versions only rise, and slot reuse only raises control
+   versions.  It is judged once more and then dropped; every
+   transaction still counts in [atomic_checks] at every point. *)
+module Atomic = struct
+  module Shard_group = El_shard.Shard_group
+  module Two_pc = El_shard.Two_pc
+  module IntSet = Set.Make (Int)
+
+  type t = {
+    mutable seen : int;  (** cross views taken into [open_] so far *)
+    mutable open_ : int list;  (** views still judged, oldest first *)
+    mutable judged : int;
+  }
+
+  let create () = { seen = 0; open_ = []; judged = 0 }
+  let judged t = t.judged
+
+  let check t sg (results : Recovery.result array) =
+    let instances = Shard_group.instances sg in
+    let sets =
+      Array.map
+        (fun (r : Recovery.result) ->
+          List.fold_left
+            (fun s tid -> IntSet.add (Ids.Tid.to_int tid) s)
+            IntSet.empty r.Recovery.committed_tids)
+        results
+    in
+    let at_least db oid gtid =
+      match El_disk.Stable_db.version db oid with
+      | Some v -> v >= Shard_group.ctl_version ~gtid
+      | None -> false
+    in
+    let ctl_durable shard oid gtid =
+      at_least results.(shard).Recovery.recovered oid gtid
+    in
+    let installed shard oid gtid =
+      at_least instances.(shard).Experiment.i_stable oid gtid
+    in
+    let failures = ref [] in
+    let judge (v : Shard_group.gtx_view) =
+      let gtid = v.Shard_group.v_gtid in
+      let decided =
+        IntSet.mem
+          (Ids.Tid.to_int (Two_pc.decision_tid ~gtid))
+          sets.(v.Shard_group.v_coordinator)
+        ||
+        match v.Shard_group.v_decision_oid with
+        | Some oid -> ctl_durable v.Shard_group.v_coordinator oid gtid
+        | None -> false
+      in
+      let branches_durable =
+        List.map
+          (fun p ->
+            IntSet.mem gtid sets.(p)
+            ||
+            match List.assoc_opt p v.Shard_group.v_marker_oids with
+            | Some oid -> ctl_durable p oid gtid
+            | None -> false)
+          v.Shard_group.v_participants
+      in
+      let fail msg = failures := (gtid, msg) :: !failures in
+      if not (Two_pc.atomic_ok ~decision_durable:decided ~branches_durable)
+      then
+        fail
+          (Printf.sprintf
+             "atomic commit violated: gtid %d decided on coordinator %d but \
+              branches durable only on [%s] of [%s]"
+             gtid v.Shard_group.v_coordinator
+             (String.concat ","
+                (List.filteri
+                   (fun i _ -> List.nth branches_durable i)
+                   v.Shard_group.v_participants
+                |> List.map string_of_int))
+             (String.concat ","
+                (List.map string_of_int v.Shard_group.v_participants)));
+      if v.Shard_group.v_phase = Two_pc.Acked && not decided then
+        fail
+          (Printf.sprintf
+             "durability violated: gtid %d was acknowledged but its decision \
+              record did not survive the crash"
+             gtid)
+    in
+    let settled (v : Shard_group.gtx_view) =
+      let gtid = v.Shard_group.v_gtid in
+      v.Shard_group.v_phase = Two_pc.Acked
+      && (match v.Shard_group.v_decision_oid with
+         | Some oid -> installed v.Shard_group.v_coordinator oid gtid
+         | None -> false)
+      && List.for_all
+           (fun p ->
+             match List.assoc_opt p v.Shard_group.v_marker_oids with
+             | Some oid -> installed p oid gtid
+             | None -> false)
+           v.Shard_group.v_participants
+    in
+    let n = Shard_group.cross_count sg in
+    let judged = t.open_ @ List.init (n - t.seen) (fun k -> t.seen + k) in
+    t.seen <- n;
+    t.judged <- List.length judged;
+    t.open_ <-
+      List.filter
+        (fun i ->
+          let v = Shard_group.cross_view sg i in
+          judge v;
+          not (settled v))
+        judged;
+    List.rev !failures
+end
+
 let kind_name = function
   | Experiment.Ephemeral _ -> "el"
   | Experiment.Firewall _ -> "fw"
@@ -88,8 +210,6 @@ type slice_outcome = {
 let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
     (cfg : Experiment.config) =
   let module Shard_group = El_shard.Shard_group in
-  let module Two_pc = El_shard.Two_pc in
-  let module IntSet = Set.Make (Int) in
   let n = cfg.Experiment.shards in
   let composite = n > 1 in
   let on_shard i msg =
@@ -107,11 +227,18 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
     Shard_group.prepare ~wrap_shard_sink ~on_shard_kill ~retain_cross:true cfg
   in
   let instances = Shard_group.instances sg in
+  let is_el =
+    match cfg.Experiment.kind with Experiment.Ephemeral _ -> true | _ -> false
+  in
   if tracked then
     Array.iteri
       (fun i inst ->
         El_disk.Flush_array.add_flush_observer inst.Experiment.i_flush
-          (Spec_tracker.observe_flush trackers.(i)))
+          (Spec_tracker.observe_flush trackers.(i));
+        (* the crash checks read the stable database; only they need
+           its installs *)
+        if spec && recover && is_el then
+          Spec_tracker.watch_stable trackers.(i) inst.Experiment.i_stable)
       instances;
   let engine = Shard_group.engine sg in
   let generator = Shard_group.generator sg in
@@ -128,79 +255,14 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
   let guarded ~tag f =
     try f () with Auditor.Audit_failure m -> record_failure ~tag m
   in
-  let is_el =
-    match cfg.Experiment.kind with Experiment.Ephemeral _ -> true | _ -> false
-  in
   (* The per-shard committed sets jointly satisfy atomic commit for
      every transaction that ever entered 2PC. *)
-  let atomic_commit_check ~tag (results : Recovery.result array) =
-    let sets =
-      Array.map
-        (fun (r : Recovery.result) ->
-          List.fold_left
-            (fun s tid -> IntSet.add (Ids.Tid.to_int tid) s)
-            IntSet.empty r.Recovery.committed_tids)
-        results
-    in
-    (* Durable evidence comes in two forms.  The committed-tid sets
-       only cover transactions whose records are still in the log —
-       ephemeral logging discards them once flushed — so the lasting
-       evidence is the recovered database's version at the
-       transaction's control oids: versions there are gtids, slots are
-       reused only after durable settlement, and versions are monotone
-       per oid, so [recovered version >= gtid] proves the record was
-       durable no matter how long ago the log let go of it. *)
-    let ctl_durable shard oid gtid =
-      match
-        El_disk.Stable_db.version results.(shard).Recovery.recovered oid
-      with
-      | Some v -> v >= Shard_group.ctl_version ~gtid
-      | None -> false
-    in
+  let atomic = Atomic.create () in
+  let atomic_commit_check ~tag results =
     List.iter
-      (fun (v : Shard_group.gtx_view) ->
-        incr atomic_checks;
-        let gtid = v.Shard_group.v_gtid in
-        let decided =
-          IntSet.mem
-            (Ids.Tid.to_int (Two_pc.decision_tid ~gtid))
-            sets.(v.Shard_group.v_coordinator)
-          ||
-          match v.Shard_group.v_decision_oid with
-          | Some oid -> ctl_durable v.Shard_group.v_coordinator oid gtid
-          | None -> false
-        in
-        let branches_durable =
-          List.map
-            (fun p ->
-              IntSet.mem gtid sets.(p)
-              ||
-              match List.assoc_opt p v.Shard_group.v_marker_oids with
-              | Some oid -> ctl_durable p oid gtid
-              | None -> false)
-            v.Shard_group.v_participants
-        in
-        if not (Two_pc.atomic_ok ~decision_durable:decided ~branches_durable)
-        then
-          record_failure ~tag
-            (Printf.sprintf
-               "atomic commit violated: gtid %d decided on coordinator %d \
-                but branches durable only on [%s] of [%s]"
-               v.Shard_group.v_gtid v.Shard_group.v_coordinator
-               (String.concat ","
-                  (List.filteri
-                     (fun i _ -> List.nth branches_durable i)
-                     v.Shard_group.v_participants
-                  |> List.map string_of_int))
-               (String.concat ","
-                  (List.map string_of_int v.Shard_group.v_participants)));
-        if v.Shard_group.v_phase = Two_pc.Acked && not decided then
-          record_failure ~tag
-            (Printf.sprintf
-               "durability violated: gtid %d was acknowledged but its \
-                decision record did not survive the crash"
-               v.Shard_group.v_gtid))
-      (Shard_group.cross_views sg)
+      (fun (_, msg) -> record_failure ~tag msg)
+      (Atomic.check atomic sg results);
+    atomic_checks := !atomic_checks + Shard_group.cross_count sg
   in
   (* Crash every shard at the same engine instant and recover each. *)
   let crash_point ~tag ~audit_shards =

@@ -65,8 +65,9 @@ type outcome = {
       (** cross-shard transactions whose protocol died mid-flight and
           blocked (never acknowledged, presumed abort at recovery) *)
   atomic_checks : int;
-      (** cross-shard transactions checked against the global
-          atomic-commit invariant, summed over every crash point *)
+      (** cross-shard transactions covered by the global atomic-commit
+          invariant, summed over every crash point; one {!Atomic}
+          proved settled counts without being judged again *)
 }
 
 val run :
@@ -107,6 +108,36 @@ val run :
     acknowledged one without its durable decision record; the settled
     checks add router conservation (generator acks = singles + cross)
     and per-shard ack accounting, and failures name their shard. *)
+
+(** The composite atomic-commit check of a sharded sweep, judged by
+    open transaction.  At each crash point no cross-shard transaction
+    may recover with a durable decision and a missing branch, nor an
+    acknowledged one without its durable decision.  An acknowledged
+    transaction whose decision and every PREPARE marker the live
+    stable databases already serve at its control version can fail no
+    later point (recovered versions are at least the stable ones,
+    stable versions only rise, slot reuse only raises control
+    versions), so after the point that finds it so it is not judged
+    again.  Blocked transactions stay judged. *)
+module Atomic : sig
+  type t
+
+  val create : unit -> t
+
+  val check :
+    t ->
+    El_shard.Shard_group.t ->
+    El_recovery.Recovery.result array ->
+    (int * string) list
+  (** Judges the still-open transactions (and those new since the last
+      check) against one crash point's per-shard recoveries, returning
+      each violation as (gtid, message), oldest transaction first —
+      what a judgement of every cross-shard transaction would return.
+      The group must be prepared with [~retain_cross:true]. *)
+
+  val judged : t -> int
+  (** Transactions judged by the last {!check}. *)
+end
 
 val kind_name : El_harness.Experiment.manager_kind -> string
 

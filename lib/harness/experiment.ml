@@ -507,6 +507,10 @@ let run_with_crash_store cfg ~crash_at =
              both read the same channel state, so they describe the
              same crash instant. *)
           let image = El_recovery.Recovery.crash live.engine manager in
+          (* the run goes on, so keep the stable state of this instant *)
+          let image =
+            { image with stable = El_disk.Stable_db.copy image.stable }
+          in
           let mark = El_manager.persist_crash_mark manager in
           holder := Some (image, mark));
       let result = live.finish () in

@@ -26,16 +26,19 @@ let crash engine manager =
           })
       (M.durable_blocks manager)
   in
+  let stable = M.stable manager in
   let reference =
-    let acked = M.committed_reference manager in
-    (* The manager's reference tracks ACKED commits, but the
-       durability point is the platter: a COMMIT record that persisted
-       inside a torn prefix commits its transaction even though the
-       block never completed and the ack never fired.  (The channel is
-       FIFO, so every data record such a transaction logged is in an
-       earlier — completed — block or earlier in the same prefix:
-       recovering it whole is always possible.)  Fold those
-       transactions' durable writes into the ground truth. *)
+    let unsettled = M.unsettled manager in
+    (* The manager's committed state is the stable database overlaid
+       with its acked-but-unsettled versions; the reference names that
+       overlay.  The durability point, though, is the platter: a
+       COMMIT record that persisted inside a torn prefix commits its
+       transaction even though the block never completed and the ack
+       never fired.  (The channel is FIFO, so every data record such a
+       transaction logged is in an earlier — completed — block or
+       earlier in the same prefix: recovering it whole is always
+       possible.)  Fold those transactions' durable writes in, naming
+       each object whose version then differs from the stable one. *)
     let torn_committed = Hashtbl.create 4 in
     List.iter
       (fun b ->
@@ -50,7 +53,7 @@ let crash engine manager =
               | Log_record.Begin | Log_record.Abort | Log_record.Data _ -> ())
             b.records)
       blocks;
-    if Hashtbl.length torn_committed = 0 then acked
+    if Hashtbl.length torn_committed = 0 then unsettled
     else begin
       let best = Ids.Oid.Table.create 64 in
       List.iter
@@ -75,17 +78,21 @@ let crash engine manager =
             match Ids.Oid.Table.find_opt best oid with
             | Some w when w > v -> (oid, w)
             | Some _ | None -> (oid, v))
-          acked
+          unsettled
       in
       Ids.Oid.Table.fold
         (fun oid w acc ->
-          if Ids.Oid.Table.mem seen oid then acc else (oid, w) :: acc)
+          if Ids.Oid.Table.mem seen oid then acc
+          else
+            match El_disk.Stable_db.version stable oid with
+            | Some s when s >= w -> acc
+            | Some _ | None -> (oid, w) :: acc)
         best merged
     end
   in
   {
     blocks;
-    stable = El_disk.Stable_db.copy (M.stable manager);
+    stable = El_disk.Stable_db.overlay stable;
     reference;
     crash_time = El_sim.Engine.now engine;
   }
@@ -121,7 +128,7 @@ let recover ?obs image =
       match r.kind with
       | Log_record.Commit -> Ids.Tid.Table.replace committed r.tid ()
       | Log_record.Begin | Log_record.Abort | Log_record.Data _ -> ());
-  let recovered = El_disk.Stable_db.copy image.stable in
+  let recovered = El_disk.Stable_db.overlay image.stable in
   let applied = ref 0 in
   let skipped = ref 0 in
   iter_records (fun (r : Log_record.t) ->
@@ -193,37 +200,41 @@ type audit = {
   spurious : (Ids.Oid.t * int) list;
 }
 
+(* The full comparison is the reference state (the stable version
+   overlaid with [image.reference]) against the recovered database (the
+   stable version overlaid with the redo).  Wherever neither overlay
+   names an object, both sides read the same stable entry, so only the
+   objects either overlay names are compared. *)
 let audit image result =
-  let missing =
+  let recovered = result.recovered in
+  (match El_disk.Stable_db.base recovered with
+  | Some b when b == image.stable -> ()
+  | Some _ | None ->
+    invalid_arg "Recovery.audit: the result was not recovered from this image");
+  let reference = Ids.Oid.Table.create 64 in
+  List.iter
+    (fun (oid, v) -> Ids.Oid.Table.replace reference oid v)
+    image.reference;
+  let named = ref (List.map fst image.reference) in
+  El_disk.Stable_db.iter_overlay recovered (fun oid _ ->
+      named := oid :: !named);
+  let expected oid =
+    match Ids.Oid.Table.find_opt reference oid with
+    | Some _ as v -> v
+    | None -> El_disk.Stable_db.version image.stable oid
+  in
+  let got = El_disk.Stable_db.version recovered in
+  let differing =
     List.filter
-      (fun (oid, v) ->
-        match El_disk.Stable_db.version result.recovered oid with
-        | Some w -> w <> v
-        | None -> true)
-      image.reference
+      (fun oid -> expected oid <> got oid)
+      (List.sort_uniq Ids.Oid.compare !named)
   in
-  let spurious =
-    (* With nothing missing, the recovered database holds every object
-       the reference names, each once; if it holds no more objects,
-       it holds nothing else. *)
-    if
-      missing = []
-      && El_disk.Stable_db.objects_written result.recovered
-         = List.length image.reference
-    then []
-    else begin
-      let reference = Ids.Oid.Table.create 1024 in
-      List.iter
-        (fun (oid, v) -> Ids.Oid.Table.replace reference oid v)
-        image.reference;
-      List.filter
-        (fun (oid, v) ->
-          match Ids.Oid.Table.find_opt reference oid with
-          | Some w -> w <> v
-          | None -> true)
-        (El_disk.Stable_db.snapshot result.recovered)
-    end
+  let pairs side =
+    List.filter_map
+      (fun oid -> Option.map (fun v -> (oid, v)) (side oid))
+      differing
   in
+  let missing = pairs expected and spurious = pairs got in
   { ok = missing = [] && spurious = []; missing; spurious }
 
 let pp_audit ppf a =

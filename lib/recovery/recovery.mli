@@ -24,7 +24,19 @@
     Recovery time is proportional to the records scanned, which is why
     the paper equates less disk space with faster recovery;
     [records_scanned] reports the scan size so benchmarks can quantify
-    that claim. *)
+    that claim.  The checks follow the log too: an image's stable
+    version is an {!El_disk.Stable_db.overlay} of the manager's live
+    database (no copy), the recovered database is an overlay of that,
+    and the reference names only the committed versions that differ
+    from the stable one.
+
+    {b Image lifetime.}  An image from {!crash} reads the live stable
+    database through its overlay, so it is valid only until that
+    database's next install (the next flush completion): after it,
+    {!recover} and {!audit} of the image, and every read of a result
+    recovered from it, raise [Invalid_argument].  A caller that keeps
+    an image while the run goes on copies its stable version once, at
+    capture: [{ image with stable = El_disk.Stable_db.copy image.stable }]. *)
 
 open El_model
 
@@ -41,11 +53,15 @@ type block = {
 
 type image = {
   blocks : block list;  (** every durable block; order is immaterial *)
-  stable : El_disk.Stable_db.t;  (** stable version at the crash point *)
+  stable : El_disk.Stable_db.t;
+      (** stable version at the crash point (from {!crash}, an overlay
+          of the manager's live database: see the image lifetime) *)
   reference : (Ids.Oid.t * int) list;
-      (** ground truth: newest durably-committed version per object,
-          naming each object once (as {!crash} and {!image_of_scan}
-          build it) *)
+      (** ground truth as a delta over [stable]: the newest
+          durably-committed version of each object whose committed
+          version differs from the stable one, each object named once.
+          Every object it does not name is committed at its stable
+          version (or not at all, if the stable version lacks it). *)
   crash_time : Time.t;
 }
 
@@ -55,14 +71,18 @@ val crash : El_sim.Engine.t -> El_core.El_manager.t -> image
     replacing whatever the slot durably held before; the lost suffix
     is its [torn] count.
 
-    The [reference] is the manager's acked committed state, adjusted
+    The [reference] is the manager's acked committed state
+    ({!El_core.El_manager.unsettled} over the stable version), adjusted
     for the durability point: a transaction whose COMMIT record
     persisted inside a torn prefix is committed even though its ack
     never fired, so its durable writes are folded in (channel FIFO
-    order guarantees they all persisted). *)
+    order guarantees they all persisted).  The capture costs the log
+    and the unsettled versions, not the objects ever flushed. *)
 
 type result = {
-  recovered : El_disk.Stable_db.t;  (** the database after redo *)
+  recovered : El_disk.Stable_db.t;
+      (** the database after redo: an overlay of the image's stable
+          version holding the versions the redo raised *)
   committed_tids : Ids.Tid.t list;
   records_scanned : int;  (** intact records scanned *)
   redo_applied : int;  (** data records whose version won *)
@@ -74,7 +94,9 @@ type result = {
 val recover : ?obs:El_obs.Obs.t -> image -> result
 (** The single pass: count torn tails, scan the intact records,
     determine the committed transaction set, redo newest committed
-    versions onto a copy of the stable version.  With [obs], emits a
+    versions into an overlay of the stable version.  Raises
+    [Invalid_argument] if the image's stable version is a stale
+    overlay (see the image lifetime).  With [obs], emits a
     [Recovery_scan] trace event — plus a [Torn_discard] event when any
     tail was lost — stamped at the image's crash time. *)
 
@@ -108,11 +130,15 @@ type audit = {
 }
 
 val audit : image -> result -> audit
-(** Compares against the image's reference.  [ok] is atomicity and
-    durability in one bit: every durably-committed update recovered,
-    nothing else.  When nothing is missing and the recovered database
-    holds as many objects as the reference names, it holds nothing
-    else, so the search for spurious versions is skipped; this relies
-    on the reference naming each object once. *)
+(** Compares the recovered database with the image's reference state
+    (the stable version overlaid with [reference]).  [ok] is atomicity
+    and durability in one bit: every durably-committed update
+    recovered, nothing else.  Both sides read the same stable entry
+    wherever neither the reference nor the redo overlay names an
+    object, so only the objects they name are compared; [missing] and
+    [spurious] list exactly what the full comparison would, in oid
+    order.  Raises [Invalid_argument] unless [result] was recovered
+    from [image] (its database overlays [image.stable]), or if the
+    image is stale. *)
 
 val pp_audit : Format.formatter -> audit -> unit

@@ -72,7 +72,9 @@ type t = {
   slot_pools : slot_pool array;
   registry : (int, gtx) Hashtbl.t;  (* gtid -> live gtx *)
   retain_cross : bool;
-  mutable cross_log : gtx list;  (* newest first; ≥ 2 participants only *)
+  mutable cross_log : gtx array;
+      (* oldest first, [cross_n] used; ≥ 2 participants only *)
+  mutable cross_n : int;
   mutable gen : Generator.t option;
   mutable singles : int;
   mutable cross : int;
@@ -106,7 +108,20 @@ let view g =
     v_decision_oid = g.decision_oid;
   }
 
-let cross_views t = List.rev_map view t.cross_log
+let cross_count t = t.cross_n
+
+let cross_view t i =
+  if i < 0 || i >= t.cross_n then invalid_arg "Shard_group.cross_view";
+  view t.cross_log.(i)
+
+let retain t g =
+  if t.cross_n = Array.length t.cross_log then begin
+    let grown = Array.make (max 64 (2 * t.cross_n)) g in
+    Array.blit t.cross_log 0 grown 0 t.cross_n;
+    t.cross_log <- grown
+  end;
+  t.cross_log.(t.cross_n) <- g;
+  t.cross_n <- t.cross_n + 1
 
 let single_committed t =
   if t.cfg.Experiment.shards = 1 then Generator.committed (generator t)
@@ -258,7 +273,7 @@ let route_commit t ~tid ~on_ack =
       | [ p ] ->
         t.sinks.(p).Generator.request_commit ~tid ~on_ack:(single_ack t g p)
       | ps ->
-        if t.retain_cross then t.cross_log <- g :: t.cross_log;
+        if t.retain_cross then retain t g;
         List.iter
           (fun p ->
             match Two_pc.phase g.pc with
@@ -372,7 +387,8 @@ let prepare ?(wrap_shard_sink = fun _ sink -> sink)
         Array.init n (fun _ -> make_slot_pool (Partition.ctl_slots part));
       registry = Hashtbl.create 1024;
       retain_cross;
-      cross_log = [];
+      cross_log = [||];
+      cross_n = 0;
       gen = None;
       singles = 0;
       cross = 0;

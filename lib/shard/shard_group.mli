@@ -40,7 +40,7 @@ val prepare :
     flows through it); [on_shard_kill i tid] fires for every kill
     shard [i]'s manager issues, before the router reacts.
     [retain_cross] (default false) keeps every cross-shard
-    transaction's state for {!cross_views} — the sweep oracle needs
+    transaction's state for {!cross_view} — the sweep oracle needs
     it; long benches don't.  [ctl_slots] sizes each shard's 2PC
     control region (default 4096 live cross-shard transactions per
     shard).  Raises [Invalid_argument] if the config carries an
@@ -83,10 +83,15 @@ val ctl_version : gtid:int -> int
     carries: the gtid shifted to stay positive.  Strictly monotone in
     the gtid, so reused slots keep per-oid version monotonicity. *)
 
-val cross_views : t -> gtx_view list
-(** Every transaction that entered two-phase commit (≥ 2 participants),
-    oldest first — both settled and in-flight.  Empty unless
+val cross_count : t -> int
+(** How many transactions have entered two-phase commit (≥ 2
+    participants), settled and in-flight alike; 0 unless
     [retain_cross] was set. *)
+
+val cross_view : t -> int -> gtx_view
+(** [cross_view t i] is the current view of the [i]-th of them, oldest
+    first ([0 <= i < cross_count t]); a later call sees its phase
+    move on.  Raises [Invalid_argument] out of range. *)
 
 (** {2 Counters} *)
 

@@ -1,5 +1,6 @@
 open El_model
 module Oid_map = Map.Make (Ids.Oid)
+module Oid_set = Set.Make (Ids.Oid)
 module Tid_map = Map.Make (Ids.Tid)
 
 type tx_phase = Running | Log_extended | Acked | Aborted | Killed
@@ -12,7 +13,9 @@ type tx = { phase : tx_phase; writes : int Oid_map.t }
    an ack, so [acked] is always there. *)
 type obj = { acked : int; flushed : int option; floor : int option }
 
-type t = { txs : tx Tid_map.t; objs : obj Oid_map.t }
+(* [unsettled] holds the acked objects whose floor is below the acked
+   version (or absent): the objects a crash could still lose. *)
+type t = { txs : tx Tid_map.t; objs : obj Oid_map.t; unsettled : Oid_set.t }
 
 type step =
   | Begin of Ids.Tid.t
@@ -25,7 +28,8 @@ type step =
   | Superblock_advance of Ids.Oid.t * int
   | Crash
 
-let init = { txs = Tid_map.empty; objs = Oid_map.empty }
+let init =
+  { txs = Tid_map.empty; objs = Oid_map.empty; unsettled = Oid_set.empty }
 
 let pp_step ppf = function
   | Begin tid -> Format.fprintf ppf "Begin %a" Ids.Tid.pp tid
@@ -99,17 +103,27 @@ let step t s =
     match Tid_map.find_opt tid t.txs with
     | None -> error s "ack for unknown transaction"
     | Some ({ phase = Log_extended; writes } as tx) ->
-      let objs =
+      let objs, unsettled =
         Oid_map.fold
-          (fun oid v acc ->
-            match Oid_map.find_opt oid acc with
+          (fun oid v ((objs, unsettled) as acc) ->
+            match Oid_map.find_opt oid objs with
             | Some o when o.acked >= v -> acc
-            | Some o -> Oid_map.add oid { o with acked = v } acc
+            | Some o ->
+              ( Oid_map.add oid { o with acked = v } objs,
+                Oid_set.add oid unsettled )
             | None ->
-              Oid_map.add oid { acked = v; flushed = None; floor = None } acc)
-          writes t.objs
+              ( Oid_map.add oid
+                  { acked = v; flushed = None; floor = None }
+                  objs,
+                Oid_set.add oid unsettled ))
+          writes (t.objs, t.unsettled)
       in
-      Ok { txs = Tid_map.add tid { tx with phase = Acked } t.txs; objs }
+      Ok
+        {
+          txs = Tid_map.add tid { tx with phase = Acked } t.txs;
+          objs;
+          unsettled;
+        }
     | Some _ -> error s "ack without a preceding log extension")
   | Abort tid -> (
     match Tid_map.find_opt tid t.txs with
@@ -145,7 +159,10 @@ let step t s =
       | Some fl when v < fl -> error s "superblock regresses from v%d" fl
       | Some _ | None ->
         let o = { o with floor = Some v } in
-        Ok { t with objs = Oid_map.add oid o t.objs }))
+        let unsettled =
+          if v = o.acked then Oid_set.remove oid t.unsettled else t.unsettled
+        in
+        Ok { t with objs = Oid_map.add oid o t.objs; unsettled }))
   | Crash -> Ok (crash t)
 
 (* The [persistent ⊆ ephemeral]-style invariant (cf. verified-betrfs
@@ -197,6 +214,8 @@ let check t = check_objects t (Oid_map.fold (fun oid _ l -> oid :: l) t.objs [])
 
 let persistent t =
   List.rev (Oid_map.fold (fun oid o l -> (oid, o.acked) :: l) t.objs [])
+
+let unsettled t = t.unsettled
 
 (* Whether a recovered image may legitimately hold [version] of [oid].
    The acked version itself always may (and must); an older one never

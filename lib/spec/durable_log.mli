@@ -77,6 +77,16 @@ val persistent : t -> (Ids.Oid.t * int) list
 (** The durable floor: every acked (oid, newest version).  All of it
     must be recoverable after any crash. *)
 
+val unsettled : t -> Set.Make(Ids.Oid).t
+(** The acked objects whose superblock floor is below the acked
+    version (or absent): an ack adds its objects, the superblock
+    advance that reaches the acked version removes one.  Every other
+    acked object has its floor at its acked version, so a crash check
+    of a recovered database that is the stable one (proven to serve
+    the floors) overlaid with a redo need only judge these and the
+    redo's objects.  Its size follows the flush backlog, not the
+    history. *)
+
 val may_survive : t -> Ids.Oid.t -> int -> bool
 (** Whether a recovered image may legitimately hold this exact
     version: the acked version itself, never a version below it, and

@@ -13,7 +13,9 @@
      minor words per record, however long it grows;
    - the spec tracker's pause check allocates nothing for objects
      untouched since the last one, and its crash check a flat handful
-     of words per acked object. *)
+     of words per unsettled object, however long the history;
+   - a whole EL crash point (crash, recover, audit, spec crash check)
+     allocates as much at the end of a long run as of a short one. *)
 
 open El_model
 module Arena = El_core.Arena
@@ -288,10 +290,12 @@ let test_hybrid_append_words () =
 
 (* A tracker driven through [n] transactions that each write, commit,
    ack and flush one object of their own, so it holds [n] acked,
-   flushed objects. *)
-let tracked_history n =
+   flushed objects, then [unflushed] more that are acked only.  With
+   [stable], the tracker watches it and each flush installs there. *)
+let tracked_history ?stable ?(unflushed = 0) n =
   let module Generator = El_workload.Generator in
   let t = El_check.Spec_tracker.create () in
+  Option.iter (El_check.Spec_tracker.watch_stable t) stable;
   let stub =
     {
       Generator.begin_tx = (fun ~tid:_ ~expected_duration:_ -> ());
@@ -301,12 +305,15 @@ let tracked_history n =
     }
   in
   let sink = El_check.Spec_tracker.wrap t stub in
-  for i = 0 to n - 1 do
+  for i = 0 to n + unflushed - 1 do
     let tid = Ids.Tid.of_int (i + 1) and oid = Ids.Oid.of_int i in
     sink.Generator.begin_tx ~tid ~expected_duration:(Time.of_ms 400);
     sink.Generator.write_data ~tid ~oid ~version:1 ~size:100;
     sink.Generator.request_commit ~tid ~on_ack:ignore;
-    El_check.Spec_tracker.observe_flush t oid ~version:1
+    if i < n then begin
+      Option.iter (fun db -> El_disk.Stable_db.apply db oid ~version:1) stable;
+      El_check.Spec_tracker.observe_flush t oid ~version:1
+    end
   done;
   t
 
@@ -330,28 +337,99 @@ let test_tracker_pause_words () =
        most 64)"
       n words
 
-(* A crash check whose recovered database holds exactly the acked
-   versions makes one pass over them; explaining every recovered object
-   a second time doubles it.  The sweep checks the pause invariant just
-   before each crash point, so the check starts with nothing flushed
-   since. *)
+(* A crash check judges the unsettled objects and the redo's, not the
+   history: over [n] settled objects and [k] acked but unflushed ones,
+   which the recovery's redo overlay serves, it allocates at most 15
+   minor words per judged object, whatever [n].  The sweep checks the
+   pause invariant just before each crash point, and the previous
+   point has proved the history's installs. *)
 let test_tracker_crash_words () =
-  let n = 5_000 in
-  let t = tracked_history n in
-  El_check.Spec_tracker.check_invariant t;
-  let db =
-    El_disk.Stable_db.of_pairs ~num_objects:n
-      (List.init n (fun i -> (Ids.Oid.of_int i, 1)))
+  let k = 100 in
+  List.iter
+    (fun n ->
+      let stable = El_disk.Stable_db.create ~num_objects:(n + k) in
+      let t = tracked_history ~stable ~unflushed:k n in
+      let recovered () =
+        let db = El_disk.Stable_db.overlay stable in
+        for i = n to n + k - 1 do
+          El_disk.Stable_db.apply db (Ids.Oid.of_int i) ~version:1
+        done;
+        db
+      in
+      El_check.Spec_tracker.check_invariant t;
+      El_check.Spec_tracker.check_crash t (recovered ());
+      let db = recovered () in
+      let words =
+        minor_words (fun () -> El_check.Spec_tracker.check_crash t db)
+        /. float_of_int k
+      in
+      if words > 15.0 then
+        Alcotest.failf
+          "a crash check over %d settled and %d unsettled objects allocates \
+           %.1f minor words per unsettled object (at most 15)"
+          n k words)
+    [ 5_000; 50_000 ]
+
+(* A crash point costs the log, not the history: the minor words of
+   the last crash point of a stride-20 sweep of the uniform EL cell
+   (crash image, recovery, audit and the spec's crash check, after the
+   pause's invariant check) at 320 s stay within 1.2x of those at 20 s:
+   a copy of the stable database, or a walk over every acked object,
+   would grow with the history. *)
+let test_crash_point_words () =
+  let module Shard_group = El_shard.Shard_group in
+  let module Spec_tracker = El_check.Spec_tracker in
+  let module Recovery = El_recovery.Recovery in
+  let last_point_words runtime =
+    let kind = List.assoc "el" (Sweep.standard_kinds ()) in
+    let cfg =
+      Sweep.standard_config ~kind ~runtime:(Time.of_sec runtime) ~seed:42
+        ~preset:Preset.uniform ()
+    in
+    let t = Spec_tracker.create () in
+    let sg =
+      Shard_group.prepare
+        ~wrap_shard_sink:(fun _ sink -> Spec_tracker.wrap t sink)
+        ~on_shard_kill:(fun _ tid -> Spec_tracker.kill t tid)
+        cfg
+    in
+    let inst = (Shard_group.instances sg).(0) in
+    El_disk.Flush_array.add_flush_observer inst.Experiment.i_flush
+      (Spec_tracker.observe_flush t);
+    Spec_tracker.watch_stable t inst.Experiment.i_stable;
+    let m =
+      match inst.Experiment.i_manager with
+      | Experiment.El_log m -> m
+      | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
+        Alcotest.fail "an EL plant"
+    in
+    let engine = Shard_group.engine sg in
+    let point () =
+      let image = Recovery.crash engine m in
+      let r = Recovery.recover image in
+      if not (Recovery.audit image r).Recovery.ok then
+        Alcotest.fail "a crash point failed its audit";
+      Spec_tracker.check_crash t r.Recovery.recovered
+    in
+    let rec loop () =
+      let n =
+        El_sim.Engine.run_steps engine ~until:cfg.Experiment.runtime
+          ~max_steps:20
+      in
+      Spec_tracker.check_invariant t;
+      let words = minor_words point in
+      if n = 20 then loop () else words
+    in
+    let words = loop () in
+    Shard_group.dispose sg;
+    words
   in
-  let words =
-    minor_words (fun () -> El_check.Spec_tracker.check_crash t db)
-    /. float_of_int n
-  in
-  if words > 15.0 then
+  let short = last_point_words 20 and long = last_point_words 320 in
+  if long > 1.2 *. short then
     Alcotest.failf
-      "a crash check over %d acked objects allocates %.1f minor words per \
-       object (at most 15)"
-      n words
+      "the last crash point allocates %.0f minor words at 320 s, %.0f at \
+       20 s (at most 1.2x)"
+      long short
 
 let suite =
   [
@@ -373,4 +451,6 @@ let suite =
       test_tracker_pause_words;
     Alcotest.test_case "tracker crash check: at most 15 words per object"
       `Quick test_tracker_crash_words;
+    Alcotest.test_case "crash point words: 320 s within 1.2x of 20 s" `Slow
+      test_crash_point_words;
   ]

@@ -215,18 +215,23 @@ let prop_sweep_random =
    record reads back intact, the content lies — and expect the audit
    to fail: the recovered database now holds a version nobody
    committed.  This pins down that the differential audit catches what
-   the checksum layer cannot. *)
+   the checksum layer cannot.  Targets come from the manager's whole
+   committed state: the image's reference names only the versions the
+   stable database does not serve yet.  The second target is settled
+   — installed in the stable database while its record still sits in
+   a durable block — so the reference does not name it, and only the
+   audit's pass over the redo's objects can catch it. *)
 let test_corrupted_image_caught () =
   let kind = List.assoc "el" (Sweep.standard_kinds ()) in
   let cfg = Sweep.standard_config ~kind ~seed:42 () in
   let live = Experiment.prepare cfg in
   Engine.run live.Experiment.engine ~until:(Time.of_sec 15);
-  let image =
-    Recovery.crash live.Experiment.engine (el_manager live)
-  in
+  let m = el_manager live in
+  let image = Recovery.crash live.Experiment.engine m in
   let sane = Recovery.recover image in
   Alcotest.(check bool) "pristine image audits ok" true
     (Recovery.audit image sane).Recovery.ok;
+  let committed = El_core.El_manager.committed_reference m in
   let payloads =
     List.concat_map
       (fun (b : Recovery.block) -> b.Recovery.records)
@@ -251,12 +256,10 @@ let test_corrupted_image_caught () =
       Hashtbl.mem scanned_commits (Ids.Tid.to_int r.Log_record.tid)
       && List.exists
            (fun (o, v) -> Ids.Oid.equal o oid && v = version)
-           image.Recovery.reference
+           committed
     | _ -> false
   in
-  (match List.find_opt is_target payloads with
-  | None -> Alcotest.fail "no committed data record in a 15 s image"
-  | Some victim ->
+  let corrupted_audit victim =
     let corrupt (r : Log_record.t) =
       if r == victim then
         match victim.Log_record.kind with
@@ -278,11 +281,43 @@ let test_corrupted_image_caught () =
             image.Recovery.blocks;
       }
     in
-    let r = Recovery.recover corrupted in
-    let audit = Recovery.audit corrupted r in
+    Recovery.audit corrupted (Recovery.recover corrupted)
+  in
+  (match List.find_opt is_target payloads with
+  | None -> Alcotest.fail "no committed data record in a 15 s image"
+  | Some victim ->
+    let audit = corrupted_audit victim in
     Alcotest.(check bool) "corruption detected" false audit.Recovery.ok;
     Alcotest.(check bool) "spurious version reported" true
-      (audit.Recovery.spurious <> []))
+      (audit.Recovery.spurious <> []));
+  let settled (r : Log_record.t) =
+    is_target r
+    &&
+    match r.Log_record.kind with
+    | Log_record.Data { oid; version } ->
+      El_disk.Stable_db.version image.Recovery.stable oid = Some version
+      && not (List.mem_assoc oid image.Recovery.reference)
+    | _ -> false
+  in
+  match List.find_opt settled payloads with
+  | None -> Alcotest.fail "no settled object with a durable record at 15 s"
+  | Some victim ->
+    let oid, version =
+      match victim.Log_record.kind with
+      | Log_record.Data { oid; version } -> (Ids.Oid.to_int oid, version)
+      | _ -> assert false
+    in
+    let audit = corrupted_audit victim in
+    let pairs = List.map (fun (o, v) -> (Ids.Oid.to_int o, v)) in
+    Alcotest.(check bool) "settled corruption detected" false audit.Recovery.ok;
+    Alcotest.(check (list (pair int int)))
+      "the settled object's corrupt version is spurious"
+      [ (oid, version + 1000) ]
+      (pairs audit.Recovery.spurious);
+    Alcotest.(check (list (pair int int)))
+      "its committed version is missing"
+      [ (oid, version) ]
+      (pairs audit.Recovery.missing)
 
 (* Torn-checksum negative: tear every durable block at its first copy
    of a committed-but-unflushed version, as a bad checksum there would.
@@ -458,8 +493,10 @@ let test_tracker_settled_checks () =
   caught "extra object" [ (5, 1); (6, 1) ] "no transaction committed it"
 
 (* The reverse passes that look for recovered objects nobody committed
-   are skipped when the sizes settle them; one extra object must still
-   be caught, by the recovery audit and by the tracker's crash check. *)
+   judge only what the recovery's overlay names; one extra object must
+   still be caught, by the recovery audit and by the tracker's crash
+   check.  The tracker judges overlays of the stable database it
+   watches, as a recovery makes them. *)
 let test_size_settled_skips_catch () =
   let module Spec_tracker = El_check.Spec_tracker in
   let module Generator = El_workload.Generator in
@@ -505,11 +542,16 @@ let test_size_settled_skips_catch () =
       ~size:100;
     sink.Generator.request_commit ~tid ~on_ack:ignore
   in
+  let stable = Stable_db.create ~num_objects:16 in
+  Spec_tracker.watch_stable t stable;
   write 1 5 1;
   List.iter (fun on_ack -> on_ack Time.zero) !acks;
   let db pairs =
-    Stable_db.of_pairs ~num_objects:16
-      (List.map (fun (o, v) -> (Ids.Oid.of_int o, v)) pairs)
+    let db = Stable_db.overlay stable in
+    List.iter
+      (fun (o, v) -> Stable_db.apply db (Ids.Oid.of_int o) ~version:v)
+      pairs;
+    db
   in
   Spec_tracker.check_crash t (db [ (5, 1) ]);
   (match Spec_tracker.check_crash t (db [ (5, 1); (6, 1) ]) with
@@ -522,6 +564,211 @@ let test_size_settled_skips_catch () =
   write 2 7 9;
   Spec_tracker.check_crash t (db [ (5, 1); (7, 9) ]);
   Alcotest.(check (list string)) "a legal run" [] (Spec_tracker.violations t)
+
+(* The tracker learns of installs from the stable database itself, so
+   an install that bypasses the flush array fails the next crash
+   check's floor check — even for a settled object that neither the
+   unsettled set nor the redo names.  A tracker that learned of
+   installs only from flush completions would pass both. *)
+let test_tracker_catches_direct_install () =
+  let module Spec_tracker = El_check.Spec_tracker in
+  let module Generator = El_workload.Generator in
+  let module Stable_db = El_disk.Stable_db in
+  let stub =
+    {
+      Generator.begin_tx = (fun ~tid:_ ~expected_duration:_ -> ());
+      write_data = (fun ~tid:_ ~oid:_ ~version:_ ~size:_ -> ());
+      request_commit = (fun ~tid:_ ~on_ack -> on_ack Time.zero);
+      request_abort = (fun ~tid:_ -> ());
+    }
+  in
+  let caught what install =
+    let t = Spec_tracker.create () in
+    let stable = Stable_db.create ~num_objects:16 in
+    Spec_tracker.watch_stable t stable;
+    let sink = Spec_tracker.wrap t stub in
+    let tid = Ids.Tid.of_int 1 and oid = Ids.Oid.of_int 5 in
+    sink.Generator.begin_tx ~tid ~expected_duration:(Time.of_ms 400);
+    sink.Generator.write_data ~tid ~oid ~version:1 ~size:100;
+    sink.Generator.request_commit ~tid ~on_ack:ignore;
+    Stable_db.apply stable oid ~version:1;
+    Spec_tracker.observe_flush t oid ~version:1;
+    Spec_tracker.check_crash t (Stable_db.overlay stable);
+    install stable;
+    match Spec_tracker.check_crash t (Stable_db.overlay stable) with
+    | () -> Alcotest.failf "%s: the crash check passed" what
+    | exception Auditor.Audit_failure msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names the floor" what msg)
+        true
+        (Astring_like.contains msg "superblock floor")
+  in
+  caught "an acked object's higher version" (fun stable ->
+      Stable_db.apply stable (Ids.Oid.of_int 5) ~version:2);
+  caught "a never-acked object" (fun stable ->
+      Stable_db.apply stable (Ids.Oid.of_int 6) ~version:1)
+
+(* The crash check judges the redo's objects as well as the unsettled
+   ones: a settled object the redo raised past its ack, to a version no
+   log-extended transaction wrote, must fail the check. *)
+let test_tracker_judges_redo () =
+  let module Spec_tracker = El_check.Spec_tracker in
+  let module Generator = El_workload.Generator in
+  let module Stable_db = El_disk.Stable_db in
+  let t = Spec_tracker.create () in
+  let stable = Stable_db.create ~num_objects:16 in
+  Spec_tracker.watch_stable t stable;
+  let sink =
+    Spec_tracker.wrap t
+      {
+        Generator.begin_tx = (fun ~tid:_ ~expected_duration:_ -> ());
+        write_data = (fun ~tid:_ ~oid:_ ~version:_ ~size:_ -> ());
+        request_commit = (fun ~tid:_ ~on_ack -> on_ack Time.zero);
+        request_abort = (fun ~tid:_ -> ());
+      }
+  in
+  let tid = Ids.Tid.of_int 1 and oid = Ids.Oid.of_int 5 in
+  sink.Generator.begin_tx ~tid ~expected_duration:(Time.of_ms 400);
+  sink.Generator.write_data ~tid ~oid ~version:1 ~size:100;
+  sink.Generator.request_commit ~tid ~on_ack:ignore;
+  Stable_db.apply stable oid ~version:1;
+  Spec_tracker.observe_flush t oid ~version:1;
+  let redo = Stable_db.overlay stable in
+  Spec_tracker.check_crash t redo;
+  Stable_db.apply redo oid ~version:3;
+  match Spec_tracker.check_crash t redo with
+  | () -> Alcotest.fail "a settled object the redo raised passed"
+  | exception Auditor.Audit_failure msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names the advance" msg)
+      true
+      (Astring_like.contains msg "recovery advanced o5 to v3")
+
+(* The atomic-commit check judges only the open cross-shard
+   transactions; a test-local re-check of every cross view at every
+   crash point must reach the same verdicts, and the check must judge
+   only what was open at the previous point plus what is new. *)
+let test_atomic_open_matches_full () =
+  let module Shard_group = El_shard.Shard_group in
+  let module Two_pc = El_shard.Two_pc in
+  let module Preset = El_workload.Workload_preset in
+  let el = List.assoc "el" (Sweep.standard_kinds ()) in
+  let full_verdicts sg (results : Recovery.result array) =
+    let committed shard tid =
+      List.exists (Ids.Tid.equal tid) results.(shard).Recovery.committed_tids
+    in
+    let durable shard oid gtid =
+      match
+        El_disk.Stable_db.version results.(shard).Recovery.recovered oid
+      with
+      | Some v -> v >= Shard_group.ctl_version ~gtid
+      | None -> false
+    in
+    List.concat_map
+      (fun i ->
+        let v = Shard_group.cross_view sg i in
+        let gtid = v.Shard_group.v_gtid in
+        let decided =
+          committed v.Shard_group.v_coordinator (Two_pc.decision_tid ~gtid)
+          ||
+          match v.Shard_group.v_decision_oid with
+          | Some oid -> durable v.Shard_group.v_coordinator oid gtid
+          | None -> false
+        in
+        let branches =
+          List.map
+            (fun p ->
+              committed p (Ids.Tid.of_int gtid)
+              ||
+              match List.assoc_opt p v.Shard_group.v_marker_oids with
+              | Some oid -> durable p oid gtid
+              | None -> false)
+            v.Shard_group.v_participants
+        in
+        (if
+           Two_pc.atomic_ok ~decision_durable:decided
+             ~branches_durable:branches
+         then []
+         else [ gtid ])
+        @
+        if v.Shard_group.v_phase = Two_pc.Acked && not decided then [ gtid ]
+        else [])
+      (List.init (Shard_group.cross_count sg) Fun.id)
+  in
+  let open_views sg =
+    let installed shard oid gtid =
+      match
+        El_disk.Stable_db.version
+          (Shard_group.instances sg).(shard).Experiment.i_stable oid
+      with
+      | Some v -> v >= Shard_group.ctl_version ~gtid
+      | None -> false
+    in
+    List.length
+      (List.filter
+         (fun i ->
+           let v = Shard_group.cross_view sg i in
+           let gtid = v.Shard_group.v_gtid in
+           not
+             (v.Shard_group.v_phase = Two_pc.Acked
+             && (match v.Shard_group.v_decision_oid with
+                | Some oid -> installed v.Shard_group.v_coordinator oid gtid
+                | None -> false)
+             && List.for_all
+                  (fun p ->
+                    match List.assoc_opt p v.Shard_group.v_marker_oids with
+                    | Some oid -> installed p oid gtid
+                    | None -> false)
+                  v.Shard_group.v_participants))
+         (List.init (Shard_group.cross_count sg) Fun.id))
+  in
+  List.iter
+    (fun (pname, preset) ->
+      List.iter
+        (fun seed ->
+          let cfg =
+            {
+              (Sweep.standard_config ~kind:el ~seed ~preset ()) with
+              Experiment.shards = 2;
+            }
+          in
+          let label = Printf.sprintf "%s seed %d" pname seed in
+          let sg = Shard_group.prepare ~retain_cross:true cfg in
+          let engine = Shard_group.engine sg in
+          let atomic = Sweep.Atomic.create () in
+          let judged = ref 0 and views = ref 0 in
+          let prev_open = ref 0 and prev_count = ref 0 in
+          let rec loop () =
+            let n =
+              Engine.run_steps engine ~until:cfg.Experiment.runtime
+                ~max_steps:20
+            in
+            let results =
+              Array.map Recovery.recover (Shard_group.crash_images sg)
+            in
+            let delta = List.map fst (Sweep.Atomic.check atomic sg results) in
+            Alcotest.(check (list int))
+              (label ^ ": open verdicts = full verdicts")
+              (full_verdicts sg results) delta;
+            let count = Shard_group.cross_count sg in
+            if Sweep.Atomic.judged atomic <> !prev_open + count - !prev_count
+            then
+              Alcotest.failf "%s: judged %d, open %d + new %d" label
+                (Sweep.Atomic.judged atomic)
+                !prev_open (count - !prev_count);
+            judged := !judged + Sweep.Atomic.judged atomic;
+            views := !views + count;
+            prev_open := open_views sg;
+            prev_count := count;
+            if n = 20 then loop ()
+          in
+          (try loop () with El_core.El_manager.Log_overloaded _ -> ());
+          if !views > 0 && !judged * 2 > !views then
+            Alcotest.failf "%s: judged %d of %d cross views" label !judged
+              !views;
+          Shard_group.dispose sg)
+        [ 1; 2; 3 ])
+    [ ("uniform", Preset.uniform); ("storm", Preset.storm) ]
 
 let suite =
   [
@@ -553,4 +800,10 @@ let suite =
       `Quick test_tracker_settled_checks;
     Alcotest.test_case "size-settled reverse passes still catch an extra object"
       `Quick test_size_settled_skips_catch;
+    Alcotest.test_case "tracker's floor check catches a direct install" `Quick
+      test_tracker_catches_direct_install;
+    Alcotest.test_case "tracker's crash check judges what the redo raised"
+      `Quick test_tracker_judges_redo;
+    Alcotest.test_case "atomic check by open transaction = full re-check"
+      `Slow test_atomic_open_matches_full;
   ]

@@ -267,6 +267,47 @@ let prop_records_replay_steps =
       && Spec.check_objects s oids = Spec.check s
       && Spec.check_objects s (List.rev oids) = Spec.check s)
 
+(* The unsettled set is exactly the acked objects whose superblock
+   floor is below the acked version, after any run of whole commits,
+   flushes, superblock advances and crashes (the single random steps
+   above rarely complete an ack). *)
+let prop_unsettled =
+  let module Oid_set = Set.Make (Ids.Oid) in
+  let op = QCheck.(triple (int_bound 3) (int_bound 2) (int_range 1 4)) in
+  QCheck.Test.make
+    ~name:"unsettled = acked objects whose floor is below the ack" ~count:500
+    QCheck.(list_of_size (Gen.int_range 0 40) op)
+    (fun ops ->
+      let next = ref 0 in
+      let steps (kind, o, v) =
+        let o = oid o in
+        match kind with
+        | 0 ->
+          incr next;
+          let t = tid !next in
+          Spec.
+            [ Begin t; Append (t, o, v); Log_extension t; Commit_ack t ]
+        | 1 -> [ Spec.Flush_complete (o, v) ]
+        | 2 -> [ Spec.Superblock_advance (o, v) ]
+        | _ -> [ Spec.Crash ]
+      in
+      let s =
+        List.fold_left
+          (fun s st -> match Spec.step s st with Ok s' -> s' | Error _ -> s)
+          Spec.init
+          (List.concat_map steps ops)
+      in
+      let oids = List.init 3 oid in
+      Oid_set.subset (Spec.unsettled s) (Oid_set.of_list oids)
+      && List.for_all
+           (fun o ->
+             Oid_set.mem o (Spec.unsettled s)
+             =
+             match Spec.acked_version s o with
+             | Some a -> Spec.floor_version s o <> Some a
+             | None -> false)
+           oids)
+
 let suite =
   [
     Alcotest.test_case "happy path" `Quick test_happy_path;
@@ -284,4 +325,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_recovery_idempotent;
     QCheck_alcotest.to_alcotest prop_acked_monotone;
     QCheck_alcotest.to_alcotest prop_records_replay_steps;
+    QCheck_alcotest.to_alcotest prop_unsettled;
   ]

@@ -574,6 +574,13 @@ let pristine_pwrites cfg =
   Experiment.dispose live;
   n
 
+(* The sim crash image at the tear instant, kept while the run goes
+   on: an image reads the live stable database, valid only until its
+   next install, so the hook keeps a copy of the stable state. *)
+let crash_and_keep live =
+  let image = Recovery.crash live.Experiment.engine (el_manager live) in
+  { image with Recovery.stable = El_disk.Stable_db.copy image.Recovery.stable }
+
 (* Device dies mid-run with the fatal pwrite landing whole: the sim
    crash image captured at the tear instant and the surviving store
    image describe the same crash, so replay must agree exactly with
@@ -589,10 +596,7 @@ let test_write_fault_replay_agrees () =
       let b = Log_store.backend store in
       let image = ref None in
       Backend.set_write_fault
-        ~on_tear:(fun () ->
-          image :=
-            Some
-              (Recovery.crash live.Experiment.engine (el_manager live)))
+        ~on_tear:(fun () -> image := Some (crash_and_keep live))
         b
         ~after_pwrites:(total / 2)
         ~keep_bytes:max_int;
@@ -635,10 +639,7 @@ let test_write_fault_torn_prefix () =
           let b = Log_store.backend store in
           let image = ref None in
           Backend.set_write_fault
-            ~on_tear:(fun () ->
-              image :=
-                Some
-                  (Recovery.crash live.Experiment.engine (el_manager live)))
+            ~on_tear:(fun () -> image := Some (crash_and_keep live))
             b
             ~after_pwrites:((total / 2) + k)
             ~keep_bytes:(Codec.header_bytes + (Codec.entry_bytes / 2));
