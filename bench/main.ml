@@ -806,7 +806,11 @@ let adaptive_bench speed =
     "Beyond the paper: adaptive generation sizing (the Sec. 6 wish)";
   let cfg =
     {
-      (Paper.base_config ~speed ~kind:(Experiment.Firewall 1) ~long_pct:5 ()) with
+      (Paper.base_config ~speed
+         ~kind:
+           (Experiment.Ephemeral
+              (El_core.Policy.default ~generation_sizes:[| 30; 60 |]))
+         ~long_pct:5 ()) with
       Experiment.runtime =
         (match speed with
         | `Full -> El_model.Time.of_sec 120

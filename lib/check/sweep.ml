@@ -57,12 +57,15 @@ module Atomic = struct
   module IntSet = Set.Make (Int)
 
   type t = {
-    mutable seen : int;  (** cross views taken into [open_] so far *)
-    mutable open_ : int list;  (** views still judged, oldest first *)
+    mutable fresh : Shard_group.cross list;
+        (** entered 2PC since the last check, newest first *)
+    mutable open_ : Shard_group.cross list;
+        (** still judged, oldest first *)
     mutable judged : int;
   }
 
-  let create () = { seen = 0; open_ = []; judged = 0 }
+  let create () = { fresh = []; open_ = []; judged = 0 }
+  let add t x = t.fresh <- x :: t.fresh
   let judged t = t.judged
 
   let check t sg (results : Recovery.result array) =
@@ -143,14 +146,13 @@ module Atomic = struct
              | None -> false)
            v.Shard_group.v_participants
     in
-    let n = Shard_group.cross_count sg in
-    let judged = t.open_ @ List.init (n - t.seen) (fun k -> t.seen + k) in
-    t.seen <- n;
+    let judged = t.open_ @ List.rev t.fresh in
+    t.fresh <- [];
     t.judged <- List.length judged;
     t.open_ <-
       List.filter
-        (fun i ->
-          let v = Shard_group.cross_view sg i in
+        (fun x ->
+          let v = Shard_group.cross_view x in
           judge v;
           not (settled v))
         judged;
@@ -223,13 +225,19 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
   let on_shard_kill i tid =
     if tracked then Spec_tracker.kill trackers.(i) tid
   in
-  let sg =
-    Shard_group.prepare ~wrap_shard_sink ~on_shard_kill ~retain_cross:true cfg
-  in
-  let instances = Shard_group.instances sg in
   let is_el =
     match cfg.Experiment.kind with Experiment.Ephemeral _ -> true | _ -> false
   in
+  (* The per-shard committed sets jointly satisfy atomic commit for
+     every transaction that ever entered 2PC; the check keeps only the
+     ones still open, and only a sweep that crash-recovers hands it
+     any. *)
+  let atomic = Atomic.create () in
+  let on_cross =
+    if composite && recover && is_el then Atomic.add atomic else ignore
+  in
+  let sg = Shard_group.prepare ~wrap_shard_sink ~on_shard_kill ~on_cross cfg in
+  let instances = Shard_group.instances sg in
   if tracked then
     Array.iteri
       (fun i inst ->
@@ -255,9 +263,6 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
   let guarded ~tag f =
     try f () with Auditor.Audit_failure m -> record_failure ~tag m
   in
-  (* The per-shard committed sets jointly satisfy atomic commit for
-     every transaction that ever entered 2PC. *)
-  let atomic = Atomic.create () in
   let atomic_commit_check ~tag results =
     List.iter
       (fun (_, msg) -> record_failure ~tag msg)

@@ -124,16 +124,21 @@ module Atomic : sig
 
   val create : unit -> t
 
+  val add : t -> El_shard.Shard_group.cross -> unit
+  (** Hands the check a transaction as it enters 2PC: pass [add t] as
+      the group's [~on_cross].  The check keeps it only while it is
+      open. *)
+
   val check :
     t ->
     El_shard.Shard_group.t ->
     El_recovery.Recovery.result array ->
     (int * string) list
-  (** Judges the still-open transactions (and those new since the last
-      check) against one crash point's per-shard recoveries, returning
-      each violation as (gtid, message), oldest transaction first —
-      what a judgement of every cross-shard transaction would return.
-      The group must be prepared with [~retain_cross:true]. *)
+  (** Judges the still-open transactions (and those added since the
+      last check) against one crash point's per-shard recoveries,
+      returning each violation as (gtid, message), oldest transaction
+      first — what a judgement of every cross-shard transaction would
+      return. *)
 
   val judged : t -> int
   (** Transactions judged by the last {!check}. *)

@@ -69,10 +69,14 @@ let apply t oid ~version =
 
 let on_install t f = t.on_install <- t.on_install @ [ f ]
 
-let of_pairs ~num_objects pairs =
-  let t = create ~num_objects in
-  List.iter (fun (oid, version) -> apply t oid ~version) pairs;
-  t
+let of_table ~num_objects versions =
+  if num_objects <= 0 then invalid_arg "Stable_db.of_table: no objects";
+  Ids.Oid.Table.iter
+    (fun oid _ ->
+      if Ids.Oid.to_int oid >= num_objects then
+        invalid_arg "Stable_db.of_table: oid out of range")
+    versions;
+  make ~num_objects ~base:None versions
 
 let base t = t.base
 

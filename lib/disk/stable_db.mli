@@ -23,10 +23,14 @@ type t
 
 val create : num_objects:int -> t
 
-val of_pairs : num_objects:int -> (Ids.Oid.t * int) list -> t
-(** A stable DB rebuilt from persisted install facts — the highest
-    version wins per oid, as in {!apply}.  Used when reconstructing a
-    crash image from a store scan. *)
+val of_table : num_objects:int -> int Ids.Oid.Table.t -> t
+(** A stable DB that adopts [versions] (one version per oid) as its
+    contents, without copying: the caller hands the table over and must
+    not touch it again.  Used when reconstructing a crash image from a
+    store scan, whose install facts already fold to the highest version
+    per oid.  Raises [Invalid_argument], as {!apply} does, if an oid is
+    not below [num_objects], and as {!create} does if [num_objects] is
+    not positive. *)
 
 val overlay : t -> t
 (** A new, empty overlay of the database: it reads as its base until
@@ -35,7 +39,7 @@ val overlay : t -> t
 
 val base : t -> t option
 (** The database an overlay reads through; [None] for one made by
-    {!create}, {!of_pairs} or {!copy}. *)
+    {!create}, {!of_table} or {!copy}. *)
 
 val apply : t -> Ids.Oid.t -> version:int -> unit
 (** Records that [version] of [oid] is now durable in the stable

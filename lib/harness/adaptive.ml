@@ -32,6 +32,12 @@ let max_epochs = 64
 
 let tune cfg ?(make_policy = default_policy) ~initial ?(shrink_step = 2)
     ?bandwidth_slack () =
+  (match cfg.Experiment.kind with
+  | Experiment.Ephemeral _ -> ()
+  | Experiment.Firewall _ | Experiment.Hybrid _ ->
+    (* each epoch replaces the EL policy; any other kind would be
+       silently tuned as EL *)
+    invalid_arg "Adaptive.tune: only an EL log has generations to tune");
   if Array.length initial = 0 then invalid_arg "Adaptive.tune: no generations";
   if shrink_step <= 0 then invalid_arg "Adaptive.tune: non-positive step";
   let floor_size = Params.head_tail_gap + 1 in

@@ -42,8 +42,10 @@ val tune :
   ?bandwidth_slack:float ->
   unit ->
   outcome
-(** [tune cfg ~initial ()] runs the controller.  [cfg]'s [kind] field
-    is ignored (replaced per epoch); its runtime is one epoch.
+(** [tune cfg ~initial ()] runs the controller.  [cfg]'s [kind] must
+    be [Ephemeral]: its policy is replaced per epoch (by [make_policy]
+    of the sizes tried), and another kind raises [Invalid_argument]
+    rather than being tuned as EL.  [cfg]'s runtime is one epoch.
     It runs at most 64 epochs.  [make_policy] defaults to the paper's
     policy (recirculation on); [shrink_step] (blocks removed per
     healthy epoch, per generation) defaults to 2.

@@ -185,7 +185,7 @@ let image_of_scan ~num_objects (s : El_store.Log_store.scan) =
           })
         s.El_store.Log_store.s_blocks;
     stable =
-      El_disk.Stable_db.of_pairs ~num_objects s.El_store.Log_store.s_stable;
+      El_disk.Stable_db.of_table ~num_objects s.El_store.Log_store.s_stable;
     reference = [];
     crash_time = Time.zero;
   }

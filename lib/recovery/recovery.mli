@@ -105,10 +105,11 @@ val image_of_scan : num_objects:int -> El_store.Log_store.scan -> image
     block keeps the records {!El_store.Log_store.scan} decoded before
     its first bad checksum, and the entries it cut become the block's
     [torn] count, so the torn counters match a simulated crash of the
-    same state; the stable version is rebuilt from the persisted
-    install facts.  [reference] is empty: a real restart has no
-    ground truth.  [crash_time] is {!Time.zero}: a scanned image
-    carries no clock. *)
+    same state; the stable version adopts the scan's [s_stable] table
+    ({!El_disk.Stable_db.of_table}, no copy), so the scan's table
+    belongs to the image from then on.  [reference] is empty: a real
+    restart has no ground truth.  [crash_time] is {!Time.zero}: a
+    scanned image carries no clock. *)
 
 val recover_store :
   ?obs:El_obs.Obs.t ->
@@ -117,7 +118,9 @@ val recover_store :
   El_store.Backend.t ->
   result
 (** Scans the backend and runs {!recover} on the resulting image — the
-    real-restart path.  [upto] bounds the scan at a crash mark
+    real-restart path.  Its cost is one checksum pass over the image
+    plus decoding and redoing the surviving segments (see
+    {!El_store.Log_store.scan}).  [upto] bounds the scan at a crash mark
     ({!El_core.El_manager.persist_crash_mark}), replaying the image as
     it stood at that instant. *)
 

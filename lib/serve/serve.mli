@@ -74,7 +74,9 @@ val start : config -> t
     builds a fresh plant on it on a new store epoch — prior epochs'
     blocks stay durable and are never shadowed by the new run.  The
     image is read once: {!El_store.Log_store.attach_scan}'s scan, cut
-    at any torn tail, is what recovery replays.  Raises
+    at any torn tail, is what recovery replays.  A start costs one
+    checksum pass over the image plus decoding what survives it:
+    superseded segments are verified but never decoded.  Raises
     [Invalid_argument] for a [Firewall] kind before it touches the
     image: the FW baseline reclaims its ring without flushing to a
     stable database, so a restart would lose acked writes.  Raises

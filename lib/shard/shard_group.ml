@@ -71,10 +71,8 @@ type t = {
   sinks : Generator.sink array;  (* oracle-wrapped shard sinks *)
   slot_pools : slot_pool array;
   registry : (int, gtx) Hashtbl.t;  (* gtid -> live gtx *)
-  retain_cross : bool;
-  mutable cross_log : gtx array;
-      (* oldest first, [cross_n] used; ≥ 2 participants only *)
-  mutable cross_n : int;
+  on_cross : gtx -> unit;  (* each transaction as it enters 2PC *)
+  mutable cross_n : int;  (* transactions that entered 2PC *)
   mutable gen : Generator.t option;
   mutable singles : int;
   mutable cross : int;
@@ -108,20 +106,10 @@ let view g =
     v_decision_oid = g.decision_oid;
   }
 
+type cross = gtx
+
 let cross_count t = t.cross_n
-
-let cross_view t i =
-  if i < 0 || i >= t.cross_n then invalid_arg "Shard_group.cross_view";
-  view t.cross_log.(i)
-
-let retain t g =
-  if t.cross_n = Array.length t.cross_log then begin
-    let grown = Array.make (max 64 (2 * t.cross_n)) g in
-    Array.blit t.cross_log 0 grown 0 t.cross_n;
-    t.cross_log <- grown
-  end;
-  t.cross_log.(t.cross_n) <- g;
-  t.cross_n <- t.cross_n + 1
+let cross_view = view
 
 let single_committed t =
   if t.cfg.Experiment.shards = 1 then Generator.committed (generator t)
@@ -273,7 +261,8 @@ let route_commit t ~tid ~on_ack =
       | [ p ] ->
         t.sinks.(p).Generator.request_commit ~tid ~on_ack:(single_ack t g p)
       | ps ->
-        if t.retain_cross then retain t g;
+        t.cross_n <- t.cross_n + 1;
+        t.on_cross g;
         List.iter
           (fun p ->
             match Two_pc.phase g.pc with
@@ -347,7 +336,7 @@ let on_manager_kill t i tid =
 (* --- Construction ------------------------------------------------ *)
 
 let prepare ?(wrap_shard_sink = fun _ sink -> sink)
-    ?(on_shard_kill = fun _ _ -> ()) ?(retain_cross = false) ?ctl_slots
+    ?(on_shard_kill = fun _ _ -> ()) ?(on_cross = ignore) ?ctl_slots
     (cfg : Experiment.config) =
   if cfg.Experiment.shards < 1 then
     invalid_arg "Shard_group.prepare: shards must be >= 1";
@@ -386,8 +375,7 @@ let prepare ?(wrap_shard_sink = fun _ sink -> sink)
       slot_pools =
         Array.init n (fun _ -> make_slot_pool (Partition.ctl_slots part));
       registry = Hashtbl.create 1024;
-      retain_cross;
-      cross_log = [||];
+      on_cross;
       cross_n = 0;
       gen = None;
       singles = 0;

@@ -27,10 +27,15 @@ module Experiment = El_harness.Experiment
 
 type t
 
+type cross
+(** A transaction that entered two-phase commit, as handed to
+    [prepare]'s [on_cross]: an opaque handle whose {!cross_view} reads
+    its live state. *)
+
 val prepare :
   ?wrap_shard_sink:(int -> El_workload.Generator.sink -> El_workload.Generator.sink) ->
   ?on_shard_kill:(int -> Ids.Tid.t -> unit) ->
-  ?retain_cross:bool ->
+  ?on_cross:(cross -> unit) ->
   ?ctl_slots:int ->
   Experiment.config ->
   t
@@ -39,9 +44,11 @@ val prepare :
     branch begins, data writes, 2PC markers, decision transactions —
     flows through it); [on_shard_kill i tid] fires for every kill
     shard [i]'s manager issues, before the router reacts.
-    [retain_cross] (default false) keeps every cross-shard
-    transaction's state for {!cross_view} — the sweep oracle needs
-    it; long benches don't.  [ctl_slots] sizes each shard's 2PC
+    [on_cross h] fires as each transaction enters two-phase commit
+    (it touched two or more shards), before any branch is asked to
+    prepare; the group keeps no handle itself, so a caller keeps only
+    the ones it still needs to read (the sweep's atomic-commit oracle
+    keeps the open ones).  [ctl_slots] sizes each shard's 2PC
     control region (default 4096 live cross-shard transactions per
     shard).  Raises [Invalid_argument] if the config carries an
     observer (unsupported on the sharded path) or [shards < 1]. *)
@@ -85,13 +92,11 @@ val ctl_version : gtid:int -> int
 
 val cross_count : t -> int
 (** How many transactions have entered two-phase commit (≥ 2
-    participants), settled and in-flight alike; 0 unless
-    [retain_cross] was set. *)
+    participants), settled and in-flight alike. *)
 
-val cross_view : t -> int -> gtx_view
-(** [cross_view t i] is the current view of the [i]-th of them, oldest
-    first ([0 <= i < cross_count t]); a later call sees its phase
-    move on.  Raises [Invalid_argument] out of range. *)
+val cross_view : cross -> gtx_view
+(** The transaction's current view; a later call sees its phase move
+    on. *)
 
 (** {2 Counters} *)
 

@@ -12,7 +12,14 @@
     over the preceding bytes of their struct, so a torn tail — a
     partial header or a partially written entry — is detected at the
     first bad checksum and everything after it is discarded, mirroring
-    the simulator's per-record torn-write model. *)
+    the simulator's per-record torn-write model.
+
+    The format is stated once, by the in-place readers: each reads one
+    field of the struct at an offset, or verifies its checksum, without
+    copying bytes or boxing a result.  {!decode_header} and
+    {!decode_entry} are those readers assembled into values; a store
+    scan uses the readers directly, so it can verify every struct of an
+    image and decode only the few that survive. *)
 
 type entry =
   | Record of El_model.Log_record.t
@@ -47,13 +54,46 @@ val encode_entry : ?corrupt:bool -> entry -> Bytes.t
 (** Fresh-buffer convenience over {!encode_entry_into}. *)
 
 val decode_entry : Bytes.t -> pos:int -> entry option
-(** [None] when the checksum fails or the tag is unknown; raises
-    [Invalid_argument] if fewer than {!entry_bytes} bytes remain. *)
+(** [None] unless {!entry_valid}; raises [Invalid_argument] if fewer
+    than {!entry_bytes} bytes remain. *)
 
 val encode_header_into : Bytes.t -> pos:int -> header -> unit
 
 val encode_header : header -> Bytes.t
 
 val decode_header : Bytes.t -> pos:int -> header option
-(** [None] on a bad magic or checksum; raises [Invalid_argument] if
-    fewer than {!header_bytes} bytes remain. *)
+(** [None] unless {!header_valid}; raises [Invalid_argument] if fewer
+    than {!header_bytes} bytes remain. *)
+
+(** {2 In-place readers}
+
+    Each reads the struct at [pos] in the buffer and allocates nothing.
+    They trust [pos] to start a struct with its whole length in the
+    buffer, and raise [Invalid_argument] only if a byte they read is
+    out of bounds. *)
+
+val header_valid : Bytes.t -> pos:int -> bool
+(** The header's magic is ["ELSG"] and its checksum holds. *)
+
+val header_epoch : Bytes.t -> pos:int -> int
+val header_gen : Bytes.t -> pos:int -> int
+val header_slot : Bytes.t -> pos:int -> int
+val header_seq : Bytes.t -> pos:int -> int
+
+val header_count : Bytes.t -> pos:int -> int
+(** As stored: only the writer's headers are known to be
+    non-negative. *)
+
+val entry_valid : Bytes.t -> pos:int -> bool
+(** The entry's checksum holds and its tag names an entry kind. *)
+
+val entry_is_stable : Bytes.t -> pos:int -> bool
+(** The entry's tag is a stable install fact's. *)
+
+val entry_oid : Bytes.t -> pos:int -> int
+val entry_version : Bytes.t -> pos:int -> int
+
+val entry_at : Bytes.t -> pos:int -> entry
+(** Decodes an entry already found {!entry_valid}, without checking its
+    checksum again.  Raises [Invalid_argument] on an unknown tag, or a
+    negative tid or oid where the entry kind carries one. *)

@@ -112,7 +112,7 @@ type block = {
 
 type scan = {
   s_blocks : block list;
-  s_stable : (Ids.Oid.t * int) list;
+  s_stable : int Ids.Oid.Table.t;
   s_segments : int;
   s_stale_blocks : int;
   s_torn_tail : bool;
@@ -121,129 +121,168 @@ type scan = {
   s_max_seq : int;
 }
 
-(* One pass over the image.  With [~cut_torn:true] a partial last
-   segment is left out of the blocks, the stable facts and the maxima
-   — only [s_torn_tail] still reports it — and comes back on the side
-   as its header (when that decoded), so {!attach} can number past
-   it. *)
+(* A log segment the scan has verified, as offsets into the image:
+   only the newest per key is ever decoded. *)
+type passed = {
+  p_epoch : int;
+  p_gen : int;
+  p_slot : int;
+  p_seq : int;
+  p_body : int;  (* image offset of its first entry *)
+  p_valid : int;  (* entries before the first bad one *)
+  p_discarded : int;
+}
+
+(* Keyed by (epoch, gen, slot): the newest segment is its own key. *)
+module Newest = Hashtbl.Make (struct
+  type t = passed
+
+  let equal a b =
+    a.p_epoch = b.p_epoch && a.p_gen = b.p_gen && a.p_slot = b.p_slot
+
+  let hash a =
+    Hashtbl.hash ((((a.p_epoch * 65599) + a.p_gen) * 65599) + a.p_slot)
+end)
+
+(* How many of the [avail] entries at [body], counting from entry [i],
+   pass their checksum and tag before the first that fails — the
+   valid-prefix rule of the torn-write model.  (No local closure: the
+   scan calls this once per segment.) *)
+let rec valid_prefix img ~body ~avail i =
+  if i < avail && Codec.entry_valid img ~pos:(body + (i * Codec.entry_bytes))
+  then valid_prefix img ~body ~avail (i + 1)
+  else i
+
+(* Stable-segment entries fold into [stable] as they are verified,
+   highest version per oid. *)
+let fold_stable img ~body ~valid stable =
+  for i = 0 to valid - 1 do
+    let pos = body + (i * Codec.entry_bytes) in
+    if Codec.entry_is_stable img ~pos then begin
+      let oid = Ids.Oid.of_int (Codec.entry_oid img ~pos) in
+      let version = Codec.entry_version img ~pos in
+      let prev =
+        match Ids.Oid.Table.find stable oid with
+        | v -> v
+        | exception Not_found -> -1
+      in
+      if version > prev then Ids.Oid.Table.replace stable oid version
+    end
+  done
+
+let decode_block img p =
+  let rec records i acc =
+    if i < 0 then acc
+    else
+      match Codec.entry_at img ~pos:(p.p_body + (i * Codec.entry_bytes)) with
+      | Codec.Record r -> records (i - 1) (r :: acc)
+      | Codec.Stable _ -> records (i - 1) acc
+  in
+  {
+    sb_epoch = p.p_epoch;
+    sb_gen = p.p_gen;
+    sb_slot = p.p_slot;
+    sb_seq = p.p_seq;
+    sb_records = records (p.p_valid - 1) [];
+    sb_discarded = p.p_discarded;
+  }
+
+(* One pass over the image's headers, verifying every checksum in
+   place.  With [~cut_torn:true] a partial last segment is left out of
+   the blocks, the stable facts and the maxima — only [s_torn_tail]
+   still reports it — and its epoch and seq come back on the side
+   (when its header verified), so {!attach} can number past it. *)
 let scan_image ?upto ~cut_torn backend =
   let len = Backend.size backend in
   let img = Backend.pread backend ~off:0 ~len in
   let len = Bytes.length img in
-  let included h = match upto with None -> true | Some n -> h.Codec.h_seq < n in
-  (* Decode up to [avail] entries, cutting at the first bad checksum —
-     the valid-prefix rule of the torn-write model. *)
-  let decode_entries pos avail =
-    let rec go i acc =
-      if i >= avail then (List.rev acc, avail - i)
-      else
-        match Codec.decode_entry img ~pos:(pos + (i * Codec.entry_bytes)) with
-        | None -> (List.rev acc, avail - i)
-        | Some e -> go (i + 1) (e :: acc)
-    in
-    go 0 []
-  in
+  let upto = match upto with None -> max_int | Some n -> n in
+  let newest = Newest.create 64 in
+  let stable = Ids.Oid.Table.create 64 in
   let segments = ref 0 in
-  let log_segments = ref [] in
-  let stable = Hashtbl.create 64 in
+  let log_segments = ref 0 in
   let torn_tail = ref false in
-  let torn_header = ref None in
-  let s_end = ref 0 in
+  let torn_numbers = ref None in
   let max_epoch = ref (-1) in
   let max_seq = ref (-1) in
   let off = ref 0 in
   let stop = ref false in
   while not !stop do
-    if len - !off < Codec.header_bytes then begin
-      if len - !off > 0 then torn_tail := true;
+    let pos = !off in
+    let body = pos + Codec.header_bytes in
+    if len - pos < Codec.header_bytes then begin
+      if len > pos then torn_tail := true;
       stop := true
     end
-    else
-      match Codec.decode_header img ~pos:!off with
-      | None ->
+    else if
+      (not (Codec.header_valid img ~pos)) || Codec.header_count img ~pos < 0
+    then begin
+      (* a bad header, or one that would walk the scan backwards, ends
+         the valid image: nothing after it can be trusted *)
+      torn_tail := true;
+      stop := true
+    end
+    else begin
+      let count = Codec.header_count img ~pos in
+      let epoch = Codec.header_epoch img ~pos in
+      let seq = Codec.header_seq img ~pos in
+      let room = (len - body) / Codec.entry_bytes in
+      let full = count <= room in
+      if not full then begin
         torn_tail := true;
-        stop := true
-      | Some h ->
-        let body = !off + Codec.header_bytes in
-        let full = len - body >= h.Codec.h_count * Codec.entry_bytes in
-        let avail =
-          if full then h.Codec.h_count else (len - body) / Codec.entry_bytes
-        in
-        if not full then begin
-          torn_tail := true;
-          torn_header := Some h
-        end;
-        if included h && (full || not cut_torn) then begin
-          incr segments;
-          if h.Codec.h_epoch > !max_epoch then max_epoch := h.Codec.h_epoch;
-          if h.Codec.h_seq > !max_seq then max_seq := h.Codec.h_seq;
-          let entries, discarded = decode_entries body avail in
-          let discarded = discarded + (h.Codec.h_count - avail) in
-          if h.Codec.h_gen < 0 then
-            List.iter
-              (function
-                | Codec.Stable { oid; version } ->
-                  let prev =
-                    match Hashtbl.find_opt stable oid with
-                    | Some v -> v
-                    | None -> -1
-                  in
-                  if version > prev then Hashtbl.replace stable oid version
-                | Codec.Record _ -> ())
-              entries
-          else begin
-            let records =
-              List.filter_map
-                (function Codec.Record r -> Some r | Codec.Stable _ -> None)
-                entries
-            in
-            log_segments :=
-              {
-                sb_epoch = h.Codec.h_epoch;
-                sb_gen = h.Codec.h_gen;
-                sb_slot = h.Codec.h_slot;
-                sb_seq = h.Codec.h_seq;
-                sb_records = records;
-                sb_discarded = discarded;
-              }
-              :: !log_segments
-          end
-        end;
-        if full then begin
-          off := body + (h.Codec.h_count * Codec.entry_bytes);
-          s_end := !off
+        torn_numbers := Some (epoch, seq)
+      end;
+      if seq < upto && (full || not cut_torn) then begin
+        incr segments;
+        if epoch > !max_epoch then max_epoch := epoch;
+        if seq > !max_seq then max_seq := seq;
+        let valid = valid_prefix img ~body ~avail:(min count room) 0 in
+        let gen = Codec.header_gen img ~pos in
+        if gen < 0 then fold_stable img ~body ~valid stable
+        else begin
+          incr log_segments;
+          let p =
+            {
+              p_epoch = epoch;
+              p_gen = gen;
+              p_slot = Codec.header_slot img ~pos;
+              p_seq = seq;
+              p_body = body;
+              p_valid = valid;
+              p_discarded = count - valid;
+            }
+          in
+          (* in-place slot semantics: only the newest segment per key
+             survives, the later one on a tie; the rest is stale *)
+          let newer =
+            match Newest.find newest p with
+            | prev -> seq >= prev.p_seq
+            | exception Not_found -> true
+          in
+          if newer then Newest.replace newest p p
         end
-        else stop := true
+      end;
+      if full then off := body + (count * Codec.entry_bytes) else stop := true
+    end
   done;
-  (* In-place slot semantics: only the newest segment per
-     (epoch, gen, slot) survives; everything older is stale garbage. *)
-  let newest = Hashtbl.create 64 in
-  List.iter
-    (fun b ->
-      let key = (b.sb_epoch, b.sb_gen, b.sb_slot) in
-      match Hashtbl.find_opt newest key with
-      | Some prev when prev.sb_seq >= b.sb_seq -> ()
-      | _ -> Hashtbl.replace newest key b)
-    !log_segments;
-  let blocks =
-    Hashtbl.fold (fun _ b acc -> b :: acc) newest []
-    |> List.sort (fun a b -> compare a.sb_seq b.sb_seq)
-  in
-  let stable_pairs =
-    Hashtbl.fold (fun oid v acc -> (oid, v) :: acc) stable []
-    |> List.sort (fun (a, _) (b, _) -> Ids.Oid.compare a b)
+  let survivors =
+    Newest.fold (fun _ p acc -> p :: acc) newest []
+    |> List.sort (fun a b ->
+           match Int.compare a.p_seq b.p_seq with
+           | 0 -> Int.compare a.p_body b.p_body
+           | c -> c)
   in
   ( {
-      s_blocks = blocks;
-      s_stable = stable_pairs;
+      s_blocks = List.map (decode_block img) survivors;
+      s_stable = stable;
       s_segments = !segments;
-      s_stale_blocks = List.length !log_segments - List.length blocks;
+      s_stale_blocks = !log_segments - Newest.length newest;
       s_torn_tail = !torn_tail;
-      s_end = !s_end;
+      s_end = !off;
       s_max_epoch = !max_epoch;
       s_max_seq = !max_seq;
     },
-    !torn_header )
+    !torn_numbers )
 
 let scan ?upto backend = fst (scan_image ?upto ~cut_torn:false backend)
 
@@ -264,14 +303,13 @@ let create ?(sync_mode = Immediate) backend =
   make backend ~epoch:0 ~seq:0 ~write_off:0 ~sync_mode
 
 let attach_scan ?(sync_mode = Immediate) backend =
-  let s, torn_header = scan_image ~cut_torn:true backend in
+  let s, torn_numbers = scan_image ~cut_torn:true backend in
   if s.s_torn_tail then Backend.truncate backend ~len:s.s_end;
   (* a torn segment's header still counts: its epoch and seq may have
      reached the platter in a predecessor's crash image *)
   let epoch, seq =
-    match torn_header with
-    | Some h ->
-      (max s.s_max_epoch h.Codec.h_epoch, max s.s_max_seq h.Codec.h_seq)
+    match torn_numbers with
+    | Some (epoch, seq) -> (max s.s_max_epoch epoch, max s.s_max_seq seq)
     | None -> (s.s_max_epoch, s.s_max_seq)
   in
   ( make backend ~epoch:(epoch + 1) ~seq:(seq + 1) ~write_off:s.s_end

@@ -7,8 +7,8 @@
     Each completed block write in the simulator becomes one appended
     segment keyed by [(epoch, gen, slot)]; a later write to the same
     slot appends a new segment with a higher [seq] rather than
-    overwriting in place.  A {!scan} keeps only the newest segment per
-    key, which reproduces exactly the simulator's [durable_blocks]
+    overwriting in place.  A {!scan} decodes only the newest segment
+    per key, which reproduces exactly the simulator's [durable_blocks]
     view: overwritten content disappears, queued-but-unstarted writes
     were never appended, and a torn in-service write (persisted with
     [torn_suffix] corrupt entries) supersedes the slot's previous
@@ -112,7 +112,10 @@ type block = {
 
 type scan = {
   s_blocks : block list;  (** newest per key, ascending [seq] *)
-  s_stable : (Ids.Oid.t * int) list;  (** max installed version per oid *)
+  s_stable : int Ids.Oid.Table.t;
+      (** max installed version per oid, one binding each; a fresh
+          table per scan, which {!El_disk.Stable_db.of_table} may
+          adopt *)
   s_segments : int;  (** segments examined (log + stable) *)
   s_stale_blocks : int;  (** log segments superseded by a newer seq *)
   s_torn_tail : bool;  (** image ended mid-segment or mid-entry *)
@@ -122,9 +125,24 @@ type scan = {
 }
 
 val scan : ?upto:int -> Backend.t -> scan
-(** Reads the whole image.  With [~upto:n], segments with [seq >= n]
-    are parsed past but excluded — replaying the image as it stood at
-    {!position} [= n]. *)
+(** Reads the whole image in one pass over its segment headers.
+
+    {b What it verifies.}  Every header's magic and checksum, and every
+    entry's checksum and tag, of every segment it counts, stale ones
+    included: a segment's valid prefix ends at its first bad entry,
+    and the image ends at the first bad header, at a header whose
+    [count] is negative, or where the bytes run out (a torn tail).
+
+    {b What it decodes.}  Only the newest segment per [(epoch, gen,
+    slot)] becomes a {!block}; a superseded log segment is only
+    remembered, as offsets, until a newer one replaces it.  Each valid
+    stable install fact folds straight into [s_stable].  So a scan
+    costs one checksum pass over the image plus decoding the
+    survivors, and allocates nothing per entry.
+
+    With [~upto:n], segments with [seq >= n] are passed over (only
+    their headers are verified) and excluded — replaying the image as
+    it stood at {!position} [= n]. *)
 
 val attach_scan : ?sync_mode:sync_mode -> Backend.t -> t * scan
 (** {!attach}, also returning the scan it made, as a rescan of the

@@ -15,7 +15,9 @@
      untouched since the last one, and its crash check a flat handful
      of words per unsettled object, however long the history;
    - a whole EL crash point (crash, recover, audit, spec crash check)
-     allocates as much at the end of a long run as of a short one. *)
+     allocates as much at the end of a long run as of a short one;
+   - a restart's store scan allocates a flat handful of words per
+     segment of its image, however much of it is superseded history. *)
 
 open El_model
 module Arena = El_core.Arena
@@ -431,6 +433,54 @@ let test_crash_point_words () =
        20 s (at most 1.2x)"
       long short
 
+(* A restart verifies every checksum of its image but decodes only what
+   survives: a scan of a serve-filled image, mostly superseded log
+   segments and one-entry stable segments, allocates a flat handful of
+   minor words per segment, not a record and a list cell per entry. *)
+let test_scan_words () =
+  let module Serve = El_serve.Serve in
+  let module Log_store = El_store.Log_store in
+  let image = Filename.temp_file "el_alloc_scan" ".img" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove image)
+    (fun () ->
+      let t =
+        Serve.start
+          {
+            (Serve.default_config ~image) with
+            Serve.fresh = true;
+            group_fsync = true;
+          }
+      in
+      let rng = Random.State.make [| 1; 1 |] in
+      for tid = 1 to 2_000 do
+        let exec fmt = Printf.ksprintf (fun l -> ignore (Serve.exec t l)) fmt in
+        exec "BEGIN %d" tid;
+        for _ = 1 to 4 do
+          exec "WRITE %d %d %d 100" tid (Random.State.int rng 100_000) tid
+        done;
+        exec "COMMIT %d" tid
+      done;
+      Serve.close t;
+      let b = El_store.Backend.file ~path:image in
+      Fun.protect
+        ~finally:(fun () -> El_store.Backend.close b)
+        (fun () ->
+          let scan = ref None in
+          let words =
+            minor_words (fun () -> scan := Some (Log_store.scan b))
+          in
+          let s = Option.get !scan in
+          let segments = s.Log_store.s_segments in
+          if segments < 8_000 then
+            Alcotest.failf "the image holds only %d segments" segments;
+          let per = words /. float_of_int segments in
+          if per > 16.0 then
+            Alcotest.failf
+              "a scan of %d segments allocates %.1f minor words per segment \
+               (at most 16)"
+              segments per))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_arena_roundtrip;
@@ -453,4 +503,6 @@ let suite =
       `Quick test_tracker_crash_words;
     Alcotest.test_case "crash point words: 320 s within 1.2x of 20 s" `Slow
       test_crash_point_words;
+    Alcotest.test_case "restart scan: at most 16 minor words per segment"
+      `Quick test_scan_words;
   ]

@@ -475,8 +475,11 @@ let test_tracker_settled_checks () =
   Alcotest.(check int) "a second ack is a violation" 1
     (List.length (Spec_tracker.violations t));
   let db pairs =
-    Stable_db.of_pairs ~num_objects:16
-      (List.map (fun (o, v) -> (Ids.Oid.of_int o, v)) pairs)
+    let versions = Ids.Oid.Table.create 4 in
+    List.iter
+      (fun (o, v) -> Ids.Oid.Table.replace versions (Ids.Oid.of_int o) v)
+      pairs;
+    Stable_db.of_table ~num_objects:16 versions
   in
   Spec_tracker.check_settled_stable t (db [ (5, 1) ]);
   let caught what pairs needle =
@@ -646,14 +649,15 @@ let test_tracker_judges_redo () =
 
 (* The atomic-commit check judges only the open cross-shard
    transactions; a test-local re-check of every cross view at every
-   crash point must reach the same verdicts, and the check must judge
-   only what was open at the previous point plus what is new. *)
+   crash point (the test keeps its own handle on every transaction
+   that entered 2PC) must reach the same verdicts, and the check must
+   judge only what was open at the previous point plus what is new. *)
 let test_atomic_open_matches_full () =
   let module Shard_group = El_shard.Shard_group in
   let module Two_pc = El_shard.Two_pc in
   let module Preset = El_workload.Workload_preset in
   let el = List.assoc "el" (Sweep.standard_kinds ()) in
-  let full_verdicts sg (results : Recovery.result array) =
+  let full_verdicts crosses (results : Recovery.result array) =
     let committed shard tid =
       List.exists (Ids.Tid.equal tid) results.(shard).Recovery.committed_tids
     in
@@ -665,8 +669,8 @@ let test_atomic_open_matches_full () =
       | None -> false
     in
     List.concat_map
-      (fun i ->
-        let v = Shard_group.cross_view sg i in
+      (fun x ->
+        let v = Shard_group.cross_view x in
         let gtid = v.Shard_group.v_gtid in
         let decided =
           committed v.Shard_group.v_coordinator (Two_pc.decision_tid ~gtid)
@@ -693,9 +697,9 @@ let test_atomic_open_matches_full () =
         @
         if v.Shard_group.v_phase = Two_pc.Acked && not decided then [ gtid ]
         else [])
-      (List.init (Shard_group.cross_count sg) Fun.id)
+      crosses
   in
-  let open_views sg =
+  let open_views sg crosses =
     let installed shard oid gtid =
       match
         El_disk.Stable_db.version
@@ -706,8 +710,8 @@ let test_atomic_open_matches_full () =
     in
     List.length
       (List.filter
-         (fun i ->
-           let v = Shard_group.cross_view sg i in
+         (fun x ->
+           let v = Shard_group.cross_view x in
            let gtid = v.Shard_group.v_gtid in
            not
              (v.Shard_group.v_phase = Two_pc.Acked
@@ -720,7 +724,7 @@ let test_atomic_open_matches_full () =
                     | Some oid -> installed p oid gtid
                     | None -> false)
                   v.Shard_group.v_participants))
-         (List.init (Shard_group.cross_count sg) Fun.id))
+         crosses)
   in
   List.iter
     (fun (pname, preset) ->
@@ -733,9 +737,14 @@ let test_atomic_open_matches_full () =
             }
           in
           let label = Printf.sprintf "%s seed %d" pname seed in
-          let sg = Shard_group.prepare ~retain_cross:true cfg in
-          let engine = Shard_group.engine sg in
           let atomic = Sweep.Atomic.create () in
+          let crosses = ref [] in
+          let on_cross x =
+            Sweep.Atomic.add atomic x;
+            crosses := x :: !crosses
+          in
+          let sg = Shard_group.prepare ~on_cross cfg in
+          let engine = Shard_group.engine sg in
           let judged = ref 0 and views = ref 0 in
           let prev_open = ref 0 and prev_count = ref 0 in
           let rec loop () =
@@ -749,7 +758,8 @@ let test_atomic_open_matches_full () =
             let delta = List.map fst (Sweep.Atomic.check atomic sg results) in
             Alcotest.(check (list int))
               (label ^ ": open verdicts = full verdicts")
-              (full_verdicts sg results) delta;
+              (full_verdicts (List.rev !crosses) results)
+              delta;
             let count = Shard_group.cross_count sg in
             if Sweep.Atomic.judged atomic <> !prev_open + count - !prev_count
             then
@@ -758,7 +768,7 @@ let test_atomic_open_matches_full () =
                 !prev_open (count - !prev_count);
             judged := !judged + Sweep.Atomic.judged atomic;
             views := !views + count;
-            prev_open := open_views sg;
+            prev_open := open_views sg (List.rev !crosses);
             prev_count := count;
             if n = 20 then loop ()
           in

@@ -234,7 +234,9 @@ let test_timing_validation () =
 
 let adaptive_cfg () =
   {
-    (Experiment.default_config ~kind:(Experiment.Firewall 1)
+    (Experiment.default_config
+       ~kind:
+         (Experiment.Ephemeral (Policy.default ~generation_sizes:[| 30; 60 |]))
        ~mix:(Mix.short_long ~long_fraction:0.05)) with
     Experiment.runtime = Time.of_sec 60;
   }
@@ -278,6 +280,20 @@ let test_adaptive_rejects_bad_start () =
                Policy.recirculate = false;
              })
            ~initial:[| 4; 4 |] ()))
+
+(* The controller sizes EL generations only: another kind is refused,
+   not silently replaced by EL. *)
+let test_adaptive_rejects_other_kinds () =
+  List.iter
+    (fun kind ->
+      Alcotest.check_raises "non-EL kind"
+        (Invalid_argument "Adaptive.tune: only an EL log has generations to tune")
+        (fun () ->
+          ignore
+            (El_harness.Adaptive.tune
+               { (adaptive_cfg ()) with Experiment.kind }
+               ~initial:[| 30; 60 |] ())))
+    [ Experiment.Firewall 200; Experiment.Hybrid [| 12; 12 |] ]
 
 (* Statistical pin on the Poisson process: at 100 TPS the mean
    inter-arrival time must sit within 5 % of 1/rate = 10 ms (for
@@ -328,4 +344,6 @@ let suite =
       test_adaptive_near_optimal;
     Alcotest.test_case "adaptive controller rejects unhealthy starts" `Quick
       test_adaptive_rejects_bad_start;
+    Alcotest.test_case "adaptive controller refuses non-EL kinds" `Quick
+      test_adaptive_rejects_other_kinds;
   ]

@@ -157,6 +157,11 @@ let test_header_roundtrip () =
 
 (* ---- log store ---- *)
 
+(* A scan's stable facts as sorted (oid, version) bindings. *)
+let stable_pairs (s : Log_store.scan) =
+  Ids.Oid.Table.fold (fun oid v acc -> (oid, v) :: acc) s.Log_store.s_stable []
+  |> List.sort compare
+
 let records_of n base =
   List.init n (fun i ->
       Log_record.data
@@ -190,7 +195,7 @@ let test_store_scan_dedup () =
     (List.length slot0.Log_store.sb_records);
   Alcotest.(check bool)
     "stable folds max version" true
-    (s.Log_store.s_stable = [ (Ids.Oid.of_int 5), 7 ])
+    (stable_pairs s = [ (Ids.Oid.of_int 5), 7 ])
 
 let test_store_torn_suffix () =
   let b = Backend.mem () in
@@ -236,7 +241,7 @@ let test_store_upto () =
   let s = Log_store.scan ~upto:mark b in
   Alcotest.(check int) "blocks before mark" 1 (List.length s.Log_store.s_blocks);
   Alcotest.(check bool) "stable after mark excluded" true
-    (s.Log_store.s_stable = []);
+    (stable_pairs s = []);
   let full = Log_store.scan b in
   Alcotest.(check int) "full scan sees all" 2 (List.length full.Log_store.s_blocks)
 
@@ -282,6 +287,305 @@ let test_truncated_image () =
       let s2 = Log_store.scan b in
       Alcotest.(check bool) "attach cleaned the tail" false
         s2.Log_store.s_torn_tail)
+
+(* A header whose checksum holds but whose [count] is negative ends the
+   valid image, as a bad checksum does: the scan must not step back
+   into the segment before it, and attach must truncate at the header
+   and number past nothing in it. *)
+let test_negative_count_ends_image () =
+  let b = Backend.mem () in
+  let t = Log_store.create b in
+  Log_store.append_stable t ~oid:(Ids.Oid.of_int 3) ~version:4;
+  let good = Backend.size b in
+  Backend.pwrite b ~off:good
+    (Codec.encode_header
+       { Codec.h_epoch = 0; h_gen = 0; h_slot = 0; h_seq = 1; h_count = -1 });
+  Alcotest.(check int) "a 153-byte image" 153 (Backend.size b);
+  let s = Log_store.scan b in
+  Alcotest.(check int) "only the stable segment counts" 1
+    s.Log_store.s_segments;
+  Alcotest.(check bool) "the image is torn there" true s.Log_store.s_torn_tail;
+  Alcotest.(check int) "the valid image ends at the header" good
+    s.Log_store.s_end;
+  Alcotest.(check int) "no block" 0 (List.length s.Log_store.s_blocks);
+  Alcotest.(check int) "max seq" 0 s.Log_store.s_max_seq;
+  Alcotest.(check bool) "the stable fact stays" true
+    (stable_pairs s = [ (Ids.Oid.of_int 3, 4) ]);
+  let t2, s2 = Log_store.attach_scan b in
+  Alcotest.(check int) "attach truncates at the header" good (Backend.size b);
+  Alcotest.(check bool) "attach's scan is clean" false s2.Log_store.s_torn_tail;
+  Alcotest.(check int) "attach's scan ends at the header" good
+    s2.Log_store.s_end;
+  Alcotest.(check (pair int int)) "next epoch and seq" (1, 1)
+    (Log_store.epoch t2, Log_store.position t2);
+  Log_store.append_block t2 ~gen:0 ~slot:0 (records_of 2 10);
+  let s3 = Log_store.scan b in
+  Alcotest.(check int) "the next epoch's segment follows" 2
+    s3.Log_store.s_segments;
+  Alcotest.(check bool) "and the image is whole" false s3.Log_store.s_torn_tail;
+  Alcotest.(check int) "its records survive" 2
+    (List.length (List.hd s3.Log_store.s_blocks).Log_store.sb_records);
+  Alcotest.(check bool) "and so does the stable fact" true
+    (stable_pairs s3 = [ (Ids.Oid.of_int 3, 4) ])
+
+(* ---- the scan against a model that decodes everything ---- *)
+
+(* The scan verifies in place and decodes only survivors; this model
+   decodes every segment with the codec's decoders, cuts each at its
+   first bad entry, keeps the newest segment per (epoch, gen, slot) by
+   seq and the highest stable version per oid. *)
+type model_segment = {
+  m_header : Codec.header;
+  m_entries : Codec.entry list;  (* valid prefix *)
+  m_full : bool;  (* all [h_count] entries' bytes are in the image *)
+  m_end : int;  (* offset after the segment, when full *)
+}
+
+let model_segments img =
+  let len = Bytes.length img in
+  let rec go off acc =
+    if len - off < Codec.header_bytes then (List.rev acc, len > off)
+    else
+      match Codec.decode_header img ~pos:off with
+      | None -> (List.rev acc, true)
+      | Some h when h.Codec.h_count < 0 -> (List.rev acc, true)
+      | Some h ->
+        let body = off + Codec.header_bytes in
+        let avail = min h.Codec.h_count ((len - body) / Codec.entry_bytes) in
+        let rec entries i =
+          if i >= avail then []
+          else
+            match
+              Codec.decode_entry img ~pos:(body + (i * Codec.entry_bytes))
+            with
+            | None -> []
+            | Some e -> e :: entries (i + 1)
+        in
+        let full = avail = h.Codec.h_count in
+        let seg =
+          {
+            m_header = h;
+            m_entries = entries 0;
+            m_full = full;
+            m_end = body + (h.Codec.h_count * Codec.entry_bytes);
+          }
+        in
+        if full then go seg.m_end (seg :: acc)
+        else (List.rev (seg :: acc), true)
+  in
+  go 0 []
+
+(* The image's valid end: the offset after its last whole segment. *)
+let model_end segs =
+  List.fold_left (fun a m -> if m.m_full then m.m_end else a) 0 segs
+
+(* The scan of the given segments, as [Log_store.scan] reports it, with
+   the stable facts as sorted pairs. *)
+let model_scan ~torn ~s_end segs =
+  let h m = m.m_header in
+  let log = List.filter (fun m -> (h m).Codec.h_gen >= 0) segs in
+  let newest =
+    List.fold_left
+      (fun acc m ->
+        let key =
+          ((h m).Codec.h_epoch, (h m).Codec.h_gen, (h m).Codec.h_slot)
+        in
+        match List.assoc_opt key acc with
+        | Some prev when (h prev).Codec.h_seq > (h m).Codec.h_seq -> acc
+        | Some _ | None -> (key, m) :: List.remove_assoc key acc)
+      [] log
+  in
+  let blocks =
+    List.map snd newest
+    |> List.sort (fun a b -> compare (h a).Codec.h_seq (h b).Codec.h_seq)
+    |> List.map (fun m ->
+           let records =
+             List.filter_map
+               (function Codec.Record r -> Some r | Codec.Stable _ -> None)
+               m.m_entries
+           in
+           {
+             Log_store.sb_epoch = (h m).Codec.h_epoch;
+             sb_gen = (h m).Codec.h_gen;
+             sb_slot = (h m).Codec.h_slot;
+             sb_seq = (h m).Codec.h_seq;
+             sb_records = records;
+             sb_discarded = (h m).Codec.h_count - List.length m.m_entries;
+           })
+  in
+  let stable = Hashtbl.create 16 in
+  List.iter
+    (fun m ->
+      if (h m).Codec.h_gen < 0 then
+        List.iter
+          (function
+            | Codec.Stable { oid; version } ->
+              let prev =
+                Option.value ~default:(-1) (Hashtbl.find_opt stable oid)
+              in
+              if version > prev then Hashtbl.replace stable oid version
+            | Codec.Record _ -> ())
+          m.m_entries)
+    segs;
+  let maxi f = List.fold_left (fun a m -> max a (f (h m))) (-1) segs in
+  ( blocks,
+    List.sort compare (Hashtbl.fold (fun o v acc -> (o, v) :: acc) stable []),
+    ( List.length segs,
+      List.length log - List.length blocks,
+      torn,
+      s_end,
+      maxi (fun h -> h.Codec.h_epoch),
+      maxi (fun h -> h.Codec.h_seq) ) )
+
+let scan_fields (s : Log_store.scan) =
+  ( s.Log_store.s_blocks,
+    stable_pairs s,
+    ( s.Log_store.s_segments,
+      s.Log_store.s_stale_blocks,
+      s.Log_store.s_torn_tail,
+      s.Log_store.s_end,
+      s.Log_store.s_max_epoch,
+      s.Log_store.s_max_seq ) )
+
+type store_op =
+  | Log of { gen : int; slot : int; records : int; torn : int }
+  | Install of { oid : int; version : int }
+
+let pp_store_op = function
+  | Log { gen; slot; records; torn } ->
+    Printf.sprintf "log g%d s%d x%d torn %d" gen slot records torn
+  | Install { oid; version } -> Printf.sprintf "install o%d v%d" oid version
+
+(* Records of every kind, numbered from [base]. *)
+let mixed_records n base =
+  List.init n (fun i ->
+      let k = base + i in
+      let tid = Ids.Tid.of_int k and timestamp = Time.of_us k in
+      match k mod 4 with
+      | 0 -> Log_record.begin_ ~tid ~size:8 ~timestamp
+      | 1 ->
+        Log_record.data ~tid ~oid:(Ids.Oid.of_int (k mod 50)) ~version:k
+          ~size:100 ~timestamp
+      | 2 -> Log_record.commit ~tid ~size:8 ~timestamp
+      | _ -> Log_record.abort ~tid ~size:8 ~timestamp)
+
+(* Epochs of store operations, written through [Log_store] with an
+   [attach] between epochs. *)
+let build_image epochs =
+  let b = Backend.mem () in
+  let base = ref 0 in
+  List.iteri
+    (fun i ops ->
+      let t = if i = 0 then Log_store.create b else Log_store.attach b in
+      List.iter
+        (function
+          | Log { gen; slot; records; torn } ->
+            let torn_suffix = if torn > 0 then Some torn else None in
+            Log_store.append_block t ~gen ~slot ?torn_suffix
+              (mixed_records records !base);
+            base := !base + records
+          | Install { oid; version } ->
+            Log_store.append_stable t ~oid:(Ids.Oid.of_int oid) ~version)
+        ops)
+    epochs;
+  Backend.pread b ~off:0 ~len:(Backend.size b)
+
+let store_case_arb =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          ( 3,
+            map
+              (fun (gen, slot, records, torn) ->
+                Log { gen; slot; records; torn })
+              (quad (int_bound 1) (int_bound 2) (int_range 1 4)
+                 (frequency [ (3, return 0); (1, int_range 1 4) ])) );
+          ( 2,
+            map
+              (fun (oid, version) -> Install { oid; version })
+              (pair (int_bound 9) (int_bound 20)) );
+        ])
+  in
+  let gen =
+    Gen.(
+      quad
+        (list_size (int_range 1 3) (list_size (int_bound 10) op))
+        (opt (int_bound 1_000_000))
+        (opt (pair (int_bound 1_000_000) (int_bound 7)))
+        (opt (int_bound 40)))
+  in
+  let print (epochs, cut, flip, upto) =
+    Printf.sprintf "epochs [%s] cut %s flip %s upto %s"
+      (String.concat " | "
+         (List.map
+            (fun ops -> String.concat "; " (List.map pp_store_op ops))
+            epochs))
+      (match cut with Some c -> string_of_int c | None -> "none")
+      (match flip with
+      | Some (p, bit) -> Printf.sprintf "%d/%d" p bit
+      | None -> "none")
+      (match upto with Some u -> string_of_int u | None -> "none")
+  in
+  make ~print gen
+
+(* Random images over a few (gen, slot) keys across 1-3 epochs, with
+   stable installs and torn suffixes, cut at any byte, one bit flipped
+   anywhere, scanned with and without an [~upto] mark: every field of
+   the scan equals the model's, and so do attach's truncation, next
+   epoch and next seq. *)
+let prop_scan_matches_model =
+  QCheck.Test.make ~name:"scan = decode-everything model" ~count:500
+    store_case_arb (fun (epochs, cut, flip, upto) ->
+      let whole = build_image epochs in
+      let cut =
+        match cut with
+        | Some c -> c * Bytes.length whole / 1_000_000
+        | None -> Bytes.length whole
+      in
+      let img = Bytes.sub whole 0 cut in
+      (match flip with
+      | Some (p, bit) when cut > 0 ->
+        let p = p mod cut in
+        Bytes.set img p
+          (Char.chr (Char.code (Bytes.get img p) lxor (1 lsl bit)))
+      | Some _ | None -> ());
+      let backend () =
+        let b = Backend.mem () in
+        if cut > 0 then Backend.pwrite b ~off:0 img;
+        b
+      in
+      let segs, torn = model_segments img in
+      let included m =
+        match upto with None -> true | Some n -> m.m_header.Codec.h_seq < n
+      in
+      let s_end = model_end segs in
+      if
+        scan_fields (Log_store.scan ?upto (backend ()))
+        <> model_scan ~torn ~s_end (List.filter included segs)
+      then QCheck.Test.fail_report "scan differs from the model";
+      let b = backend () in
+      let t, s = Log_store.attach_scan b in
+      let whole_segs = List.filter (fun m -> m.m_full) segs in
+      let ((_, _, (_, _, _, _, max_epoch, max_seq)) as expected) =
+        model_scan ~torn:false ~s_end whole_segs
+      in
+      if scan_fields s <> expected then
+        QCheck.Test.fail_report "attach's scan differs from the model";
+      let torn_epoch, torn_seq =
+        match List.filter (fun m -> not m.m_full) segs with
+        | [ m ] -> (m.m_header.Codec.h_epoch, m.m_header.Codec.h_seq)
+        | _ -> (-1, -1)
+      in
+      if Backend.size b <> (if torn then s_end else cut) then
+        QCheck.Test.fail_reportf "attach left %d bytes, expected %d"
+          (Backend.size b) (if torn then s_end else cut);
+      if
+        (Log_store.epoch t, Log_store.position t)
+        <> (max max_epoch torn_epoch + 1, max max_seq torn_seq + 1)
+      then QCheck.Test.fail_report "attach numbers the next epoch or seq wrong";
+      true)
 
 (* ---- backend equivalence ---- *)
 
@@ -466,7 +770,7 @@ let test_manual_unsynced_never_lands () =
           Alcotest.(check int) "scan sees the synced block only" 1
             (List.length s.Log_store.s_blocks);
           Alcotest.(check bool) "no stable fact" true
-            (s.Log_store.s_stable = [])))
+            (stable_pairs s = [])))
 
 (* A session that never syncs (a client that only aborts) must not
    grow the stage without bound: past 1 MiB the buffer is written out,
@@ -724,6 +1028,9 @@ let suite =
     Alcotest.test_case "attach bumps the epoch" `Quick test_attach_epochs;
     Alcotest.test_case "truncated image loses only the tail" `Quick
       test_truncated_image;
+    Alcotest.test_case "a negative segment count ends the image" `Quick
+      test_negative_count_ends_image;
+    QCheck_alcotest.to_alcotest prop_scan_matches_model;
     Alcotest.test_case "mem = file recovered state (3 seeds x 3 kinds)" `Slow
       test_mem_file_equivalence;
     Alcotest.test_case "sim = mem run results" `Quick
