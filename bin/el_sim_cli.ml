@@ -4,6 +4,10 @@
    arrival rate, the flush rate (drives x transfer time), the number
    and sizes of generations, the recirculation flag and the runtime.
 
+   [check] is the one sweep command: the crash-point sweep under the
+   spec tracker, optionally with a seeded fault plan and over the
+   preset x manager matrix ([--scenario all]).
+
    The subcommand list lives in [subcommands] at the bottom of this
    file; the group's synopsis is generated from it, so adding a
    command there is the only step needed to advertise it. *)
@@ -181,8 +185,7 @@ let apply_scenario cfg = function
   | None -> cfg
   | Some p -> Experiment.apply_preset cfg p
 
-(* Shared by every sweeping subcommand (min-space, check, fault,
-   conform): the
+(* Shared by the sweeping subcommands (min-space, check): the
    independent simulations fan out across $(docv) domains; outputs
    are identical to --jobs 1 (see lib/par). *)
 let jobs_term =
@@ -577,179 +580,12 @@ let trace_cmd =
     Term.(
       const action $ config_term $ scenario $ out $ ring_capacity $ sample_ms)
 
-let check_cmd =
-  let seeds =
-    let doc = "Number of seeds to sweep per manager kind." in
-    Arg.(value & opt int 3 & info [ "seeds" ] ~doc)
-  in
-  let stride =
-    let doc =
-      "Events between audit pauses: an integer, or small|medium|large \
-       (50/200/1000).  Smaller strides crash more often and run longer."
-    in
-    let parse = function
-      | "small" -> Ok 50
-      | "medium" -> Ok 200
-      | "large" -> Ok 1000
-      | s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Ok n
-        | _ -> Error (`Msg ("bad stride: " ^ s)))
-    in
-    let stride_conv = Arg.conv (parse, Format.pp_print_int) in
-    Arg.(value & opt stride_conv 200 & info [ "stride" ] ~doc)
-  in
-  let check_runtime =
-    let doc = "Simulated runtime of each swept run, in seconds." in
-    Arg.(value & opt float 20.0 & info [ "runtime" ] ~doc)
-  in
-  let check_rate =
-    let doc = "Transaction arrival rate of each swept run, per second." in
-    Arg.(value & opt float 40.0 & info [ "rate" ] ~doc)
-  in
-  let spec =
-    let doc =
-      "Also replay each sweep against the durable-log state-machine spec: \
-       every sink event, kill and flush completion must be a legal step, the \
-       persistent-never-exceeds-ephemeral invariant must hold at every \
-       pause, and each recovered crash image must honour every acked commit."
-    in
-    Arg.(value & flag & info [ "spec" ] ~doc)
-  in
-  let quick =
-    let doc =
-      "CI preset: 1 seed, stride 40, 15 s runs; requires at least 50 crash \
-       points per manager kind."
-    in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let action seeds stride runtime rate spec quick backend scenario shards jobs
-      =
-    with_pool jobs @@ fun pool ->
-    let seeds, stride, runtime =
-      if quick then (1, 40, 15.0) else (seeds, stride, runtime)
-    in
-    let runtime = Time.of_sec_f runtime in
-    let backend = resolve_backend backend in
-    if shards > 1 && backend <> Experiment.Sim then begin
-      prerr_endline "el-sim check: --shards needs --backend sim";
-      exit 2
-    end;
-    let module Sweep = El_check.Sweep in
-    let t =
-      El_metrics.Table.create
-        ~columns:
-          ([
-             ("manager", El_metrics.Table.Left);
-             ("seed", El_metrics.Table.Right);
-             ("events", El_metrics.Table.Right);
-             ("pauses", El_metrics.Table.Right);
-             ("recoveries", El_metrics.Table.Right);
-             ("committed", El_metrics.Table.Right);
-             ("killed", El_metrics.Table.Right);
-             ("max scan", El_metrics.Table.Right);
-           ]
-          @ (if spec then [ ("spec checks", El_metrics.Table.Right) ] else [])
-          @ [ ("failures", El_metrics.Table.Right) ])
-    in
-    let failures = ref [] in
-    List.iter
-      (fun (name, kind) ->
-        for seed = 1 to seeds do
-          let cfg =
-            Sweep.standard_config ~kind ~runtime ~rate ~seed ~backend
-              ?preset:scenario ()
-          in
-          let cfg = { cfg with Experiment.shards } in
-          let o = Sweep.run ~pool ~stride ~spec cfg in
-          El_metrics.Table.add_row t
-            ([
-               name;
-               string_of_int seed;
-               string_of_int o.Sweep.events;
-               string_of_int o.Sweep.points;
-               string_of_int o.Sweep.recoveries;
-               string_of_int o.Sweep.committed;
-               string_of_int o.Sweep.killed;
-               string_of_int o.Sweep.max_records_scanned;
-             ]
-            @ (if spec then [ string_of_int o.Sweep.spec_checks ] else [])
-            @ [
-                (if o.Sweep.overloaded then "overloaded"
-                 else string_of_int (List.length o.Sweep.failures));
-              ]);
-          if quick && o.Sweep.points < 50 then
-            failures :=
-              Printf.sprintf
-                "%s seed %d: only %d crash points (quick mode requires 50)"
-                name seed o.Sweep.points
-              :: !failures;
-          List.iter
-            (fun (at, msg) ->
-              failures :=
-                Printf.sprintf "%s seed %d [event %d]: %s" name seed at msg
-                :: !failures)
-            o.Sweep.failures
-        done)
-      (Sweep.standard_kinds ());
-    El_metrics.Table.print t;
-    match List.rev !failures with
-    | [] -> print_endline "all sweeps clean"
-    | fs ->
-      Printf.eprintf "%d audit failure(s):\n" (List.length fs);
-      List.iter prerr_endline fs;
-      exit 1
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Model-check the simulator: sweep seeded runs of all three log \
-          managers, auditing invariants and (for EL) crash-recovering at \
-          every stride-th event boundary, then compare each manager against \
-          an in-memory reference model.  With --spec, additionally replay \
-          every run against the pure durable-log state machine (a \
-          machine-checked 'ack implies recoverable' contract).  With \
-          --backend mem|file, every swept run also serializes its blocks \
-          through the durable store.  Exits non-zero on any divergence.  \
-          --jobs N fans each sweep's crash points out across N domains \
-          (identical findings, shorter wall-clock).  --shards N sweeps the \
-          multi-shard plant instead: per-shard differential models plus the \
-          global atomic-commit invariant over every crash point.")
-    Term.(
-      const action $ seeds $ stride $ check_runtime $ check_rate $ spec
-      $ quick $ backend_term $ scenario_term $ shards_term $ jobs_term)
-
-let fault_cmd =
+(* The fault-plan flags of [check], as one plan whose seed each swept
+   run replaces with its own; [None] when they arm no fault and no
+   degraded mode.  [Fault_plan.make] validates every flag, so a bad
+   rate is refused before anything runs. *)
+let fault_plan_term =
   let module FP = El_fault.Fault_plan in
-  let seeds =
-    let doc = "Number of fault-plan seeds to sweep per manager kind." in
-    Arg.(value & opt int 3 & info [ "seeds" ] ~doc)
-  in
-  let stride =
-    let doc =
-      "Events between fault points: an integer, or small|medium|large \
-       (50/200/1000)."
-    in
-    let parse = function
-      | "small" -> Ok 50
-      | "medium" -> Ok 200
-      | "large" -> Ok 1000
-      | s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Ok n
-        | _ -> Error (`Msg ("bad stride: " ^ s)))
-    in
-    let stride_conv = Arg.conv (parse, Format.pp_print_int) in
-    Arg.(value & opt stride_conv 200 & info [ "stride" ] ~doc)
-  in
-  let fault_runtime =
-    let doc = "Simulated runtime of each swept run, in seconds." in
-    Arg.(value & opt float 20.0 & info [ "runtime" ] ~doc)
-  in
-  let fault_rate =
-    let doc = "Transaction arrival rate of each swept run, per second." in
-    Arg.(value & opt float 40.0 & info [ "rate" ] ~doc)
-  in
   let transient =
     let doc = "Per-op transient I/O failure probability on every device." in
     Arg.(value & opt float 0.0 & info [ "transient" ] ~doc)
@@ -814,311 +650,267 @@ let fault_cmd =
     in
     Arg.(value & opt (some int) None & info [ "shed-backlog" ] ~doc ~docv:"N")
   in
-  let quick =
-    let doc =
-      "CI preset: 3 seeds, stride 40 (at least 50 fault points per sweep), \
-       20 s runs under a fault storm (transient 0.05 burst 2, sticky 0.002, \
-       torn 0.2 on the log channels)."
+  let plan transient burst sticky torn retry_budget penalty_ms spares latency
+      shed_backlog =
+    let log_spec =
+      {
+        FP.clean_spec with
+        FP.transient_rate = transient;
+        transient_burst = burst;
+        sticky_rate = sticky;
+        torn_rate = torn;
+      }
     in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let identity =
-    let doc =
-      "Instead of injecting faults, pin the determinism contract: sweep each \
-       configuration under the empty plan and under an armed-but-inert plan \
-       (all rates zero) and require byte-identical outcomes."
+    (* Latency windows go on the flush drives only: delaying a log
+       channel can defer a survivor's forward write past the reuse of
+       its origin slot, which genuinely loses data at a crash (a real
+       hazard of the design, documented in DESIGN.md Sec. 10) — the
+       audited sweep exercises timing faults where they are safe. *)
+    let flush_spec =
+      {
+        FP.clean_spec with
+        FP.transient_rate = transient;
+        transient_burst = burst;
+        sticky_rate = sticky;
+        latency;
+      }
     in
-    Arg.(value & flag & info [ "identity" ] ~doc)
-  in
-  let action seeds stride runtime rate transient burst sticky torn retry_budget
-      penalty_ms spares latency shed_backlog quick identity scenario jobs =
-    (* Fault_plan.make validates rates/windows with Invalid_argument;
-       surface those as flag errors, not a backtrace. *)
-    (fun body ->
-      try body () with Invalid_argument msg ->
-        Printf.eprintf "el-sim: fault: %s\n" msg;
-        exit 124)
-    @@ fun () ->
-    with_pool jobs @@ fun pool ->
-    let module Sweep = El_check.Sweep in
-    let seeds, stride, runtime, transient, burst, sticky, torn =
-      if quick then (seeds, 40, 20.0, 0.05, 2, 0.002, 0.2)
-      else (seeds, stride, runtime, transient, burst, sticky, torn)
-    in
-    let runtime = Time.of_sec_f runtime in
-    let plan_for seed =
-      let log_spec =
-        {
-          FP.clean_spec with
-          FP.transient_rate = transient;
-          transient_burst = burst;
-          sticky_rate = sticky;
-          torn_rate = torn;
-        }
-      in
-      (* Latency windows go on the flush drives only: delaying a log
-         channel can defer a survivor's forward write past the reuse of
-         its origin slot, which genuinely loses data at a crash (a real
-         hazard of the design, documented in DESIGN.md Sec. 10) — the
-         audited sweep exercises timing faults where they are safe. *)
-      let flush_spec =
-        {
-          FP.clean_spec with
-          FP.transient_rate = transient;
-          transient_burst = burst;
-          sticky_rate = sticky;
-          latency;
-        }
-      in
-      FP.make ~seed
+    let plan =
+      FP.make
         ~retry:{ FP.budget = retry_budget; penalty = Time.of_ms penalty_ms }
         ~spares
-        ?degraded:
-          (Option.map (fun n -> { FP.shed_backlog = n }) shed_backlog)
+        ?degraded:(Option.map (fun n -> { FP.shed_backlog = n }) shed_backlog)
         ~log_spec ~flush_spec ~log_gens:2 ~flush_drives:2 ()
     in
-    if identity then begin
-      let mismatches = ref [] in
-      List.iter
-        (fun (name, kind) ->
-          for seed = 1 to seeds do
-            let cfg =
-              Sweep.standard_config ~kind ~runtime ~rate ~seed
-                ?preset:scenario ()
-            in
-            let inert =
-              {
-                cfg with
-                Experiment.fault =
-                  FP.make ~seed ~log_gens:2 ~flush_drives:2 ();
-              }
-            in
-            let o_empty = Sweep.run ~pool ~stride cfg in
-            let o_inert = Sweep.run ~pool ~stride inert in
-            if
-              Marshal.to_string o_empty [] <> Marshal.to_string o_inert []
-            then
-              mismatches :=
-                Printf.sprintf "%s seed %d: armed-but-inert plan diverged"
-                  name seed
-                :: !mismatches
-          done)
-        (Sweep.standard_kinds ());
-      match List.rev !mismatches with
-      | [] -> print_endline "empty-plan identity holds: all outcomes byte-identical"
-      | ms ->
-        Printf.eprintf "%d identity violation(s):\n" (List.length ms);
-        List.iter prerr_endline ms;
-        exit 1
-    end
-    else begin
-      let t =
-        El_metrics.Table.create
-          ~columns:
-            [
-              ("manager", El_metrics.Table.Left);
-              ("seed", El_metrics.Table.Right);
-              ("events", El_metrics.Table.Right);
-              ("points", El_metrics.Table.Right);
-              ("recoveries", El_metrics.Table.Right);
-              ("committed", El_metrics.Table.Right);
-              ("killed", El_metrics.Table.Right);
-              ("torn blk", El_metrics.Table.Right);
-              ("torn rec", El_metrics.Table.Right);
-              ("retries", El_metrics.Table.Right);
-              ("remaps", El_metrics.Table.Right);
-              ("sheds", El_metrics.Table.Right);
-              ("failures", El_metrics.Table.Right);
-            ]
-      in
-      let failures = ref [] in
-      List.iter
-        (fun (name, kind) ->
-          for seed = 1 to seeds do
-            let cfg =
-              {
-                (Sweep.standard_config ~kind ~runtime ~rate ~seed
-                   ?preset:scenario ())
-                with
-                Experiment.fault = plan_for seed;
-              }
-            in
-            let o = Sweep.run ~pool ~stride cfg in
-            El_metrics.Table.add_row t
-              [
-                name;
-                string_of_int seed;
-                string_of_int o.Sweep.events;
-                string_of_int o.Sweep.points;
-                string_of_int o.Sweep.recoveries;
-                string_of_int o.Sweep.committed;
-                string_of_int o.Sweep.killed;
-                string_of_int o.Sweep.torn_blocks;
-                string_of_int o.Sweep.torn_records;
-                string_of_int o.Sweep.io_retries;
-                string_of_int o.Sweep.io_remaps;
-                string_of_int o.Sweep.sheds;
-                (if o.Sweep.overloaded then "overloaded"
-                 else if o.Sweep.faulted then "io-fatal"
-                 else string_of_int (List.length o.Sweep.failures));
-              ];
-            if quick && o.Sweep.points < 50 then
-              failures :=
-                Printf.sprintf
-                  "%s seed %d: only %d fault points (quick mode requires 50)"
-                  name seed o.Sweep.points
-                :: !failures;
-            List.iter
-              (fun (at, msg) ->
-                failures :=
-                  Printf.sprintf "%s seed %d [event %d]: %s" name seed at msg
-                  :: !failures)
-              o.Sweep.failures
-          done)
-        (Sweep.standard_kinds ());
-      El_metrics.Table.print t;
-      match List.rev !failures with
-      | [] -> print_endline "all fault sweeps clean"
-      | fs ->
-        Printf.eprintf "%d fault-sweep failure(s):\n" (List.length fs);
-        List.iter prerr_endline fs;
-        exit 1
-    end
+    if
+      transient > 0.0 || sticky > 0.0 || torn > 0.0 || latency <> []
+      || shed_backlog <> None
+    then Some plan
+    else None
   in
-  Cmd.v
-    (Cmd.info "fault"
-       ~doc:
-         "Model-check the simulator under injected disk faults: sweep seeded \
-          runs of all three log managers with a deterministic fault plan \
-          (transient/sticky/torn errors, latency windows, optional degraded \
-          load shedding), crash-recovering at every stride-th event and \
-          auditing the recovered database.  With --identity, instead pins \
-          the contract that an armed-but-inert plan is byte-identical to no \
-          plan.  Exits non-zero on any divergence.")
-    Term.(
-      const action $ seeds $ stride $ fault_runtime $ fault_rate $ transient
-      $ burst $ sticky $ torn $ retry_budget $ penalty_ms $ spares $ latency
-      $ shed_backlog $ quick $ identity $ scenario_term $ jobs_term)
+  Term.(
+    const plan $ transient $ burst $ sticky $ torn $ retry_budget $ penalty_ms
+    $ spares $ latency $ shed_backlog)
 
-let conform_cmd =
-  let module Conform = El_check.Conform in
+let check_cmd =
+  let module FP = El_fault.Fault_plan in
+  let module Preset = El_workload.Workload_preset in
+  let module Sweep = El_check.Sweep in
+  let seeds =
+    let doc =
+      "Number of seeds to sweep per manager kind (default 3, or 1 with \
+       --quick)."
+    in
+    Arg.(value & opt (some int) None & info [ "seeds" ] ~doc)
+  in
   let stride =
-    let doc = "Events between audit pauses of each sweep." in
-    Arg.(value & opt int 100 & info [ "stride" ] ~doc)
+    let doc =
+      "Events between audit pauses: an integer, or small|medium|large \
+       (50/200/1000).  Smaller strides crash more often and run longer \
+       (default 200, or 40 with --quick)."
+    in
+    let parse = function
+      | "small" -> Ok 50
+      | "medium" -> Ok 200
+      | "large" -> Ok 1000
+      | s -> (
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | _ -> Error (`Msg ("bad stride: " ^ s)))
+    in
+    let stride_conv = Arg.conv (parse, Format.pp_print_int) in
+    Arg.(value & opt (some stride_conv) None & info [ "stride" ] ~doc)
   in
-  let conform_runtime =
-    let doc = "Simulated runtime of each swept cell, in seconds." in
-    Arg.(value & opt float 20.0 & info [ "runtime" ] ~doc)
+  let check_runtime =
+    let doc =
+      "Simulated runtime of each swept run, in seconds (default 20, or 15 \
+       with --quick)."
+    in
+    Arg.(value & opt (some float) None & info [ "runtime" ] ~doc)
   in
-  let conform_rate =
-    let doc = "Transaction arrival rate of each swept cell, per second." in
+  let check_rate =
+    let doc = "Transaction arrival rate of each swept run, per second." in
     Arg.(value & opt float 40.0 & info [ "rate" ] ~doc)
   in
-  let conform_seed =
-    let doc = "Random seed shared by every cell." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc)
+  let spec =
+    let doc =
+      "Also check each sweep against the durable-log state-machine spec: \
+       the persistent-never-exceeds-ephemeral invariant must hold at every \
+       pause, each recovered crash image must honour every acked commit, \
+       and the settled run must have flushed every ack."
+    in
+    Arg.(value & flag & info [ "spec" ] ~doc)
   in
   let quick =
     let doc =
-      "CI preset: 15 s runs, stride 40 capped at 80 audit points, 4 s \
-       store legs; requires at least 50 crash points per cell."
+      "CI preset: 1 seed, stride 40 and 15 s runs, unless --seeds, --stride \
+       or --runtime says otherwise; requires at least 50 crash points per \
+       sweep."
     in
     Arg.(value & flag & info [ "quick" ] ~doc)
   in
-  let action scenario stride runtime rate seed quick shards jobs =
+  let scenarios =
+    let doc =
+      Printf.sprintf
+        "Workload scenario preset: %s, or $(b,all) to sweep every preset in \
+         turn (the preset x manager matrix).  Replaces the traffic of each \
+         swept run with the preset's (skewed drawing, bursts, long-tail \
+         lifetimes, contention retries) and scales the managers' logs to it."
+        (String.concat "|" Preset.names)
+    in
+    let parse = function
+      | "all" -> Ok Preset.all
+      | s -> (
+        match Preset.find s with
+        | Some p -> Ok [ p ]
+        | None ->
+          Error
+            (`Msg
+               (Printf.sprintf "unknown scenario %S (want all|%s)" s
+                  (String.concat "|" Preset.names))))
+    in
+    let print ppf = function
+      | [ p ] -> Preset.pp ppf p
+      | _ -> Format.pp_print_string ppf "all"
+    in
+    Arg.(
+      value
+      & opt (some (conv (parse, print))) None
+      & info [ "scenario" ] ~doc ~docv:"NAME")
+  in
+  let action seeds stride runtime rate spec quick backend scenarios shards plan
+      jobs =
+    let default ~quick:q ~full v =
+      Option.value v ~default:(if quick then q else full)
+    in
+    let seeds = default ~quick:1 ~full:3 seeds in
+    let stride = default ~quick:40 ~full:200 stride in
+    let runtime = default ~quick:15.0 ~full:20.0 runtime in
+    if seeds < 1 then invalid_arg "--seeds must be at least 1";
     with_pool jobs @@ fun pool ->
-    let runtime, stride, max_points, min_points, store_runtime =
-      if quick then (Time.of_sec 15, 40, 80, 50, Time.of_sec 4)
-      else (Time.of_sec_f runtime, stride, max_int, 0, Time.of_sec 6)
-    in
+    let runtime = Time.of_sec_f runtime in
+    let backend = resolve_backend backend in
     let presets =
-      match scenario with
-      | None -> El_workload.Workload_preset.all
-      | Some p -> [ p ]
+      match scenarios with
+      | None -> [ None ]
+      | Some ps -> List.map Option.some ps
     in
-    (* Store images land in a private temp directory removed at exit,
-       so a conform run never litters the working tree. *)
-    let store_dir = Filename.temp_file "el-sim-conform" "" in
-    Sys.remove store_dir;
-    Unix.mkdir store_dir 0o700;
-    at_exit (fun () ->
-        try
-          Array.iter
-            (fun f -> Sys.remove (Filename.concat store_dir f))
-            (Sys.readdir store_dir);
-          Unix.rmdir store_dir
-        with Sys_error _ | Unix.Unix_error _ -> ());
-    let report =
-      Conform.run ~pool ~shards ~presets ~runtime ~rate ~seed ~stride
-        ~max_points ~min_points ~store_dir ~store_runtime ()
+    let matrix = List.compare_length_with presets 1 > 0 in
+    let int f (o : Sweep.outcome) = string_of_int (f o) in
+    (* The columns after manager and seed, each with its cell. *)
+    let columns =
+      [
+        ("events", int (fun o -> o.Sweep.events));
+        ("pauses", int (fun o -> o.Sweep.points));
+        ("recoveries", int (fun o -> o.Sweep.recoveries));
+        ("committed", int (fun o -> o.Sweep.committed));
+        ("killed", int (fun o -> o.Sweep.killed));
+        ("max scan", int (fun o -> o.Sweep.max_records_scanned));
+      ]
+      @ (if spec then [ ("spec checks", int (fun o -> o.Sweep.spec_checks)) ]
+         else [])
+      @ (if plan = None then []
+         else
+           [
+             ("torn blk", int (fun o -> o.Sweep.torn_blocks));
+             ("torn rec", int (fun o -> o.Sweep.torn_records));
+             ("retries", int (fun o -> o.Sweep.io_retries));
+             ("remaps", int (fun o -> o.Sweep.io_remaps));
+             ("sheds", int (fun o -> o.Sweep.sheds));
+           ])
+      @ [
+          ( "failures",
+            fun o ->
+              if o.Sweep.overloaded then "overloaded"
+              else if o.Sweep.faulted then "io-fatal"
+              else string_of_int (List.length o.Sweep.failures) );
+        ]
     in
     let t =
       El_metrics.Table.create
         ~columns:
-          [
-            ("scenario", El_metrics.Table.Left);
-            ("manager", El_metrics.Table.Left);
-            ("events", El_metrics.Table.Right);
-            ("points", El_metrics.Table.Right);
-            ("recoveries", El_metrics.Table.Right);
-            ("committed", El_metrics.Table.Right);
-            ("killed", El_metrics.Table.Right);
-            ("c-aborts", El_metrics.Table.Right);
-            ("retries", El_metrics.Table.Right);
-            ("spec checks", El_metrics.Table.Right);
-            ("torn rec", El_metrics.Table.Right);
-            ("failures", El_metrics.Table.Right);
-          ]
+          ((if matrix then [ ("scenario", El_metrics.Table.Left) ] else [])
+          @ [
+              ("manager", El_metrics.Table.Left);
+              ("seed", El_metrics.Table.Right);
+            ]
+          @ List.map (fun (c, _) -> (c, El_metrics.Table.Right)) columns)
     in
+    let failures = ref [] in
     List.iter
-      (fun (c : Conform.cell) ->
-        El_metrics.Table.add_row t
-          [
-            c.Conform.preset;
-            c.Conform.kind;
-            string_of_int c.Conform.events;
-            string_of_int c.Conform.points;
-            string_of_int c.Conform.recoveries;
-            string_of_int c.Conform.committed;
-            string_of_int c.Conform.killed;
-            string_of_int c.Conform.contention_aborts;
-            string_of_int c.Conform.contention_retries;
-            string_of_int c.Conform.spec_checks;
-            string_of_int c.Conform.torn_records;
-            string_of_int (List.length c.Conform.failures);
-          ])
-      report.Conform.cells;
+      (fun preset ->
+        List.iter
+          (fun (kind_name, kind) ->
+            let scenario, name =
+              match preset with
+              | Some p when matrix ->
+                ([ p.Preset.name ], p.Preset.name ^ "/" ^ kind_name)
+              | _ -> ([], kind_name)
+            in
+            for seed = 1 to seeds do
+              let cfg =
+                Sweep.standard_config ~kind ~runtime ~rate ~seed ~backend
+                  ?preset ()
+              in
+              let fault =
+                match plan with
+                | Some p -> { p with FP.seed }
+                | None -> cfg.Experiment.fault
+              in
+              let o =
+                Sweep.run ~pool ~stride ~spec
+                  { cfg with Experiment.shards; fault }
+              in
+              El_metrics.Table.add_row t
+                (scenario
+                @ [ kind_name; string_of_int seed ]
+                @ List.map (fun (_, cell) -> cell o) columns);
+              if quick && o.Sweep.points < 50 then
+                failures :=
+                  Printf.sprintf
+                    "%s seed %d: only %d crash points (quick mode requires 50)"
+                    name seed o.Sweep.points
+                  :: !failures;
+              List.iter
+                (fun (at, msg) ->
+                  failures :=
+                    Printf.sprintf "%s seed %d [event %d]: %s" name seed at msg
+                    :: !failures)
+                o.Sweep.failures
+            done)
+          (Sweep.standard_kinds ()))
+      presets;
     El_metrics.Table.print t;
-    if Conform.ok report then
-      Printf.printf "all %d cells conform\n" (List.length report.Conform.cells)
-    else begin
-      Printf.eprintf "%d conformance failure(s):\n" report.Conform.failure_count;
-      List.iter
-        (fun (c : Conform.cell) ->
-          List.iter
-            (fun msg ->
-              Printf.eprintf "%s/%s: %s\n" c.Conform.preset c.Conform.kind msg)
-            c.Conform.failures)
-        report.Conform.cells;
+    match List.rev !failures with
+    | [] -> print_endline "all sweeps clean"
+    | fs ->
+      Printf.eprintf "%d audit failure(s):\n" (List.length fs);
+      List.iter prerr_endline fs;
       exit 1
-    end
   in
   Cmd.v
-    (Cmd.info "conform"
+    (Cmd.info "check"
        ~doc:
-         "Run the workload-matrix conformance harness: every scenario preset \
-          x every log manager (EL, FW, hybrid), each cell swept under the \
-          full oracle battery — live audits, crash/recover/audit at every \
-          stride-th event, the differential reference model, the durable-log \
-          state-machine spec, a torn-write fault sweep, and mem-vs-file \
-          durable-store replay identity.  Exits non-zero on any divergence.  \
-          --scenario restricts the matrix to one preset; --jobs N fans each \
-          sweep's crash points out across N domains; --shards N runs every \
-          cell through the sharded composite oracle (the store battery is \
-          solo-only and is skipped).")
+         "Model-check the simulator: sweep seeded runs of all three log \
+          managers, auditing invariants and (for EL) crash-recovering at \
+          every stride-th event boundary, while the durable-log spec \
+          (Spec_tracker) shadows every run and judges each manager's settled \
+          state.  With --spec, the spec also checks every pause and every \
+          recovered crash image (a machine-checked 'ack implies recoverable' \
+          contract).  The fault flags (--transient, --sticky, --torn, \
+          --latency, --shed-backlog) arm a seeded disk-fault plan in every \
+          run, and the table gains the fault columns.  --scenario NAME \
+          swaps in a workload preset; --scenario all sweeps every preset.  \
+          With --backend mem|file, every swept run also serializes its \
+          blocks through the durable store.  Exits non-zero on any \
+          divergence.  --jobs N fans each sweep's crash points out across N \
+          domains (identical findings, shorter wall-clock).  --shards N \
+          sweeps the multi-shard plant instead: a spec tracker per shard \
+          plus the global atomic-commit invariant over every crash point.")
     Term.(
-      const action $ scenario_term $ stride $ conform_runtime $ conform_rate
-      $ conform_seed $ quick $ shards_term $ jobs_term)
+      const action $ seeds $ stride $ check_runtime $ check_rate $ spec
+      $ quick $ backend_term $ scenarios $ shards_term $ fault_plan_term
+      $ jobs_term)
 
 let serve_cmd =
   let image =
@@ -1202,7 +994,7 @@ let serve_cmd =
 let () =
   let subcommands =
     [ run_cmd; min_space_cmd; recover_cmd; adaptive_cmd; check_cmd;
-      fault_cmd; conform_cmd; trace_cmd; serve_cmd ]
+      trace_cmd; serve_cmd ]
   in
   (* One list, one synopsis: the summary is generated from the
      commands themselves so it cannot drift as subcommands come and

@@ -35,26 +35,23 @@ let e_cksum_at = 41
 let fnv_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv1a_64 b ~pos ~len =
-  let h = ref fnv_basis in
-  for i = pos to pos + len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i)));
-    h := Int64.mul !h fnv_prime
-  done;
-  !h
-
-(* [fnv1a_64 b ~pos ~len] equals the checksum stored right after the
-   bytes it covers, computed without boxing the hash.  Reading the
-   stored checksum first bounds-checks every byte the loop reads. *)
-let checksum_holds b ~pos ~len =
-  let stored = Bytes.get_int64_le b (pos + len) in
-  if pos < 0 then invalid_arg "index out of bounds";
+(* FNV-1a-64 of the [len] bytes at [pos]: one range check, then
+   unchecked reads.  Inlined, the hash stays unboxed in each caller, so
+   sealing a struct and checking one allocate nothing. *)
+let[@inline] fnv1a_64 b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "index out of bounds";
   let h = ref fnv_basis in
   for i = pos to pos + len - 1 do
     h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)));
     h := Int64.mul !h fnv_prime
   done;
-  Int64.equal !h stored
+  !h
+
+(* The hash of the [len] bytes at [pos] equals the checksum stored
+   right after them. *)
+let checksum_holds b ~pos ~len =
+  Int64.equal (fnv1a_64 b ~pos ~len) (Bytes.get_int64_le b (pos + len))
 
 let int_at b pos = Int64.to_int (Bytes.get_int64_le b pos)
 

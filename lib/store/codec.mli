@@ -41,8 +41,6 @@ type header = {
   h_count : int;  (** entries following the header *)
 }
 
-val fnv1a_64 : Bytes.t -> pos:int -> len:int -> int64
-
 val encode_entry_into : ?corrupt:bool -> Bytes.t -> pos:int -> entry -> unit
 (** Encodes the entry in place at [pos] — the store's segment writer
     packs a whole segment into one reused scratch buffer this way, so

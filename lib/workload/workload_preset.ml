@@ -18,7 +18,7 @@ type t = {
 }
 
 (* The paper's two-type shape, scaled to the check-sized runs the
-   conformance matrix sweeps (short 400 ms, long 4 s) — the same
+   scenario matrix sweeps (short 400 ms, long 4 s) — the same
    proportions as [El_check.Sweep.standard_mix], so the [uniform]
    preset swept at 40 TPS is exactly the polite traffic PRs 1–7 were
    proven on. *)

@@ -3,9 +3,10 @@
     A preset bundles every workload-level knob — the transaction mix,
     the arrival process, the oid-drawing policy, the lifetime
     distribution and the contention retry budget — under a stable
-    name, so the CLI ([--scenario]), the conformance matrix
-    ([el-sim conform]), the bench [workloads] section and the tests
-    all mean exactly the same traffic when they say ["storm"].
+    name, so the CLI ([--scenario]), the scenario matrix
+    ([el-sim check --scenario all]), the bench [workloads] section and
+    the tests all mean exactly the same traffic when they say
+    ["storm"].
 
     The six presets cover the adversity axes of ROADMAP item 4:
 
@@ -34,7 +35,7 @@ type t = {
   space_factor : float;
       (** log-space appetite relative to the paper's standard mix
           (1.0).  Sweeps that run the standard manager geometries
-          ([El_check.Sweep.standard_config], the conformance matrix)
+          ([El_check.Sweep.standard_config], the scenario matrix)
           scale generation sizes by this factor — the paper's own
           discipline of sizing the log to the offered load.  The
           multi-size presets need it: fat records roughly double the

@@ -17,7 +17,8 @@
    - a whole EL crash point (crash, recover, audit, spec crash check)
      allocates as much at the end of a long run as of a short one;
    - a restart's store scan allocates a flat handful of words per
-     segment of its image, however much of it is superseded history. *)
+     segment of its image, however much of it is superseded history;
+   - encoding a segment's header and entries allocates nothing. *)
 
 open El_model
 module Arena = El_core.Arena
@@ -481,6 +482,32 @@ let test_scan_words () =
                (at most 16)"
               segments per))
 
+(* The segment writer seals each struct in a reused scratch buffer:
+   its checksum is hashed in place and never boxed, so encoding a
+   header and an entry allocates nothing. *)
+let test_encode_words () =
+  let module Codec = El_store.Codec in
+  let b = Bytes.create (Codec.header_bytes + Codec.entry_bytes) in
+  let header =
+    { Codec.h_epoch = 1; h_gen = 0; h_slot = 3; h_seq = 7; h_count = 1 }
+  in
+  let entry =
+    Codec.Record
+      (Log_record.data ~tid:(Ids.Tid.of_int 5) ~oid:(Ids.Oid.of_int 9)
+         ~version:2 ~size:100 ~timestamp:(Time.of_ms 3))
+  in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1_000 do
+          Codec.encode_header_into b ~pos:0 header;
+          Codec.encode_entry_into b ~pos:Codec.header_bytes entry
+        done)
+  in
+  if words > 0.0 then
+    Alcotest.failf
+      "1000 header and entry encodes allocate %.0f minor words (want 0)"
+      words
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_arena_roundtrip;
@@ -505,4 +532,6 @@ let suite =
       test_crash_point_words;
     Alcotest.test_case "restart scan: at most 16 minor words per segment"
       `Quick test_scan_words;
+    Alcotest.test_case "encoding a header and an entry allocates 0 words"
+      `Quick test_encode_words;
   ]

@@ -170,9 +170,10 @@ let test_sticky_pins_and_spares () =
   Alcotest.(check int) "fatal at op 1" 1 (attempt ());
   Alcotest.(check int) "fatal replays at op 1" 1 (attempt ())
 
-(* Satellite regression: the empty plan and an armed-but-inert plan
-   must both reproduce the fault-free paper-figure results to the
-   byte, for every manager kind and for a scarce-log variant. *)
+(* The empty plan and an armed-but-inert plan must both reproduce the
+   fault-free results to the byte: every manager kind's run result and
+   a scarce-log variant's, and every manager kind's crash-point sweep
+   outcome at seeds 1-3. *)
 let test_empty_plan_byte_identity () =
   let configs =
     List.map
@@ -206,7 +207,25 @@ let test_empty_plan_byte_identity () =
         (name ^ ": armed-but-inert plan is byte-identical")
         true
         (Marshal.to_string (Experiment.run armed) [] = base))
-    configs
+    configs;
+  List.iter
+    (fun (name, kind) ->
+      for seed = 1 to 3 do
+        let cfg = Sweep.standard_config ~kind ~seed () in
+        let inert =
+          {
+            cfg with
+            Experiment.fault = FP.make ~seed ~log_gens:2 ~flush_drives:2 ();
+          }
+        in
+        let sweep cfg = Marshal.to_string (Sweep.run ~stride:200 cfg) [] in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s seed %d: armed-but-inert sweep is byte-identical"
+             name seed)
+          true
+          (sweep inert = sweep cfg)
+      done)
+    (Sweep.standard_kinds ())
 
 (* The retry/backoff law: under the default timing-neutral policy
    (zero penalty), a transient-fault plan with enough spares produces

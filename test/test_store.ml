@@ -616,41 +616,52 @@ let neutral_result (r : Experiment.result) =
     store_bytes_written = 0;
   }
 
+(* The same seeded run through the mem and the file backend recovers
+   the same state, and differs in no result but the backend's name:
+   each standard kind at three seeds, and at the standard seed under
+   every workload preset. *)
 let test_mem_file_equivalence () =
+  let standard =
+    List.concat_map
+      (fun (name, kind) ->
+        List.map
+          (fun seed ->
+            ( Printf.sprintf "%s seed %d" name seed,
+              Sweep.standard_config ~kind ~runtime:(Time.of_sec 6) ~rate:30.0
+                ~seed () ))
+          [ 1; 2; 3 ])
+      (Sweep.standard_kinds ())
+  in
+  let presets =
+    List.concat_map
+      (fun (p : El_workload.Workload_preset.t) ->
+        List.map
+          (fun (name, kind) ->
+            ( p.El_workload.Workload_preset.name ^ "/" ^ name,
+              Sweep.standard_config ~kind ~runtime:(Time.of_sec 4) ~preset:p ()
+            ))
+          (Sweep.standard_kinds ()))
+      El_workload.Workload_preset.all
+  in
   with_temp_dir (fun dir ->
       List.iter
-        (fun (name, kind) ->
-          List.iter
-            (fun seed ->
-              let cfg backend =
-                {
-                  (Sweep.standard_config ~kind ~runtime:(Time.of_sec 6)
-                     ~rate:30.0 ~seed ())
-                  with
-                  Experiment.backend;
-                }
-              in
-              let rm, sm = recovered_state (cfg Experiment.Mem_store) in
-              let rf, sf =
-                recovered_state (cfg (Experiment.File_store dir))
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "%s seed %d: recovered state identical" name
-                   seed)
-                (Marshal.to_string sm [])
-                (Marshal.to_string sf []);
-              Alcotest.(check string)
-                (Printf.sprintf
-                   "%s seed %d: run results identical modulo backend name"
-                   name seed)
-                (Marshal.to_string
-                   { (neutral_result rm) with Experiment.backend_name = "" }
-                   [])
-                (Marshal.to_string
-                   { (neutral_result rf) with Experiment.backend_name = "" }
-                   []))
-            [ 1; 2; 3 ])
-        (Sweep.standard_kinds ()))
+        (fun (name, cfg) ->
+          let rm, sm =
+            recovered_state { cfg with Experiment.backend = Mem_store }
+          in
+          let rf, sf =
+            recovered_state { cfg with Experiment.backend = File_store dir }
+          in
+          Alcotest.(check string)
+            (name ^ ": recovered state identical")
+            (Marshal.to_string sm []) (Marshal.to_string sf []);
+          let named (r : Experiment.result) =
+            Marshal.to_string { r with Experiment.backend_name = "" } []
+          in
+          Alcotest.(check string)
+            (name ^ ": run results identical modulo backend name")
+            (named rm) (named rf))
+        (standard @ presets))
 
 let test_sim_mem_result_identity () =
   List.iter
@@ -675,33 +686,50 @@ let test_sim_mem_result_identity () =
 
 (* A mid-run crash with torn log writes: the simulated crash image and
    the frozen store image must recover the same committed state and
-   the same torn damage.  (redo_applied/skipped are scan-order
-   dependent and deliberately not compared.) *)
+   the same torn damage, for the standard EL log at three seeds and,
+   scaled to each preset, under every workload preset.
+   (redo_applied/skipped are scan-order dependent and deliberately not
+   compared.) *)
 let test_crash_mark_fidelity () =
   let module FP = El_fault.Fault_plan in
+  let el = List.assoc "el" (Sweep.standard_kinds ()) in
+  let torn ~rate (cfg : Experiment.config) =
+    {
+      cfg with
+      Experiment.backend = Experiment.Mem_store;
+      fault =
+        FP.make ~seed:cfg.Experiment.seed
+          ~log_spec:{ FP.clean_spec with FP.torn_rate = rate }
+          ~log_gens:2 ~flush_drives:2 ();
+    }
+  in
+  let seeds =
+    List.map
+      (fun seed ->
+        ( Printf.sprintf "seed %d" seed,
+          torn ~rate:0.3
+            (Sweep.standard_config ~kind:el ~runtime:(Time.of_sec 8)
+               ~rate:40.0 ~seed ()),
+          Time.of_sec 6 ))
+      [ 1; 2; 3 ]
+  in
+  let presets =
+    List.map
+      (fun (p : El_workload.Workload_preset.t) ->
+        ( p.El_workload.Workload_preset.name,
+          torn ~rate:0.2
+            (Sweep.standard_config ~kind:el ~runtime:(Time.of_sec 4) ~preset:p
+               ()),
+          Time.of_sec 3 ))
+      El_workload.Workload_preset.all
+  in
   List.iter
-    (fun seed ->
-      let kind =
-        Experiment.Ephemeral
-          (El_core.Policy.default ~generation_sizes:[| 8; 8 |])
-      in
-      let cfg =
-        {
-          (Sweep.standard_config ~kind ~runtime:(Time.of_sec 8) ~rate:40.0
-             ~seed ())
-          with
-          Experiment.backend = Experiment.Mem_store;
-          fault =
-            FP.make ~seed
-              ~log_spec:{ FP.clean_spec with FP.torn_rate = 0.3 }
-              ~log_gens:2 ~flush_drives:2 ();
-        }
-      in
+    (fun (name, cfg, crash_at) ->
       let _result, sim, audit, store =
-        Experiment.run_with_crash_store cfg ~crash_at:(Time.of_sec 6)
+        Experiment.run_with_crash_store cfg ~crash_at
       in
       Alcotest.(check bool)
-        (Printf.sprintf "seed %d: simulated recovery audits clean" seed)
+        (name ^ ": simulated recovery audits clean")
         true audit.Recovery.ok;
       match store with
       | None -> Alcotest.fail "store recovery missing"
@@ -714,10 +742,10 @@ let test_crash_mark_fidelity () =
             r.Recovery.records_scanned )
         in
         Alcotest.(check string)
-          (Printf.sprintf "seed %d: store replay matches simulated crash" seed)
+          (name ^ ": store replay matches simulated crash")
           (Marshal.to_string (view sim) [])
           (Marshal.to_string (view st) []))
-    [ 1; 2; 3 ]
+    (seeds @ presets)
 
 (* Manual stages appends in memory: the backend sees nothing until a
    [sync], which writes everything staged with one pwrite and one
@@ -1031,7 +1059,8 @@ let suite =
     Alcotest.test_case "a negative segment count ends the image" `Quick
       test_negative_count_ends_image;
     QCheck_alcotest.to_alcotest prop_scan_matches_model;
-    Alcotest.test_case "mem = file recovered state (3 seeds x 3 kinds)" `Slow
+    Alcotest.test_case
+      "mem = file recovered state (3 seeds x 3 kinds, every preset)" `Slow
       test_mem_file_equivalence;
     Alcotest.test_case "sim = mem run results" `Quick
       test_sim_mem_result_identity;
