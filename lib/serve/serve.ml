@@ -36,6 +36,11 @@ type t = {
       (* the highest tid begun this session or carried by a record of
          the start-up scan; -1 when there is none *)
   mutable commits : int;  (* COMMIT commands acked, for the stat line *)
+  acked : bool ref;  (* the COMMIT being run has acked *)
+  on_ack : Time.t -> unit;  (* sets [acked] *)
+  line : Protocol.line;  (* the words of the command being run *)
+  reply : Buffer.t;  (* [exec]'s reply *)
+  to_reply : Protocol.out;  (* [Buf reply] *)
 }
 
 (* Interactive transactions have no meaningful a-priori duration;
@@ -92,6 +97,8 @@ let start cfg =
   let killed = Hashtbl.create 64 in
   plant.Experiment.i_set_on_kill (fun tid ->
       Hashtbl.replace killed (Ids.Tid.to_int tid) ());
+  let acked = ref false in
+  let reply = Buffer.create 256 in
   {
     engine;
     store;
@@ -102,6 +109,11 @@ let start cfg =
     num_objects = cfg.num_objects;
     last_tid = scanned_tid;
     commits = 0;
+    acked;
+    on_ack = (fun _ -> acked := true);
+    line = Protocol.line ();
+    reply;
+    to_reply = Protocol.Buf reply;
   }
 
 let recovered t = t.recovered
@@ -112,190 +124,216 @@ let close t =
   El_store.Log_store.sync t.store;
   El_store.Backend.close (El_store.Log_store.backend t.store)
 
-let ok fmt = Printf.ksprintf (fun s -> "ok " ^ s) fmt
-let err fmt = Printf.ksprintf (fun s -> "err " ^ s) fmt
+(* ---- one command ---- *)
+
+let settle t = Engine.run_all t.engine
+
+let err o msg =
+  Protocol.put o "err ";
+  Protocol.put o msg
+
+let bad_integer t o i =
+  err o (Printf.sprintf "bad integer %S" (Protocol.word t.line i))
+
+(* Recovery pairs records by tid, so a reused tid would let an old
+   COMMIT vouch for the new transaction's writes (or the new COMMIT for
+   an aborted one's): every BEGIN takes a fresh tid. *)
+let begin_ t o =
+  let tid = Protocol.arg t.line 1 in
+  if tid < 0 then bad_integer t o 1
+  else if tid <= t.last_tid then
+    err o
+      (Printf.sprintf "tid %d is not above %d, the highest tid used" tid
+         t.last_tid)
+  else begin
+    t.last_tid <- tid;
+    t.sink.Generator.begin_tx ~tid:(Ids.Tid.of_int tid) ~expected_duration;
+    settle t;
+    Protocol.put o "ok begun ";
+    Protocol.put_int o tid
+  end
+
+(* The arguments are checked in order, and the first bad one named. *)
+let write t o =
+  let tid = Protocol.arg t.line 1 in
+  let oid = Protocol.arg t.line 2 in
+  let version = Protocol.arg t.line 3 in
+  let size = if Protocol.arity t.line = 4 then Protocol.arg t.line 4 else 100 in
+  if tid < 0 then bad_integer t o 1
+  else if oid < 0 then bad_integer t o 2
+  else if version < 0 then bad_integer t o 3
+  else if size < 0 then bad_integer t o 4
+  else if oid >= t.num_objects then
+    err o (Printf.sprintf "oid %d out of range" oid)
+  else begin
+    t.sink.Generator.write_data ~tid:(Ids.Tid.of_int tid)
+      ~oid:(Ids.Oid.of_int oid) ~version ~size;
+    settle t;
+    Protocol.put o "ok written ";
+    Protocol.put_int o tid;
+    Protocol.put o " ";
+    Protocol.put_int o oid;
+    Protocol.put o " ";
+    Protocol.put_int o version
+  end
+
+let commit t o =
+  let tid = Protocol.arg t.line 1 in
+  if tid < 0 then bad_integer t o 1
+  else begin
+    t.acked := false;
+    t.sink.Generator.request_commit ~tid:(Ids.Tid.of_int tid)
+      ~on_ack:t.on_ack;
+    (* Force partial buffers out and run every consequence: by the time
+       drain+settle return, the COMMIT record's block has been appended
+       — and fsynced, either per segment (Immediate) or by the single
+       pwrite + group barrier below — so the ack below is an ack of
+       durable state. *)
+    Experiment.drain t.manager;
+    settle t;
+    El_store.Log_store.sync t.store;
+    if !(t.acked) then begin
+      t.commits <- t.commits + 1;
+      Protocol.put o "ok committed ";
+      Protocol.put_int o tid
+    end
+    else if Hashtbl.mem t.killed tid then begin
+      Hashtbl.remove t.killed tid;
+      err o (Printf.sprintf "killed %d" tid)
+    end
+    else err o (Printf.sprintf "commit of %d did not ack" tid)
+  end
+
+let abort t o =
+  let tid = Protocol.arg t.line 1 in
+  if tid < 0 then bad_integer t o 1
+  else begin
+    t.sink.Generator.request_abort ~tid:(Ids.Tid.of_int tid);
+    settle t;
+    Protocol.put o "ok aborted ";
+    Protocol.put_int o tid
+  end
+
+(* The durable version of the object as of startup recovery: the stable
+   database plus surviving log redo.  A commit that was acked, flushed
+   and recirculated out of the log no longer appears in RECOVERED's tid
+   list, but its version must. *)
+let read t o =
+  let oid = Protocol.arg t.line 1 in
+  if oid < 0 then bad_integer t o 1
+  else if oid >= t.num_objects then
+    err o (Printf.sprintf "oid %d out of range" oid)
+  else begin
+    let v =
+      match
+        El_disk.Stable_db.version t.recovered.El_recovery.Recovery.recovered
+          (Ids.Oid.of_int oid)
+      with
+      | Some v -> v
+      | None -> 0
+    in
+    Protocol.put o "ok read ";
+    Protocol.put_int o oid;
+    Protocol.put o " ";
+    Protocol.put_int o v
+  end
+
+let recovered_line t o =
+  let tids =
+    List.map Ids.Tid.to_int t.recovered.El_recovery.Recovery.committed_tids
+    |> List.sort compare
+  in
+  Protocol.put o "recovered ";
+  Protocol.put_int o (List.length tids);
+  List.iter
+    (fun n ->
+      Protocol.put o " ";
+      Protocol.put_int o n)
+    tids
+
+let stat t o =
+  let backend = El_store.Log_store.backend t.store in
+  let c = El_store.Backend.counters backend in
+  let fsyncs_per_commit =
+    float_of_int c.El_store.Backend.barriers /. float_of_int (max 1 t.commits)
+  in
+  Protocol.put o
+    (Printf.sprintf
+       "stat backend=%s pwrites=%d barriers=%d bytes=%d recovered=%d \
+        commits=%d fsyncs_per_commit=%.2f group_fsync=%s"
+       (El_store.Backend.name backend)
+       c.El_store.Backend.pwrites c.El_store.Backend.barriers
+       c.El_store.Backend.bytes_written
+       (List.length t.recovered.El_recovery.Recovery.committed_tids)
+       t.commits fsyncs_per_commit
+       (match El_store.Log_store.sync_mode t.store with
+       | El_store.Log_store.Manual -> "on"
+       | El_store.Log_store.Immediate -> "off"))
+
+(* Runs the command [t.line] has parsed and writes its reply to [o];
+   [false] once the session should end.  A misused command (double
+   begin, unknown tid, log overload…) raises out of the manager before
+   any reply is written; the session survives it and the client learns
+   why. *)
+let guarded f t o =
+  try f t o with
+  | Invalid_argument m | Failure m -> err o m
+  | El_core.El_manager.Log_overloaded m -> err o ("log overloaded: " ^ m)
+
+let run t o (command : Protocol.command) =
+  match command with
+  | Blank -> true
+  | Begin -> guarded begin_ t o; true
+  | Write -> guarded write t o; true
+  | Commit -> guarded commit t o; true
+  | Abort -> guarded abort t o; true
+  | Read -> read t o; true
+  | Recovered -> recovered_line t o; true
+  | Stat -> stat t o; true
+  | Quit -> Protocol.put o "bye"; false
+  | Malformed ->
+    err o
+      (Printf.sprintf "unknown or malformed command %S"
+         (String.uppercase_ascii (Protocol.word t.line 0)));
+    true
 
 let exec t line =
-  let words =
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (fun s -> s <> "")
+  let command =
+    Protocol.parse t.line (Bytes.unsafe_of_string line) ~start:0
+      ~stop:(String.length line)
   in
-  let settle () = Engine.run_all t.engine in
-  let with_int s k =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> k n
-    | Some _ | None -> err "bad integer %S" s
-  in
-  (* A misused command (double begin, unknown tid, log overload…)
-     raises out of the manager; the session survives it and the
-     client learns why. *)
-  let guarded f = try f () with
-    | Invalid_argument m | Failure m -> err "%s" m
-    | El_core.El_manager.Log_overloaded m -> err "log overloaded: %s" m
-  in
-  match words with
-  | [] -> (None, true)
-  | verb :: args -> (
-    match (String.uppercase_ascii verb, args) with
-    | "BEGIN", [ tid ] ->
-      (* Recovery pairs records by tid, so a reused tid would let an
-         old COMMIT vouch for the new transaction's writes (or the new
-         COMMIT for an aborted one's): every BEGIN takes a fresh tid. *)
-      let r =
-        guarded (fun () ->
-            with_int tid (fun n ->
-                if n <= t.last_tid then
-                  err "tid %d is not above %d, the highest tid used" n
-                    t.last_tid
-                else begin
-                  t.last_tid <- n;
-                  t.sink.Generator.begin_tx ~tid:(Ids.Tid.of_int n)
-                    ~expected_duration;
-                  settle ();
-                  ok "begun %d" n
-                end))
-      in
-      (Some r, true)
-    | "WRITE", ([ _; _; _ ] | [ _; _; _; _ ]) ->
-      let tid, oid, version, size =
-        match args with
-        | [ a; b; c ] -> (a, b, c, "100")
-        | [ a; b; c; d ] -> (a, b, c, d)
-        | _ -> assert false
-      in
-      let r =
-        guarded (fun () ->
-            with_int tid (fun tn ->
-                with_int oid (fun on ->
-                    with_int version (fun vn ->
-                        with_int size (fun sn ->
-                            if on >= t.num_objects then
-                              err "oid %d out of range" on
-                            else begin
-                              t.sink.Generator.write_data
-                                ~tid:(Ids.Tid.of_int tn)
-                                ~oid:(Ids.Oid.of_int on) ~version:vn ~size:sn;
-                              settle ();
-                              ok "written %d %d %d" tn on vn
-                            end)))))
-      in
-      (Some r, true)
-    | "COMMIT", [ tid ] ->
-      let r =
-        guarded (fun () ->
-            with_int tid (fun n ->
-                let acked_at = ref None in
-                t.sink.Generator.request_commit ~tid:(Ids.Tid.of_int n)
-                  ~on_ack:(fun at -> acked_at := Some at);
-                (* Force partial buffers out and run every consequence:
-                   by the time drain+settle return, the COMMIT record's
-                   block has been appended — and fsynced, either per
-                   segment (Immediate) or by the single pwrite + group
-                   barrier below — so the ack below is an ack of durable
-                   state. *)
-                Experiment.drain t.manager;
-                settle ();
-                El_store.Log_store.sync t.store;
-                match !acked_at with
-                | Some _ ->
-                  t.commits <- t.commits + 1;
-                  ok "committed %d" n
-                | None ->
-                  if Hashtbl.mem t.killed n then begin
-                    Hashtbl.remove t.killed n;
-                    err "killed %d" n
-                  end
-                  else err "commit of %d did not ack" n))
-      in
-      (Some r, true)
-    | "ABORT", [ tid ] ->
-      let r =
-        guarded (fun () ->
-            with_int tid (fun n ->
-                t.sink.Generator.request_abort ~tid:(Ids.Tid.of_int n);
-                settle ();
-                ok "aborted %d" n))
-      in
-      (Some r, true)
-    | "READ", [ oid ] ->
-      (* The durable version of the object as of startup recovery: the
-         stable database plus surviving log redo.  A commit that was
-         acked, flushed and recirculated out of the log no longer
-         appears in RECOVERED's tid list, but its version must. *)
-      let r =
-        with_int oid (fun on ->
-            if on >= t.num_objects then err "oid %d out of range" on
-            else
-              let v =
-                match
-                  El_disk.Stable_db.version
-                    t.recovered.El_recovery.Recovery.recovered
-                    (Ids.Oid.of_int on)
-                with
-                | Some v -> v
-                | None -> 0
-              in
-              ok "read %d %d" on v)
-      in
-      (Some r, true)
-    | "RECOVERED", [] ->
-      let tids =
-        List.map Ids.Tid.to_int t.recovered.El_recovery.Recovery.committed_tids
-        |> List.sort compare
-      in
-      let b = Buffer.create 64 in
-      Buffer.add_string b (Printf.sprintf "recovered %d" (List.length tids));
-      List.iter (fun n -> Buffer.add_string b (Printf.sprintf " %d" n)) tids;
-      (Some (Buffer.contents b), true)
-    | "STAT", [] ->
-      let backend = El_store.Log_store.backend t.store in
-      let c = El_store.Backend.counters backend in
-      let fsyncs_per_commit =
-        float_of_int c.El_store.Backend.barriers
-        /. float_of_int (max 1 t.commits)
-      in
-      ( Some
-          (Printf.sprintf
-             "stat backend=%s pwrites=%d barriers=%d bytes=%d recovered=%d \
-              commits=%d fsyncs_per_commit=%.2f group_fsync=%s"
-             (El_store.Backend.name backend)
-             c.El_store.Backend.pwrites c.El_store.Backend.barriers
-             c.El_store.Backend.bytes_written
-             (List.length t.recovered.El_recovery.Recovery.committed_tids)
-             t.commits fsyncs_per_commit
-             (match El_store.Log_store.sync_mode t.store with
-             | El_store.Log_store.Manual -> "on"
-             | El_store.Log_store.Immediate -> "off")),
-        true )
-    | "QUIT", [] -> (Some "bye", false)
-    | verb, _ -> (Some (err "unknown or malformed command %S" verb), true))
-
-(* Runs one line and queues its reply; [false] once the session
-   should end. *)
-let answer t oc line =
-  let response, continue = exec t line in
-  (match response with
-  | None -> ()
-  | Some r ->
-    output_string oc r;
-    output_char oc '\n');
-  continue
+  Buffer.clear t.reply;
+  let continue = run t t.to_reply command in
+  match command with
+  | Blank -> (None, true)
+  | _ -> (Some (Buffer.contents t.reply), continue)
 
 let max_line = 65536
+
+(* Runs the line [b.[start, stop)] and queues its reply; [false] once
+   the session should end. *)
+let answer t o b ~start ~stop =
+  match Protocol.parse t.line b ~start ~stop with
+  | Blank -> true
+  | command ->
+    let continue = run t o command in
+    Protocol.put o "\n";
+    continue
 
 let serve_channel t ic oc =
   (* [b.[0, held)] is the start of a line whose newline has not
      arrived yet.  Each read appends what has arrived, every complete
-     line in it runs in order, and all their replies leave in one
-     flush before the next read can block.  A partial line that fills
-     the buffer is refused and ends the session. *)
+     line in it runs in order, straight from [b], and all their replies
+     leave in one flush before the next read can block.  A partial line
+     that fills the buffer is refused and ends the session. *)
+  let o = Protocol.Chan oc in
   let b = Bytes.create max_line in
   let held = ref 0 in
   let rec loop () =
     let n = input ic b !held (Bytes.length b - !held) in
     if n = 0 then begin
       (* EOF: a last line without its newline still runs *)
-      if !held > 0 then ignore (answer t oc (Bytes.sub_string b 0 !held));
+      if !held > 0 then ignore (answer t o b ~start:0 ~stop:!held);
       flush oc
     end
     else begin
@@ -305,8 +343,7 @@ let serve_channel t ic oc =
       let rec lines start i =
         if i = stop then (start, true)
         else if Bytes.unsafe_get b i <> '\n' then lines start (i + 1)
-        else if answer t oc (Bytes.sub_string b start (i - start)) then
-          lines (i + 1) (i + 1)
+        else if answer t o b ~start ~stop:i then lines (i + 1) (i + 1)
         else (i + 1, false)
       in
       let start, continue = lines 0 !held in
@@ -316,8 +353,8 @@ let serve_channel t ic oc =
         held := stop - start;
         if !held < max_line then loop ()
         else begin
-          output_string oc (err "line longer than %d bytes" max_line);
-          output_char oc '\n';
+          err o (Printf.sprintf "line longer than %d bytes" max_line);
+          Protocol.put o "\n";
           flush oc
         end
       end

@@ -8,10 +8,19 @@ type counters = {
   mutable preads : int;
   mutable barriers : int;
   mutable bytes_written : int;
+  mutable seeks : int;
 }
 
 type mem_state = { mutable buf : Bytes.t; mutable len : int; mutable freed : bool }
-type file_state = { fd : Unix.file_descr; fpath : string; mutable closed : bool }
+
+type file_state = {
+  fd : Unix.file_descr;
+  fpath : string;
+  mutable closed : bool;
+  mutable at : int;
+      (* where the descriptor's offset stands, or -1 when unknown (an
+         I/O call raised part way) *)
+}
 
 type impl =
   | Mem of mem_state
@@ -32,7 +41,7 @@ type t = {
 }
 
 let fresh_counters () =
-  { pwrites = 0; preads = 0; barriers = 0; bytes_written = 0 }
+  { pwrites = 0; preads = 0; barriers = 0; bytes_written = 0; seeks = 0 }
 
 let mem () =
   {
@@ -46,7 +55,7 @@ let mem () =
 let file ~path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   {
-    impl = File { fd; fpath = path; closed = false };
+    impl = File { fd; fpath = path; closed = false; at = 0 };
     counters = fresh_counters ();
     tap = None;
     fault = None;
@@ -70,14 +79,20 @@ let path t = match t.impl with Mem _ -> None | File f -> Some f.fpath
 let counters t = t.counters
 let set_tap t tap = t.tap <- tap
 
-let record t op =
-  (match op with
-  | Pwrite n ->
-    t.counters.pwrites <- t.counters.pwrites + 1;
-    t.counters.bytes_written <- t.counters.bytes_written + n
-  | Pread _ -> t.counters.preads <- t.counters.preads + 1
-  | Barrier -> t.counters.barriers <- t.counters.barriers + 1);
-  match t.tap with Some f -> f op | None -> ()
+(* Each counts its op, and builds it for the tap only when one is
+   installed. *)
+let record_pwrite t n =
+  t.counters.pwrites <- t.counters.pwrites + 1;
+  t.counters.bytes_written <- t.counters.bytes_written + n;
+  match t.tap with Some f -> f (Pwrite n) | None -> ()
+
+let record_pread t n =
+  t.counters.preads <- t.counters.preads + 1;
+  match t.tap with Some f -> f (Pread n) | None -> ()
+
+let record_barrier t =
+  t.counters.barriers <- t.counters.barriers + 1;
+  match t.tap with Some f -> f Barrier | None -> ()
 
 let check_open t =
   match t.impl with
@@ -95,8 +110,18 @@ let mem_ensure m capacity =
     m.buf <- buf
   end
 
-(* OCaml's Unix module has no pread/pwrite; seek-then-loop is fine here
-   because a backend is only ever driven from one thread. *)
+(* OCaml's Unix module has no pread/pwrite, so a positional op seeks
+   first, unless the descriptor already stands at its offset: every
+   append after the one before it, and every read of a sequential scan.
+   A backend is only ever driven from one thread. *)
+let seek_to t f off =
+  if f.at <> off then begin
+    f.at <- -1;
+    ignore (Unix.lseek f.fd off Unix.SEEK_SET);
+    t.counters.seeks <- t.counters.seeks + 1;
+    f.at <- off
+  end
+
 let rec write_all fd b pos len =
   if len > 0 then begin
     let n = Unix.write fd b pos len in
@@ -109,24 +134,25 @@ let rec read_all fd b pos len =
     let n = Unix.read fd b pos len in
     if n = 0 then pos else read_all fd b (pos + n) (len - n)
 
-let write_bytes t ~off ~pos ~len b =
+let write_bytes t ~off ~len b =
   match t.impl with
   | Mem m ->
     mem_ensure m (off + len);
     (* Zero-fill any gap between the current end and [off] so Mem and
        File (which reads back sparse holes as zeros) stay byte-equal. *)
     if off > m.len then Bytes.fill m.buf m.len (off - m.len) '\000';
-    Bytes.blit b pos m.buf off len;
+    Bytes.blit b 0 m.buf off len;
     if off + len > m.len then m.len <- off + len
   | File f ->
-    ignore (Unix.lseek f.fd off Unix.SEEK_SET);
-    write_all f.fd b pos len
+    seek_to t f off;
+    f.at <- -1;
+    write_all f.fd b 0 len;
+    f.at <- off + len
 
-let pwrite t ~off ?(pos = 0) ?len b =
+let pwrite t ~off ~len b =
   check_open t;
   if off < 0 then invalid_arg "El_store.Backend.pwrite: negative offset";
-  let len = match len with Some l -> l | None -> Bytes.length b - pos in
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+  if len < 0 || len > Bytes.length b then
     invalid_arg "El_store.Backend.pwrite: slice out of bounds";
   if t.dead then ()
   else
@@ -137,44 +163,44 @@ let pwrite t ~off ?(pos = 0) ?len b =
          power cut in the middle of the write.  The valid prefix can
          end anywhere, including inside a segment header or entry. *)
       let kept = min wf.wf_keep len in
-      if kept > 0 then write_bytes t ~off ~pos ~len:kept b;
+      if kept > 0 then write_bytes t ~off ~len:kept b;
       t.fault <- None;
       t.dead <- true;
-      if kept > 0 then record t (Pwrite kept);
+      if kept > 0 then record_pwrite t kept;
       wf.wf_hook ()
     | fault ->
       (match fault with
       | Some wf -> wf.wf_countdown <- wf.wf_countdown - 1
       | None -> ());
-      write_bytes t ~off ~pos ~len b;
-      record t (Pwrite len)
+      write_bytes t ~off ~len b;
+      record_pwrite t len
 
-let pread t ~off ~len =
+let pread t ~off b ~pos ~len =
   check_open t;
-  if off < 0 || len < 0 then invalid_arg "El_store.Backend.pread";
-  let out =
+  if off < 0 || pos < 0 || len < 0 || len > Bytes.length b - pos then
+    invalid_arg "El_store.Backend.pread";
+  let got =
     match t.impl with
     | Mem m ->
-      if off >= m.len then Bytes.create 0
-      else begin
-        let n = min len (m.len - off) in
-        Bytes.sub m.buf off n
-      end
+      let n = max 0 (min len (m.len - off)) in
+      if n > 0 then Bytes.blit m.buf off b pos n;
+      n
     | File f ->
-      ignore (Unix.lseek f.fd off Unix.SEEK_SET);
-      let b = Bytes.create len in
-      let got = read_all f.fd b 0 len in
-      if got = len then b else Bytes.sub b 0 got
+      seek_to t f off;
+      f.at <- -1;
+      let n = read_all f.fd b pos len - pos in
+      f.at <- off + n;
+      n
   in
-  record t (Pread (Bytes.length out));
-  out
+  record_pread t got;
+  got
 
 let barrier t =
   check_open t;
   if t.dead then ()
   else begin
     (match t.impl with Mem _ -> () | File f -> Unix.fsync f.fd);
-    record t Barrier
+    record_barrier t
   end
 
 let size t =
@@ -190,7 +216,9 @@ let truncate t ~len =
   else
   match t.impl with
   | Mem m -> if len < m.len then m.len <- len
-  | File f -> if len < (Unix.fstat f.fd).Unix.st_size then Unix.ftruncate f.fd len
+  | File f ->
+    if len < (Unix.fstat f.fd).Unix.st_size then Unix.ftruncate f.fd len;
+    seek_to t f len
 
 let close t =
   match t.impl with

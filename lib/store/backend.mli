@@ -29,6 +29,10 @@ type counters = {
   mutable preads : int;
   mutable barriers : int;
   mutable bytes_written : int;
+  mutable seeks : int;
+      (** [lseek]s a {!file} backend issued (always 0 on {!mem}): a
+          positional op seeks only when the descriptor does not
+          already stand at its offset *)
 }
 
 val mem : unit -> t
@@ -45,17 +49,21 @@ val name : t -> string
 val path : t -> string option
 (** The image path, for {!file} backends. *)
 
-val pwrite : t -> off:int -> ?pos:int -> ?len:int -> bytes -> unit
-(** Writes the buffer slice [[pos, pos + len)] (default: the whole
-    buffer) at byte offset [off], extending the store as needed — the
-    slice form lets the segment writer hand over a prefix of its
-    reused scratch buffer without copying.  Raises [Invalid_argument]
-    on a negative offset, an out-of-bounds slice, or a closed
-    backend. *)
+val pwrite : t -> off:int -> len:int -> bytes -> unit
+(** Writes the buffer's first [len] bytes at byte offset [off],
+    extending the store as needed — the segment writer hands over a
+    prefix of its reused scratch buffer this way, without copying.  On
+    {!file}, a write that continues where the previous op left the
+    descriptor issues no [lseek] (each append after an {!truncate} or
+    the append before it).  Raises [Invalid_argument] on a negative
+    offset, a [len] outside the buffer, or a closed backend. *)
 
-val pread : t -> off:int -> len:int -> bytes
-(** Reads up to [len] bytes at [off]; the result is short when the
-    store ends first. *)
+val pread : t -> off:int -> bytes -> pos:int -> len:int -> int
+(** Reads up to [len] bytes at [off] into the buffer at [pos] and
+    returns how many it read: fewer when the store ends first.  A read
+    that continues where the previous op left a {!file} descriptor
+    issues no [lseek], so a sequential scan reads through one reused
+    buffer with no seek at all. *)
 
 val barrier : t -> unit
 (** Write barrier: on {!file}, [fsync]; on {!mem}, a counted no-op
@@ -64,8 +72,10 @@ val barrier : t -> unit
 val size : t -> int
 
 val truncate : t -> len:int -> unit
-(** Shrinks the store to [len] bytes — [len:0] resets a fresh image;
-    an attach truncates away a torn tail before appending over it. *)
+(** Shrinks the store to [len] bytes (a longer store is left as it is)
+    — [len:0] resets a fresh image; an attach truncates away a torn
+    tail before appending over it — and leaves a {!file} descriptor
+    at [len], where the next append continues without a seek. *)
 
 val close : t -> unit
 (** Closes a {!file} backend's descriptor (idempotent); frees a

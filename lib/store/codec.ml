@@ -59,34 +59,11 @@ let int_at b pos = Int64.to_int (Bytes.get_int64_le b pos)
 
 let stable_tag = 5
 
-let tag_of_entry = function
-  | Stable _ -> stable_tag
-  | Record r -> (
-    match r.Log_record.kind with
-    | Log_record.Begin -> 1
-    | Log_record.Commit -> 2
-    | Log_record.Abort -> 3
-    | Log_record.Data _ -> 4)
-
-let encode_entry_into ?(corrupt = false) b ~pos e =
+(* Writes an entry's tag and fields at [pos] and seals it. *)
+let entry_into ~corrupt b ~pos ~tag ~tid ~oid ~version ~size ~ts =
   if Bytes.length b - pos < entry_bytes then
-    invalid_arg "El_store.Codec.encode_entry_into: short buffer";
-  Bytes.set b pos (Char.chr (tag_of_entry e));
-  let tid, oid, version, size, ts =
-    match e with
-    | Stable { oid; version } -> (0, Ids.Oid.to_int oid, version, 0, 0)
-    | Record r ->
-      let oid, version =
-        match r.Log_record.kind with
-        | Log_record.Data { oid; version } -> (Ids.Oid.to_int oid, version)
-        | _ -> (0, 0)
-      in
-      ( Ids.Tid.to_int r.Log_record.tid,
-        oid,
-        version,
-        r.Log_record.size,
-        Time.to_us r.Log_record.timestamp )
-  in
+    invalid_arg "El_store.Codec: short buffer for an entry";
+  Bytes.set b pos (Char.unsafe_chr tag);
   Bytes.set_int64_le b (pos + e_tid_at) (Int64.of_int tid);
   Bytes.set_int64_le b (pos + e_oid_at) (Int64.of_int oid);
   Bytes.set_int64_le b (pos + e_version_at) (Int64.of_int version);
@@ -96,9 +73,30 @@ let encode_entry_into ?(corrupt = false) b ~pos e =
   let cksum = if corrupt then Int64.logxor cksum 1L else cksum in
   Bytes.set_int64_le b (pos + e_cksum_at) cksum
 
-let encode_entry ?corrupt e =
+let record_into ~corrupt b ~pos (r : Log_record.t) =
+  let tid = Ids.Tid.to_int r.Log_record.tid in
+  let size = r.Log_record.size in
+  let ts = Time.to_us r.Log_record.timestamp in
+  match r.Log_record.kind with
+  | Log_record.Begin ->
+    entry_into ~corrupt b ~pos ~tag:1 ~tid ~oid:0 ~version:0 ~size ~ts
+  | Log_record.Commit ->
+    entry_into ~corrupt b ~pos ~tag:2 ~tid ~oid:0 ~version:0 ~size ~ts
+  | Log_record.Abort ->
+    entry_into ~corrupt b ~pos ~tag:3 ~tid ~oid:0 ~version:0 ~size ~ts
+  | Log_record.Data { oid; version } ->
+    entry_into ~corrupt b ~pos ~tag:4 ~tid ~oid:(Ids.Oid.to_int oid) ~version
+      ~size ~ts
+
+let stable_into ~corrupt b ~pos ~oid ~version =
+  entry_into ~corrupt b ~pos ~tag:stable_tag ~tid:0 ~oid:(Ids.Oid.to_int oid)
+    ~version ~size:0 ~ts:0
+
+let encode_entry ?(corrupt = false) e =
   let b = Bytes.make entry_bytes '\000' in
-  encode_entry_into ?corrupt b ~pos:0 e;
+  (match e with
+  | Record r -> record_into ~corrupt b ~pos:0 r
+  | Stable { oid; version } -> stable_into ~corrupt b ~pos:0 ~oid ~version);
   b
 
 let entry_tag b ~pos = Char.code (Bytes.get b pos)
@@ -136,20 +134,21 @@ let decode_entry b ~pos =
 
 (* ---- headers ---- *)
 
-let encode_header_into b ~pos h =
+let header_into b ~pos ~epoch ~gen ~slot ~seq ~count =
   if Bytes.length b - pos < header_bytes then
-    invalid_arg "El_store.Codec.encode_header_into: short buffer";
+    invalid_arg "El_store.Codec.header_into: short buffer";
   Bytes.blit_string magic 0 b pos 4;
-  Bytes.set_int64_le b (pos + h_epoch_at) (Int64.of_int h.h_epoch);
-  Bytes.set_int64_le b (pos + h_gen_at) (Int64.of_int h.h_gen);
-  Bytes.set_int64_le b (pos + h_slot_at) (Int64.of_int h.h_slot);
-  Bytes.set_int64_le b (pos + h_seq_at) (Int64.of_int h.h_seq);
-  Bytes.set_int64_le b (pos + h_count_at) (Int64.of_int h.h_count);
+  Bytes.set_int64_le b (pos + h_epoch_at) (Int64.of_int epoch);
+  Bytes.set_int64_le b (pos + h_gen_at) (Int64.of_int gen);
+  Bytes.set_int64_le b (pos + h_slot_at) (Int64.of_int slot);
+  Bytes.set_int64_le b (pos + h_seq_at) (Int64.of_int seq);
+  Bytes.set_int64_le b (pos + h_count_at) (Int64.of_int count);
   Bytes.set_int64_le b (pos + h_cksum_at) (fnv1a_64 b ~pos ~len:h_cksum_at)
 
 let encode_header h =
   let b = Bytes.make header_bytes '\000' in
-  encode_header_into b ~pos:0 h;
+  header_into b ~pos:0 ~epoch:h.h_epoch ~gen:h.h_gen ~slot:h.h_slot
+    ~seq:h.h_seq ~count:h.h_count;
   b
 
 let header_valid b ~pos =

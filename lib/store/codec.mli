@@ -41,23 +41,31 @@ type header = {
   h_count : int;  (** entries following the header *)
 }
 
-val encode_entry_into : ?corrupt:bool -> Bytes.t -> pos:int -> entry -> unit
-(** Encodes the entry in place at [pos] — the store's segment writer
-    packs a whole segment into one reused scratch buffer this way, so
-    steady-state appends allocate nothing.  [corrupt] flips a checksum
-    bit — used by tests and by torn-suffix persistence to write a
-    deliberately invalid entry. *)
+val record_into : corrupt:bool -> Bytes.t -> pos:int -> El_model.Log_record.t -> unit
+(** Encodes the record as an entry in place at [pos], straight from
+    its fields — the store's segment writer packs a whole segment into
+    one reused scratch buffer this way, and allocates nothing.
+    [corrupt] flips a checksum bit, writing a deliberately invalid
+    entry: a torn write's destroyed tail. *)
+
+val stable_into :
+  corrupt:bool -> Bytes.t -> pos:int -> oid:El_model.Ids.Oid.t -> version:int -> unit
+(** {!record_into} for a stable install fact. *)
 
 val encode_entry : ?corrupt:bool -> entry -> Bytes.t
-(** Fresh-buffer convenience over {!encode_entry_into}. *)
+(** A fresh buffer holding one encoded entry. *)
 
 val decode_entry : Bytes.t -> pos:int -> entry option
 (** [None] unless {!entry_valid}; raises [Invalid_argument] if fewer
     than {!entry_bytes} bytes remain. *)
 
-val encode_header_into : Bytes.t -> pos:int -> header -> unit
+val header_into :
+  Bytes.t -> pos:int -> epoch:int -> gen:int -> slot:int -> seq:int -> count:int -> unit
+(** Encodes and seals a segment header in place at [pos], straight from
+    its fields; allocates nothing. *)
 
 val encode_header : header -> Bytes.t
+(** A fresh buffer holding one encoded header. *)
 
 val decode_header : Bytes.t -> pos:int -> header option
 (** [None] unless {!header_valid}; raises [Invalid_argument] if fewer

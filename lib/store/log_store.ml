@@ -46,35 +46,23 @@ let sync t =
     t.dirty <- false
   end
 
-let append_segment t ~gen ~slot entries ~corrupt_from =
-  let count = List.length entries in
-  let len = segment_bytes count in
+(* Makes room for a [len]-byte segment behind the staged bytes and
+   encodes its header there; returns where the segment starts in
+   [scratch].  Manual stages each segment behind the ones before it;
+   Immediate writes it at once, so it starts at 0 there. *)
+let start_segment t ~gen ~slot ~count ~len =
   if t.staged > 0 && t.staged + len > stage_limit then write_staged t;
-  (* Manual stages each segment behind the ones before it; Immediate
-     writes it at once, so [pos] is 0 there *)
   let pos = t.staged in
   if Bytes.length t.scratch < pos + len then begin
     let b = Bytes.create (max (pos + len) (2 * Bytes.length t.scratch)) in
     Bytes.blit t.scratch 0 b 0 pos;
     t.scratch <- b
   end;
-  let header =
-    {
-      Codec.h_epoch = t.epoch;
-      h_gen = gen;
-      h_slot = slot;
-      h_seq = t.seq;
-      h_count = count;
-    }
-  in
-  Codec.encode_header_into t.scratch ~pos header;
-  List.iteri
-    (fun i e ->
-      let corrupt = i >= corrupt_from in
-      Codec.encode_entry_into ~corrupt t.scratch
-        ~pos:(pos + Codec.header_bytes + (i * Codec.entry_bytes))
-        e)
-    entries;
+  Codec.header_into t.scratch ~pos ~epoch:t.epoch ~gen ~slot ~seq:t.seq ~count;
+  pos
+
+(* The segment at [pos] is encoded: write it, or leave it staged. *)
+let finish_segment t ~pos ~len =
   (match t.sync_mode with
   | Immediate ->
     Backend.pwrite t.backend ~off:t.write_off ~len t.scratch;
@@ -85,21 +73,34 @@ let append_segment t ~gen ~slot entries ~corrupt_from =
   t.seq <- t.seq + 1;
   t.write_off <- t.write_off + len
 
+(* Encodes [records] as consecutive entries from [pos], the
+   [corrupt_from]-th and later with bad checksums. *)
+let rec encode_records b ~pos ~corrupt_from i = function
+  | [] -> ()
+  | r :: rest ->
+    Codec.record_into ~corrupt:(i >= corrupt_from) b ~pos r;
+    encode_records b ~pos:(pos + Codec.entry_bytes) ~corrupt_from (i + 1) rest
+
 let append_block t ~gen ~slot ?torn_suffix records =
   match records with
   | [] -> ()
   | _ ->
-    let entries = List.map (fun r -> Codec.Record r) records in
-    let count = List.length entries in
+    let count = List.length records in
     let corrupt_from =
       match torn_suffix with None -> count | Some n -> max 0 (count - n)
     in
-    append_segment t ~gen ~slot entries ~corrupt_from
+    let len = segment_bytes count in
+    let pos = start_segment t ~gen ~slot ~count ~len in
+    encode_records t.scratch ~pos:(pos + Codec.header_bytes) ~corrupt_from 0
+      records;
+    finish_segment t ~pos ~len
 
 let append_stable t ~oid ~version =
-  append_segment t ~gen:(-1) ~slot:0
-    [ Codec.Stable { oid; version } ]
-    ~corrupt_from:1
+  let len = segment_bytes 1 in
+  let pos = start_segment t ~gen:(-1) ~slot:0 ~count:1 ~len in
+  Codec.stable_into ~corrupt:false t.scratch ~pos:(pos + Codec.header_bytes)
+    ~oid ~version;
+  finish_segment t ~pos ~len
 
 type block = {
   sb_epoch : int;
@@ -144,23 +145,70 @@ module Newest = Hashtbl.Make (struct
     Hashtbl.hash ((((a.p_epoch * 65599) + a.p_gen) * 65599) + a.p_slot)
 end)
 
-(* How many of the [avail] entries at [body], counting from entry [i],
-   pass their checksum and tag before the first that fails — the
-   valid-prefix rule of the torn-write model.  (No local closure: the
-   scan calls this once per segment.) *)
-let rec valid_prefix img ~body ~avail i =
-  if i < avail && Codec.entry_valid img ~pos:(body + (i * Codec.entry_bytes))
-  then valid_prefix img ~body ~avail (i + 1)
+(* The image as a scan reads it: through one reused buffer, refilled
+   in image order, so a scan holds at most [window_bytes] of the image
+   however large the image is. *)
+type window = {
+  w_backend : Backend.t;
+  w_buf : Bytes.t;
+  mutable w_base : int;  (* image offset of [w_buf.[0]] *)
+  mutable w_fill : int;  (* bytes of [w_buf] that hold image bytes *)
+}
+
+(* What one [Unix.read] moves, so a refill is one read call. *)
+let window_bytes = 65536
+
+let window backend ~len =
+  {
+    w_backend = backend;
+    w_buf = Bytes.create (max Codec.header_bytes (min window_bytes len));
+    w_base = 0;
+    w_fill = 0;
+  }
+
+(* Where in [w.w_buf] the [n] image bytes at [off] are, reading them in
+   first if need be.  A struct that runs past the window's end is
+   moved to its front with the bytes after it read in behind, so a
+   forward walk reads every byte once, in order. *)
+let at w off n =
+  if off >= w.w_base && off + n <= w.w_base + w.w_fill then off - w.w_base
+  else begin
+    let keep =
+      if off >= w.w_base && off < w.w_base + w.w_fill then
+        w.w_base + w.w_fill - off
+      else 0
+    in
+    if keep > 0 then Bytes.blit w.w_buf (off - w.w_base) w.w_buf 0 keep;
+    let got =
+      Backend.pread w.w_backend ~off:(off + keep) w.w_buf ~pos:keep
+        ~len:(Bytes.length w.w_buf - keep)
+    in
+    w.w_base <- off;
+    w.w_fill <- keep + got;
+    if w.w_fill < n then failwith "El_store.Log_store.scan: the image shrank";
+    0
+  end
+
+(* How many of the [avail] entries at image offset [body], counting
+   from entry [i], pass their checksum and tag before the first that
+   fails — the valid-prefix rule of the torn-write model.  (No local
+   closure: the scan calls this once per segment.) *)
+let rec valid_prefix w ~body ~avail i =
+  if
+    i < avail
+    && Codec.entry_valid w.w_buf
+         ~pos:(at w (body + (i * Codec.entry_bytes)) Codec.entry_bytes)
+  then valid_prefix w ~body ~avail (i + 1)
   else i
 
 (* Stable-segment entries fold into [stable] as they are verified,
    highest version per oid. *)
-let fold_stable img ~body ~valid stable =
+let fold_stable w ~body ~valid stable =
   for i = 0 to valid - 1 do
-    let pos = body + (i * Codec.entry_bytes) in
-    if Codec.entry_is_stable img ~pos then begin
-      let oid = Ids.Oid.of_int (Codec.entry_oid img ~pos) in
-      let version = Codec.entry_version img ~pos in
+    let pos = at w (body + (i * Codec.entry_bytes)) Codec.entry_bytes in
+    if Codec.entry_is_stable w.w_buf ~pos then begin
+      let oid = Ids.Oid.of_int (Codec.entry_oid w.w_buf ~pos) in
+      let version = Codec.entry_version w.w_buf ~pos in
       let prev =
         match Ids.Oid.Table.find stable oid with
         | v -> v
@@ -170,11 +218,12 @@ let fold_stable img ~body ~valid stable =
     end
   done
 
-let decode_block img p =
+let decode_block w p =
   let rec records i acc =
     if i < 0 then acc
     else
-      match Codec.entry_at img ~pos:(p.p_body + (i * Codec.entry_bytes)) with
+      let pos = at w (p.p_body + (i * Codec.entry_bytes)) Codec.entry_bytes in
+      match Codec.entry_at w.w_buf ~pos with
       | Codec.Record r -> records (i - 1) (r :: acc)
       | Codec.Stable _ -> records (i - 1) acc
   in
@@ -188,14 +237,15 @@ let decode_block img p =
   }
 
 (* One pass over the image's headers, verifying every checksum in
-   place.  With [~cut_torn:true] a partial last segment is left out of
-   the blocks, the stable facts and the maxima — only [s_torn_tail]
-   still reports it — and its epoch and seq come back on the side
-   (when its header verified), so {!attach} can number past it. *)
+   place, through a window: survivors are remembered as offsets and
+   their entries read back and decoded at the end.  With
+   [~cut_torn:true] a partial last segment is left out of the blocks,
+   the stable facts and the maxima — only [s_torn_tail] still reports
+   it — and its epoch and seq come back on the side (when its header
+   verified), so {!attach} can number past it. *)
 let scan_image ?upto ~cut_torn backend =
   let len = Backend.size backend in
-  let img = Backend.pread backend ~off:0 ~len in
-  let len = Bytes.length img in
+  let w = window backend ~len in
   let upto = match upto with None -> max_int | Some n -> n in
   let newest = Newest.create 64 in
   let stable = Ids.Oid.Table.create 64 in
@@ -208,61 +258,64 @@ let scan_image ?upto ~cut_torn backend =
   let off = ref 0 in
   let stop = ref false in
   while not !stop do
-    let pos = !off in
-    let body = pos + Codec.header_bytes in
-    if len - pos < Codec.header_bytes then begin
-      if len > pos then torn_tail := true;
-      stop := true
-    end
-    else if
-      (not (Codec.header_valid img ~pos)) || Codec.header_count img ~pos < 0
-    then begin
-      (* a bad header, or one that would walk the scan backwards, ends
-         the valid image: nothing after it can be trusted *)
-      torn_tail := true;
+    let body = !off + Codec.header_bytes in
+    if len - !off < Codec.header_bytes then begin
+      if len > !off then torn_tail := true;
       stop := true
     end
     else begin
-      let count = Codec.header_count img ~pos in
-      let epoch = Codec.header_epoch img ~pos in
-      let seq = Codec.header_seq img ~pos in
-      let room = (len - body) / Codec.entry_bytes in
-      let full = count <= room in
-      if not full then begin
+      let img = w.w_buf and pos = at w !off Codec.header_bytes in
+      if (not (Codec.header_valid img ~pos)) || Codec.header_count img ~pos < 0
+      then begin
+        (* a bad header, or one that would walk the scan backwards,
+           ends the valid image: nothing after it can be trusted *)
         torn_tail := true;
-        torn_numbers := Some (epoch, seq)
-      end;
-      if seq < upto && (full || not cut_torn) then begin
-        incr segments;
-        if epoch > !max_epoch then max_epoch := epoch;
-        if seq > !max_seq then max_seq := seq;
-        let valid = valid_prefix img ~body ~avail:(min count room) 0 in
+        stop := true
+      end
+      else begin
+        let count = Codec.header_count img ~pos in
+        let epoch = Codec.header_epoch img ~pos in
+        let seq = Codec.header_seq img ~pos in
         let gen = Codec.header_gen img ~pos in
-        if gen < 0 then fold_stable img ~body ~valid stable
-        else begin
-          incr log_segments;
-          let p =
-            {
-              p_epoch = epoch;
-              p_gen = gen;
-              p_slot = Codec.header_slot img ~pos;
-              p_seq = seq;
-              p_body = body;
-              p_valid = valid;
-              p_discarded = count - valid;
-            }
-          in
-          (* in-place slot semantics: only the newest segment per key
-             survives, the later one on a tie; the rest is stale *)
-          let newer =
-            match Newest.find newest p with
-            | prev -> seq >= prev.p_seq
-            | exception Not_found -> true
-          in
-          if newer then Newest.replace newest p p
-        end
-      end;
-      if full then off := body + (count * Codec.entry_bytes) else stop := true
+        let slot = Codec.header_slot img ~pos in
+        let room = (len - body) / Codec.entry_bytes in
+        let full = count <= room in
+        if not full then begin
+          torn_tail := true;
+          torn_numbers := Some (epoch, seq)
+        end;
+        if seq < upto && (full || not cut_torn) then begin
+          incr segments;
+          if epoch > !max_epoch then max_epoch := epoch;
+          if seq > !max_seq then max_seq := seq;
+          let valid = valid_prefix w ~body ~avail:(min count room) 0 in
+          if gen < 0 then fold_stable w ~body ~valid stable
+          else begin
+            incr log_segments;
+            let p =
+              {
+                p_epoch = epoch;
+                p_gen = gen;
+                p_slot = slot;
+                p_seq = seq;
+                p_body = body;
+                p_valid = valid;
+                p_discarded = count - valid;
+              }
+            in
+            (* in-place slot semantics: only the newest segment per key
+               survives, the later one on a tie; the rest is stale *)
+            let newer =
+              match Newest.find newest p with
+              | prev -> seq >= prev.p_seq
+              | exception Not_found -> true
+            in
+            if newer then Newest.replace newest p p
+          end
+        end;
+        if full then off := body + (count * Codec.entry_bytes)
+        else stop := true
+      end
     end
   done;
   let survivors =
@@ -273,7 +326,7 @@ let scan_image ?upto ~cut_torn backend =
            | c -> c)
   in
   ( {
-      s_blocks = List.map (decode_block img) survivors;
+      s_blocks = List.map (decode_block w) survivors;
       s_stable = stable;
       s_segments = !segments;
       s_stale_blocks = !log_segments - Newest.length newest;
@@ -304,7 +357,9 @@ let create ?(sync_mode = Immediate) backend =
 
 let attach_scan ?(sync_mode = Immediate) backend =
   let s, torn_numbers = scan_image ~cut_torn:true backend in
-  if s.s_torn_tail then Backend.truncate backend ~len:s.s_end;
+  (* cuts any torn tail, and leaves the descriptor where the appends
+     continue: the scan's last reads were elsewhere *)
+  Backend.truncate backend ~len:s.s_end;
   (* a torn segment's header still counts: its epoch and seq may have
      reached the platter in a predecessor's crash image *)
   let epoch, seq =

@@ -488,19 +488,15 @@ let test_scan_words () =
 let test_encode_words () =
   let module Codec = El_store.Codec in
   let b = Bytes.create (Codec.header_bytes + Codec.entry_bytes) in
-  let header =
-    { Codec.h_epoch = 1; h_gen = 0; h_slot = 3; h_seq = 7; h_count = 1 }
-  in
-  let entry =
-    Codec.Record
-      (Log_record.data ~tid:(Ids.Tid.of_int 5) ~oid:(Ids.Oid.of_int 9)
-         ~version:2 ~size:100 ~timestamp:(Time.of_ms 3))
+  let record =
+    Log_record.data ~tid:(Ids.Tid.of_int 5) ~oid:(Ids.Oid.of_int 9)
+      ~version:2 ~size:100 ~timestamp:(Time.of_ms 3)
   in
   let words =
     minor_words (fun () ->
         for _ = 1 to 1_000 do
-          Codec.encode_header_into b ~pos:0 header;
-          Codec.encode_entry_into b ~pos:Codec.header_bytes entry
+          Codec.header_into b ~pos:0 ~epoch:1 ~gen:0 ~slot:3 ~seq:7 ~count:1;
+          Codec.record_into ~corrupt:false b ~pos:Codec.header_bytes record
         done)
   in
   if words > 0.0 then

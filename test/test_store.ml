@@ -37,23 +37,31 @@ let with_file_backend f =
       let b = Backend.file ~path in
       Fun.protect ~finally:(fun () -> Backend.close b) (fun () -> f b path))
 
+(* Whole-buffer writes and fresh-buffer reads over the backend's
+   prefix-write and read-into primitives. *)
+let write b ~off bytes = Backend.pwrite b ~off ~len:(Bytes.length bytes) bytes
+
+let read b ~off ~len =
+  let buf = Bytes.create len in
+  Bytes.sub buf 0 (Backend.pread b ~off buf ~pos:0 ~len)
+
 (* ---- backends ---- *)
 
 let test_mem_roundtrip () =
   let b = Backend.mem () in
-  Backend.pwrite b ~off:0 (Bytes.of_string "hello");
-  Backend.pwrite b ~off:10_000 (Bytes.of_string "world");
+  write b ~off:0 (Bytes.of_string "hello");
+  write b ~off:10_000 (Bytes.of_string "world");
   Alcotest.(check string)
     "read back" "hello"
-    (Bytes.to_string (Backend.pread b ~off:0 ~len:5));
+    (Bytes.to_string (read b ~off:0 ~len:5));
   Alcotest.(check string)
     "read past growth" "world"
-    (Bytes.to_string (Backend.pread b ~off:10_000 ~len:5));
+    (Bytes.to_string (read b ~off:10_000 ~len:5));
   (* the gap is zero-filled, not garbage *)
   Alcotest.(check string)
     "gap zeroed"
     (String.make 8 '\000')
-    (Bytes.to_string (Backend.pread b ~off:100 ~len:8));
+    (Bytes.to_string (read b ~off:100 ~len:8));
   Alcotest.(check int) "size" 10_005 (Backend.size b);
   Backend.barrier b;
   let c = Backend.counters b in
@@ -65,13 +73,13 @@ let test_file_persists () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "disk.img" in
       let b = Backend.file ~path in
-      Backend.pwrite b ~off:0 (Bytes.of_string "durable");
+      write b ~off:0 (Bytes.of_string "durable");
       Backend.barrier b;
       Backend.close b;
       let b2 = Backend.file ~path in
       Alcotest.(check string)
         "reopened read" "durable"
-        (Bytes.to_string (Backend.pread b2 ~off:0 ~len:7));
+        (Bytes.to_string (read b2 ~off:0 ~len:7));
       Backend.close b2)
 
 let test_mem_file_byte_equal () =
@@ -80,22 +88,22 @@ let test_mem_file_byte_equal () =
       let writes = [ (0, "aaaa"); (100, "bb"); (37, "cccc"); (90, "dd") ] in
       List.iter
         (fun (off, s) ->
-          Backend.pwrite mb ~off (Bytes.of_string s);
-          Backend.pwrite fb ~off (Bytes.of_string s))
+          write mb ~off (Bytes.of_string s);
+          write fb ~off (Bytes.of_string s))
         writes;
       Alcotest.(check int) "sizes agree" (Backend.size mb) (Backend.size fb);
       let len = Backend.size mb in
       Alcotest.(check string)
         "images byte-identical"
-        (Bytes.to_string (Backend.pread mb ~off:0 ~len))
-        (Bytes.to_string (Backend.pread fb ~off:0 ~len)))
+        (Bytes.to_string (read mb ~off:0 ~len))
+        (Bytes.to_string (read fb ~off:0 ~len)))
 
 let test_use_after_close () =
   let b = Backend.mem () in
   Backend.close b;
   Alcotest.check_raises "pwrite after close"
     (Invalid_argument "El_store.Backend: use after close") (fun () ->
-      Backend.pwrite b ~off:0 (Bytes.of_string "x"))
+      write b ~off:0 (Bytes.of_string "x"))
 
 (* ---- codec ---- *)
 
@@ -214,10 +222,10 @@ let test_first_bad_checksum_cuts () =
   let t = Log_store.create b in
   Log_store.append_block t ~gen:0 ~slot:0 (records_of 5 0);
   let entry i = Codec.header_bytes + (i * Codec.entry_bytes) in
-  let byte = Backend.pread b ~off:(entry 2 + 1) ~len:1 in
+  let byte = read b ~off:(entry 2 + 1) ~len:1 in
   Bytes.set byte 0 (Char.chr (Char.code (Bytes.get byte 0) lxor 0xff));
-  Backend.pwrite b ~off:(entry 2 + 1) byte;
-  let img = Backend.pread b ~off:0 ~len:(Backend.size b) in
+  write b ~off:(entry 2 + 1) byte;
+  let img = read b ~off:0 ~len:(Backend.size b) in
   let checksums i = Codec.decode_entry img ~pos:(entry i) <> None in
   Alcotest.(check bool) "entry 2 fails its checksum" false (checksums 2);
   Alcotest.(check bool) "entries 3 and 4 still checksum" true
@@ -297,7 +305,7 @@ let test_negative_count_ends_image () =
   let t = Log_store.create b in
   Log_store.append_stable t ~oid:(Ids.Oid.of_int 3) ~version:4;
   let good = Backend.size b in
-  Backend.pwrite b ~off:good
+  write b ~off:good
     (Codec.encode_header
        { Codec.h_epoch = 0; h_gen = 0; h_slot = 0; h_seq = 1; h_count = -1 });
   Alcotest.(check int) "a 153-byte image" 153 (Backend.size b);
@@ -488,7 +496,7 @@ let build_image epochs =
             Log_store.append_stable t ~oid:(Ids.Oid.of_int oid) ~version)
         ops)
     epochs;
-  Backend.pread b ~off:0 ~len:(Backend.size b)
+  read b ~off:0 ~len:(Backend.size b)
 
 let store_case_arb =
   let open QCheck in
@@ -553,7 +561,7 @@ let prop_scan_matches_model =
       | Some _ | None -> ());
       let backend () =
         let b = Backend.mem () in
-        if cut > 0 then Backend.pwrite b ~off:0 img;
+        if cut > 0 then write b ~off:0 img;
         b
       in
       let segs, torn = model_segments img in
@@ -757,7 +765,7 @@ let manual_appends t =
   Log_store.append_stable t ~oid:(Ids.Oid.of_int 7) ~version:3;
   Log_store.append_block t ~gen:0 ~slot:1 (records_of 4 80)
 
-let image b = Bytes.to_string (Backend.pread b ~off:0 ~len:(Backend.size b))
+let image b = Bytes.to_string (read b ~off:0 ~len:(Backend.size b))
 
 let test_manual_stages_until_sync () =
   let immediate = Backend.mem () in
