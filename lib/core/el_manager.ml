@@ -82,10 +82,10 @@ type t = {
   obs : El_obs.Obs.t option;
 }
 
-let emit t kind =
-  match t.obs with
-  | None -> ()
-  | Some o -> El_obs.Obs.emit o El_obs.Event.Manager kind
+(* Each call site matches [t.obs] itself and builds its event only
+   under [Some]: an event passed to a helper that matched would be
+   allocated with observation off too. *)
+let emit o kind = El_obs.Obs.emit o El_obs.Event.Manager kind
 
 let free_slots g = g.g_size - g.g_occupied
 
@@ -192,7 +192,9 @@ let set_on_kill t f = t.on_kill <- Some f
 let kill_tx t tid =
   Ledger.kill t.ledger ~tid;
   t.kills <- t.kills + 1;
-  emit t (El_obs.Event.Kill { tid = Ids.Tid.to_int tid });
+  (match t.obs with
+  | Some obs -> emit obs (El_obs.Event.Kill { tid = Ids.Tid.to_int tid })
+  | None -> ());
   Ids.Tid.Table.remove t.placements tid;
   match t.on_kill with Some f -> f tid | None -> ()
 
@@ -249,7 +251,9 @@ let note_forced t ~count_as ~target ~committed_tx =
   match count_as with
   | `Eviction when t.policy.Policy.unsafe_eager_dispose ->
     t.evictions <- t.evictions + 1;
-    emit t (El_obs.Event.Evict { target; committed_tx })
+    (match t.obs with
+    | Some obs -> emit obs (El_obs.Event.Evict { target; committed_tx })
+    | None -> ())
   | `Eviction | `Head_flush ->
     t.forced_head_flushes <- t.forced_head_flushes + 1
 
@@ -408,7 +412,11 @@ and write_stage t g =
       else begin
         g.g_blocks.(s) <- Some content;
         t.stage_writes <- t.stage_writes + 1;
-        emit t (El_obs.Event.Stage_write { gen = g.g_index; records = !live });
+        (match t.obs with
+        | Some obs ->
+          emit obs
+            (El_obs.Event.Stage_write { gen = g.g_index; records = !live })
+        | None -> ());
         issue_write t g { b_slot = s; b_block = content; b_hooks = []; b_seq = -1 }
       end
     end
@@ -455,7 +463,11 @@ let rec seal_current t g =
   | None -> ()
   | Some buf ->
     g.g_current <- None;
-    emit t (El_obs.Event.Seal { gen = g.g_index; slot = buf.b_slot });
+    (match t.obs with
+    | Some obs ->
+      emit obs
+        (El_obs.Event.Seal { gen = g.g_index; slot = buf.b_slot })
+    | None -> ());
     issue_write t g buf
 
 (* Move survivors from the head of [g] into a block written at the
@@ -531,9 +543,12 @@ and forward t g s survivors =
     end
     else begin
       t.forwarded <- t.forwarded + !moved;
-      emit t
-        (El_obs.Event.Forward
-           { from_gen = g.g_index; to_gen = next.g_index; records = !moved });
+      (match t.obs with
+      | Some obs ->
+        emit obs
+          (El_obs.Event.Forward
+             { from_gen = g.g_index; to_gen = next.g_index; records = !moved })
+      | None -> ());
       next.g_blocks.(s') <- Some buf;
       (* Arm the origin guard: until this write is on the platter, no
          reissued write for an origin slot may start (see
@@ -580,9 +595,12 @@ and recirculate t g s survivors =
         | Some cell -> stage_survivor t g ~origin:s cell))
     survivors;
   if t.recirculated > before then
-    emit t
-      (El_obs.Event.Recirculate
-         { gen = g.g_index; records = t.recirculated - before });
+    (match t.obs with
+    | Some obs ->
+      emit obs
+        (El_obs.Event.Recirculate
+           { gen = g.g_index; records = t.recirculated - before })
+    | None -> ());
   free_slot g s
 
 and advance_head t g =
@@ -593,9 +611,12 @@ and advance_head t g =
      generation is far too small; seal it so it can be processed. *)
   if Some s = current_slot g then seal_current t g;
   let survivors = survivors_of g s in
-  emit t
-    (El_obs.Event.Head_advance
-       { gen = g.g_index; slot = s; survivors = List.length survivors });
+  (match t.obs with
+  | Some obs ->
+    emit obs
+      (El_obs.Event.Head_advance
+         { gen = g.g_index; slot = s; survivors = List.length survivors })
+  | None -> ());
   if survivors = [] then free_slot g s
   else if not g.g_last then forward t g s survivors
   else if t.policy.Policy.recirculate then recirculate t g s survivors
@@ -728,14 +749,17 @@ let append_incoming t ~gen_index (tracked : Cell.tracked) ~hook =
     overload "record of %d bytes exceeds the block payload" size;
   let buf = current_buffer t g ~size in
   Block.add buf.b_block ~size tracked;
-  emit t
-    (El_obs.Event.Append
-       {
-         gen = gen_index;
-         slot = buf.b_slot;
-         tid = Ids.Tid.to_int tracked.Cell.record.Log_record.tid;
-         size;
-       });
+  (match t.obs with
+  | Some obs ->
+    emit obs
+      (El_obs.Event.Append
+         {
+           gen = gen_index;
+           slot = buf.b_slot;
+           tid = Ids.Tid.to_int tracked.Cell.record.Log_record.tid;
+           size;
+         })
+  | None -> ());
   (match tracked.Cell.cell with
   | Some cell ->
     cell.Cell.gen <- gen_index;
@@ -836,7 +860,9 @@ let request_abort t ~tid =
     Ledger.request_abort t.ledger ~tid ~timestamp ~size:t.tx_record_size
   in
   Ids.Tid.Table.remove t.placements tid;
-  emit t (El_obs.Event.Abort { tid = Ids.Tid.to_int tid });
+  (match t.obs with
+  | Some obs -> emit obs (El_obs.Event.Abort { tid = Ids.Tid.to_int tid })
+  | None -> ());
   append_incoming t ~gen_index tracked ~hook:None
 
 let drain t =

@@ -50,10 +50,10 @@ type t = {
 let gap = Params.head_tail_gap
 let bytes_per_tx = Params.fw_bytes_per_tx
 
-let emit t kind =
-  match t.obs with
-  | None -> ()
-  | Some o -> El_obs.Obs.emit o El_obs.Event.Manager kind
+(* Each call site matches [t.obs] itself and builds its event only
+   under [Some]: an event passed to a helper that matched would be
+   allocated with observation off too. *)
+let emit o kind = El_obs.Obs.emit o El_obs.Event.Manager kind
 
 let current_slot t = match t.current with Some b -> Some b.b_slot | None -> None
 
@@ -76,7 +76,11 @@ let take_checkpoint t =
   | None -> ()
   | Some c ->
     t.checkpoints <- t.checkpoints + 1;
-    emit t (El_obs.Event.Checkpoint { blocks = c.cost_blocks });
+    (match t.obs with
+    | Some obs ->
+      emit obs
+        (El_obs.Event.Checkpoint { blocks = c.cost_blocks })
+    | None -> ());
     for _ = 1 to c.cost_blocks do
       t.checkpoint_writes <- t.checkpoint_writes + 1;
       Log_channel.write t.channel ~on_complete:(fun () -> ())
@@ -213,7 +217,11 @@ let kill_oldest_active t =
   | Some tx ->
     terminate t tx;
     t.kills <- t.kills + 1;
-    emit t (El_obs.Event.Kill { tid = Ids.Tid.to_int tx.tid });
+    (match t.obs with
+    | Some obs ->
+      emit obs
+        (El_obs.Event.Kill { tid = Ids.Tid.to_int tx.tid })
+    | None -> ());
     (match t.on_kill with Some f -> f tx.tid | None -> ())
 
 let seal_current t =
@@ -221,7 +229,11 @@ let seal_current t =
   | None -> ()
   | Some buf ->
     t.current <- None;
-    emit t (El_obs.Event.Seal { gen = 0; slot = buf.b_slot });
+    (match t.obs with
+    | Some obs ->
+      emit obs
+        (El_obs.Event.Seal { gen = 0; slot = buf.b_slot })
+    | None -> ());
     Log_channel.write
       ~payload:(fun () -> (buf.b_slot, Block.items buf.b_block))
       t.channel
@@ -266,9 +278,12 @@ let append t ~rec_ ~tracked_live ~hook =
   let size = rec_.Log_record.size in
   let buf = current_buffer t ~size in
   Block.add buf.b_block ~size rec_;
-  emit t
-    (El_obs.Event.Append
-       { gen = 0; slot = buf.b_slot; tid = Ids.Tid.to_int tid; size });
+  (match t.obs with
+  | Some obs ->
+    emit obs
+      (El_obs.Event.Append
+         { gen = 0; slot = buf.b_slot; tid = Ids.Tid.to_int tid; size })
+  | None -> ());
   (if tracked_live then
      match Ids.Tid.Table.find_opt t.txs tid with
      | Some tx when not tx.terminated ->
@@ -349,7 +364,11 @@ let request_abort t ~tid =
   | None -> invalid_arg "Fw_manager.request_abort: unknown transaction"
   | Some tx ->
     terminate t tx;
-    emit t (El_obs.Event.Abort { tid = Ids.Tid.to_int tid });
+    (match t.obs with
+    | Some obs ->
+      emit obs
+        (El_obs.Event.Abort { tid = Ids.Tid.to_int tid })
+    | None -> ());
     append t
       ~rec_:
         (Log_record.abort ~tid ~size:t.tx_record_size

@@ -94,10 +94,10 @@ let gap = Params.head_tail_gap
 let bytes_per_tx = Params.fw_bytes_per_tx
 let bytes_per_object = Params.el_bytes_per_object
 
-let emit t kind =
-  match t.obs with
-  | None -> ()
-  | Some o -> El_obs.Obs.emit o El_obs.Event.Manager kind
+(* Each call site matches [t.obs] itself and builds its event only
+   under [Some]: an event passed to a helper that matched would be
+   allocated with observation off too. *)
+let emit o kind = El_obs.Obs.emit o El_obs.Event.Manager kind
 
 (* Mark every not-yet-flushed packed data record matching
    (oid, version); returns how many were marked. *)
@@ -486,12 +486,15 @@ and advance_head t q =
         let regen_before = t.regenerated_records in
         let note_regenerated () =
           if t.regenerated_records > regen_before then
-            emit t
-              (El_obs.Event.Regenerate
-                 {
-                   queue = destination.q_index;
-                   records = t.regenerated_records - regen_before;
-                 })
+            (match t.obs with
+            | Some obs ->
+              emit obs
+                (El_obs.Event.Regenerate
+                   {
+                     queue = destination.q_index;
+                     records = t.regenerated_records - regen_before;
+                   })
+            | None -> ())
         in
         try
           for i = 0 to n - 1 do
@@ -581,7 +584,11 @@ and kill_tx t tx =
   done;
   retire t tx;
   t.kills <- t.kills + 1;
-  emit t (El_obs.Event.Kill { tid = Ids.Tid.to_int tx.tid });
+  (match t.obs with
+  | Some obs ->
+    emit obs
+      (El_obs.Event.Kill { tid = Ids.Tid.to_int tx.tid })
+  | None -> ());
   match t.on_kill with Some f -> f tx.tid | None -> ()
 
 (* ---- logging interface ---- *)
@@ -730,7 +737,9 @@ let request_abort t ~tid =
   (* retire first so the space hunt below cannot pick this transaction
      as a kill victim after the generator already marked it aborted *)
   retire t tx;
-  emit t (El_obs.Event.Abort { tid = Ids.Tid.to_int tid });
+  (match t.obs with
+  | Some obs -> emit obs (El_obs.Event.Abort { tid = Ids.Tid.to_int tid })
+  | None -> ());
   append t t.queues.(0) ~size:t.tx_record_size
     ~src:
       (Raw_abort

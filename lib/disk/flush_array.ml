@@ -117,10 +117,10 @@ let set_on_flush t f = t.on_flush <- Some f
    displacing the manager's own completion path. *)
 let add_flush_observer t f = t.observers <- t.observers @ [ f ]
 
-let emit t kind =
-  match t.obs with
-  | None -> ()
-  | Some o -> El_obs.Obs.emit o El_obs.Event.Disk kind
+(* Each call site matches [t.obs] itself and builds its event only
+   under [Some]: an event passed to a helper that matched would be
+   allocated with observation off too. *)
+let emit o kind = El_obs.Obs.emit o El_obs.Event.Disk kind
 
 let drive_index t d = d.lo / t.drives.(0).span
 
@@ -261,13 +261,18 @@ let transfer_service t d =
     in
     let dev = El_fault.Fault_plan.device_name (El_fault.Injector.device ds) in
     if r.El_fault.Injector.r_retries > 0 then begin
-      emit t
-        (El_obs.Event.Io_retry
-           { device = dev; attempts = r.El_fault.Injector.r_retries });
+      (match t.obs with
+      | Some obs ->
+        emit obs
+          (El_obs.Event.Io_retry
+             { device = dev; attempts = r.El_fault.Injector.r_retries })
+      | None -> ());
       count t "fault.io_retries" r.El_fault.Injector.r_retries
     end;
     if r.El_fault.Injector.r_remapped then begin
-      emit t (El_obs.Event.Io_remap { device = dev });
+      (match t.obs with
+      | Some obs -> emit obs (El_obs.Event.Io_remap { device = dev })
+      | None -> ());
       count t "fault.io_remaps" 1
     end;
     if El_fault.Injector.nominal r then t.transfer_time
@@ -291,7 +296,11 @@ let rec dispatch t d =
     | Indexed -> index_remove t d (class_of d r) r
     | Reference -> ());
     t.spare <- r :: t.spare;
-    emit t (El_obs.Event.Flush_start { drive = drive_index t d; oid });
+    (match t.obs with
+    | Some obs ->
+      emit obs
+        (El_obs.Event.Flush_start { drive = drive_index t d; oid })
+    | None -> ());
     El_sim.Engine.schedule_after t.engine (transfer_service t d) (fun () ->
         let distance =
           if d.has_history then
@@ -309,8 +318,11 @@ let rec dispatch t d =
                  "flush.oid_distance")
               (float_of_int distance)
         end;
-        emit t
-          (El_obs.Event.Flush_done { drive = drive_index t d; oid; distance });
+        (match t.obs with
+        | Some obs ->
+          emit obs
+            (El_obs.Event.Flush_done { drive = drive_index t d; oid; distance })
+        | None -> ());
         d.position <- oid;
         d.has_history <- true;
         t.pending_count <- t.pending_count - 1;
@@ -334,7 +346,9 @@ let rec dispatch t d =
 let enqueue t oid ~version ~forced =
   let d = drive_of t oid in
   let o = Ids.Oid.to_int oid in
-  emit t (El_obs.Event.Flush_request { oid = o; forced });
+  (match t.obs with
+  | Some obs -> emit obs (El_obs.Event.Flush_request { oid = o; forced })
+  | None -> ());
   (match Hashtbl.find_opt d.pending_tbl o with
   | Some r ->
     (* Supersede in place: keep the single pending slot, newest version.

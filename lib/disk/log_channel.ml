@@ -44,10 +44,10 @@ let create engine ~write_time ~buffer_pool ?obs ?(label = -1) ?fault ?store () =
     in_service = None;
   }
 
-let emit t kind =
-  match t.obs with
-  | None -> ()
-  | Some o -> El_obs.Obs.emit o El_obs.Event.Channel kind
+(* Each call site matches [t.obs] itself and builds its event only
+   under [Some]: an event passed to a helper that matched would be
+   allocated with observation off too. *)
+let emit o kind = El_obs.Obs.emit o El_obs.Event.Channel kind
 
 let count t name n =
   match t.obs with
@@ -70,13 +70,18 @@ let service_time t =
     t.current_torn <- r.El_fault.Injector.r_torn;
     let dev = El_fault.Fault_plan.device_name (El_fault.Injector.device ds) in
     if r.El_fault.Injector.r_retries > 0 then begin
-      emit t
-        (El_obs.Event.Io_retry
-           { device = dev; attempts = r.El_fault.Injector.r_retries });
+      (match t.obs with
+      | Some obs ->
+        emit obs
+          (El_obs.Event.Io_retry
+             { device = dev; attempts = r.El_fault.Injector.r_retries })
+      | None -> ());
       count t "fault.io_retries" r.El_fault.Injector.r_retries
     end;
     if r.El_fault.Injector.r_remapped then begin
-      emit t (El_obs.Event.Io_remap { device = dev });
+      (match t.obs with
+      | Some obs -> emit obs (El_obs.Event.Io_remap { device = dev })
+      | None -> ());
       count t "fault.io_remaps" 1
     end;
     if El_fault.Injector.nominal r then t.write_time
@@ -105,13 +110,21 @@ let rec start_next t =
     t.in_service <- payload;
     let service = service_time t in
     t.busy_until <- Time.add (El_sim.Engine.now t.engine) service;
-    emit t (El_obs.Event.Log_write_start { gen = t.label });
+    (match t.obs with
+    | Some obs ->
+      emit obs
+        (El_obs.Event.Log_write_start { gen = t.label })
+    | None -> ());
     El_sim.Engine.schedule_after t.engine service (fun () ->
         t.completed <- t.completed + 1;
         t.current_torn <- None;
         t.in_service <- None;
         persist_completed t payload;
-        emit t (El_obs.Event.Log_write_done { gen = t.label });
+        (match t.obs with
+        | Some obs ->
+          emit obs
+            (El_obs.Event.Log_write_done { gen = t.label })
+        | None -> ());
         on_complete ();
         start_next t)
 
