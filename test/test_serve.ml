@@ -723,6 +723,232 @@ let test_exec_protocol () =
           Alcotest.(check bool) "quit stops" true
             (Serve.exec t "QUIT" = (Some "bye", false))))
 
+(* ---- the protocol against the grammar it replaced ---- *)
+
+(* The model is the grammar the in-place parser replaced: trim the
+   line, split it on single spaces, drop empty words, match the
+   upper-cased verb and its argument count, and read each argument
+   with [int_of_string_opt], refusing negatives.  What a line means
+   under it: no reply, an error reply it fixes by itself, or a command
+   it names in plain form (canonical verb, plain decimal arguments),
+   whose reply comes from a twin server sent that plain form. *)
+type meaning = Silent | Says of string | Means of string
+
+let model line =
+  let words =
+    String.split_on_char ' ' (String.trim line)
+    |> List.filter (fun s -> s <> "")
+  in
+  let plain verb args =
+    let rec go acc = function
+      | [] -> Means (String.concat " " (verb :: List.rev acc))
+      | a :: rest -> (
+        match int_of_string_opt a with
+        | Some n when n >= 0 -> go (string_of_int n :: acc) rest
+        | Some _ | None -> Says (Printf.sprintf "err bad integer %S" a))
+    in
+    go [] args
+  in
+  match words with
+  | [] -> Silent
+  | verb :: args -> (
+    match (String.uppercase_ascii verb, args) with
+    | (("BEGIN" | "COMMIT" | "ABORT" | "READ") as v), [ _ ] -> plain v args
+    | "WRITE", ([ _; _; _ ] | [ _; _; _; _ ]) -> plain "WRITE" args
+    | (("RECOVERED" | "STAT" | "QUIT") as v), [] -> Means v
+    | v, _ -> Says (Printf.sprintf "err unknown or malformed command %S" v))
+
+(* Sessions a client might send, odd lines included: verbs in any
+   case, runs of spaces, tabs, CRs and form feeds, signed, prefixed,
+   underscored and overlong numbers, blank lines, 0 to 5 arguments,
+   and whole transactions whose numbers are written in any valid
+   form.  A line never holds a newline but a CRLF ending's. *)
+let session_gen =
+  let open QCheck.Gen in
+  let any_case w =
+    map
+      (fun flips ->
+        String.mapi
+          (fun i c ->
+            if List.nth flips (i mod List.length flips) then
+              Char.lowercase_ascii c
+            else c)
+          w)
+      (list_size (return 8) bool)
+  in
+  (* each verb with the argument counts it takes *)
+  let verb =
+    frequency
+      [
+        (4, pair (oneofl [ "BEGIN"; "COMMIT" ]) (return [ 1 ]));
+        (6, pair (return "WRITE") (return [ 3; 4 ]));
+        (2, pair (oneofl [ "ABORT"; "READ" ]) (return [ 1 ]));
+        (2, pair (oneofl [ "RECOVERED"; "STAT"; "QUIT" ]) (return [ 0 ]));
+        (1, pair (oneofl [ "FOO"; "BEGINX"; "WRIT" ]) (return [ 1 ]));
+        (1, pair (return "") (return [ 1; 2 ]));
+      ]
+    >>= fun (v, arities) ->
+    any_case v >>= fun v ->
+    frequency [ (5, oneofl arities); (1, int_range 0 5) ] >|= fun n -> (v, n)
+  in
+  let digits n = string_size ~gen:(char_range '0' '9') (return n) in
+  let number =
+    frequency
+      [
+        (6, map string_of_int (int_range 0 40));
+        (2, map string_of_int (int_range 900 1100));
+        ( 3,
+          oneofl
+            [ "+5"; "-3"; "-0"; "0x1f"; "0X10"; "0o17"; "0b101"; "0u42"; "1_000";
+              "_1"; "1__2"; "4611686018427387903"; "4611686018427387904";
+              "0x7fffffffffffffff"; "1.5"; "abc"; "12a"; "\t3"; "3\t"; "٣";
+              "00000000000000000007"; "0000000000000000001" ] );
+        (2, int_range 19 25 >>= digits);
+        (1, int_range 1 18 >>= digits);
+      ]
+  in
+  let space = oneofl [ " "; " "; " "; "  "; "   "; "\t"; "\012"; "\r" ] in
+  let sep = oneofl [ " "; " "; " "; "  "; "    " ] in
+  let edge = oneofl [ ""; ""; ""; " "; "  "; "\t"; "\r"; "\012"; " \t " ] in
+  let ending = oneofl [ ""; ""; "\r"; "\r\n" ] in
+  let words =
+    verb >>= fun (v, n) ->
+    list_size (return n) number >>= fun args ->
+    list_size (return (n + 1)) (frequency [ (9, sep); (1, space) ])
+    >|= fun seps ->
+    let b = Buffer.create 32 in
+    List.iteri
+      (fun i w ->
+        if i > 0 then Buffer.add_string b (List.nth seps i);
+        Buffer.add_string b w)
+      (v :: args);
+    Buffer.contents b
+  in
+  let blank = list_size (int_range 0 3) space >|= String.concat "" in
+  let dress body =
+    edge >>= fun lead ->
+    edge >>= fun trail ->
+    ending >|= fun e -> lead ^ body ^ trail ^ e
+  in
+  (* a whole transaction on tid [tid], every number in a valid form of
+     its own *)
+  let render n =
+    oneof
+      [
+        return (string_of_int n);
+        return (string_of_int n);
+        return ("+" ^ string_of_int n);
+        return (Printf.sprintf "0x%x" n);
+        return (Printf.sprintf "0o%o" n);
+        return (Printf.sprintf "%020d" n);
+        return (if n < 10 then string_of_int n else Printf.sprintf "%d_%d" (n / 10) (n mod 10));
+      ]
+  in
+  let transaction tid =
+    let command verb args =
+      any_case verb >>= fun v ->
+      flatten_l (List.map render args) >>= fun args ->
+      list_size (return (List.length args)) sep >>= fun seps ->
+      dress
+        (String.concat ""
+           (v :: List.concat (List.map2 (fun s a -> [ s; a ]) seps args)))
+    in
+    int_range 1 4 >>= fun writes ->
+    list_size (return writes)
+      (triple (int_range 0 999) (int_range 0 50) (opt (int_range 0 200)))
+    >>= fun ws ->
+    bool >>= fun abort ->
+    flatten_l
+      ((command "BEGIN" [ tid ]
+       :: List.map
+            (fun (oid, version, size) ->
+              command "WRITE"
+                ([ tid; oid; version ] @ Option.to_list size))
+            ws)
+      @ [ command (if abort then "ABORT" else "COMMIT") [ tid ] ])
+  in
+  let single = frequency [ (12, words); (1, blank) ] >>= dress >|= fun l -> [ l ] in
+  int_range 1 5 >>= fun chunks ->
+  list_size (return chunks)
+    (frequency [ (3, single); (1, int_range 1 60 >>= transaction) ])
+  >|= List.concat
+
+(* [exec] and a [serve_channel] session, each on a fresh image, answer
+   every line as the model means it; [QUIT] ends the comparison, since
+   it ends the session. *)
+let prop_protocol_matches_model =
+  QCheck.Test.make ~name:"exec = serve_channel = the old grammar" ~count:150
+    QCheck.(
+      make
+        ~print:(fun ls -> String.concat " | " (List.map (Printf.sprintf "%S") ls))
+        session_gen)
+    (fun lines ->
+      let rec upto_quit = function
+        | [] -> []
+        | l :: rest -> (
+          match model l with
+          | Means "QUIT" -> [ l ]
+          | Silent | Says _ | Means _ -> l :: upto_quit rest)
+      in
+      let lines = upto_quit lines in
+      with_temp_dir (fun dir ->
+          let server name =
+            Serve.start (config ~image:(Filename.concat dir name) ~fresh:true)
+          in
+          let a = server "a.img" and twin = server "twin.img" in
+          let expected, by_exec =
+            Fun.protect
+              ~finally:(fun () ->
+                Serve.close a;
+                Serve.close twin)
+              (fun () ->
+                List.fold_left
+                  (fun (want, got) l ->
+                    let reply = fst (Serve.exec a l) in
+                    let meant =
+                      match model l with
+                      | Silent -> None
+                      | Says r -> Some r
+                      | Means plain -> fst (Serve.exec twin plain)
+                    in
+                    (meant :: want, reply :: got))
+                  ([], []) lines)
+          in
+          let expected = List.rev expected and by_exec = List.rev by_exec in
+          if by_exec <> expected then
+            QCheck.Test.fail_reportf "exec answered [%s], the model [%s]"
+              (String.concat "; "
+                 (List.map (Option.value ~default:"-") by_exec))
+              (String.concat "; "
+                 (List.map (Option.value ~default:"-") expected));
+          let input = Filename.concat dir "in.txt"
+          and output = Filename.concat dir "out.txt" in
+          Out_channel.with_open_bin input (fun oc ->
+              List.iter
+                (fun l ->
+                  output_string oc l;
+                  if not (String.ends_with ~suffix:"\n" l) then
+                    output_char oc '\n')
+                lines);
+          let c = server "c.img" in
+          Fun.protect
+            ~finally:(fun () -> Serve.close c)
+            (fun () ->
+              In_channel.with_open_bin input (fun ic ->
+                  Out_channel.with_open_bin output (fun oc ->
+                      Serve.serve_channel c ic oc)));
+          let by_channel =
+            In_channel.with_open_bin output In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun r -> r <> "")
+          in
+          let want = List.filter_map Fun.id expected in
+          if by_channel <> want then
+            QCheck.Test.fail_reportf "serve_channel answered [%s], the model [%s]"
+              (String.concat "; " by_channel)
+              (String.concat "; " want);
+          true))
+
 let suite =
   [
     Alcotest.test_case "clean session, scan agrees" `Quick test_clean_session;
@@ -762,4 +988,5 @@ let suite =
       test_committed_tid_not_reused;
     Alcotest.test_case "an aborted tid cannot begin again" `Quick
       test_aborted_tid_not_reused;
+    QCheck_alcotest.to_alcotest prop_protocol_matches_model;
   ]
