@@ -17,8 +17,12 @@
    - a whole EL crash point (crash, recover, audit, spec crash check)
      allocates as much at the end of a long run as of a short one;
    - a restart's store scan allocates a flat handful of words per
-     segment of its image, however much of it is superseded history;
-   - encoding a segment's header and entries allocates nothing. *)
+     segment of its image, however much of it is superseded history,
+     and holds a window of the image, not the image;
+   - encoding a segment's header and entries allocates nothing, and
+     neither do a store append under Manual, its sync, or parsing and
+     answering a protocol line; a whole served transaction allocates
+     only what the manager and the engine do. *)
 
 open El_model
 module Arena = El_core.Arena
@@ -434,14 +438,11 @@ let test_crash_point_words () =
        20 s (at most 1.2x)"
       long short
 
-(* A restart verifies every checksum of its image but decodes only what
-   survives: a scan of a serve-filled image, mostly superseded log
-   segments and one-entry stable segments, allocates a flat handful of
-   minor words per segment, not a record and a list cell per entry. *)
-let test_scan_words () =
+(* A serve image of [txs] transactions of 4 writes each, written
+   through [Serve.exec] under group fsync. *)
+let with_serve_image ~txs f =
   let module Serve = El_serve.Serve in
-  let module Log_store = El_store.Log_store in
-  let image = Filename.temp_file "el_alloc_scan" ".img" in
+  let image = Filename.temp_file "el_alloc_serve" ".img" in
   Fun.protect
     ~finally:(fun () -> Sys.remove image)
     (fun () ->
@@ -454,7 +455,7 @@ let test_scan_words () =
           }
       in
       let rng = Random.State.make [| 1; 1 |] in
-      for tid = 1 to 2_000 do
+      for tid = 1 to txs do
         let exec fmt = Printf.ksprintf (fun l -> ignore (Serve.exec t l)) fmt in
         exec "BEGIN %d" tid;
         for _ = 1 to 4 do
@@ -463,6 +464,15 @@ let test_scan_words () =
         exec "COMMIT %d" tid
       done;
       Serve.close t;
+      f image)
+
+(* A restart verifies every checksum of its image but decodes only what
+   survives: a scan of a serve-filled image, mostly superseded log
+   segments and one-entry stable segments, allocates a flat handful of
+   minor words per segment, not a record and a list cell per entry. *)
+let test_scan_words () =
+  let module Log_store = El_store.Log_store in
+  with_serve_image ~txs:2_000 (fun image ->
       let b = El_store.Backend.file ~path:image in
       Fun.protect
         ~finally:(fun () -> El_store.Backend.close b)
@@ -504,6 +514,191 @@ let test_encode_words () =
       "1000 header and entry encodes allocate %.0f minor words (want 0)"
       words
 
+(* The segment writer encodes straight from the records into its
+   reused staging buffer, and the backend counts its ops without
+   building one: under Manual, appending a 4-record block and syncing
+   it, and appending a stable install, allocate nothing. *)
+let test_store_append_words () =
+  let module Backend = El_store.Backend in
+  let module Log_store = El_store.Log_store in
+  let t = Log_store.create ~sync_mode:Log_store.Manual (Backend.mem ()) in
+  let records =
+    List.init 4 (fun i ->
+        Log_record.data ~tid:(Ids.Tid.of_int 7) ~oid:(Ids.Oid.of_int i)
+          ~version:3 ~size:100 ~timestamp:(Time.of_ms 2))
+  in
+  let oid = Ids.Oid.of_int 11 in
+  let round () =
+    for i = 1 to 1_000 do
+      Log_store.append_block t ~gen:0 ~slot:(i land 15) records;
+      Log_store.sync t
+    done;
+    for v = 1 to 1_000 do
+      Log_store.append_stable t ~oid ~version:v
+    done;
+    Log_store.sync t
+  in
+  round ();
+  let block_words =
+    minor_words (fun () ->
+        for i = 1 to 1_000 do
+          Log_store.append_block t ~gen:0 ~slot:(i land 15) records;
+          Log_store.sync t
+        done)
+  in
+  let stable_words =
+    minor_words (fun () ->
+        for v = 1 to 1_000 do
+          Log_store.append_stable t ~oid ~version:v
+        done)
+  in
+  if block_words > 0.0 || stable_words > 0.0 then
+    Alcotest.failf
+      "1000 block appends + syncs allocate %.0f minor words, 1000 stable \
+       installs %.0f (want 0 and 0)"
+      block_words stable_words
+
+(* The protocol layer reads a command where it lies and writes its
+   reply digit by digit: parsing BEGIN, WRITE and COMMIT lines and
+   answering them, into a buffer or a channel, allocates nothing. *)
+let test_protocol_words () =
+  let module P = El_serve.Protocol in
+  let lines =
+    Array.map Bytes.of_string
+      [| "BEGIN 123456"; "write 123456  98765 123456 100\r"; "COMMIT 123456" |]
+  in
+  let l = P.line () in
+  let buf = Buffer.create 256 in
+  let oc = open_out_bin Filename.null in
+  let answer o =
+    for i = 0 to Array.length lines - 1 do
+      let b = lines.(i) in
+      (match P.parse l b ~start:0 ~stop:(Bytes.length b) with
+      | P.Begin ->
+        P.put o "ok begun ";
+        P.put_int o (P.arg l 1)
+      | P.Write ->
+        P.put o "ok written ";
+        P.put_int o (P.arg l 1);
+        P.put o " ";
+        P.put_int o (P.arg l 2);
+        P.put o " ";
+        P.put_int o (P.arg l 3);
+        ignore (P.arg l 4)
+      | P.Commit ->
+        P.put o "ok committed ";
+        P.put_int o (P.arg l 1)
+      | _ -> Alcotest.fail "a line misparsed");
+      P.put o "\n"
+    done
+  in
+  let to_buf = P.Buf buf and to_chan = P.Chan oc in
+  answer to_buf;
+  Alcotest.(check string) "the replies"
+    "ok begun 123456\nok written 123456 98765 123456\nok committed 123456\n"
+    (Buffer.contents buf);
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1_000 do
+          Buffer.clear buf;
+          answer to_buf;
+          answer to_chan
+        done)
+  in
+  close_out oc;
+  if words > 0.0 then
+    Alcotest.failf
+      "parsing and answering 1000 BEGIN/WRITE/COMMIT triples allocates %.0f \
+       minor words (want 0)"
+      words
+
+(* A transaction through [serve_channel] on a filled image: the
+   protocol layer and the store add nothing, so what is left is the
+   manager and the engine — 983 words, against 2,152 when each line was
+   split into strings and each reply and record boxed. *)
+let test_serve_tx_words () =
+  let module Serve = El_serve.Serve in
+  with_serve_image ~txs:2_000 (fun image ->
+      let input = Filename.temp_file "el_alloc_serve" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove input)
+        (fun () ->
+          let txs = 1_000 in
+          let rng = Random.State.make [| 2; 2 |] in
+          Out_channel.with_open_bin input (fun oc ->
+              for tid = 2_001 to 2_000 + txs do
+                Printf.fprintf oc "BEGIN %d\n" tid;
+                for _ = 1 to 4 do
+                  Printf.fprintf oc "WRITE %d %d %d 100\n" tid
+                    (Random.State.int rng 100_000) tid
+                done;
+                Printf.fprintf oc "COMMIT %d\n" tid
+              done);
+          let t =
+            Serve.start
+              { (Serve.default_config ~image) with Serve.group_fsync = true }
+          in
+          let oc = open_out_bin Filename.null in
+          let words =
+            Fun.protect
+              ~finally:(fun () ->
+                close_out oc;
+                Serve.close t)
+              (fun () ->
+                In_channel.with_open_bin input (fun ic ->
+                    minor_words (fun () -> Serve.serve_channel t ic oc)))
+          in
+          let per = words /. float_of_int txs in
+          if per > 1_100.0 then
+            Alcotest.failf
+              "a served transaction allocates %.0f minor words (at most 1100)"
+              per))
+
+(* A restart scan holds a window of the image, not the image: its major
+   words stay flat when the superseded history grows tenfold over the
+   same live set (16 log slots and 50 stable objects). *)
+let test_scan_major_words () =
+  let module Backend = El_store.Backend in
+  let module Log_store = El_store.Log_store in
+  let major_words ~rounds =
+    let image = Filename.temp_file "el_alloc_history" ".img" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove image)
+      (fun () ->
+        let b = Backend.file ~path:image in
+        Fun.protect
+          ~finally:(fun () -> Backend.close b)
+          (fun () ->
+            let t = Log_store.create ~sync_mode:Log_store.Manual b in
+            for r = 1 to rounds do
+              for slot = 0 to 15 do
+                Log_store.append_block t ~gen:(slot land 1) ~slot
+                  (List.init 4 (fun i ->
+                       Log_record.data
+                         ~tid:(Ids.Tid.of_int ((r * 16) + slot))
+                         ~oid:(Ids.Oid.of_int ((slot * 4) + i))
+                         ~version:r ~size:100 ~timestamp:(Time.of_ms r)))
+              done;
+              for oid = 0 to 49 do
+                Log_store.append_stable t ~oid:(Ids.Oid.of_int oid) ~version:r
+              done
+            done;
+            Log_store.sync t;
+            Gc.full_major ();
+            let _, _, m0 = Gc.counters () in
+            let s = Log_store.scan b in
+            let _, _, m1 = Gc.counters () in
+            if List.length s.Log_store.s_blocks <> 16 then
+              Alcotest.fail "the live set is 16 blocks";
+            m1 -. m0))
+  in
+  let short = major_words ~rounds:20 and long = major_words ~rounds:200 in
+  if long > 1.2 *. short then
+    Alcotest.failf
+      "a scan takes %.0f major words over 200 rounds of history, %.0f over \
+       20 (at most 1.2x)"
+      long short
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_arena_roundtrip;
@@ -530,4 +725,12 @@ let suite =
       `Quick test_scan_words;
     Alcotest.test_case "encoding a header and an entry allocates 0 words"
       `Quick test_encode_words;
+    Alcotest.test_case "store appends under Manual allocate 0 words" `Quick
+      test_store_append_words;
+    Alcotest.test_case "protocol: parse and answer allocate 0 words" `Quick
+      test_protocol_words;
+    Alcotest.test_case "served transaction: at most 1100 minor words" `Quick
+      test_serve_tx_words;
+    Alcotest.test_case "restart scan: major words flat over 10x history"
+      `Quick test_scan_major_words;
   ]

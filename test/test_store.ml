@@ -695,9 +695,10 @@ let test_sim_mem_result_identity () =
 (* A mid-run crash with torn log writes: the simulated crash image and
    the frozen store image must recover the same committed state and
    the same torn damage, for the standard EL log at three seeds and,
-   scaled to each preset, under every workload preset.
-   (redo_applied/skipped are scan-order dependent and deliberately not
-   compared.) *)
+   scaled to each preset, under every workload preset — and at each
+   seed once more, crashed inside a torn in-service write, where the
+   damage must be there to compare.  (redo_applied/skipped are
+   scan-order dependent and deliberately not compared.) *)
 let test_crash_mark_fidelity () =
   let module FP = El_fault.Fault_plan in
   let el = List.assoc "el" (Sweep.standard_kinds ()) in
@@ -731,6 +732,48 @@ let test_crash_mark_fidelity () =
           Time.of_sec 3 ))
       El_workload.Workload_preset.all
   in
+  (* The seed inputs again, each crashed inside a torn log write: the
+     first instant after 2 s whose crash leaves torn damage in the store
+     image.  Stepping the engine lists the candidates, each 1 us after
+     an event with no other event before the next one, so a crash there
+     sees exactly the state that event left.  Both images must then
+     hold torn damage, and the same. *)
+  let torn_instant (cfg : Experiment.config) =
+    let live = Experiment.prepare cfg in
+    let engine = live.Experiment.engine in
+    let rec candidates acc last n =
+      if n = 0 || not (El_sim.Engine.step engine) then List.rev acc
+      else
+        let now = El_sim.Engine.now engine in
+        match last with
+        | Some at when Time.(now > add at (of_us 1)) ->
+          candidates (Time.add at (Time.of_us 1) :: acc) (Some now) (n - 1)
+        | Some _ | None ->
+          candidates acc
+            (if Time.(now >= of_sec 2) then Some now else None)
+            n
+    in
+    let instants =
+      Fun.protect
+        ~finally:(fun () -> Experiment.dispose live)
+        (fun () -> candidates [] None 400)
+    in
+    let tears at =
+      match Experiment.run_with_crash_store cfg ~crash_at:at with
+      | _, _, _, Some st -> st.Recovery.torn_blocks > 0
+      | _, _, _, None -> false
+    in
+    match List.find_opt tears instants with
+    | Some at -> at
+    | None -> Alcotest.fail "no crash instant tears a log write"
+  in
+  let torn_writes =
+    List.map
+      (fun (name, cfg, _) ->
+        let at = torn_instant cfg in
+        (Printf.sprintf "%s, torn write at %d us" name (Time.to_us at), cfg, at))
+      seeds
+  in
   List.iter
     (fun (name, cfg, crash_at) ->
       let _result, sim, audit, store =
@@ -752,8 +795,16 @@ let test_crash_mark_fidelity () =
         Alcotest.(check string)
           (name ^ ": store replay matches simulated crash")
           (Marshal.to_string (view sim) [])
-          (Marshal.to_string (view st) []))
-    (seeds @ presets)
+          (Marshal.to_string (view st) []);
+        if List.exists (fun (n, _, _) -> n = name) torn_writes then
+          List.iter
+            (fun (image, (r : Recovery.result)) ->
+              if r.Recovery.torn_blocks = 0 || r.Recovery.torn_records = 0 then
+                Alcotest.failf "%s: the %s image holds %d torn blocks, %d torn \
+                                records"
+                  name image r.Recovery.torn_blocks r.Recovery.torn_records)
+            [ ("simulated", sim); ("store", st) ])
+    (seeds @ presets @ torn_writes)
 
 (* Manual stages appends in memory: the backend sees nothing until a
    [sync], which writes everything staged with one pwrite and one
@@ -1046,6 +1097,65 @@ let test_write_fault_torn_prefix () =
       Experiment.dispose live)
     [ 1; 2; 3 ]
 
+(* ---- seeks ---- *)
+
+(* The file backend remembers where its descriptor stands: an attach
+   leaves it at the image's end, torn tail cut or not, and every append
+   after that continues there, so none seeks — under either sync mode. *)
+let test_attached_appends_never_seek () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "disk.img" in
+      let session ~sync_mode ~torn =
+        let b = Backend.file ~path in
+        Fun.protect
+          ~finally:(fun () -> Backend.close b)
+          (fun () ->
+            if torn then
+              (* half a header: the tail a crash mid-append leaves *)
+              write b ~off:(Backend.size b)
+                (Bytes.sub
+                   (Codec.encode_header
+                      {
+                        Codec.h_epoch = 0;
+                        h_gen = 0;
+                        h_slot = 0;
+                        h_seq = 999;
+                        h_count = 1;
+                      })
+                   0 20);
+            let t = Log_store.attach ~sync_mode b in
+            let seeks () = (Backend.counters b).Backend.seeks in
+            let before = seeks () in
+            for i = 0 to 19 do
+              Log_store.append_block t ~gen:(i land 1) ~slot:(i mod 3)
+                (records_of 4 (10 * i));
+              Log_store.append_stable t ~oid:(Ids.Oid.of_int i) ~version:i;
+              if i mod 5 = 4 then Log_store.sync t
+            done;
+            Log_store.sync t;
+            Alcotest.(check int)
+              (Printf.sprintf "%s%s: appends after attach seek"
+                 (match sync_mode with
+                 | Log_store.Immediate -> "immediate"
+                 | Log_store.Manual -> "manual")
+                 (if torn then ", torn tail" else ""))
+              before (seeks ()))
+      in
+      Backend.close (Backend.file ~path);
+      session ~sync_mode:Log_store.Immediate ~torn:false;
+      session ~sync_mode:Log_store.Manual ~torn:false;
+      session ~sync_mode:Log_store.Immediate ~torn:true;
+      session ~sync_mode:Log_store.Manual ~torn:true;
+      let b = Backend.file ~path in
+      Fun.protect
+        ~finally:(fun () -> Backend.close b)
+        (fun () ->
+          let s = Log_store.scan b in
+          Alcotest.(check int) "every session's segments are there" 160
+            s.Log_store.s_segments;
+          Alcotest.(check bool) "no torn tail left" false
+            s.Log_store.s_torn_tail))
+
 let suite =
   [
     Alcotest.test_case "mem backend roundtrip" `Quick test_mem_roundtrip;
@@ -1086,4 +1196,6 @@ let suite =
       `Quick test_write_fault_replay_agrees;
     Alcotest.test_case "mid-run torn death: store is a strict prefix" `Quick
       test_write_fault_torn_prefix;
+    Alcotest.test_case "appends after attach never seek" `Quick
+      test_attached_appends_never_seek;
   ]
