@@ -15,7 +15,9 @@
 
     {2 Protocol}
 
-    One command per line, case-insensitive verbs, integer arguments:
+    One command per line, case-insensitive verbs, words separated by
+    spaces, non-negative integer arguments in any form
+    [int_of_string] reads (see {!Protocol}):
 
     - [BEGIN <tid>] → [ok begun <tid>], or [err] unless [tid] is
       above every tid begun in this session and every tid the image's
@@ -75,8 +77,10 @@ val start : config -> t
     blocks stay durable and are never shadowed by the new run.  The
     image is read once: {!El_store.Log_store.attach_scan}'s scan, cut
     at any torn tail, is what recovery replays.  A start costs one
-    checksum pass over the image plus decoding what survives it:
-    superseded segments are verified but never decoded.  Raises
+    checksum pass over the image, read through one reused 64 KiB
+    window, plus decoding what survives it: superseded segments are
+    verified but never decoded, and no buffer the size of the image is
+    allocated.  Raises
     [Invalid_argument] for a [Firewall] kind before it touches the
     image: the FW baseline reclaims its ring without flushing to a
     stable database, so a restart would lose acked writes.  Raises
@@ -88,14 +92,20 @@ val recovered : t -> El_recovery.Recovery.result
 val exec : t -> string -> string option * bool
 (** One protocol step: parse a command line, run it to quiescence,
     return the response ([None] for a blank line) and whether the
-    session should continue ([false] after [QUIT]).  Exposed for
-    in-process tests; the servers below are thin loops over it. *)
+    session should continue ([false] after [QUIT]).  For in-process
+    callers (tests, the benchmark's fill): it runs the {!Protocol}
+    parser and reply writer that {!serve_channel} runs, with the reply
+    written into a buffer, so it answers every line exactly as a
+    session does. *)
 
 val serve_channel : t -> in_channel -> out_channel -> unit
 (** Serves one session until EOF or [QUIT], a batch at a time: each
     read takes whatever the client has sent so far, every complete
-    line in it runs in order, and their responses go out together in
-    one flush before the next read.  A client that sends one line gets
+    line in it runs in order, parsed where it lies in the session
+    buffer with its reply written straight into [oc], and their
+    responses go out together in one flush before the next read.
+    Parsing and answering a BEGIN, WRITE or COMMIT allocates nothing:
+    a transaction allocates only what the manager and the engine do.  A client that sends one line gets
     its response at once; one that pipelines gets one reply write per
     batch.  A COMMIT's response is queued only after its fsync, so the
     ack promise is unchanged.  A line split across reads runs once,

@@ -64,7 +64,9 @@ val create : ?sync_mode:sync_mode -> Backend.t -> t
 
 val attach : ?sync_mode:sync_mode -> Backend.t -> t
 (** Adopts an existing image: scans it, truncates any torn tail, and
-    resumes appending at the next epoch and sequence number. *)
+    resumes appending at the next epoch and sequence number, with a
+    {!Backend.file}'s descriptor left where the appends continue, so
+    none of them seeks. *)
 
 val backend : t -> Backend.t
 val epoch : t -> int
@@ -94,11 +96,14 @@ val append_block :
   t -> gen:int -> slot:int -> ?torn_suffix:int -> Log_record.t list -> unit
 (** Appends one log segment and barriers.  Empty record lists append
     nothing.  The last [torn_suffix] entries are written with corrupt
-    checksums, persisting a torn in-service write's destroyed tail. *)
+    checksums, persisting a torn in-service write's destroyed tail.
+    The segment is encoded straight from the records into the store's
+    reused buffer, so an append (and under {!Manual} its {!sync})
+    allocates nothing. *)
 
 val append_stable : t -> oid:Ids.Oid.t -> version:int -> unit
 (** Appends a stable-DB install fact (a [gen = -1] segment) and
-    barriers. *)
+    barriers; allocates nothing. *)
 
 (** The newest segment for one [(epoch, gen, slot)] key. *)
 type block = {
@@ -125,7 +130,10 @@ type scan = {
 }
 
 val scan : ?upto:int -> Backend.t -> scan
-(** Reads the whole image in one pass over its segment headers.
+(** Reads the whole image in one pass over its segment headers,
+    through one reused window of at most 64 KiB (what one [Unix.read]
+    moves): it never holds more of the image than that, whatever the
+    image's size.
 
     {b What it verifies.}  Every header's magic and checksum, and every
     entry's checksum and tag, of every segment it counts, stale ones
@@ -135,9 +143,10 @@ val scan : ?upto:int -> Backend.t -> scan
 
     {b What it decodes.}  Only the newest segment per [(epoch, gen,
     slot)] becomes a {!block}; a superseded log segment is only
-    remembered, as offsets, until a newer one replaces it.  Each valid
-    stable install fact folds straight into [s_stable].  So a scan
-    costs one checksum pass over the image plus decoding the
+    remembered, as offsets, until a newer one replaces it, and the
+    survivors' entries are read back through the window at the end.
+    Each valid stable install fact folds straight into [s_stable].  So
+    a scan costs one checksum pass over the image plus decoding the
     survivors, and allocates nothing per entry.
 
     With [~upto:n], segments with [seq >= n] are passed over (only

@@ -14,6 +14,8 @@
    - the spec tracker's pause check allocates nothing for objects
      untouched since the last one, and its crash check a flat handful
      of words per unsettled object, however long the history;
+   - with observation off, a flush request and its completion build no
+     event;
    - a whole EL crash point (crash, recover, audit, spec crash check)
      allocates as much at the end of a long run as of a short one;
    - a restart's store scan allocates a flat handful of words per
@@ -699,6 +701,34 @@ let test_scan_major_words () =
        20 (at most 1.2x)"
       long short
 
+(* A flush request and its completion with observation off: each emit
+   site matches [obs] before it builds its event, so the 86 words are
+   the request's own (its table entry, its completion event and
+   closure).  The three events it would build — request, start and
+   done — cost 3, 3 and 4 words (96 when they were built for nobody),
+   so the bound admits none of them. *)
+let test_flush_event_words () =
+  let module F = El_disk.Flush_array in
+  let engine = El_sim.Engine.create ~seed:1 () in
+  let f =
+    F.create engine ~drives:1 ~transfer_time:(Time.of_ms 1)
+      ~num_objects:1_000 ()
+  in
+  F.set_on_flush f (fun _ ~version:_ -> ());
+  let round () =
+    for i = 0 to 999 do
+      F.request f (Ids.Oid.of_int i) ~version:1;
+      El_sim.Engine.run_all engine
+    done
+  in
+  round ();
+  let per = minor_words round /. 1_000.0 in
+  if per > 88.0 then
+    Alcotest.failf
+      "a flush request and its completion allocate %.1f minor words with \
+       observation off (at most 88: no event built)"
+      per
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_arena_roundtrip;
@@ -733,4 +763,6 @@ let suite =
       test_serve_tx_words;
     Alcotest.test_case "restart scan: major words flat over 10x history"
       `Quick test_scan_major_words;
+    Alcotest.test_case "flush request + completion: no event words off"
+      `Quick test_flush_event_words;
   ]
