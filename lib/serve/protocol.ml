@@ -32,7 +32,8 @@ let line () =
 (* [String.trim]'s whitespace *)
 let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-(* The word [i] is [verb] (upper case) in any case. *)
+(* The bytes of [b] from [pos] spell [verb] (upper case) in any case,
+   from its [i]th letter on. *)
 let rec same_upper b pos verb i =
   i = String.length verb
   || Char.uppercase_ascii (Bytes.unsafe_get b (pos + i))

@@ -40,7 +40,6 @@ type t = {
   on_ack : Time.t -> unit;  (* sets [acked] *)
   line : Protocol.line;  (* the words of the command being run *)
   reply : Buffer.t;  (* [exec]'s reply *)
-  to_reply : Protocol.out;  (* [Buf reply] *)
 }
 
 (* Interactive transactions have no meaningful a-priori duration;
@@ -98,7 +97,6 @@ let start cfg =
   plant.Experiment.i_set_on_kill (fun tid ->
       Hashtbl.replace killed (Ids.Tid.to_int tid) ());
   let acked = ref false in
-  let reply = Buffer.create 256 in
   {
     engine;
     store;
@@ -112,8 +110,7 @@ let start cfg =
     acked;
     on_ack = (fun _ -> acked := true);
     line = Protocol.line ();
-    reply;
-    to_reply = Protocol.Buf reply;
+    reply = Buffer.create 256;
   }
 
 let recovered t = t.recovered
@@ -270,16 +267,16 @@ let stat t o =
        | El_store.Log_store.Manual -> "on"
        | El_store.Log_store.Immediate -> "off"))
 
-(* Runs the command [t.line] has parsed and writes its reply to [o];
-   [false] once the session should end.  A misused command (double
-   begin, unknown tid, log overload…) raises out of the manager before
-   any reply is written; the session survives it and the client learns
-   why. *)
+(* A misused command (double begin, unknown tid, log overload…) raises
+   out of the manager before any reply is written; the session survives
+   it and the client learns why. *)
 let guarded f t o =
   try f t o with
   | Invalid_argument m | Failure m -> err o m
   | El_core.El_manager.Log_overloaded m -> err o ("log overloaded: " ^ m)
 
+(* Runs the command [t.line] has parsed and writes its reply to [o];
+   [false] once the session should end. *)
 let run t o (command : Protocol.command) =
   match command with
   | Blank -> true
@@ -303,7 +300,7 @@ let exec t line =
       ~stop:(String.length line)
   in
   Buffer.clear t.reply;
-  let continue = run t t.to_reply command in
+  let continue = run t (Protocol.Buf t.reply) command in
   match command with
   | Blank -> (None, true)
   | _ -> (Some (Buffer.contents t.reply), continue)

@@ -263,12 +263,12 @@ let scan_image ?upto ~cut_torn backend =
       if len > !off then torn_tail := true;
       stop := true
     end
-    else begin
+    else
       let img = w.w_buf and pos = at w !off Codec.header_bytes in
       if (not (Codec.header_valid img ~pos)) || Codec.header_count img ~pos < 0
       then begin
-        (* a bad header, or one that would walk the scan backwards,
-           ends the valid image: nothing after it can be trusted *)
+        (* a bad header, or one that would walk the scan backwards, ends
+           the valid image: nothing after it can be trusted *)
         torn_tail := true;
         stop := true
       end
@@ -288,6 +288,7 @@ let scan_image ?upto ~cut_torn backend =
           incr segments;
           if epoch > !max_epoch then max_epoch := epoch;
           if seq > !max_seq then max_seq := seq;
+          (* the window moves on from here: the header was read above *)
           let valid = valid_prefix w ~body ~avail:(min count room) 0 in
           if gen < 0 then fold_stable w ~body ~valid stable
           else begin
@@ -316,7 +317,6 @@ let scan_image ?upto ~cut_torn backend =
         if full then off := body + (count * Codec.entry_bytes)
         else stop := true
       end
-    end
   done;
   let survivors =
     Newest.fold (fun _ p acc -> p :: acc) newest []
