@@ -538,6 +538,46 @@ let store_case_arb =
   in
   make ~print gen
 
+(* Scans [img], put in a fresh backend from [fresh], with and without
+   [upto], attaches it, and compares every field with the model's. *)
+let scan_agrees_with_model ~fresh img ~upto =
+  let cut = Bytes.length img in
+  let backend () =
+    let b = fresh () in
+    if cut > 0 then write b ~off:0 img;
+    b
+  in
+  let segs, torn = model_segments img in
+  let included m =
+    match upto with None -> true | Some n -> m.m_header.Codec.h_seq < n
+  in
+  let s_end = model_end segs in
+  if
+    scan_fields (Log_store.scan ?upto (backend ()))
+    <> model_scan ~torn ~s_end (List.filter included segs)
+  then QCheck.Test.fail_report "scan differs from the model";
+  let b = backend () in
+  let t, s = Log_store.attach_scan b in
+  let whole_segs = List.filter (fun m -> m.m_full) segs in
+  let ((_, _, (_, _, _, _, max_epoch, max_seq)) as expected) =
+    model_scan ~torn:false ~s_end whole_segs
+  in
+  if scan_fields s <> expected then
+    QCheck.Test.fail_report "attach's scan differs from the model";
+  let torn_epoch, torn_seq =
+    match List.filter (fun m -> not m.m_full) segs with
+    | [ m ] -> (m.m_header.Codec.h_epoch, m.m_header.Codec.h_seq)
+    | _ -> (-1, -1)
+  in
+  if Backend.size b <> (if torn then s_end else cut) then
+    QCheck.Test.fail_reportf "attach left %d bytes, expected %d"
+      (Backend.size b) (if torn then s_end else cut);
+  if
+    (Log_store.epoch t, Log_store.position t)
+    <> (max max_epoch torn_epoch + 1, max max_seq torn_seq + 1)
+  then QCheck.Test.fail_report "attach numbers the next epoch or seq wrong";
+  true
+
 (* Random images over a few (gen, slot) keys across 1-3 epochs, with
    stable installs and torn suffixes, cut at any byte, one bit flipped
    anywhere, scanned with and without an [~upto] mark: every field of
@@ -559,41 +599,65 @@ let prop_scan_matches_model =
         Bytes.set img p
           (Char.chr (Char.code (Bytes.get img p) lxor (1 lsl bit)))
       | Some _ | None -> ());
-      let backend () =
-        let b = Backend.mem () in
-        if cut > 0 then write b ~off:0 img;
+      scan_agrees_with_model ~fresh:Backend.mem img ~upto)
+
+(* The scan reads through a 64 KiB window.  An image of four windows,
+   cut and bit-flipped inside the structs that straddle each window's
+   end, scans as the model reads it, from memory and from a file. *)
+let test_scan_window_edges () =
+  let rng = Random.State.make [| 64 |] in
+  let int n = Random.State.int rng n in
+  let op _ =
+    if int 5 < 3 then
+      Log
+        {
+          gen = int 2;
+          slot = int 3;
+          records = 1 + int 4;
+          torn = (if int 4 = 0 then 1 + int 4 else 0);
+        }
+    else Install { oid = int 10; version = int 21 }
+  in
+  let whole = build_image (List.init 3 (fun _ -> List.init 700 op)) in
+  let len = Bytes.length whole in
+  if len < 4 * 65536 then Alcotest.failf "the image is only %d bytes" len;
+  with_temp_dir (fun dir ->
+      let opened = ref [] in
+      let file () =
+        let b =
+          Backend.file
+            ~path:(Filename.concat dir (string_of_int (List.length !opened)))
+        in
+        opened := b :: !opened;
         b
       in
-      let segs, torn = model_segments img in
-      let included m =
-        match upto with None -> true | Some n -> m.m_header.Codec.h_seq < n
-      in
-      let s_end = model_end segs in
-      if
-        scan_fields (Log_store.scan ?upto (backend ()))
-        <> model_scan ~torn ~s_end (List.filter included segs)
-      then QCheck.Test.fail_report "scan differs from the model";
-      let b = backend () in
-      let t, s = Log_store.attach_scan b in
-      let whole_segs = List.filter (fun m -> m.m_full) segs in
-      let ((_, _, (_, _, _, _, max_epoch, max_seq)) as expected) =
-        model_scan ~torn:false ~s_end whole_segs
-      in
-      if scan_fields s <> expected then
-        QCheck.Test.fail_report "attach's scan differs from the model";
-      let torn_epoch, torn_seq =
-        match List.filter (fun m -> not m.m_full) segs with
-        | [ m ] -> (m.m_header.Codec.h_epoch, m.m_header.Codec.h_seq)
-        | _ -> (-1, -1)
-      in
-      if Backend.size b <> (if torn then s_end else cut) then
-        QCheck.Test.fail_reportf "attach left %d bytes, expected %d"
-          (Backend.size b) (if torn then s_end else cut);
-      if
-        (Log_store.epoch t, Log_store.position t)
-        <> (max max_epoch torn_epoch + 1, max max_seq torn_seq + 1)
-      then QCheck.Test.fail_report "attach numbers the next epoch or seq wrong";
-      true)
+      Fun.protect
+        ~finally:(fun () -> List.iter Backend.close !opened)
+        (fun () ->
+          List.iter
+            (fun edge ->
+              List.iter
+                (fun (cut, flip, upto) ->
+                  let img = Bytes.sub whole 0 (min len cut) in
+                  (match flip with
+                  | Some p when p < Bytes.length img ->
+                    Bytes.set img p
+                      (Char.chr (Char.code (Bytes.get img p) lxor 0x10))
+                  | Some _ | None -> ());
+                  ignore (scan_agrees_with_model ~fresh:Backend.mem img ~upto);
+                  ignore (scan_agrees_with_model ~fresh:file img ~upto))
+                [
+                  (len, None, None);
+                  (len, None, Some 900);
+                  (edge - 30, None, None);
+                  (edge + 1, None, None);
+                  (edge + 25, None, None);
+                  (edge + 60, None, Some 1_200);
+                  (len, Some (edge - 3), None);
+                  (len, Some (edge + 2), None);
+                  (len, Some (edge + 40), Some 1_500);
+                ])
+            [ 65536; 2 * 65536; 3 * 65536 ]))
 
 (* ---- backend equivalence ---- *)
 
@@ -1198,4 +1262,6 @@ let suite =
       test_write_fault_torn_prefix;
     Alcotest.test_case "appends after attach never seek" `Quick
       test_attached_appends_never_seek;
+    Alcotest.test_case "scan = model across window edges" `Quick
+      test_scan_window_edges;
   ]
