@@ -435,7 +435,7 @@ let recovery_bench speed =
   in
   let crash_at = Time.mul_int (Time.div_int runtime 4) 3 in
   let (result, recovery, audit), alloc =
-    with_alloc (fun () -> Experiment.run_with_crash cfg ~crash_at)
+    with_alloc (fun () -> El_check.Sweep.run_with_crash cfg ~crash_at)
   in
   let t =
     Table.create ~columns:[ ("metric", Table.Left); ("value", Table.Right) ]
@@ -521,7 +521,9 @@ let store_bench speed =
         num_objects = 100_000;
       }
     in
-    let result, sim, audit, store = Experiment.run_with_crash_store cfg ~crash_at in
+    let result, sim, audit, store =
+      El_check.Sweep.run_with_crash_store cfg ~crash_at
+    in
     let agrees =
       match store with Some s -> view s = view sim | None -> false
     in

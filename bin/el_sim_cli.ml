@@ -413,7 +413,7 @@ let recover_cmd =
       | None -> Time.mul_int (Time.div_int cfg.Experiment.runtime 4) 3
     in
     let result, recovery, audit, store_recovery =
-      Experiment.run_with_crash_store cfg ~crash_at
+      El_check.Sweep.run_with_crash_store cfg ~crash_at
     in
     Format.printf "crash at %a into a %a run@." Time.pp crash_at Time.pp
       cfg.Experiment.runtime;
@@ -425,28 +425,34 @@ let recover_cmd =
     Printf.printf "committed transactions in durable log: %d\n"
       (List.length recovery.El_recovery.Recovery.committed_tids);
     Format.printf "%a@." El_recovery.Recovery.pp_audit audit;
-    (match store_recovery with
-    | None -> ()
-    | Some sr ->
-      let state (r : El_recovery.Recovery.result) =
-        ( List.sort compare (El_disk.Stable_db.snapshot r.recovered),
-          List.sort compare r.committed_tids )
-      in
-      Printf.printf
-        "store replay: %d records scanned, %d committed — %s\n"
-        sr.El_recovery.Recovery.records_scanned
-        (List.length sr.El_recovery.Recovery.committed_tids)
-        (if state sr = state recovery then "agrees with simulated recovery"
-         else "DIVERGES from simulated recovery"));
+    let agrees =
+      match store_recovery with
+      | None -> true
+      | Some sr ->
+        let state (r : El_recovery.Recovery.result) =
+          ( List.sort compare (El_disk.Stable_db.snapshot r.recovered),
+            List.sort compare r.committed_tids )
+        in
+        let agrees = state sr = state recovery in
+        Printf.printf
+          "store replay: %d records scanned, %d committed — %s\n"
+          sr.El_recovery.Recovery.records_scanned
+          (List.length sr.El_recovery.Recovery.committed_tids)
+          (if agrees then "agrees with simulated recovery"
+           else "DIVERGES from simulated recovery");
+        agrees
+    in
     print_newline ();
-    print_result result
+    print_result result;
+    if not (audit.El_recovery.Recovery.ok && agrees) then exit 1
   in
   Cmd.v
     (Cmd.info "recover"
        ~doc:
          "Crash an EL run midway, run single-pass recovery and audit it.  \
           With --backend mem|file, also replay the durable image frozen at \
-          the crash instant and compare the two recovered states.")
+          the crash instant and compare the two recovered states.  Exits 1 \
+          when the audit fails or the store replay diverges.")
     Term.(const action $ config_term $ scenario_term $ crash_at)
 
 let adaptive_cmd =

@@ -6,7 +6,7 @@
    checkpoints, no two-pass undo/redo.  This example crashes a
    simulated system at several points, runs the single-pass recovery
    over exactly what was durable, and audits the result against the
-   ground truth the simulator tracked.
+   acked versions a spec tracker followed beside the run.
 
      dune exec examples/recovery_drill.exe
 *)
@@ -32,7 +32,7 @@ let () =
   List.iter
     (fun seconds ->
       let _result, recovery, audit =
-        Experiment.run_with_crash cfg ~crash_at:(Time.of_sec seconds)
+        El_check.Sweep.run_with_crash cfg ~crash_at:(Time.of_sec seconds)
       in
       Printf.printf "%9ds %10d %12d %12d %10d %8s\n" seconds
         recovery.Recovery.records_scanned
@@ -50,7 +50,7 @@ let () =
      argument.";
   (* Show that the 32-block log really is the whole recovery input. *)
   let _result, recovery, audit =
-    Experiment.run_with_crash cfg ~crash_at:(Time.of_sec 60)
+    El_check.Sweep.run_with_crash cfg ~crash_at:(Time.of_sec 60)
   in
   assert audit.Recovery.ok;
   Printf.printf

@@ -1,22 +1,23 @@
 (* Drives the pure durable-log state machine (lib/spec) from a live
-   run and checks the implementation against it — the sweep's one
-   shadow model of the durable-log contract.
+   run and checks the implementation against it — the one witness of
+   what a crash must keep.
 
    The tracker interposes on the workload sink, so every
    begin/write/commit/abort becomes a spec step, the manager's kills
    arrive through [kill], flush completions arrive through
    [observe_flush] (registered on the flush array), and installs into
-   the stable database through [watch_stable].  Illegal steps
-   are collected as violations rather than raised — a sink callback
-   runs deep inside the event loop.  The explicit checks
-   ([check_invariant] at every pause, [check_crash] against each
-   recovered image, [check_settled], [check_el] and
-   [check_settled_stable] at the end) raise [Auditor.Audit_failure]
+   the stable database through [watch_stable], which judges each as it
+   lands.  Illegal steps and bad installs are collected rather than
+   raised — a sink callback runs deep inside the event loop.  The
+   explicit checks ([check_installs] and [check_invariant] at every
+   pause, [check_crash] against each recovered image, [check_settled]
+   and [check_settled_stable] at the end) raise [Auditor.Audit_failure]
    like every other auditor. *)
 
 open El_model
 module Generator = El_workload.Generator
-module El_manager = El_core.El_manager
+module Experiment = El_harness.Experiment
+module Shard_group = El_shard.Shard_group
 module Stable_db = El_disk.Stable_db
 module Spec = El_spec.Durable_log
 module Oid_set = Set.Make (Ids.Oid)
@@ -28,6 +29,8 @@ type t = {
   mutable stable : Stable_db.t option;  (** the watched stable database *)
   mutable installed : Oid_set.t;
       (** objects installed into it since the last passing crash check *)
+  mutable overrun : string option;
+      (** the first install that ran it ahead of the acked state *)
   mutable committed_count : int;  (** legal [Commit_ack] steps *)
   mutable violations : string list;  (** newest first *)
   mutable checks : int;
@@ -39,6 +42,7 @@ let create () =
     touched = Oid_set.empty;
     stable = None;
     installed = Oid_set.empty;
+    overrun = None;
     committed_count = 0;
     violations = [];
     checks = 0;
@@ -99,18 +103,74 @@ let observe_flush t oid ~version =
   apply t (Spec.Superblock_advance (oid, version));
   t.touched <- Oid_set.add oid t.touched
 
+(* An install may catch the stable database up with an acked version,
+   never run it ahead.  It lands inside its flush completion, before
+   [observe_flush] steps the spec, so an unsettled object may still rise
+   to its acked version, and a settled or never-acked one, served at its
+   acked version or not at all, may not rise. *)
+let judge_install t oid ~version ~previous =
+  let committed =
+    if Oid_set.mem oid (Spec.unsettled t.spec) then
+      Spec.acked_version t.spec oid
+    else previous
+  in
+  match committed with
+  | Some c when version <= c -> ()
+  | Some c ->
+    t.overrun <-
+      Some
+        (Format.asprintf "stable holds %a v%d ahead of durably committed v%d"
+           Ids.Oid.pp oid version c)
+  | None ->
+    t.overrun <-
+      Some
+        (Format.asprintf "stable holds %a v%d but no commit of it is durable"
+           Ids.Oid.pp oid version)
+
 let watch_stable t stable =
   if Option.is_some t.stable then
     invalid_arg "Spec_tracker.watch_stable: twice";
   t.stable <- Some stable;
-  Stable_db.on_install stable (fun oid ~version:_ ~previous:_ ->
-      t.installed <- Oid_set.add oid t.installed)
+  Stable_db.on_install stable (fun oid ~version ~previous ->
+      t.installed <- Oid_set.add oid t.installed;
+      if t.overrun = None then judge_install t oid ~version ~previous)
+
+let prepare ?on_cross (cfg : Experiment.config) =
+  let trackers = Array.init cfg.Experiment.shards (fun _ -> create ()) in
+  let sg =
+    Shard_group.prepare
+      ~wrap_shard_sink:(fun i -> wrap trackers.(i))
+      ~on_shard_kill:(fun i -> kill trackers.(i))
+      ?on_cross cfg
+  in
+  Array.iteri
+    (fun i inst ->
+      El_disk.Flush_array.add_flush_observer inst.Experiment.i_flush
+        (observe_flush trackers.(i));
+      match inst.Experiment.i_manager with
+      | Experiment.El_log _ ->
+        watch_stable trackers.(i) inst.Experiment.i_stable
+      | Experiment.Fw_log _ | Experiment.Hybrid_log _ -> ())
+    (Shard_group.instances sg);
+  (sg, trackers)
+
+let unsettled t =
+  Oid_set.fold
+    (fun oid acc ->
+      match Spec.acked_version t.spec oid with
+      | Some v -> (oid, v) :: acc
+      | None -> acc)
+    (Spec.unsettled t.spec) []
 
 let committed_count t = t.committed_count
 let violations t = List.rev t.violations
 let checks t = t.checks
 
 let fail fmt = Format.kasprintf (fun s -> raise (Auditor.Audit_failure s)) fmt
+
+(* Prefixed, as the auditor prefixes what it finds in a manager, with
+   the kind of the plant whose database it watches. *)
+let check_installs t = Option.iter (fail "el: %s") t.overrun
 
 (* The invariant over the objects flushed since it last passed is the
    whole invariant: a record fails only through its flush or floor, and
@@ -254,43 +314,10 @@ let check_settled t =
         fail "spec: settled run never flushed acked %a v%d" Ids.Oid.pp oid v)
     (Spec.persistent t.spec)
 
-(* The settled comparisons against the manager.  The spec's acked map
-   is the committed database state: per object, the newest version an
-   acknowledged transaction wrote (max-merged at each ack, like the
-   manager's own committed table), in oid order. *)
-let check_el t m =
-  let acked = El_manager.acked_commits m in
-  if acked <> t.committed_count then
-    fail "oracle: manager acknowledged %d commits, model holds %d" acked
-      t.committed_count;
-  let manager =
-    List.sort
-      (fun (a, _) (b, _) -> Ids.Oid.compare a b)
-      (El_manager.committed_reference m)
-  in
-  let rec compare_versions = function
-    | [], [] -> ()
-    | (oid, vm) :: _, [] ->
-      fail "oracle: model commits %a v%d, absent from manager reference"
-        Ids.Oid.pp oid vm
-    | [], (oid, vr) :: _ ->
-      fail "oracle: manager reference holds %a v%d the model never committed"
-        Ids.Oid.pp oid vr
-    | (om, vm) :: restm, (or_, vr) :: restr ->
-      let c = Ids.Oid.compare om or_ in
-      if c < 0 then
-        fail "oracle: model commits %a v%d, absent from manager reference"
-          Ids.Oid.pp om vm
-      else if c > 0 then
-        fail "oracle: manager reference holds %a v%d the model never committed"
-          Ids.Oid.pp or_ vr
-      else if vm <> vr then
-        fail "oracle: %a committed at v%d in the model, v%d in the manager"
-          Ids.Oid.pp om vm vr
-      else compare_versions (restm, restr)
-  in
-  compare_versions (Spec.persistent t.spec, manager)
-
+(* The settled comparison against the plant: the spec's acked map is
+   the committed database state (per object, the newest version an
+   acknowledged transaction wrote, max-merged at each ack), and once
+   every flush has landed the stable database holds exactly that. *)
 let check_settled_stable t stable =
   List.iter
     (fun (oid, version) ->

@@ -5,11 +5,14 @@
     {!El_sim.Engine.run_steps}, so pause points are event boundaries
     and bit-for-bit reproducible).  At each pause it
 
-    - runs the {!Auditor} over the live manager;
+    - runs the {!Auditor} over the live manager, and reports the first
+      install that ran an EL stable database ahead of the acked state
+      ({!Spec_tracker.check_installs});
     - for an EL manager (optionally), captures a {!El_recovery.Recovery.crash}
       image, recovers from it and audits the recovered database
-      against the reference committed state — i.e. simulates a crash
-      at that exact event without disturbing the run;
+      against the committed state the {!Spec_tracker} holds — i.e.
+      simulates a crash at that exact event without disturbing the
+      run;
 
     then lets the run settle (generator finished, manager drained,
     engine run dry) and performs the final {!Spec_tracker} settled
@@ -82,12 +85,14 @@ val run :
 (** [stride] (default 100) is the number of events between pauses;
     [max_points] caps the number of pauses (default: no cap);
     [recover] (default true) enables the per-pause crash/recovery
-    cycle on EL runs.  Whenever [oracle] or [spec] is set, the run is
-    replayed against the {!El_spec.Durable_log} state machine via one
-    {!Spec_tracker} per shard: every sink event, kill and flush
-    completion must be a legal step.  [oracle] (default true) adds the
-    settled-state checks against the managers (router conservation,
-    per-shard ack accounting, {!Spec_tracker.check_el},
+    cycle on EL runs.  Whatever the flags, the run is replayed
+    against the {!El_spec.Durable_log} state machine via one
+    {!Spec_tracker} per shard ({!Spec_tracker.prepare}): every sink
+    event, kill and flush completion must be a legal step, every
+    install into an EL stable database is judged as it lands, and the
+    crash audits take their acked versions from it.  [oracle] (default
+    true) adds the settled-state checks against the plants (router
+    conservation, per-shard ack accounting,
     {!Spec_tracker.check_settled_stable}); [spec] (default false) adds
     the spec's own checks — the [persistent ⊆ ephemeral] invariant
     must hold at every pause, each recovered crash image must agree
@@ -99,15 +104,47 @@ val run :
 
     Every run goes through [El_shard.Shard_group] — a solo config is
     the 1-shard group, so a config with an [observer] raises
-    [Invalid_argument] — with one {!Spec_tracker} per shard
-    (shadowing all of its shard's sink traffic) and per-shard
-    crash/recover/audit at every owned pause.
+    [Invalid_argument] — with per-shard crash/recover/audit at every
+    owned pause.
     With [shards > 1] the oracle becomes composite: at every crash
     point and once more when settled, no cross-shard transaction may
     recover with a durable decision and a missing branch, nor an
     acknowledged one without its durable decision record; the settled
     checks add router conservation (generator acks = singles + cross)
     and per-shard ack accounting, and failures name their shard. *)
+
+val run_with_crash :
+  El_harness.Experiment.config ->
+  crash_at:Time.t ->
+  El_harness.Experiment.result
+  * El_recovery.Recovery.result
+  * El_recovery.Recovery.audit
+(** One crash point at a simulated instant: runs an EL simulation on
+    the plant a sweep builds ({!Spec_tracker.prepare}), captures a
+    crash image and the tracker's acked-but-unsettled versions at
+    [crash_at], recovers from the image and audits the outcome; then
+    lets the simulation finish for the run statistics.  Raises
+    [Invalid_argument] for a FW or hybrid config (the paper's FW
+    baseline has no recovery model), for [shards > 1], for a config
+    with an observer, or if [crash_at] exceeds the runtime; raises
+    [Failure] when the run overloads and stops before [crash_at] is
+    reached (an adversarial scenario on an undersized log), since no
+    crash image exists. *)
+
+val run_with_crash_store :
+  El_harness.Experiment.config ->
+  crash_at:Time.t ->
+  El_harness.Experiment.result
+  * El_recovery.Recovery.result
+  * El_recovery.Recovery.audit
+  * El_recovery.Recovery.result option
+(** Like {!run_with_crash}, but when the config has a store backend it
+    also freezes the durable image at the crash instant
+    ({!El_core.El_manager.persist_crash_mark}) and, after the run,
+    replays it with {!El_recovery.Recovery.recover_store} — the fourth
+    element, [None] under [Sim].  The store replay and the simulated
+    recovery describe the same crash, so their recovered states must
+    agree (pinned by the backend-equivalence tests). *)
 
 (** The composite atomic-commit check of a sharded sweep, judged by
     open transaction.  At each crash point no cross-shard transaction

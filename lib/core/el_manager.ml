@@ -62,13 +62,6 @@ type t = {
   tx_record_size : int;
   gens : gen array;
   placements : int Ids.Tid.Table.t;  (* lifetime-hint target generation *)
-  committed_ref : int Ids.Oid.Table.t;
-      (* the committed state is [stable] overlaid with this table: the
-         newest acked version of each object the stable database does
-         not serve yet; an entry leaves at the install that catches up *)
-  mutable bad_install : string option;
-      (* the first install that ran the stable database ahead of the
-         committed state *)
   store : El_store.Log_store.t option;
   mutable on_kill : (Ids.Tid.t -> unit) option;
   mutable forwarded : int;
@@ -78,7 +71,6 @@ type t = {
   mutable evictions : int;
   mutable forced_head_flushes : int;
   mutable fwd_guard_parks : int;
-  mutable acked : int;
   obs : El_obs.Obs.t option;
 }
 
@@ -142,8 +134,6 @@ let create engine ~policy ~flush ~stable ?(write_time = Params.tau_disk_write)
       tx_record_size;
       gens;
       placements = Ids.Tid.Table.create 256;
-      committed_ref = Ids.Oid.Table.create 1024;
-      bad_install = None;
       store;
       on_kill = None;
       forwarded = 0;
@@ -153,36 +143,12 @@ let create engine ~policy ~flush ~stable ?(write_time = Params.tau_disk_write)
       evictions = 0;
       forced_head_flushes = 0;
       fwd_guard_parks = 0;
-      acked = 0;
       obs;
     }
   in
   Flush_array.set_on_flush flush (fun oid ~version ->
       Stable_db.apply stable oid ~version;
       ignore (Ledger.flush_complete t.ledger ~oid ~version));
-  (* Every install is judged against the committed state as it lands,
-     whoever makes it: the stable version may lag the committed state
-     but never lead it, and never hold an object nobody committed. *)
-  let bad fmt =
-    Format.kasprintf
-      (fun msg -> if t.bad_install = None then t.bad_install <- Some msg)
-      fmt
-  in
-  Stable_db.on_install stable (fun oid ~version ~previous ->
-      match Ids.Oid.Table.find t.committed_ref oid with
-      | c when version = c -> Ids.Oid.Table.remove t.committed_ref oid
-      | c when version < c -> ()
-      | c ->
-        bad "stable holds %a v%d ahead of durably committed v%d" Ids.Oid.pp
-          oid version c
-      | exception Not_found -> (
-        match previous with
-        | None ->
-          bad "stable holds %a v%d but no commit of it is durable" Ids.Oid.pp
-            oid version
-        | Some p ->
-          bad "stable holds %a v%d ahead of durably committed v%d" Ids.Oid.pp
-            oid version p));
   t
 
 let set_on_kill t f = t.on_kill <- Some f
@@ -796,11 +762,6 @@ let placement_gen t ~expected_duration =
       pick 0
     end
 
-let committed_version t oid =
-  match Ids.Oid.Table.find_opt t.committed_ref oid with
-  | Some _ as v -> v
-  | None -> Stable_db.version t.stable oid
-
 let gen_of_tid t tid =
   match Ids.Tid.Table.find_opt t.placements tid with
   | Some g -> g
@@ -831,13 +792,8 @@ let request_commit t ~tid ~on_ack =
   let hook ack_time =
     let to_flush = Ledger.commit_durable t.ledger ~tid in
     List.iter
-      (fun (oid, version) ->
-        (match committed_version t oid with
-        | Some v when v >= version -> ()
-        | Some _ | None -> Ids.Oid.Table.replace t.committed_ref oid version);
-        Flush_array.request t.flush oid ~version)
+      (fun (oid, version) -> Flush_array.request t.flush oid ~version)
       to_flush;
-    t.acked <- t.acked + 1;
     (match t.obs with
     | None -> ()
     | Some o ->
@@ -988,9 +944,7 @@ let check_invariants t =
   let live = Ledger.live_cells t.ledger in
   if live <> !listed then
     violated "ledger reaches %d live cells but generation lists hold %d" live
-      !listed;
-  (* judged install by install as they land (see [create]) *)
-  Option.iter failwith t.bad_install
+      !listed
 
 type durable_block = {
   db_gen : int;
@@ -1052,17 +1006,6 @@ let durable_blocks t =
     t.gens;
   !acc
 
-let unsettled t =
-  Ids.Oid.Table.fold (fun oid v acc -> (oid, v) :: acc) t.committed_ref []
-
-let committed_reference t =
-  let acc = ref (unsettled t) in
-  Stable_db.iter t.stable (fun oid v ->
-      if not (Ids.Oid.Table.mem t.committed_ref oid) then
-        acc := (oid, v) :: !acc);
-  !acc
-
-let acked_commits t = t.acked
 let stable t = t.stable
 
 (* Freeze the store at the crash instant: persist each channel's torn

@@ -124,17 +124,14 @@ val check_invariants : t -> unit
       generation's recirculation buffer);
     - FIFO: under [Youngest] placement, every non-last generation lists
       its cells in head-to-tail ring order;
-    - {!Ledger.live_cells} equals the number of listed cells;
-    - the stable database holds no object without a durable commit
-      and no version ahead of the durably committed one.  Each install
-      into the stable database is judged against the committed state
-      when it lands, whoever makes it (a flush completion or a direct
-      {!El_disk.Stable_db.apply}), and this check reports the first
-      bad one, so it costs nothing per object ever flushed.
-    The ring equation, the gauge, a cell's occupied slot, FIFO order,
-    the cell count and the stable checks raise [Failure] naming the
-    generation, slot, oid and versions involved; every other check
-    raises [Assert_failure]. *)
+    - {!Ledger.live_cells} equals the number of listed cells.
+    The ring equation, the gauge, a cell's occupied slot, FIFO order
+    and the cell count raise [Failure] naming the generation, slot and
+    ring positions involved; every other check raises
+    [Assert_failure].  What the stable database may hold is the
+    durable-log contract's to say, not the manager's: the sweep's
+    spec tracker judges every install into it
+    ({!El_check.Spec_tracker.watch_stable}). *)
 
 val occupied_blocks : t -> int array
 (** Current occupancy per generation. *)
@@ -160,21 +157,6 @@ val durable_blocks : t -> durable_block list
     the write in service at the crash when (and only when) its fault
     verdict was torn.  Reading this never draws fault randomness. *)
 
-val unsettled : t -> (Ids.Oid.t * int) list
-(** The committed versions the stable database does not serve yet: for
-    each such object, the newest version acked.  The committed state is
-    the stable database overlaid with these; an object leaves the list
-    at the install that catches up, so its length follows the flush
-    backlog, not the history.  {!El_recovery.Recovery.crash} builds an
-    image's reference from it. *)
-
-val committed_reference : t -> (Ids.Oid.t * int) list
-(** The whole committed state (stable database overlaid with
-    {!unsettled}): for every object, the newest version acked, in
-    unspecified order.  It walks every object ever flushed, so it is
-    for settled-state comparisons, not for per-point checks. *)
-
-val acked_commits : t -> int
 val stable : t -> El_disk.Stable_db.t
 
 val persist_crash_mark : t -> int option

@@ -117,6 +117,14 @@ let set_on_flush t f = t.on_flush <- Some f
    displacing the manager's own completion path. *)
 let add_flush_observer t f = t.observers <- t.observers @ [ f ]
 
+(* Walked directly, as [Stable_db] walks its install callbacks: an
+   iterator would build a closure per completion, observers or not. *)
+let rec observe oid version = function
+  | [] -> ()
+  | f :: rest ->
+    f oid ~version;
+    observe oid version rest
+
 (* Each call site matches [t.obs] itself and builds its event only
    under [Some]: an event passed to a helper that matched would be
    allocated with observation off too. *)
@@ -340,7 +348,7 @@ let rec dispatch t d =
         (match t.on_flush with
         | Some f -> f (Ids.Oid.of_int oid) ~version
         | None -> ());
-        List.iter (fun f -> f (Ids.Oid.of_int oid) ~version) t.observers;
+        observe (Ids.Oid.of_int oid) version t.observers;
         dispatch t d)
 
 let enqueue t oid ~version ~forced =

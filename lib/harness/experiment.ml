@@ -487,59 +487,3 @@ let prepare ?(wrap_sink = fun sink -> sink) cfg =
 let run cfg =
   let live = prepare cfg in
   Fun.protect ~finally:(fun () -> dispose live) live.finish
-
-let run_with_crash_store cfg ~crash_at =
-  let live = prepare cfg in
-  Fun.protect
-    ~finally:(fun () -> dispose live)
-    (fun () ->
-      let manager =
-        match live.manager with
-        | El_log m -> m
-        | Fw_log _ | Hybrid_log _ ->
-          invalid_arg "Experiment.run_with_crash: FW has no recovery model"
-      in
-      if Time.(crash_at > cfg.runtime) then
-        invalid_arg "Experiment.run_with_crash: crash after end of run";
-      let holder = ref None in
-      Engine.schedule_at live.engine crash_at (fun () ->
-          (* Capture the in-memory image first, then freeze the store:
-             both read the same channel state, so they describe the
-             same crash instant. *)
-          let image = El_recovery.Recovery.crash live.engine manager in
-          (* the run goes on, so keep the stable state of this instant *)
-          let image =
-            { image with stable = El_disk.Stable_db.copy image.stable }
-          in
-          let mark = El_manager.persist_crash_mark manager in
-          holder := Some (image, mark));
-      let result = live.finish () in
-      match !holder with
-      | None ->
-        (* The engine stopped before the crash instant — only an
-           overload can end a run early, so the crash point was never
-           reached.  An adversarial scenario on an undersized log is
-           the usual way here. *)
-        failwith
-          (Printf.sprintf
-             "Experiment.run_with_crash: the run %s before the crash \
-              instant; crash earlier or enlarge the log"
-             (if result.overloaded then "overloaded and stopped"
-              else "ended"))
-      | Some (image, mark) ->
-        let recovery = El_recovery.Recovery.recover ?obs:live.obs image in
-        let audit = El_recovery.Recovery.audit image recovery in
-        let store_recovery =
-          match (live.store, mark) with
-          | Some s, Some m ->
-            Some
-              (El_recovery.Recovery.recover_store ~upto:m
-                 ~num_objects:cfg.num_objects
-                 (El_store.Log_store.backend s))
-          | _ -> None
-        in
-        (result, recovery, audit, store_recovery))
-
-let run_with_crash cfg ~crash_at =
-  let result, recovery, audit, _ = run_with_crash_store cfg ~crash_at in
-  (result, recovery, audit)

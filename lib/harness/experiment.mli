@@ -201,31 +201,6 @@ val prepare :
     call); it must forward each call to the sink it was given.  It
     defaults to the identity. *)
 
-val run_with_crash :
-  config -> crash_at:Time.t -> result * El_recovery.Recovery.result * El_recovery.Recovery.audit
-(** Runs an EL simulation, captures a crash image at [crash_at],
-    recovers from it and audits the outcome; then lets the simulation
-    finish for the run statistics.  Raises [Invalid_argument] for a FW
-    config (the paper's FW baseline has no recovery model) or if
-    [crash_at] exceeds the runtime; raises [Failure] when the run
-    overloads and stops before [crash_at] is reached (an adversarial
-    scenario on an undersized log), since no crash image exists. *)
-
-val run_with_crash_store :
-  config ->
-  crash_at:Time.t ->
-  result
-  * El_recovery.Recovery.result
-  * El_recovery.Recovery.audit
-  * El_recovery.Recovery.result option
-(** Like {!run_with_crash}, but when the config has a store backend it
-    also freezes the durable image at the crash instant
-    ({!El_core.El_manager.persist_crash_mark}) and, after the run,
-    replays it with {!El_recovery.Recovery.recover_store} — the fourth
-    element, [None] under [Sim].  The store replay and the simulated
-    recovery describe the same crash, so their recovered states must
-    agree (pinned by the backend-equivalence tests). *)
-
 (** {2 Plant instances — the sharding seam}
 
     One log-manager plant: store, stable database, flush array,

@@ -5,7 +5,6 @@ type block = { records : Log_record.t list; torn : int }
 type image = {
   blocks : block list;
   stable : El_disk.Stable_db.t;
-  reference : (Ids.Oid.t * int) list;
   crash_time : Time.t;
 }
 
@@ -26,74 +25,9 @@ let crash engine manager =
           })
       (M.durable_blocks manager)
   in
-  let stable = M.stable manager in
-  let reference =
-    let unsettled = M.unsettled manager in
-    (* The manager's committed state is the stable database overlaid
-       with its acked-but-unsettled versions; the reference names that
-       overlay.  The durability point, though, is the platter: a
-       COMMIT record that persisted inside a torn prefix commits its
-       transaction even though the block never completed and the ack
-       never fired.  (The channel is FIFO, so every data record such a
-       transaction logged is in an earlier — completed — block or
-       earlier in the same prefix: recovering it whole is always
-       possible.)  Fold those transactions' durable writes in, naming
-       each object whose version then differs from the stable one. *)
-    let torn_committed = Hashtbl.create 4 in
-    List.iter
-      (fun b ->
-        if b.torn > 0 then
-          List.iter
-            (fun (r : Log_record.t) ->
-              match r.Log_record.kind with
-              | Log_record.Commit ->
-                Hashtbl.replace torn_committed
-                  (Ids.Tid.to_int r.Log_record.tid)
-                  ()
-              | Log_record.Begin | Log_record.Abort | Log_record.Data _ -> ())
-            b.records)
-      blocks;
-    if Hashtbl.length torn_committed = 0 then unsettled
-    else begin
-      let best = Ids.Oid.Table.create 64 in
-      List.iter
-        (fun b ->
-          List.iter
-            (fun (r : Log_record.t) ->
-              match r.Log_record.kind with
-              | Log_record.Data { oid; version }
-                when Hashtbl.mem torn_committed
-                       (Ids.Tid.to_int r.Log_record.tid) -> (
-                match Ids.Oid.Table.find_opt best oid with
-                | Some v when v >= version -> ()
-                | Some _ | None -> Ids.Oid.Table.replace best oid version)
-              | _ -> ())
-            b.records)
-        blocks;
-      let seen = Ids.Oid.Table.create 64 in
-      let merged =
-        List.map
-          (fun (oid, v) ->
-            Ids.Oid.Table.replace seen oid ();
-            match Ids.Oid.Table.find_opt best oid with
-            | Some w when w > v -> (oid, w)
-            | Some _ | None -> (oid, v))
-          unsettled
-      in
-      Ids.Oid.Table.fold
-        (fun oid w acc ->
-          if Ids.Oid.Table.mem seen oid then acc
-          else
-            match El_disk.Stable_db.version stable oid with
-            | Some s when s >= w -> acc
-            | Some _ | None -> (oid, w) :: acc)
-        best merged
-    end
-  in
   {
     blocks;
-    stable = El_disk.Stable_db.overlay stable;
-    reference;
+    stable = El_disk.Stable_db.overlay (M.stable manager);
     crash_time = El_sim.Engine.now engine;
   }
 
@@ -186,7 +120,6 @@ let image_of_scan ~num_objects (s : El_store.Log_store.scan) =
         s.El_store.Log_store.s_blocks;
     stable =
       El_disk.Stable_db.of_table ~num_objects s.El_store.Log_store.s_stable;
-    reference = [];
     crash_time = Time.zero;
   }
 
@@ -200,29 +133,63 @@ type audit = {
   spurious : (Ids.Oid.t * int) list;
 }
 
-(* The full comparison is the reference state (the stable version
-   overlaid with [image.reference]) against the recovered database (the
-   stable version overlaid with the redo).  Wherever neither overlay
-   names an object, both sides read the same stable entry, so only the
-   objects either overlay names are compared. *)
-let audit image result =
+(* The committed state at the crash is the stable version overlaid
+   with the acked versions it does not serve yet.  The durability point,
+   though, is the platter: a COMMIT record that persisted inside a torn
+   prefix commits its transaction even though the block never completed
+   and the ack never fired.  (The channel is FIFO, so every data record
+   such a transaction logged is in an earlier — completed — block or
+   earlier in the same prefix: recovering it whole is always possible.)
+   Those transactions' durable writes raise the reference too.
+
+   The full comparison is that reference against the recovered database
+   (the stable version overlaid with the redo).  Wherever neither
+   overlay names an object, both sides read the same stable entry, so
+   only the objects either overlay names are compared. *)
+let audit image ~unsettled result =
   let recovered = result.recovered in
   (match El_disk.Stable_db.base recovered with
   | Some b when b == image.stable -> ()
   | Some _ | None ->
     invalid_arg "Recovery.audit: the result was not recovered from this image");
   let reference = Ids.Oid.Table.create 64 in
-  List.iter
-    (fun (oid, v) -> Ids.Oid.Table.replace reference oid v)
-    image.reference;
-  let named = ref (List.map fst image.reference) in
-  El_disk.Stable_db.iter_overlay recovered (fun oid _ ->
-      named := oid :: !named);
+  List.iter (fun (oid, v) -> Ids.Oid.Table.replace reference oid v) unsettled;
   let expected oid =
     match Ids.Oid.Table.find_opt reference oid with
     | Some _ as v -> v
     | None -> El_disk.Stable_db.version image.stable oid
   in
+  let torn_committed = Ids.Tid.Table.create 4 in
+  List.iter
+    (fun b ->
+      if b.torn > 0 then
+        List.iter
+          (fun (r : Log_record.t) ->
+            match r.Log_record.kind with
+            | Log_record.Commit ->
+              Ids.Tid.Table.replace torn_committed r.Log_record.tid ()
+            | Log_record.Begin | Log_record.Abort | Log_record.Data _ -> ())
+          b.records)
+    image.blocks;
+  if Ids.Tid.Table.length torn_committed > 0 then
+    List.iter
+      (fun b ->
+        List.iter
+          (fun (r : Log_record.t) ->
+            match r.Log_record.kind with
+            | Log_record.Data { oid; version }
+              when Ids.Tid.Table.mem torn_committed r.Log_record.tid -> (
+              match expected oid with
+              | Some v when v >= version -> ()
+              | Some _ | None -> Ids.Oid.Table.replace reference oid version)
+            | Log_record.Data _ | Log_record.Begin | Log_record.Commit
+            | Log_record.Abort ->
+              ())
+          b.records)
+      image.blocks;
+  let named = ref (Ids.Oid.Table.fold (fun oid _ l -> oid :: l) reference []) in
+  El_disk.Stable_db.iter_overlay recovered (fun oid _ ->
+      named := oid :: !named);
   let got = El_disk.Stable_db.version recovered in
   let differing =
     List.filter

@@ -18,8 +18,11 @@
       numbers order updates even when recirculation has shuffled
       physical order, standing in for the paper's timestamps); redo is
       idempotent on the stable version;
-    - {!audit} compares the recovered database with the reference
-      committed state captured alongside the crash image.
+    - {!audit} compares the recovered database with the committed
+      state at the crash: the stable version overlaid with the acked
+      versions it did not serve yet, which the caller's witness of the
+      durable-log contract supplies (the sweep's spec tracker), raised
+      by every transaction whose COMMIT persisted inside a torn prefix.
 
     Recovery time is proportional to the records scanned, which is why
     the paper equates less disk space with faster recovery;
@@ -27,8 +30,8 @@
     that claim.  The checks follow the log too: an image's stable
     version is an {!El_disk.Stable_db.overlay} of the manager's live
     database (no copy), the recovered database is an overlay of that,
-    and the reference names only the committed versions that differ
-    from the stable one.
+    and the audit's reference names only the committed versions that
+    differ from the stable one.
 
     {b Image lifetime.}  An image from {!crash} reads the live stable
     database through its overlay, so it is valid only until that
@@ -56,28 +59,17 @@ type image = {
   stable : El_disk.Stable_db.t;
       (** stable version at the crash point (from {!crash}, an overlay
           of the manager's live database: see the image lifetime) *)
-  reference : (Ids.Oid.t * int) list;
-      (** ground truth as a delta over [stable]: the newest
-          durably-committed version of each object whose committed
-          version differs from the stable one, each object named once.
-          Every object it does not name is committed at its stable
-          version (or not at all, if the stable version lacks it). *)
   crash_time : Time.t;
 }
+(** What a crash leaves on the platter, and nothing else: what the
+    crash must keep is not the image's to say (see {!audit}). *)
 
 val crash : El_sim.Engine.t -> El_core.El_manager.t -> image
 (** Captures the crash image of an EL-managed log, now.  A block write
     in service with a torn fault verdict persists only its prefix,
     replacing whatever the slot durably held before; the lost suffix
-    is its [torn] count.
-
-    The [reference] is the manager's acked committed state
-    ({!El_core.El_manager.unsettled} over the stable version), adjusted
-    for the durability point: a transaction whose COMMIT record
-    persisted inside a torn prefix is committed even though its ack
-    never fired, so its durable writes are folded in (channel FIFO
-    order guarantees they all persisted).  The capture costs the log
-    and the unsettled versions, not the objects ever flushed. *)
+    is its [torn] count.  The capture costs the log, not the objects
+    ever flushed. *)
 
 type result = {
   recovered : El_disk.Stable_db.t;
@@ -107,9 +99,8 @@ val image_of_scan : num_objects:int -> El_store.Log_store.scan -> image
     [torn] count, so the torn counters match a simulated crash of the
     same state; the stable version adopts the scan's [s_stable] table
     ({!El_disk.Stable_db.of_table}, no copy), so the scan's table
-    belongs to the image from then on.  [reference] is empty: a real
-    restart has no ground truth.  [crash_time] is {!Time.zero}: a
-    scanned image carries no clock. *)
+    belongs to the image from then on.  [crash_time] is {!Time.zero}:
+    a scanned image carries no clock. *)
 
 val recover_store :
   ?obs:El_obs.Obs.t ->
@@ -132,16 +123,27 @@ type audit = {
       (** recovered versions that were never durably committed *)
 }
 
-val audit : image -> result -> audit
-(** Compares the recovered database with the image's reference state
-    (the stable version overlaid with [reference]).  [ok] is atomicity
-    and durability in one bit: every durably-committed update
-    recovered, nothing else.  Both sides read the same stable entry
-    wherever neither the reference nor the redo overlay names an
-    object, so only the objects they name are compared; [missing] and
-    [spurious] list exactly what the full comparison would, in oid
-    order.  Raises [Invalid_argument] unless [result] was recovered
-    from [image] (its database overlays [image.stable]), or if the
-    image is stale. *)
+val audit : image -> unsettled:(Ids.Oid.t * int) list -> result -> audit
+(** Compares the recovered database with the committed state at the
+    image's crash.  [unsettled] names, once each, the newest acked
+    version of every object whose committed version the image's stable
+    version does not serve yet, as the witness of the durable-log
+    contract held them at the crash instant
+    ({!El_check.Spec_tracker.unsettled}); every object it does not name
+    is committed at its stable version (or not at all).  The durability
+    point is the platter, not the ack: a transaction whose COMMIT
+    record persisted inside a torn prefix is committed although its ack
+    never fired, so its durable writes, read from the image's kept
+    records, raise the reference too (channel FIFO order guarantees
+    they all persisted).
+
+    [ok] is atomicity and durability in one bit: every
+    durably-committed update recovered, nothing else.  Both sides read
+    the same stable entry wherever neither the reference nor the redo
+    overlay names an object, so only the objects they name are
+    compared; [missing] and [spurious] list exactly what the full
+    comparison would, in oid order.  Raises [Invalid_argument] unless
+    [result] was recovered from [image] (its database overlays
+    [image.stable]), or if the image is stale. *)
 
 val pp_audit : Format.formatter -> audit -> unit

@@ -150,9 +150,13 @@ type run_result = {
 val dispose : t -> unit
 (** Closes and removes every shard's store image. *)
 
+val finish : t -> run_result
+(** Runs the engine to the config's runtime, from wherever it stands,
+    and collects.  Overload on any shard stops the whole run, as
+    solo. *)
+
 val run : Experiment.config -> run_result
-(** [prepare], run the engine to the config's runtime, collect, then
-    [dispose].  Overload on any shard stops the whole run, as solo. *)
+(** [prepare], {!finish}, then [dispose]. *)
 
 val run_global : Experiment.config -> Experiment.result
 (** Just the aggregate — the drop-in the min-space search probes with

@@ -386,7 +386,6 @@ let test_tracker_crash_words () =
    a copy of the stable database, or a walk over every acked object,
    would grow with the history. *)
 let test_crash_point_words () =
-  let module Shard_group = El_shard.Shard_group in
   let module Spec_tracker = El_check.Spec_tracker in
   let module Recovery = El_recovery.Recovery in
   let last_point_words runtime =
@@ -395,42 +394,25 @@ let test_crash_point_words () =
       Sweep.standard_config ~kind ~runtime:(Time.of_sec runtime) ~seed:42
         ~preset:Preset.uniform ()
     in
-    let t = Spec_tracker.create () in
-    let sg =
-      Shard_group.prepare
-        ~wrap_shard_sink:(fun _ sink -> Spec_tracker.wrap t sink)
-        ~on_shard_kill:(fun _ tid -> Spec_tracker.kill t tid)
-        cfg
-    in
-    let inst = (Shard_group.instances sg).(0) in
-    El_disk.Flush_array.add_flush_observer inst.Experiment.i_flush
-      (Spec_tracker.observe_flush t);
-    Spec_tracker.watch_stable t inst.Experiment.i_stable;
-    let m =
-      match inst.Experiment.i_manager with
-      | Experiment.El_log m -> m
-      | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
-        Alcotest.fail "an EL plant"
-    in
-    let engine = Shard_group.engine sg in
+    let run = Tracked.prepare cfg in
     let point () =
-      let image = Recovery.crash engine m in
+      let image = Tracked.crash run in
       let r = Recovery.recover image in
-      if not (Recovery.audit image r).Recovery.ok then
+      if not (Tracked.audit run image r).Recovery.ok then
         Alcotest.fail "a crash point failed its audit";
-      Spec_tracker.check_crash t r.Recovery.recovered
+      Spec_tracker.check_crash run.Tracked.tracker r.Recovery.recovered
     in
     let rec loop () =
       let n =
-        El_sim.Engine.run_steps engine ~until:cfg.Experiment.runtime
-          ~max_steps:20
+        El_sim.Engine.run_steps run.Tracked.engine
+          ~until:cfg.Experiment.runtime ~max_steps:20
       in
-      Spec_tracker.check_invariant t;
+      Spec_tracker.check_invariant run.Tracked.tracker;
       let words = minor_words point in
       if n = 20 then loop () else words
     in
     let words = loop () in
-    Shard_group.dispose sg;
+    El_shard.Shard_group.dispose run.Tracked.group;
     words
   in
   let short = last_point_words 20 and long = last_point_words 320 in
@@ -690,11 +672,13 @@ let test_scan_major_words () =
       long short
 
 (* A flush request and its completion with observation off: each emit
-   site matches [obs] before it builds its event, so the 86 words are
+   site matches [obs] before it builds its event, and the completion
+   walks its observers without building a closure, so the 81 words are
    the request's own (its table entry, its completion event and
    closure).  The three events it would build — request, start and
    done — cost 3, 3 and 4 words (96 when they were built for nobody),
-   so the bound admits none of them. *)
+   and the observer walk's closure 5 (86 with it), so the bound admits
+   none of them. *)
 let test_flush_event_words () =
   let module F = El_disk.Flush_array in
   let engine = El_sim.Engine.create ~seed:1 () in
@@ -711,10 +695,10 @@ let test_flush_event_words () =
   in
   round ();
   let per = minor_words round /. 1_000.0 in
-  if per > 88.0 then
+  if per > 83.0 then
     Alcotest.failf
       "a flush request and its completion allocate %.1f minor words with \
-       observation off (at most 88: no event built)"
+       observation off (at most 83: no event built)"
       per
 
 let suite =

@@ -10,12 +10,6 @@ module Recovery = El_recovery.Recovery
 module Sweep = El_check.Sweep
 module Auditor = El_check.Auditor
 
-let el_manager (live : Experiment.live) =
-  match live.Experiment.manager with
-  | Experiment.El_log m -> m
-  | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
-    Alcotest.fail "an EL run expected"
-
 let pp_failures fs =
   String.concat "; "
     (List.map (fun (at, msg) -> Printf.sprintf "[event %d] %s" at msg) fs)
@@ -153,29 +147,39 @@ let test_sweep_45ms_all_kinds () =
    diverge from the spec — a crash landing inside a forced flush's
    transfer window finds the record gone from the log and not yet in
    the stable database.  This pins that the spec oracle actually has
-   teeth: the hazard cannot be silently re-introduced.  It also pins
-   the sweep's one-shard contract — a solo config is the 1-shard
-   group: its failures name no shard and each crash point costs one
-   recovery, with no extra settled-state recovery — while at two
-   shards every crash-recovery divergence keeps its shard label. *)
+   teeth: the hazard cannot be silently re-introduced.  The flags gate
+   checks, not the witness: with the oracle and the spec off, the crash
+   audits still take their acked versions from the tracker and find the
+   same losses.  It also pins the sweep's one-shard contract — a solo
+   config is the 1-shard group: its failures name no shard and each
+   crash point costs one recovery, with no extra settled-state recovery
+   — while at two shards every crash-recovery divergence keeps its
+   shard label. *)
 let test_eager_dispose_caught_by_spec () =
   let cfg = scarce_45ms_config ~eager:true ~seed:7 () in
-  let o = Sweep.run ~stride:25 ~spec:true cfg in
-  Alcotest.(check bool) "divergences found" true (o.Sweep.failures <> []);
-  let is_spec (_, msg) = Astring_like.contains msg "spec:" in
-  Alcotest.(check bool)
-    "at least one divergence is a spec-oracle finding" true
-    (List.exists is_spec o.Sweep.failures);
   let crash_diverged (_, msg) =
     Astring_like.contains msg "crash recovery diverged"
   in
   let names_shard (_, msg) = String.starts_with ~prefix:"shard" msg in
-  Alcotest.(check bool) "solo: crash recovery diverges" true
-    (List.exists crash_diverged o.Sweep.failures);
-  Alcotest.(check bool) "solo: no failure names a shard" false
-    (List.exists names_shard o.Sweep.failures);
-  Alcotest.(check int) "solo: one recovery per crash point" o.Sweep.points
-    o.Sweep.recoveries;
+  let solo what (o : Sweep.outcome) =
+    Alcotest.(check bool) (what ^ ": crash recovery diverges") true
+      (List.exists crash_diverged o.Sweep.failures);
+    Alcotest.(check bool) (what ^ ": no failure names a shard") false
+      (List.exists names_shard o.Sweep.failures);
+    Alcotest.(check int) (what ^ ": one recovery per crash point")
+      o.Sweep.points o.Sweep.recoveries
+  in
+  let o = Sweep.run ~stride:25 ~spec:true cfg in
+  solo "spec" o;
+  let is_spec (_, msg) = Astring_like.contains msg "spec:" in
+  Alcotest.(check bool)
+    "at least one divergence is a spec-oracle finding" true
+    (List.exists is_spec o.Sweep.failures);
+  let bare = Sweep.run ~stride:20 ~recover:true ~oracle:false ~spec:false cfg in
+  solo "no oracle, no spec" bare;
+  Alcotest.(check (pair int int))
+    "no oracle, no spec: 40 divergences, the first at event 1160" (40, 1160)
+    (List.length bare.Sweep.failures, fst (List.hd bare.Sweep.failures));
   let o2 = Sweep.run ~stride:25 ~spec:true { cfg with Experiment.shards = 2 } in
   let diverged = List.filter crash_diverged o2.Sweep.failures in
   Alcotest.(check bool) "2 shards: crash recovery diverges" true
@@ -215,23 +219,23 @@ let prop_sweep_random =
    record reads back intact, the content lies — and expect the audit
    to fail: the recovered database now holds a version nobody
    committed.  This pins down that the differential audit catches what
-   the checksum layer cannot.  Targets come from the manager's whole
-   committed state: the image's reference names only the versions the
-   stable database does not serve yet.  The second target is settled
-   — installed in the stable database while its record still sits in
-   a durable block — so the reference does not name it, and only the
-   audit's pass over the redo's objects can catch it. *)
+   the checksum layer cannot.  Targets come from the tracker's whole
+   acked state: its unsettled versions name only the ones the stable
+   database does not serve yet.  The second target is settled —
+   installed in the stable database while its record still sits in a
+   durable block — so the audit is not told of it, and only its pass
+   over the redo's objects can catch it. *)
 let test_corrupted_image_caught () =
   let kind = List.assoc "el" (Sweep.standard_kinds ()) in
   let cfg = Sweep.standard_config ~kind ~seed:42 () in
-  let live = Experiment.prepare cfg in
-  Engine.run live.Experiment.engine ~until:(Time.of_sec 15);
-  let m = el_manager live in
-  let image = Recovery.crash live.Experiment.engine m in
+  let run = Tracked.prepare cfg in
+  Tracked.run_until run (Time.of_sec 15);
+  let image = Tracked.crash run in
   let sane = Recovery.recover image in
   Alcotest.(check bool) "pristine image audits ok" true
-    (Recovery.audit image sane).Recovery.ok;
-  let committed = El_core.El_manager.committed_reference m in
+    (Tracked.audit run image sane).Recovery.ok;
+  let committed = Tracked.committed run in
+  let unsettled = El_check.Spec_tracker.unsettled run.Tracked.tracker in
   let payloads =
     List.concat_map
       (fun (b : Recovery.block) -> b.Recovery.records)
@@ -281,7 +285,7 @@ let test_corrupted_image_caught () =
             image.Recovery.blocks;
       }
     in
-    Recovery.audit corrupted (Recovery.recover corrupted)
+    Tracked.audit run corrupted (Recovery.recover corrupted)
   in
   (match List.find_opt is_target payloads with
   | None -> Alcotest.fail "no committed data record in a 15 s image"
@@ -296,7 +300,7 @@ let test_corrupted_image_caught () =
     match r.Log_record.kind with
     | Log_record.Data { oid; version } ->
       El_disk.Stable_db.version image.Recovery.stable oid = Some version
-      && not (List.mem_assoc oid image.Recovery.reference)
+      && not (List.mem_assoc oid unsettled)
     | _ -> false
   in
   match List.find_opt settled payloads with
@@ -342,13 +346,11 @@ let test_torn_checksum_caught () =
       Experiment.flush_transfer = Time.of_ms 30;
     }
   in
-  let live = Experiment.prepare cfg in
-  Engine.run live.Experiment.engine ~until:(Time.of_sec 15);
-  let image =
-    Recovery.crash live.Experiment.engine (el_manager live)
-  in
+  let run = Tracked.prepare cfg in
+  Tracked.run_until run (Time.of_sec 15);
+  let image = Tracked.crash run in
   Alcotest.(check bool) "pristine image audits ok" true
-    (Recovery.audit image (Recovery.recover image)).Recovery.ok;
+    (Tracked.audit run image (Recovery.recover image)).Recovery.ok;
   let payloads =
     List.concat_map
       (fun (b : Recovery.block) -> b.Recovery.records)
@@ -364,7 +366,7 @@ let test_torn_checksum_caught () =
       (fun (oid, v) ->
         El_disk.Stable_db.version image.Recovery.stable oid <> Some v
         && List.exists (has_copy (oid, v)) payloads)
-      image.Recovery.reference
+      (El_check.Spec_tracker.unsettled run.Tracked.tracker)
   in
   match target with
   | None -> Alcotest.fail "no unflushed committed version in a 15 s image"
@@ -390,7 +392,7 @@ let test_torn_checksum_caught () =
     let r = Recovery.recover corrupted in
     Alcotest.(check bool) "discarded tails counted" true
       (r.Recovery.torn_blocks > 0 && r.Recovery.torn_records > 0);
-    let audit = Recovery.audit corrupted r in
+    let audit = Tracked.audit run corrupted r in
     Alcotest.(check bool) "lost durability detected" false audit.Recovery.ok;
     Alcotest.(check bool) "version reported missing" true
       (audit.Recovery.missing <> [])
@@ -406,22 +408,24 @@ let test_auditor_standalone () =
       Auditor.audit_manager live.Experiment.manager)
     (Sweep.standard_kinds ())
 
-(* The stable database may lag the durably committed state but never
-   lead it.  A version past a committed one, or any version of an
-   object never committed, must fail the audit. *)
+(* The stable database may lag the acked state but never lead it.  The
+   tracker judges every install into it as it lands, whoever makes it:
+   a version past an acked one, or any version of an object never
+   acked, must fail the next pause's check. *)
 let test_auditor_catches_stable_ahead () =
   let cfg =
     Sweep.standard_config ~kind:(List.assoc "el" (Sweep.standard_kinds ())) ()
   in
   let caught what corrupt =
-    let live = Experiment.prepare cfg in
-    Engine.run live.Experiment.engine ~until:(Time.of_sec 10);
-    let m = el_manager live in
-    let committed = El_core.El_manager.committed_reference m in
+    let run = Tracked.prepare cfg in
+    Tracked.run_until run (Time.of_sec 10);
+    let tracker = run.Tracked.tracker in
+    El_check.Spec_tracker.check_installs tracker;
+    let committed = Tracked.committed run in
     if committed = [] then Alcotest.fail "nothing committed in 10 s";
-    corrupt (El_core.El_manager.stable m) committed;
-    match Auditor.audit_manager live.Experiment.manager with
-    | () -> Alcotest.failf "%s: the audit passed" what
+    corrupt (El_core.El_manager.stable run.Tracked.manager) committed;
+    match El_check.Spec_tracker.check_installs tracker with
+    | () -> Alcotest.failf "%s: the check passed" what
     | exception Auditor.Audit_failure msg ->
       Alcotest.(check bool)
         (Printf.sprintf "%s: %S mentions stable holds" what msg)
@@ -505,12 +509,12 @@ let test_size_settled_skips_catch () =
   let module Generator = El_workload.Generator in
   let module Stable_db = El_disk.Stable_db in
   let kind = List.assoc "el" (Sweep.standard_kinds ()) in
-  let live = Experiment.prepare (Sweep.standard_config ~kind ~seed:42 ()) in
-  Engine.run live.Experiment.engine ~until:(Time.of_sec 15);
-  let image = Recovery.crash live.Experiment.engine (el_manager live) in
+  let run = Tracked.prepare (Sweep.standard_config ~kind ~seed:42 ()) in
+  Tracked.run_until run (Time.of_sec 15);
+  let image = Tracked.crash run in
   let r = Recovery.recover image in
   Alcotest.(check bool) "pristine image audits ok" true
-    (Recovery.audit image r).Recovery.ok;
+    (Tracked.audit run image r).Recovery.ok;
   let rec fresh i =
     let oid = Ids.Oid.of_int i in
     if Stable_db.version r.Recovery.recovered oid = None then oid
@@ -518,7 +522,7 @@ let test_size_settled_skips_catch () =
   in
   let extra = fresh 0 in
   Stable_db.apply r.Recovery.recovered extra ~version:1;
-  let a = Recovery.audit image r in
+  let a = Tracked.audit run image r in
   let pairs = List.map (fun (o, v) -> (Ids.Oid.to_int o, v)) in
   Alcotest.(check bool) "extra object fails the audit" false a.Recovery.ok;
   Alcotest.(check (list (pair int int))) "nothing missing" []

@@ -37,7 +37,7 @@ let el_config ?(sizes = [| 8; 8 |]) ?(recirculate = true) ?(runtime = 30)
   }
 
 let crash_and_audit cfg ~crash_at =
-  let _result, recovery, audit = Experiment.run_with_crash cfg ~crash_at in
+  let _result, recovery, audit = El_check.Sweep.run_with_crash cfg ~crash_at in
   (recovery, audit)
 
 let test_audit_ok_midrun () =
@@ -71,7 +71,7 @@ let test_audit_ok_no_recirc () =
 let test_recovered_equals_reference_db () =
   let cfg = el_config () in
   let _result, recovery, audit =
-    Experiment.run_with_crash cfg ~crash_at:(Time.of_sec 15)
+    El_check.Sweep.run_with_crash cfg ~crash_at:(Time.of_sec 15)
   in
   Alcotest.(check bool) "audit ok" true audit.Recovery.ok;
   (* cross-check through the db interface too *)
@@ -141,13 +141,12 @@ let test_audit_with_invariants () =
      the crash instant: recovery correctness and in-memory consistency
      are independent claims. *)
   let cfg = el_config ~sizes:[| 5; 5 |] ~seed:13 () in
-  let live = Experiment.prepare cfg in
-  El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec 17);
-  let manager = el_manager live in
-  El_core.El_manager.check_invariants manager;
-  let image = Recovery.crash live.Experiment.engine manager in
+  let run = Tracked.prepare cfg in
+  Tracked.run_until run (Time.of_sec 17);
+  El_core.El_manager.check_invariants run.Tracked.manager;
+  let image = Tracked.crash run in
   let result = Recovery.recover image in
-  let audit = Recovery.audit image result in
+  let audit = Tracked.audit run image result in
   Alcotest.(check bool) "audit ok at a tight 10-block log" true
     audit.Recovery.ok
 
@@ -157,8 +156,9 @@ let test_fw_rejected () =
       ~mix:(Mix.short_long ~long_fraction:0.05)
   in
   Alcotest.check_raises "FW has no recovery"
-    (Invalid_argument "Experiment.run_with_crash: FW has no recovery model")
-    (fun () -> ignore (Experiment.run_with_crash cfg ~crash_at:(Time.of_sec 1)))
+    (Invalid_argument "Sweep.run_with_crash: FW has no recovery model")
+    (fun () ->
+      ignore (El_check.Sweep.run_with_crash cfg ~crash_at:(Time.of_sec 1)))
 
 (* Recovery must be a pure function of the crash image: running it
    twice gives identical results, and the physical order of the
@@ -219,18 +219,16 @@ let test_corrupted_checksums_caught () =
       Experiment.flush_transfer = Time.of_ms 30;
     }
   in
-  let live = Experiment.prepare cfg in
-  El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec 15);
-  let image =
-    Recovery.crash live.Experiment.engine (el_manager live)
-  in
+  let run = Tracked.prepare cfg in
+  Tracked.run_until run (Time.of_sec 15);
+  let image = Tracked.crash run in
   Alcotest.(check bool) "pristine image audits ok" true
-    (Recovery.audit image (Recovery.recover image)).Recovery.ok;
+    (Tracked.audit run image (Recovery.recover image)).Recovery.ok;
   Alcotest.(check bool) "unflushed committed state exists at 15 s" true
     (List.exists
        (fun (oid, v) ->
          El_disk.Stable_db.version image.Recovery.stable oid <> Some v)
-       image.Recovery.reference);
+       (El_check.Spec_tracker.unsettled run.Tracked.tracker));
   let corrupted =
     {
       image with
@@ -244,7 +242,7 @@ let test_corrupted_checksums_caught () =
   let r = Recovery.recover corrupted in
   Alcotest.(check int) "nothing survives the scan" 0 r.Recovery.records_scanned;
   Alcotest.(check bool) "torn blocks counted" true (r.Recovery.torn_blocks > 0);
-  let audit = Recovery.audit corrupted r in
+  let audit = Tracked.audit run corrupted r in
   Alcotest.(check bool) "audit fails" false audit.Recovery.ok;
   Alcotest.(check bool) "committed versions reported missing" true
     (audit.Recovery.missing <> [])

@@ -108,24 +108,19 @@ let test_overlay_stale () =
    it after the next flush completion raises, a copy taken at capture
    does not. *)
 let test_recover_stale_image () =
-  let module Experiment = El_harness.Experiment in
   let module Sweep = El_check.Sweep in
   let module Recovery = El_recovery.Recovery in
   let kind = List.assoc "el" (Sweep.standard_kinds ()) in
-  let live = Experiment.prepare (Sweep.standard_config ~kind ~seed:42 ()) in
-  El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec 10);
-  let m =
-    match live.Experiment.manager with
-    | Experiment.El_log m -> m
-    | _ -> Alcotest.fail "an EL run"
-  in
-  let image = Recovery.crash live.Experiment.engine m in
+  let run = Tracked.prepare (Sweep.standard_config ~kind ~seed:42 ()) in
+  Tracked.run_until run (Time.of_sec 10);
+  let image = Tracked.crash run in
   let kept = { image with Recovery.stable = Db.copy image.Recovery.stable } in
+  let unsettled = El_check.Spec_tracker.unsettled run.Tracked.tracker in
   let fresh = Recovery.recover image in
-  let installs = Db.objects_written (El_core.El_manager.stable m) in
-  let stable = El_core.El_manager.stable m in
+  let stable = El_core.El_manager.stable run.Tracked.manager in
+  let installs = Db.objects_written stable in
   let rec run_until_install t =
-    El_sim.Engine.run live.Experiment.engine ~until:t;
+    Tracked.run_until run t;
     if
       Db.objects_written stable = installs
       && Time.(t < of_sec 20)
@@ -135,10 +130,10 @@ let test_recover_stale_image () =
   Alcotest.check_raises "recover after the next install" stale (fun () ->
       ignore (Recovery.recover image));
   Alcotest.check_raises "audit after the next install" stale (fun () ->
-      ignore (Recovery.audit image fresh));
+      ignore (Recovery.audit image ~unsettled fresh));
   let r = Recovery.recover kept in
   Alcotest.(check bool) "the kept image still audits ok" true
-    (Recovery.audit kept r).Recovery.ok
+    (Recovery.audit kept ~unsettled r).Recovery.ok
 
 let suite =
   [
