@@ -434,7 +434,7 @@ let recovery_bench speed =
     }
   in
   let crash_at = Time.mul_int (Time.div_int runtime 4) 3 in
-  let (result, recovery, audit), alloc =
+  let (result, recovery, verdict), alloc =
     with_alloc (fun () -> El_check.Sweep.run_with_crash cfg ~crash_at)
   in
   let t =
@@ -457,7 +457,7 @@ let recovery_bench speed =
   Table.add_row t
     [
       "audit";
-      (if audit.El_recovery.Recovery.ok then "OK (atomic & durable)"
+      (if El_check.Spec_tracker.ok verdict then "OK (atomic & durable)"
        else "FAILED");
     ];
   Table.print t;
@@ -488,7 +488,7 @@ let recovery_bench speed =
          ("redo_applied", J.Int recovery.El_recovery.Recovery.redo_applied);
          ( "committed_txs",
            J.Int (List.length recovery.El_recovery.Recovery.committed_tids) );
-         ("audit_ok", J.Bool audit.El_recovery.Recovery.ok);
+         ("audit_ok", J.Bool (El_check.Spec_tracker.ok verdict));
          ("el_restart_s", J.Float (Time.to_sec_f el_time));
          ("fw_restart_s", J.Float (Time.to_sec_f fw_time));
          ("alloc", alloc);
@@ -521,13 +521,16 @@ let store_bench speed =
         num_objects = 100_000;
       }
     in
-    let result, sim, audit, store =
+    let result, sim, verdict, store =
       El_check.Sweep.run_with_crash_store cfg ~crash_at
     in
-    let agrees =
-      match store with Some s -> view s = view sim | None -> false
+    let ok = El_check.Spec_tracker.ok in
+    let agrees, judged_ok =
+      match store with
+      | Some (s, v) -> (view s = view sim, ok verdict && ok v)
+      | None -> (false, false)
     in
-    (result, sim, audit, agrees)
+    (result, sim, judged_ok, agrees)
   in
   let with_image_dir f =
     let dir = Filename.temp_file "el-bench-store" "" in
@@ -563,7 +566,7 @@ let store_bench speed =
         ]
   in
   List.iter
-    (fun (name, (result, _sim, audit, agrees)) ->
+    (fun (name, (result, _sim, judged_ok, agrees)) ->
       Table.add_row t
         [
           name;
@@ -572,7 +575,7 @@ let store_bench speed =
           fmt_f
             (float_of_int result.Experiment.store_bytes_written /. 1048576.);
           (if agrees then "yes" else "DIVERGES");
-          (if audit.El_recovery.Recovery.ok then "OK" else "FAILED");
+          (if judged_ok then "OK" else "FAILED");
         ])
     runs;
   Table.print t;
@@ -591,7 +594,7 @@ let store_bench speed =
        :: ("backends_identical", J.Bool backends_identical)
        :: ("alloc", alloc)
        :: List.concat_map
-            (fun (name, (result, sim, audit, agrees)) ->
+            (fun (name, (result, sim, judged_ok, agrees)) ->
               [
                 ( name,
                   J.Obj
@@ -601,7 +604,7 @@ let store_bench speed =
                       ( "bytes_written",
                         J.Int result.Experiment.store_bytes_written );
                       ("replay_agrees", J.Bool agrees);
-                      ("audit_ok", J.Bool audit.El_recovery.Recovery.ok);
+                      ("audit_ok", J.Bool judged_ok);
                       ( "committed_txs",
                         J.Int
                           (List.length sim.El_recovery.Recovery.committed_tids)

@@ -412,9 +412,10 @@ let recover_cmd =
       | Some s -> Time.of_sec_f s
       | None -> Time.mul_int (Time.div_int cfg.Experiment.runtime 4) 3
     in
-    let result, recovery, audit, store_recovery =
+    let result, recovery, verdict, store =
       El_check.Sweep.run_with_crash_store cfg ~crash_at
     in
+    let module Spec_tracker = El_check.Spec_tracker in
     Format.printf "crash at %a into a %a run@." Time.pp crash_at Time.pp
       cfg.Experiment.runtime;
     Printf.printf "records scanned: %d\n"
@@ -424,11 +425,11 @@ let recover_cmd =
       recovery.El_recovery.Recovery.redo_skipped;
     Printf.printf "committed transactions in durable log: %d\n"
       (List.length recovery.El_recovery.Recovery.committed_tids);
-    Format.printf "%a@." El_recovery.Recovery.pp_audit audit;
-    let agrees =
-      match store_recovery with
+    Format.printf "%a@." Spec_tracker.pp_verdict verdict;
+    let store_ok =
+      match store with
       | None -> true
-      | Some sr ->
+      | Some (sr, sv) ->
         let state (r : El_recovery.Recovery.result) =
           ( List.sort compare (El_disk.Stable_db.snapshot r.recovered),
             List.sort compare r.committed_tids )
@@ -440,19 +441,24 @@ let recover_cmd =
           (List.length sr.El_recovery.Recovery.committed_tids)
           (if agrees then "agrees with simulated recovery"
            else "DIVERGES from simulated recovery");
-        agrees
+        Format.printf "store replay: %a@." Spec_tracker.pp_verdict sv;
+        agrees && Spec_tracker.ok sv
     in
     print_newline ();
     print_result result;
-    if not (audit.El_recovery.Recovery.ok && agrees) then exit 1
+    if not (Spec_tracker.ok verdict && store_ok) then exit 1
   in
   Cmd.v
     (Cmd.info "recover"
        ~doc:
-         "Crash an EL run midway, run single-pass recovery and audit it.  \
+         "Crash an EL run midway, run single-pass recovery and judge it \
+          against the durable-log spec at the crash instant: the image's \
+          stable database must serve every superblock floor, and the \
+          recovered state must hold every acked update and nothing else.  \
           With --backend mem|file, also replay the durable image frozen at \
-          the crash instant and compare the two recovered states.  Exits 1 \
-          when the audit fails or the store replay diverges.")
+          the crash instant, judge it the same way and compare the two \
+          recovered states.  Exits 1 when a judgement fails or the store \
+          replay diverges.")
     Term.(const action $ config_term $ scenario_term $ crash_at)
 
 let adaptive_cmd =
@@ -738,15 +744,6 @@ let check_cmd =
     let doc = "Transaction arrival rate of each swept run, per second." in
     Arg.(value & opt float 40.0 & info [ "rate" ] ~doc)
   in
-  let spec =
-    let doc =
-      "Also check each sweep against the durable-log state-machine spec: \
-       the persistent-never-exceeds-ephemeral invariant must hold at every \
-       pause, each recovered crash image must honour every acked commit, \
-       and the settled run must have flushed every ack."
-    in
-    Arg.(value & flag & info [ "spec" ] ~doc)
-  in
   let quick =
     let doc =
       "CI preset: 1 seed, stride 40 and 15 s runs, unless --seeds, --stride \
@@ -784,7 +781,7 @@ let check_cmd =
       & opt (some (conv (parse, print))) None
       & info [ "scenario" ] ~doc ~docv:"NAME")
   in
-  let action seeds stride runtime rate spec quick backend scenarios shards plan
+  let action seeds stride runtime rate quick backend scenarios shards plan
       jobs =
     let default ~quick:q ~full v =
       Option.value v ~default:(if quick then q else full)
@@ -812,9 +809,8 @@ let check_cmd =
         ("committed", int (fun o -> o.Sweep.committed));
         ("killed", int (fun o -> o.Sweep.killed));
         ("max scan", int (fun o -> o.Sweep.max_records_scanned));
+        ("spec checks", int (fun o -> o.Sweep.spec_checks));
       ]
-      @ (if spec then [ ("spec checks", int (fun o -> o.Sweep.spec_checks)) ]
-         else [])
       @ (if plan = None then []
          else
            [
@@ -864,7 +860,7 @@ let check_cmd =
                 | None -> cfg.Experiment.fault
               in
               let o =
-                Sweep.run ~pool ~stride ~spec
+                Sweep.run ~pool ~stride ~spec:true
                   { cfg with Experiment.shards; fault }
               in
               El_metrics.Table.add_row t
@@ -900,10 +896,13 @@ let check_cmd =
          "Model-check the simulator: sweep seeded runs of all three log \
           managers, auditing invariants and (for EL) crash-recovering at \
           every stride-th event boundary, while the durable-log spec \
-          (Spec_tracker) shadows every run and judges each manager's settled \
-          state.  With --spec, the spec also checks every pause and every \
-          recovered crash image (a machine-checked 'ack implies recoverable' \
-          contract).  The fault flags (--transient, --sticky, --torn, \
+          (Spec_tracker) shadows every run.  The spec judges every \
+          recovered crash image (every acked update restored and nothing \
+          else: a machine-checked 'ack implies recoverable' contract), its \
+          persistent-never-exceeds-ephemeral invariant must hold at every \
+          pause, and the settled run must have flushed every ack and left \
+          each manager's stable database at the acked state.  The fault \
+          flags (--transient, --sticky, --torn, \
           --latency, --shed-backlog) arm a seeded disk-fault plan in every \
           run, and the table gains the fault columns.  --scenario NAME \
           swaps in a workload preset; --scenario all sweeps every preset.  \
@@ -914,8 +913,8 @@ let check_cmd =
           sweeps the multi-shard plant instead: a spec tracker per shard \
           plus the global atomic-commit invariant over every crash point.")
     Term.(
-      const action $ seeds $ stride $ check_runtime $ check_rate $ spec
-      $ quick $ backend_term $ scenarios $ shards_term $ fault_plan_term
+      const action $ seeds $ stride $ check_runtime $ check_rate $ quick
+      $ backend_term $ scenarios $ shards_term $ fault_plan_term
       $ jobs_term)
 
 let serve_cmd =

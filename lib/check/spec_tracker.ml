@@ -10,17 +10,19 @@
    lands.  Illegal steps and bad installs are collected rather than
    raised — a sink callback runs deep inside the event loop.  The
    explicit checks ([check_installs] and [check_invariant] at every
-   pause, [check_crash] against each recovered image, [check_settled]
-   and [check_settled_stable] at the end) raise [Auditor.Audit_failure]
-   like every other auditor. *)
+   pause, [check_settled] and [check_settled_stable] at the end) raise
+   [Auditor.Audit_failure] like every other auditor; the crash judge
+   ([judge]) returns a verdict on each recovered image. *)
 
 open El_model
 module Generator = El_workload.Generator
 module Experiment = El_harness.Experiment
 module Shard_group = El_shard.Shard_group
 module Stable_db = El_disk.Stable_db
+module Recovery = El_recovery.Recovery
 module Spec = El_spec.Durable_log
 module Oid_set = Set.Make (Ids.Oid)
+module Oid_map = Map.Make (Ids.Oid)
 
 type t = {
   mutable spec : Spec.t;
@@ -28,7 +30,8 @@ type t = {
       (** objects flushed since the last passing invariant check *)
   mutable stable : Stable_db.t option;  (** the watched stable database *)
   mutable installed : Oid_set.t;
-      (** objects installed into it since the last passing crash check *)
+      (** objects installed into it since the last judgement that found
+          no floor lag *)
   mutable overrun : string option;
       (** the first install that ran it ahead of the acked state *)
   mutable committed_count : int;  (** legal [Commit_ack] steps *)
@@ -36,9 +39,9 @@ type t = {
   mutable checks : int;
 }
 
-let create () =
+let of_spec spec =
   {
-    spec = Spec.init;
+    spec;
     touched = Oid_set.empty;
     stable = None;
     installed = Oid_set.empty;
@@ -47,6 +50,8 @@ let create () =
     violations = [];
     checks = 0;
   }
+
+let create () = of_spec Spec.init
 
 let illegal t msg =
   t.violations <- Printf.sprintf "spec: illegal step — %s" msg :: t.violations
@@ -186,117 +191,180 @@ let check_invariant t =
   t.checks <- t.checks + 1;
   check_touched t
 
+(* ---- the crash judge ---- *)
+
+type verdict = {
+  lag : (Ids.Oid.t * int option * int option) option;
+  missing : (Ids.Oid.t * int) list;
+  spurious : (Ids.Oid.t * int) list;
+}
+
+let ok v = v.lag = None && v.missing = [] && v.spurious = []
+
 let pp_version ppf = function
   | Some v -> Format.fprintf ppf "v%d" v
   | None -> Format.pp_print_string ppf "nothing"
 
-(* The stable database serves the spec's superblock floor: checked for
-   each object installed since this last passed, it holds for every
-   object, because the stable database changes only by installs and,
-   in this implementation, the floor only at the install of the same
-   flush completion.  A failing check keeps the set. *)
-let check_floors t stable =
-  Oid_set.iter
-    (fun oid ->
-      let served = Stable_db.version stable oid in
-      let floor = Spec.floor_version t.spec oid in
-      if served <> floor then
-        fail "spec: stable serves %a %a but the superblock floor is %a"
+let pp_verdict ppf v =
+  if ok v then Format.pp_print_string ppf "recovery audit: OK"
+  else begin
+    Format.pp_print_string ppf "recovery audit: FAILED (";
+    Option.iter
+      (fun (oid, served, floor) ->
+        Format.fprintf ppf "stable serves %a %a but the superblock floor is %a"
           Ids.Oid.pp oid pp_version served pp_version floor)
-    t.installed;
-  t.installed <- Oid_set.empty
+      v.lag;
+    if v.missing <> [] || v.spurious <> [] then begin
+      if v.lag <> None then Format.pp_print_string ppf "; ";
+      let first =
+        List.hd
+          (List.sort Ids.Oid.compare (List.map fst (v.missing @ v.spurious)))
+      in
+      Format.fprintf ppf
+        "%d committed updates missing, %d spurious; %a committed %a, recovered \
+         %a"
+        (List.length v.missing) (List.length v.spurious) Ids.Oid.pp first
+        pp_version
+        (List.assoc_opt first v.missing)
+        pp_version
+        (List.assoc_opt first v.spurious)
+    end;
+    Format.pp_print_char ppf ')'
+  end
 
-(* The overlays a recovered database reads through down to its root
-   (the recovery's redo, and any overlay between it and the root),
-   which must be the watched stable database. *)
-let overlays t recovered =
-  let rec walk db acc =
-    match Stable_db.base db with
-    | Some b -> walk b (db :: acc)
-    | None -> (
-      match t.stable with
-      | Some s when s == db -> acc
-      | Some _ | None ->
-        invalid_arg
-          "Spec_tracker.check_crash: not an overlay of the watched stable \
-           database")
+let lag_at spec stable oid =
+  let served = Stable_db.version stable oid in
+  let floor = Spec.floor_version spec oid in
+  if served = floor then None else Some (oid, served, floor)
+
+(* The lowest object of [oids] whose stable version is not its floor.
+   Checked over the objects installed into the watched database since
+   the last judgement that found no lag, the floors hold for every
+   object: the stable database changes only by installs and, in this
+   implementation, a floor only at the install of the same flush
+   completion. *)
+let first_lag spec stable oids =
+  Oid_set.fold
+    (fun oid found ->
+      match found with Some _ -> found | None -> lag_at spec stable oid)
+    oids None
+
+(* The same over every object the spec holds a promise for or the
+   stable database names, for a database that is not the watched one:
+   nothing was proved about it before. *)
+let every_lag spec stable =
+  let named = ref Oid_set.empty in
+  List.iter
+    (fun (oid, _) -> named := Oid_set.add oid !named)
+    (Spec.persistent spec);
+  Stable_db.iter stable (fun oid _ -> named := Oid_set.add oid !named);
+  first_lag spec stable !named
+
+let rec reads db watched =
+  db == watched
+  || match Stable_db.base db with Some b -> reads b watched | None -> false
+
+(* A COMMIT record that persisted inside a torn prefix commits its
+   transaction although the block never completed and the ack never
+   fired, if the spec saw the transaction reach its log extension.  (The
+   channel is FIFO, so every data record such a transaction logged is in
+   an earlier, completed, block or earlier in the same prefix.)  Per
+   object, the newest version such a transaction wrote. *)
+let torn_commits spec (image : Recovery.image) =
+  let tids =
+    List.fold_left
+      (fun acc (b : Recovery.block) ->
+        if b.Recovery.torn = 0 then acc
+        else
+          List.fold_left
+            (fun acc (r : Log_record.t) ->
+              match r.Log_record.kind with
+              | Log_record.Commit
+                when Spec.log_extended spec r.Log_record.tid ->
+                r.Log_record.tid :: acc
+              | Log_record.Commit | Log_record.Begin | Log_record.Abort
+              | Log_record.Data _ ->
+                acc)
+            acc b.Recovery.records)
+      [] image.Recovery.blocks
   in
-  walk recovered []
+  if tids = [] then Oid_map.empty
+  else
+    List.fold_left
+      (fun raised (b : Recovery.block) ->
+        List.fold_left
+          (fun raised (r : Log_record.t) ->
+            match r.Log_record.kind with
+            | Log_record.Data { oid; version }
+              when List.exists (Ids.Tid.equal r.Log_record.tid) tids -> (
+              match Oid_map.find_opt oid raised with
+              | Some v when v >= version -> raised
+              | Some _ | None -> Oid_map.add oid version raised)
+            | Log_record.Data _ | Log_record.Begin | Log_record.Commit
+            | Log_record.Abort ->
+              raised)
+          raised b.Recovery.records)
+      Oid_map.empty image.Recovery.blocks
 
-(* An acked object's verdict: served at least as new, and any newer
-   version one a log-extended transaction wrote. *)
-let acked_verdict t recovered oid =
-  match Spec.acked_version t.spec oid with
-  | None -> None
-  | Some v -> (
-    match Stable_db.version recovered oid with
-    | None ->
-      Some (Format.asprintf "acked %a v%d lost by recovery" Ids.Oid.pp oid v)
-    | Some r when r = v -> None
-    | Some r when r > v ->
-      if Spec.may_survive t.spec oid r then None
-      else
-        Some
-          (Format.asprintf
-             "recovery advanced %a to v%d, which no log-extended transaction \
-              wrote (acked v%d)"
-             Ids.Oid.pp oid r v)
-    | Some r ->
-      Some
-        (Format.asprintf "acked %a v%d regressed to v%d after recovery"
-           Ids.Oid.pp oid v r))
-
-(* A never-acked object may survive only as a log-extended write. *)
-let unacked_verdict t recovered oid =
-  match Stable_db.version recovered oid with
-  | Some r
-    when Spec.acked_version t.spec oid = None
-         && not (Spec.may_survive t.spec oid r) ->
-    Some
-      (Format.asprintf
-         "recovery holds %a v%d that was never acked nor log-extended"
-         Ids.Oid.pp oid r)
-  | Some _ | None -> None
-
-(* Fails with the verdict of the lowest candidate that has one, as an
-   ascending pass would; [candidates] may repeat an oid. *)
-let fail_lowest verdict candidates =
-  let low = ref None in
-  candidates (fun oid ->
-      match !low with
-      | Some (l, _) when Ids.Oid.compare l oid <= 0 -> ()
-      | Some _ | None -> (
-        match verdict oid with Some m -> low := Some (oid, m) | None -> ()));
-  match !low with Some (_, m) -> fail "spec: %s" m | None -> ()
-
-(* The contract at a crash point, checked against the recovered
-   database: every acked version is served at least as new (and any
-   excess is explainable by a log-extended transaction whose COMMIT
-   may have persisted — e.g. inside a torn prefix), and nothing that
-   was never acked nor log-extended survives.  The live spec state is
-   used as-is: [may_survive] needs the in-flight transactions the
-   crash would have wiped.
-
-   The recovered database is the stable one overlaid with the redo,
-   and the stable one serves every floor ([check_floors]), so an
-   object the overlays do not name reads its floor: the acked version
-   for a settled object, nothing for one never acked.  Only the
-   unsettled objects and the overlays' need judging; reporting the
-   lowest failing oid reports what a pass over every acked object, in
-   oid order, would. *)
-let check_crash t recovered =
-  t.checks <- t.checks + 1;
-  check_touched t;
-  let layers = overlays t recovered in
-  Option.iter (check_floors t) t.stable;
-  let redo f =
-    List.iter (fun db -> Stable_db.iter_overlay db (fun oid _ -> f oid)) layers
+(* What the crash must keep, per object: the spec's acked version, or
+   the stable version of an object never acked, raised by the
+   torn-prefix commits.  The recovered database is the stable one
+   overlaid with the redo, and the stable database serves the acked
+   version of every settled object (the floor half proves it as each is
+   installed), so wherever neither the unsettled set, the torn commits
+   nor the redo names an object both sides agree: only the named
+   objects are compared. *)
+let judge t (image : Recovery.image) (result : Recovery.result) =
+  let stable = image.Recovery.stable in
+  let recovered = result.Recovery.recovered in
+  (match Stable_db.base recovered with
+  | Some b when b == stable -> ()
+  | Some _ | None ->
+    invalid_arg
+      "Spec_tracker.judge: the result was not recovered from this image");
+  let spec = t.spec in
+  let watched =
+    match t.stable with Some s -> reads stable s | None -> false
   in
-  let unsettled = Spec.unsettled t.spec in
-  fail_lowest (acked_verdict t recovered) (fun f ->
-      Oid_set.iter f unsettled;
-      redo (fun oid -> if not (Oid_set.mem oid unsettled) then f oid));
-  fail_lowest (unacked_verdict t recovered) redo
+  let lag =
+    if watched then first_lag spec stable t.installed else every_lag spec stable
+  in
+  if watched && lag = None then t.installed <- Oid_set.empty;
+  let unsettled = Spec.unsettled spec in
+  let raised = torn_commits spec image in
+  let expected oid =
+    let kept =
+      match Spec.acked_version spec oid with
+      | Some _ as acked -> acked
+      | None -> Stable_db.version stable oid
+    in
+    match Oid_map.find_opt oid raised with
+    | Some _ as r when r > kept -> r
+    | Some _ | None -> kept
+  in
+  let differing = ref [] in
+  let compare_at oid =
+    if expected oid <> Stable_db.version recovered oid then
+      differing := oid :: !differing
+  in
+  Oid_set.iter compare_at unsettled;
+  Oid_map.iter
+    (fun oid _ -> if not (Oid_set.mem oid unsettled) then compare_at oid)
+    raised;
+  Stable_db.iter_overlay recovered (fun oid _ ->
+      if not (Oid_set.mem oid unsettled || Oid_map.mem oid raised) then
+        compare_at oid);
+  let differing = List.sort Ids.Oid.compare !differing in
+  let side read =
+    List.filter_map
+      (fun oid -> Option.map (fun v -> (oid, v)) (read oid))
+      differing
+  in
+  {
+    lag;
+    missing = side expected;
+    spurious = side (Stable_db.version recovered);
+  }
 
 (* After the run settles (all buffers written, flushes drained) every
    acked version must have completed its flush — "ack implies

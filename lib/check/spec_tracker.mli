@@ -1,9 +1,9 @@
 (** The one witness of what a crash must keep: drives the
     {!El_spec.Durable_log} state machine from a live run and checks the
     implementation against it.  The managers keep no second model of
-    the durable-log contract: the recovery audit takes its acked
-    versions from here ({!unsettled}), and the installs into an EL
-    plant's stable database are judged here ({!watch_stable}).
+    the durable-log contract: a recovered crash image is judged here
+    ({!judge}), and the installs into an EL plant's stable database
+    are judged here as they land ({!watch_stable}).
 
     The tracker interposes on the workload sink — every
     begin/write/commit-request/ack/abort becomes a spec step — and the
@@ -15,17 +15,22 @@
     outside the running phase, an ack without a commit request, ...)
     is recorded as a violation, not raised.  The explicit checks raise
     {!Auditor.Audit_failure}: the spec's own ({!check_invariant},
-    {!check_crash}, {!check_settled}) with a ["spec:"]-prefixed
-    message, the settled comparison against the plant
-    ({!check_settled_stable}) with an ["oracle:"]-prefixed one, and
-    the install judge ({!check_installs}) with the ["el:"] prefix the
-    auditor gives what it finds in an EL manager. *)
+    {!check_settled}) with a ["spec:"]-prefixed message, the settled
+    comparison against the plant ({!check_settled_stable}) with an
+    ["oracle:"]-prefixed one, and the install judge ({!check_installs})
+    with the ["el:"] prefix the auditor gives what it finds in an EL
+    manager.  The crash judge returns a {!verdict} with one printer. *)
 
 open El_model
 
 type t
 
 val create : unit -> t
+(** A tracker at the spec's initial state. *)
+
+val of_spec : El_spec.Durable_log.t -> t
+(** A tracker at this spec state that watches no stable database, for
+    judging hand-built crash images against any reachable state. *)
 
 val wrap : t -> El_workload.Generator.sink -> El_workload.Generator.sink
 (** Interposes the tracker between generator and manager: every call
@@ -44,9 +49,9 @@ val watch_stable : t -> El_disk.Stable_db.t -> unit
     whoever makes it (a flush completion or a direct
     {!El_disk.Stable_db.apply}), is judged as it lands — the stable
     database may lag the acked state but never lead it, and never hold
-    an object nobody committed — and marks its object for
-    {!check_crash}'s floor check.  Call it before the run installs
-    anything.  Raises [Invalid_argument] on a second call. *)
+    an object nobody committed — and marks its object for the next
+    {!judge}'s floor check.  Call it before the run installs anything.
+    Raises [Invalid_argument] on a second call. *)
 
 val prepare :
   ?on_cross:(El_shard.Shard_group.cross -> unit) ->
@@ -65,8 +70,7 @@ val unsettled : t -> (Ids.Oid.t * int) list
     each object whose superblock floor is below its acked version
     ({!El_spec.Durable_log.unsettled}), the newest version acked, in
     unspecified order.  Its length follows the flush backlog, not the
-    history.  Read at a crash instant, it is the [unsettled] argument
-    of that crash's {!El_recovery.Recovery.audit}. *)
+    history. *)
 
 val check_installs : t -> unit
 (** Raises {!Auditor.Audit_failure} naming the first install into the
@@ -89,27 +93,62 @@ val check_invariant : t -> unit
     A failing check keeps them, so every later check reports the same
     first violation. *)
 
-val check_crash : t -> El_disk.Stable_db.t -> unit
-(** Checks the invariant as {!check_invariant} does, then a recovered
-    database against the spec at the crash point: every acked version
-    is served at least as new, any newer version is one
-    {!El_spec.Durable_log.may_survive} allows (a log-extended
-    transaction's write — e.g. a COMMIT persisted inside a torn
-    prefix), and nothing never-acked-nor-log-extended survives.  "Zero
-    lost acked commits", machine-checked.  Raises
-    {!Auditor.Audit_failure} on divergence.
+type verdict = {
+  lag : (Ids.Oid.t * int option * int option) option;
+      (** the lowest object whose version in the image's stable
+          database (second) is not its superblock floor (third) *)
+  missing : (Ids.Oid.t * int) list;
+      (** what the crash must keep and the recovery lost or left stale,
+          in oid order *)
+  spurious : (Ids.Oid.t * int) list;
+      (** what the recovery holds instead, or holds that the crash
+          must not keep, in oid order *)
+}
+(** The crash judge's finding on one recovered image. *)
 
-    The recovered database must be an overlay (a recovery's redo,
-    possibly over further overlays) of the database given to
-    {!watch_stable}; otherwise [Invalid_argument].  The check first
-    proves that the stable database serves the spec's superblock floor
-    for every object installed since the last passing check.  Every
-    object neither unsettled
-    ({!El_spec.Durable_log.unsettled}) nor named by the overlays then
-    reads its floor in the recovered database, so only those objects
-    are judged, in oid order: the cost follows the flush backlog and
-    the redo, not the history, and the first failure is the one a pass
-    over every acked object would report. *)
+val judge :
+  t -> El_recovery.Recovery.image -> El_recovery.Recovery.result -> verdict
+(** The one judge of a crash state: holds a recovery against the image
+    it came from and the spec as the tracker holds it now, the crash
+    instant.  Single-pass redo must restore every acknowledged update
+    and nothing else, so the verdict is {!ok} only if both of these
+    hold:
+
+    - the image's own stable database serves the spec's superblock
+      floor for every object installed into the watched database since
+      the last judgement that found no lag.  When the image reads the
+      watched database (a {!El_recovery.Recovery.crash} image is an
+      overlay of it) a judgement that finds no lag forgets those
+      installs.  An image that does not read it (a store scan, a copy,
+      or a tracker that watches nothing) has proved nothing yet, so
+      every object the spec holds or the image's stable database names
+      is checked, and nothing is forgotten;
+    - the recovered database equals what the crash must keep: the
+      spec's acked versions over the image's stable version, each
+      raised by the writes of every transaction whose COMMIT persisted
+      inside a torn prefix and that the spec saw reach its log
+      extension ({!El_spec.Durable_log.log_extended}, asked per
+      transaction).  A torn-prefix COMMIT of a running, aborted or
+      killed transaction raises nothing, so its redone writes are
+      spurious.
+
+    The recovered database is the stable one overlaid with the redo, and
+    the stable database serves the acked version of every object whose
+    floor has reached it (the floor half), so only the objects the redo,
+    those commits or the acked-but-unsettled set
+    ({!El_spec.Durable_log.unsettled}) name are compared: the cost
+    follows the flush backlog and the log, not the history, and when
+    the floor half holds, [missing] and [spurious] list exactly what a
+    comparison of every object would.  Raises [Invalid_argument]
+    unless [result] was recovered from [image] (its database overlays
+    the image's), or if the image is stale. *)
+
+val ok : verdict -> bool
+(** No floor lag, nothing missing, nothing spurious. *)
+
+val pp_verdict : Format.formatter -> verdict -> unit
+(** ["recovery audit: OK"], or ["recovery audit: FAILED (...)"] naming
+    the floor lag, the counts and the lowest differing object. *)
 
 val check_settled : t -> unit
 (** After the run settles every acked version must have completed its
@@ -127,6 +166,6 @@ val violations : t -> string list
 (** Illegal steps recorded while tracing, oldest first. *)
 
 val checks : t -> int
-(** Explicit spec checks performed (invariant, crash, settled); the
-    install judge and the settled comparison against the plant are not
-    counted. *)
+(** Explicit spec checks performed (the pause invariant and the settled
+    check); the install judge, the crash judge and the settled
+    comparison against the plant are not counted. *)

@@ -199,9 +199,9 @@ type slice_outcome = {
 
 (* Every sweep runs over an [El_shard.Shard_group]; a solo config is
    the 1-shard group.  Each shard gets its own spec tracker, the one
-   witness of its sink traffic, whatever the flags say: it supplies the
-   crash audits' acked versions and judges every install into an EL
-   shard's stable database.  [oracle] gates the settled comparisons
+   witness of its sink traffic, whatever the flags say: it judges every
+   install into an EL shard's stable database, and its crash judge
+   every recovered crash image.  [oracle] gates the settled comparisons
    against the plants, [spec] the spec's own checks (the only ones
    counted in [s_spec_checks]).  With several shards the {e composite
    oracle} adds the global atomic-commit invariant over the recovered
@@ -214,9 +214,6 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
     (cfg : Experiment.config) =
   let module Shard_group = El_shard.Shard_group in
   let composite = cfg.Experiment.shards > 1 in
-  let on_shard i msg =
-    if composite then Printf.sprintf "shard %d: %s" i msg else msg
-  in
   let is_el =
     match cfg.Experiment.kind with Experiment.Ephemeral _ -> true | _ -> false
   in
@@ -242,12 +239,18 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
   let record_failure ~tag msg =
     failures := (tag, Engine.events_dispatched engine, msg) :: !failures
   in
-  let guarded ~tag f =
-    try f () with Auditor.Audit_failure m -> record_failure ~tag m
+  (* Every finding about one shard goes through here, so with several
+     shards each names its shard. *)
+  let shard_failure ~tag i msg =
+    record_failure ~tag
+      (if composite then Printf.sprintf "shard %d: %s" i msg else msg)
+  in
+  let guarded ~tag i f =
+    try f () with Auditor.Audit_failure m -> shard_failure ~tag i m
   in
   let audit_plant ~tag i inst =
-    guarded ~tag (fun () -> Auditor.audit_manager inst.Experiment.i_manager);
-    guarded ~tag (fun () -> Spec_tracker.check_installs trackers.(i))
+    guarded ~tag i (fun () -> Auditor.audit_manager inst.Experiment.i_manager);
+    guarded ~tag i (fun () -> Spec_tracker.check_installs trackers.(i))
   in
   let atomic_commit_check ~tag results =
     List.iter
@@ -255,33 +258,29 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
       (Atomic.check atomic sg results);
     atomic_checks := !atomic_checks + Shard_group.cross_count sg
   in
-  (* Crash every shard at the same engine instant and recover each. *)
-  let crash_point ~tag ~audit_shards =
+  (* Crash every shard at the same engine instant, recover each and,
+     unless this is the settled point the composite check adds, judge
+     it. *)
+  let crash_point ~tag ~judge =
     incr recoveries;
-    let images = Shard_group.crash_images sg in
-    let results = Array.map (fun img -> Recovery.recover img) images in
-    Array.iteri
-      (fun i (r : Recovery.result) ->
-        if r.Recovery.records_scanned > !max_scanned then
-          max_scanned := r.Recovery.records_scanned;
-        torn_blocks := !torn_blocks + r.Recovery.torn_blocks;
-        torn_records := !torn_records + r.Recovery.torn_records;
-        if audit_shards then begin
-          let a =
-            Recovery.audit images.(i)
-              ~unsettled:(Spec_tracker.unsettled trackers.(i))
-              r
-          in
-          if not a.Recovery.ok then
-            record_failure ~tag
-              (Format.asprintf "%scrash recovery diverged: %a"
-                 (if composite then Printf.sprintf "shard %d " i else "")
-                 Recovery.pp_audit a);
-          if spec then
-            guarded ~tag (fun () ->
-                Spec_tracker.check_crash trackers.(i) r.Recovery.recovered)
-        end)
-      results;
+    let results =
+      Array.mapi
+        (fun i image ->
+          let r = Recovery.recover image in
+          if r.Recovery.records_scanned > !max_scanned then
+            max_scanned := r.Recovery.records_scanned;
+          torn_blocks := !torn_blocks + r.Recovery.torn_blocks;
+          torn_records := !torn_records + r.Recovery.torn_records;
+          if judge then begin
+            let v = Spec_tracker.judge trackers.(i) image r in
+            if not (Spec_tracker.ok v) then
+              shard_failure ~tag i
+                (Format.asprintf "crash recovery diverged: %a"
+                   Spec_tracker.pp_verdict v)
+          end;
+          r)
+        (Shard_group.crash_images sg)
+    in
     if composite then atomic_commit_check ~tag results
   in
   let audit_point () =
@@ -292,9 +291,10 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
         (fun i inst ->
           audit_plant ~tag i inst;
           if spec then
-            guarded ~tag (fun () -> Spec_tracker.check_invariant trackers.(i)))
+            guarded ~tag i (fun () ->
+                Spec_tracker.check_invariant trackers.(i)))
         instances;
-      if recover && is_el then crash_point ~tag ~audit_shards:true
+      if recover && is_el then crash_point ~tag ~judge:true
     end
   in
   let final = max_int in
@@ -334,7 +334,7 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
   in
   let overloaded = status = `Overloaded in
   if status = `Ok && slice = 0 then begin
-    let guarded f = guarded ~tag:final f in
+    let guarded i f = guarded ~tag:final i f in
     let record_failure msg = record_failure ~tag:final msg in
     Array.iteri (audit_plant ~tag:final) instances;
     if oracle then begin
@@ -375,7 +375,7 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
         (fun i inst ->
           match inst.Experiment.i_manager with
           | Experiment.El_log _ | Experiment.Hybrid_log _ ->
-            guarded (fun () ->
+            guarded i (fun () ->
                 Spec_tracker.check_settled_stable trackers.(i)
                   inst.Experiment.i_stable)
           | Experiment.Fw_log _ -> ())
@@ -383,23 +383,20 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
     end;
     Array.iteri
       (fun i t ->
-        List.iter
-          (fun m -> record_failure (on_shard i m))
-          (Spec_tracker.violations t);
+        List.iter (shard_failure ~tag:final i) (Spec_tracker.violations t);
         (* FW is exempt from the settled flush check, as from the
            stable comparison above: the baseline retires records by
            log-space reuse, not by a full drain to the database. *)
         match instances.(i).Experiment.i_manager with
         | Experiment.El_log _ | Experiment.Hybrid_log _ ->
-          if spec then guarded (fun () -> Spec_tracker.check_settled t)
+          if spec then guarded i (fun () -> Spec_tracker.check_settled t)
         | Experiment.Fw_log _ -> ())
       trackers;
     (* One last composite check over the settled state: the in-doubt
        resolution of every cross-shard transaction must still satisfy
        atomic commit after all buffers drained.  Solo there is none,
        and the extra recovery would only be counted. *)
-    if recover && is_el && composite then
-      crash_point ~tag:final ~audit_shards:false
+    if recover && is_el && composite then crash_point ~tag:final ~judge:false
   end;
   let injected count =
     match Shard_group.injector sg with Some i -> count i | None -> 0
@@ -485,8 +482,7 @@ let run ?(pool = El_par.Pool.serial) ?(stride = 100) ?(max_points = max_int)
   }
 
 (* One crash point at a simulated instant, on the plant a sweep
-   builds: what the crash must keep is the tracker's word at that
-   instant. *)
+   builds, judged there against the tracker's spec of that instant. *)
 let run_with_crash_store (cfg : Experiment.config) ~crash_at =
   let module Shard_group = El_shard.Shard_group in
   if cfg.Experiment.shards <> 1 then
@@ -501,23 +497,45 @@ let run_with_crash_store (cfg : Experiment.config) ~crash_at =
         match inst.Experiment.i_manager with
         | Experiment.El_log m -> m
         | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
-          invalid_arg "Sweep.run_with_crash: FW has no recovery model"
+          invalid_arg
+            (Printf.sprintf
+               "Sweep.run_with_crash: %s has no crash image (EL only)"
+               (kind_name cfg.Experiment.kind))
       in
       if Time.(crash_at > cfg.Experiment.runtime) then
         invalid_arg "Sweep.run_with_crash: crash after end of run";
+      let judged image =
+        let r = Recovery.recover image in
+        (r, Spec_tracker.judge trackers.(0) image r)
+      in
       let holder = ref None in
       Engine.schedule_at engine crash_at (fun () ->
           (* Capture the in-memory image first, then freeze the store:
              both read the same channel state, so they describe the
-             same crash instant.  The run goes on, so keep the stable
-             state and the acked versions of this instant. *)
-          let image = Recovery.crash engine manager in
-          let image =
-            { image with stable = El_disk.Stable_db.copy image.stable }
+             same crash instant, and both are judged now.  The run goes
+             on, so keep a copy of the recovered database. *)
+          let recovery, verdict = judged (Recovery.crash engine manager) in
+          let recovery =
+            {
+              recovery with
+              recovered = El_disk.Stable_db.copy recovery.Recovery.recovered;
+            }
           in
-          let unsettled = Spec_tracker.unsettled trackers.(0) in
-          let mark = El_manager.persist_crash_mark manager in
-          holder := Some (image, unsettled, mark));
+          let store =
+            match
+              (inst.Experiment.i_store, El_manager.persist_crash_mark manager)
+            with
+            | Some s, Some upto ->
+              let scan =
+                El_store.Log_store.scan ~upto (El_store.Log_store.backend s)
+              in
+              Some
+                (judged
+                   (Recovery.image_of_scan
+                      ~num_objects:cfg.Experiment.num_objects scan))
+            | _ -> None
+          in
+          holder := Some (recovery, verdict, store));
       let result = (Shard_group.finish sg).Shard_group.r_global in
       match !holder with
       | None ->
@@ -531,23 +549,11 @@ let run_with_crash_store (cfg : Experiment.config) ~crash_at =
               crash earlier or enlarge the log"
              (if result.Experiment.overloaded then "overloaded and stopped"
               else "ended"))
-      | Some (image, unsettled, mark) ->
-        let recovery = Recovery.recover image in
-        let audit = Recovery.audit image ~unsettled recovery in
-        let store_recovery =
-          match (inst.Experiment.i_store, mark) with
-          | Some s, Some m ->
-            Some
-              (Recovery.recover_store ~upto:m
-                 ~num_objects:cfg.Experiment.num_objects
-                 (El_store.Log_store.backend s))
-          | _ -> None
-        in
-        (result, recovery, audit, store_recovery))
+      | Some (recovery, verdict, store) -> (result, recovery, verdict, store))
 
 let run_with_crash cfg ~crash_at =
-  let result, recovery, audit, _ = run_with_crash_store cfg ~crash_at in
-  (result, recovery, audit)
+  let result, recovery, verdict, _ = run_with_crash_store cfg ~crash_at in
+  (result, recovery, verdict)
 
 let standard_mix () =
   Mix.create

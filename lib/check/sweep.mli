@@ -9,10 +9,9 @@
       install that ran an EL stable database ahead of the acked state
       ({!Spec_tracker.check_installs});
     - for an EL manager (optionally), captures a {!El_recovery.Recovery.crash}
-      image, recovers from it and audits the recovered database
-      against the committed state the {!Spec_tracker} holds — i.e.
-      simulates a crash at that exact event without disturbing the
-      run;
+      image, recovers from it and holds the recovery against the spec
+      with {!Spec_tracker.judge} — i.e. simulates a crash at that exact
+      event without disturbing the run;
 
     then lets the run settle (generator finished, manager drained,
     engine run dry) and performs the final {!Spec_tracker} settled
@@ -37,7 +36,7 @@ type outcome = {
   shards : int;  (** 1: the solo path; > 1: the sharded composite *)
   events : int;  (** events dispatched over the whole run *)
   points : int;  (** audit pauses taken *)
-  recoveries : int;  (** crash/recover/audit cycles (EL only) *)
+  recoveries : int;  (** crash/recover/judge cycles (EL only) *)
   failures : (int * string) list;
       (** (events dispatched at detection, message), oldest first *)
   overloaded : bool;  (** the run died with [Log_overloaded] *)
@@ -52,15 +51,14 @@ type outcome = {
   contention_retries : int;  (** backoff relaunches after those aborts *)
   max_records_scanned : int;  (** largest recovery scan seen *)
   torn_blocks : int;
-      (** torn tails discarded, summed over every crash image audited *)
+      (** torn tails discarded, summed over every crash image recovered *)
   torn_records : int;
   io_retries : int;  (** transient failures absorbed over the run *)
   io_remaps : int;  (** spare-sector remaps over the run *)
   sheds : int;  (** transactions shed by degraded mode *)
   spec_checks : int;
-      (** explicit {!Spec_tracker} checks performed (invariant at each
-          pause, recovered-image check at each crash point, settled
-          check); 0 unless [spec] was set *)
+      (** explicit {!Spec_tracker} checks performed (the invariant at
+          each pause and the settled check); 0 unless [spec] was set *)
   cross_committed : int;
       (** cross-shard (2PC) transactions acknowledged; 0 when
           [shards = 1] *)
@@ -85,66 +83,69 @@ val run :
 (** [stride] (default 100) is the number of events between pauses;
     [max_points] caps the number of pauses (default: no cap);
     [recover] (default true) enables the per-pause crash/recovery
-    cycle on EL runs.  Whatever the flags, the run is replayed
+    cycle on EL runs.  Whatever the other flags, the run is replayed
     against the {!El_spec.Durable_log} state machine via one
     {!Spec_tracker} per shard ({!Spec_tracker.prepare}): every sink
     event, kill and flush completion must be a legal step, every
-    install into an EL stable database is judged as it lands, and the
-    crash audits take their acked versions from it.  [oracle] (default
-    true) adds the settled-state checks against the plants (router
-    conservation, per-shard ack accounting,
-    {!Spec_tracker.check_settled_stable}); [spec] (default false) adds
-    the spec's own checks — the [persistent ⊆ ephemeral] invariant
-    must hold at every pause, each recovered crash image must agree
-    with the spec's durable promises, and the settled state must have
-    flushed every ack — and only these count in [spec_checks];
-    [pool] (default serial) fans the audit pauses
-    out across its workers with an outcome identical to the serial
-    sweep's.  Raises [Invalid_argument] if [stride <= 0].
+    install into an EL stable database is judged as it lands, and every
+    crash point's recovery is held against the spec by
+    {!Spec_tracker.judge}.  [oracle] (default true) adds the
+    settled-state checks against the plants (router conservation,
+    per-shard ack accounting, {!Spec_tracker.check_settled_stable});
+    [spec] (default false) adds the spec's own checks — the
+    [persistent ⊆ ephemeral] invariant must hold at every pause and the
+    settled state must have flushed every ack — and only these count in
+    [spec_checks]; [pool] (default serial) fans the audit pauses out
+    across its workers with an outcome identical to the serial sweep's.
+    Raises [Invalid_argument] if [stride <= 0].
 
     Every run goes through [El_shard.Shard_group] — a solo config is
     the 1-shard group, so a config with an [observer] raises
-    [Invalid_argument] — with per-shard crash/recover/audit at every
+    [Invalid_argument] — with per-shard crash/recover/judge at every
     owned pause.
     With [shards > 1] the oracle becomes composite: at every crash
     point and once more when settled, no cross-shard transaction may
     recover with a durable decision and a missing branch, nor an
     acknowledged one without its durable decision record; the settled
     checks add router conservation (generator acks = singles + cross)
-    and per-shard ack accounting, and failures name their shard. *)
+    and per-shard ack accounting, and every failure about one shard
+    names it (["shard i: ..."]). *)
 
 val run_with_crash :
   El_harness.Experiment.config ->
   crash_at:Time.t ->
   El_harness.Experiment.result
   * El_recovery.Recovery.result
-  * El_recovery.Recovery.audit
+  * Spec_tracker.verdict
 (** One crash point at a simulated instant: runs an EL simulation on
     the plant a sweep builds ({!Spec_tracker.prepare}), captures a
-    crash image and the tracker's acked-but-unsettled versions at
-    [crash_at], recovers from the image and audits the outcome; then
-    lets the simulation finish for the run statistics.  Raises
-    [Invalid_argument] for a FW or hybrid config (the paper's FW
-    baseline has no recovery model), for [shards > 1], for a config
-    with an observer, or if [crash_at] exceeds the runtime; raises
-    [Failure] when the run overloads and stops before [crash_at] is
-    reached (an adversarial scenario on an undersized log), since no
-    crash image exists. *)
+    crash image at [crash_at], recovers from it and judges the
+    recovery there ({!Spec_tracker.judge}, against the spec of that
+    instant); then lets the simulation finish for the run statistics.
+    The recovered database returned is a copy, readable after the run.
+    Raises [Invalid_argument] naming the kind for a FW or hybrid config
+    (no crash image: the paper's FW baseline has no recovery model),
+    for [shards > 1], for a config with an observer, or if [crash_at]
+    exceeds the runtime; raises [Failure] when the run overloads and
+    stops before [crash_at] is reached (an adversarial scenario on an
+    undersized log), since no crash image exists. *)
 
 val run_with_crash_store :
   El_harness.Experiment.config ->
   crash_at:Time.t ->
   El_harness.Experiment.result
   * El_recovery.Recovery.result
-  * El_recovery.Recovery.audit
-  * El_recovery.Recovery.result option
+  * Spec_tracker.verdict
+  * (El_recovery.Recovery.result * Spec_tracker.verdict) option
 (** Like {!run_with_crash}, but when the config has a store backend it
     also freezes the durable image at the crash instant
-    ({!El_core.El_manager.persist_crash_mark}) and, after the run,
-    replays it with {!El_recovery.Recovery.recover_store} — the fourth
-    element, [None] under [Sim].  The store replay and the simulated
-    recovery describe the same crash, so their recovered states must
-    agree (pinned by the backend-equivalence tests). *)
+    ({!El_core.El_manager.persist_crash_mark}) and replays its bytes
+    there: a bounded {!El_store.Log_store.scan}, lifted by
+    {!El_recovery.Recovery.image_of_scan}, recovered and judged against
+    the same spec — the fourth element, [None] under [Sim].  The store
+    replay and the simulated recovery describe the same crash, so their
+    recovered states must agree (pinned by the backend-equivalence
+    tests). *)
 
 (** The composite atomic-commit check of a sharded sweep, judged by
     open transaction.  At each crash point no cross-shard transaction

@@ -126,87 +126,3 @@ let image_of_scan ~num_objects (s : El_store.Log_store.scan) =
 let recover_store ?obs ?upto ~num_objects backend =
   let s = El_store.Log_store.scan ?upto backend in
   recover ?obs (image_of_scan ~num_objects s)
-
-type audit = {
-  ok : bool;
-  missing : (Ids.Oid.t * int) list;
-  spurious : (Ids.Oid.t * int) list;
-}
-
-(* The committed state at the crash is the stable version overlaid
-   with the acked versions it does not serve yet.  The durability point,
-   though, is the platter: a COMMIT record that persisted inside a torn
-   prefix commits its transaction even though the block never completed
-   and the ack never fired.  (The channel is FIFO, so every data record
-   such a transaction logged is in an earlier — completed — block or
-   earlier in the same prefix: recovering it whole is always possible.)
-   Those transactions' durable writes raise the reference too.
-
-   The full comparison is that reference against the recovered database
-   (the stable version overlaid with the redo).  Wherever neither
-   overlay names an object, both sides read the same stable entry, so
-   only the objects either overlay names are compared. *)
-let audit image ~unsettled result =
-  let recovered = result.recovered in
-  (match El_disk.Stable_db.base recovered with
-  | Some b when b == image.stable -> ()
-  | Some _ | None ->
-    invalid_arg "Recovery.audit: the result was not recovered from this image");
-  let reference = Ids.Oid.Table.create 64 in
-  List.iter (fun (oid, v) -> Ids.Oid.Table.replace reference oid v) unsettled;
-  let expected oid =
-    match Ids.Oid.Table.find_opt reference oid with
-    | Some _ as v -> v
-    | None -> El_disk.Stable_db.version image.stable oid
-  in
-  let torn_committed = Ids.Tid.Table.create 4 in
-  List.iter
-    (fun b ->
-      if b.torn > 0 then
-        List.iter
-          (fun (r : Log_record.t) ->
-            match r.Log_record.kind with
-            | Log_record.Commit ->
-              Ids.Tid.Table.replace torn_committed r.Log_record.tid ()
-            | Log_record.Begin | Log_record.Abort | Log_record.Data _ -> ())
-          b.records)
-    image.blocks;
-  if Ids.Tid.Table.length torn_committed > 0 then
-    List.iter
-      (fun b ->
-        List.iter
-          (fun (r : Log_record.t) ->
-            match r.Log_record.kind with
-            | Log_record.Data { oid; version }
-              when Ids.Tid.Table.mem torn_committed r.Log_record.tid -> (
-              match expected oid with
-              | Some v when v >= version -> ()
-              | Some _ | None -> Ids.Oid.Table.replace reference oid version)
-            | Log_record.Data _ | Log_record.Begin | Log_record.Commit
-            | Log_record.Abort ->
-              ())
-          b.records)
-      image.blocks;
-  let named = ref (Ids.Oid.Table.fold (fun oid _ l -> oid :: l) reference []) in
-  El_disk.Stable_db.iter_overlay recovered (fun oid _ ->
-      named := oid :: !named);
-  let got = El_disk.Stable_db.version recovered in
-  let differing =
-    List.filter
-      (fun oid -> expected oid <> got oid)
-      (List.sort_uniq Ids.Oid.compare !named)
-  in
-  let pairs side =
-    List.filter_map
-      (fun oid -> Option.map (fun v -> (oid, v)) (side oid))
-      differing
-  in
-  let missing = pairs expected and spurious = pairs got in
-  { ok = missing = [] && spurious = []; missing; spurious }
-
-let pp_audit ppf a =
-  if a.ok then Format.pp_print_string ppf "recovery audit: OK"
-  else
-    Format.fprintf ppf
-      "recovery audit: FAILED (%d committed updates missing, %d spurious)"
-      (List.length a.missing) (List.length a.spurious)

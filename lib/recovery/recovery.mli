@@ -3,8 +3,8 @@
     The paper argues (§4, and its companion report [9]) that because
     EL keeps the log tiny, the whole log can be read into memory and
     recovery performed in a single pass, instead of the traditional
-    two-pass undo/redo.  This module implements that pass and the
-    machinery the tests use to validate it:
+    two-pass undo/redo.  This module implements that pass and the crash
+    capture it reads:
 
     - a {!crash} captures what would survive a failure at an instant:
       every durable log block (including stale copies in freed slots —
@@ -17,27 +17,25 @@
       for every object the newest committed version wins (version
       numbers order updates even when recirculation has shuffled
       physical order, standing in for the paper's timestamps); redo is
-      idempotent on the stable version;
-    - {!audit} compares the recovered database with the committed
-      state at the crash: the stable version overlaid with the acked
-      versions it did not serve yet, which the caller's witness of the
-      durable-log contract supplies (the sweep's spec tracker), raised
-      by every transaction whose COMMIT persisted inside a torn prefix.
+      idempotent on the stable version.
+
+    What a crash must keep is not this module's to say: the spec
+    tracker's judge ({!El_check.Spec_tracker.judge}) holds a recovery
+    against the durable-log spec and the image it came from.
 
     Recovery time is proportional to the records scanned, which is why
     the paper equates less disk space with faster recovery;
     [records_scanned] reports the scan size so benchmarks can quantify
-    that claim.  The checks follow the log too: an image's stable
+    that claim.  The capture follows the log too: an image's stable
     version is an {!El_disk.Stable_db.overlay} of the manager's live
-    database (no copy), the recovered database is an overlay of that,
-    and the audit's reference names only the committed versions that
-    differ from the stable one.
+    database (no copy), and the recovered database is an overlay of
+    that.
 
     {b Image lifetime.}  An image from {!crash} reads the live stable
     database through its overlay, so it is valid only until that
     database's next install (the next flush completion): after it,
-    {!recover} and {!audit} of the image, and every read of a result
-    recovered from it, raise [Invalid_argument].  A caller that keeps
+    {!recover} of the image, and every read of a result recovered from
+    it, raise [Invalid_argument].  A caller that keeps
     an image while the run goes on copies its stable version once, at
     capture: [{ image with stable = El_disk.Stable_db.copy image.stable }]. *)
 
@@ -62,7 +60,7 @@ type image = {
   crash_time : Time.t;
 }
 (** What a crash leaves on the platter, and nothing else: what the
-    crash must keep is not the image's to say (see {!audit}). *)
+    crash must keep is not the image's to say. *)
 
 val crash : El_sim.Engine.t -> El_core.El_manager.t -> image
 (** Captures the crash image of an EL-managed log, now.  A block write
@@ -114,36 +112,3 @@ val recover_store :
     {!El_store.Log_store.scan}).  [upto] bounds the scan at a crash mark
     ({!El_core.El_manager.persist_crash_mark}), replaying the image as
     it stood at that instant. *)
-
-type audit = {
-  ok : bool;
-  missing : (Ids.Oid.t * int) list;
-      (** committed versions absent or stale in the recovered state *)
-  spurious : (Ids.Oid.t * int) list;
-      (** recovered versions that were never durably committed *)
-}
-
-val audit : image -> unsettled:(Ids.Oid.t * int) list -> result -> audit
-(** Compares the recovered database with the committed state at the
-    image's crash.  [unsettled] names, once each, the newest acked
-    version of every object whose committed version the image's stable
-    version does not serve yet, as the witness of the durable-log
-    contract held them at the crash instant
-    ({!El_check.Spec_tracker.unsettled}); every object it does not name
-    is committed at its stable version (or not at all).  The durability
-    point is the platter, not the ack: a transaction whose COMMIT
-    record persisted inside a torn prefix is committed although its ack
-    never fired, so its durable writes, read from the image's kept
-    records, raise the reference too (channel FIFO order guarantees
-    they all persisted).
-
-    [ok] is atomicity and durability in one bit: every
-    durably-committed update recovered, nothing else.  Both sides read
-    the same stable entry wherever neither the reference nor the redo
-    overlay names an object, so only the objects they name are
-    compared; [missing] and [spurious] list exactly what the full
-    comparison would, in oid order.  Raises [Invalid_argument] unless
-    [result] was recovered from [image] (its database overlays
-    [image.stable]), or if the image is stale. *)
-
-val pp_audit : Format.formatter -> audit -> unit

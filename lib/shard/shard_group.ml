@@ -554,10 +554,17 @@ let run_global cfg = (run cfg).r_global
 (* --- Crash capture ---------------------------------------------- *)
 
 let crash_images t =
-  Array.map
-    (fun inst ->
+  Array.mapi
+    (fun i inst ->
+      let refuse kind =
+        invalid_arg
+          (Printf.sprintf
+             "Shard_group.crash_images: shard %d is %s, which has no crash \
+              image (EL only)"
+             i kind)
+      in
       match inst.Experiment.i_manager with
       | Experiment.El_log m -> Recovery.crash t.sg_engine m
-      | Experiment.Fw_log _ | Experiment.Hybrid_log _ ->
-        invalid_arg "Shard_group.crash_images: EL shards only (no FW model)")
+      | Experiment.Fw_log _ -> refuse "fw"
+      | Experiment.Hybrid_log _ -> refuse "hybrid")
     t.sg_instances

@@ -168,4 +168,5 @@ val crash_images : t -> El_recovery.Recovery.image array
 (** One crash image per shard, captured at the same engine instant
     (no events run between captures — the engine is halted while this
     executes).  EL managers only, like {!El_recovery.Recovery.crash};
-    raises [Invalid_argument] on FW or hybrid shards. *)
+    raises [Invalid_argument] naming the first FW or hybrid shard and
+    its kind. *)

@@ -217,29 +217,14 @@ let persistent t =
 
 let unsettled t = t.unsettled
 
-(* Whether a recovered image may legitimately hold [version] of [oid].
-   The acked version itself always may (and must); an older one never
-   may.  A *newer* version, or any version of a never-acked object, may
-   only appear if a transaction that reached its log extension but not
-   its ack wrote it: its COMMIT record can be durable — e.g. inside a
-   torn prefix — even though the ack never fired.  (Acked transactions
-   wrote nothing above the acked version.)  Writes of killed, aborted
-   or running transactions must not survive. *)
-let may_survive t oid version =
-  match acked_version t oid with
-  | Some a when version = a -> true
-  | Some a when version < a -> false
-  | Some _ | None ->
-    Tid_map.exists
-      (fun _ tx ->
-        (match tx.phase with
-        | Log_extended -> true
-        | Running | Acked | Aborted | Killed -> false)
-        &&
-        match Oid_map.find_opt oid tx.writes with
-        | Some v -> v = version
-        | None -> false)
-      t.txs
+(* A log-extended transaction's COMMIT record is in the log but its ack
+   has not fired: a crash commits it exactly when that record persisted
+   (e.g. inside a torn prefix).  An acked one wrote nothing above the
+   acked versions; a running, aborted or killed one must not survive. *)
+let log_extended t tid =
+  match Tid_map.find_opt tid t.txs with
+  | Some { phase = Log_extended; _ } -> true
+  | Some _ | None -> false
 
 let equal_tx a b = a.phase = b.phase && Oid_map.equal ( = ) a.writes b.writes
 

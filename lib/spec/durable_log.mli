@@ -18,7 +18,9 @@
     workload trace (the differential oracle): every sink event and
     flush completion becomes a step, every step must be legal, the
     invariant must hold at every pause, and the recovered image at a
-    crash point must agree with {!persistent}/{!may_survive}. *)
+    crash point must hold exactly the acked versions, raised by the
+    writes of every {!log_extended} transaction whose COMMIT record
+    persisted (El_check's crash judge). *)
 
 open El_model
 
@@ -81,19 +83,19 @@ val unsettled : t -> Set.Make(Ids.Oid).t
 (** The acked objects whose superblock floor is below the acked
     version (or absent): an ack adds its objects, the superblock
     advance that reaches the acked version removes one.  Every other
-    acked object has its floor at its acked version, so a crash check
-    of a recovered database that is the stable one (proven to serve
-    the floors) overlaid with a redo need only judge these and the
-    redo's objects.  Its size follows the flush backlog, not the
+    acked object has its floor at its acked version, so the crash
+    judge of a recovered database that is the stable one (proven to
+    serve the floors) overlaid with a redo need only compare these and
+    the redo's objects.  Its size follows the flush backlog, not the
     history. *)
 
-val may_survive : t -> Ids.Oid.t -> int -> bool
-(** Whether a recovered image may legitimately hold this exact
-    version: the acked version itself, never a version below it, and
-    above it (or of a never-acked object) only a version written by a
-    transaction that is log-extended but not acked (its COMMIT record
-    may have persisted — e.g. inside a torn prefix — without the ack
-    ever firing). *)
+val log_extended : t -> Ids.Tid.t -> bool
+(** Whether the transaction reached its log extension and not its ack:
+    its COMMIT record is in the log, so a crash commits it exactly when
+    that record persisted (e.g. inside a torn prefix) although the ack
+    never fired.  [false] for an acked transaction (its writes are in
+    the acked versions already) and for a running, aborted, killed or
+    unknown one (its writes must not survive). *)
 
 val acked_version : t -> Ids.Oid.t -> int option
 val flushed_version : t -> Ids.Oid.t -> int option

@@ -12,12 +12,12 @@
    - a long hybrid transaction's appends allocate a flat handful of
      minor words per record, however long it grows;
    - the spec tracker's pause check allocates nothing for objects
-     untouched since the last one, and its crash check a flat handful
+     untouched since the last one, and its crash judge a flat handful
      of words per unsettled object, however long the history;
    - with observation off, a flush request and its completion build no
      event;
-   - a whole EL crash point (crash, recover, audit, spec crash check)
-     allocates as much at the end of a long run as of a short one;
+   - a whole EL crash point (crash, recover, judge) allocates as much
+     at the end of a long run as of a short one;
    - a restart's store scan allocates a flat handful of words per
      segment of its image, however much of it is superseded history,
      and holds a window of the image, not the image;
@@ -295,7 +295,7 @@ let test_hybrid_append_words () =
           len words)
     [ 1_000; 5_000 ]
 
-(* ---- spec tracker pause and crash checks ---- *)
+(* ---- spec tracker pause check and crash judge ---- *)
 
 (* A tracker driven through [n] transactions that each write, commit,
    ack and flush one object of their own, so it holds [n] acked,
@@ -346,45 +346,62 @@ let test_tracker_pause_words () =
        most 64)"
       n words
 
-(* A crash check judges the unsettled objects and the redo's, not the
+(* The crash judge judges the unsettled objects and the redo's, not the
    history: over [n] settled objects and [k] acked but unflushed ones,
    which the recovery's redo overlay serves, it allocates at most 15
-   minor words per judged object, whatever [n].  The sweep checks the
-   pause invariant just before each crash point, and the previous
-   point has proved the history's installs. *)
+   minor words per judged object, whatever [n].  The previous point has
+   proved the history's installs. *)
 let test_tracker_crash_words () =
+  let module Recovery = El_recovery.Recovery in
   let k = 100 in
   List.iter
     (fun n ->
       let stable = El_disk.Stable_db.create ~num_objects:(n + k) in
       let t = tracked_history ~stable ~unflushed:k n in
-      let recovered () =
-        let db = El_disk.Stable_db.overlay stable in
+      let point () =
+        let image =
+          {
+            Recovery.blocks = [];
+            stable = El_disk.Stable_db.overlay stable;
+            crash_time = Time.zero;
+          }
+        in
+        let recovered = El_disk.Stable_db.overlay image.Recovery.stable in
         for i = n to n + k - 1 do
-          El_disk.Stable_db.apply db (Ids.Oid.of_int i) ~version:1
+          El_disk.Stable_db.apply recovered (Ids.Oid.of_int i) ~version:1
         done;
-        db
+        ( image,
+          {
+            Recovery.recovered;
+            committed_tids = [];
+            records_scanned = 0;
+            redo_applied = k;
+            redo_skipped = 0;
+            torn_blocks = 0;
+            torn_records = 0;
+          } )
       in
-      El_check.Spec_tracker.check_invariant t;
-      El_check.Spec_tracker.check_crash t (recovered ());
-      let db = recovered () in
-      let words =
-        minor_words (fun () -> El_check.Spec_tracker.check_crash t db)
-        /. float_of_int k
+      let judge (image, r) =
+        let v = El_check.Spec_tracker.judge t image r in
+        if not (El_check.Spec_tracker.ok v) then
+          Alcotest.fail "a clean crash point failed its judgement"
       in
+      judge (point ());
+      let p = point () in
+      let words = minor_words (fun () -> judge p) /. float_of_int k in
       if words > 15.0 then
         Alcotest.failf
-          "a crash check over %d settled and %d unsettled objects allocates \
-           %.1f minor words per unsettled object (at most 15)"
+          "a crash judgement over %d settled and %d unsettled objects \
+           allocates %.1f minor words per unsettled object (at most 15)"
           n k words)
     [ 5_000; 50_000 ]
 
 (* A crash point costs the log, not the history: the minor words of
    the last crash point of a stride-20 sweep of the uniform EL cell
-   (crash image, recovery, audit and the spec's crash check, after the
-   pause's invariant check) at 320 s stay within 1.2x of those at 20 s:
-   a copy of the stable database, or a walk over every acked object,
-   would grow with the history. *)
+   (crash image, recovery and judgement, after the pause's invariant
+   check) at 320 s stay within 1.2x of those at 20 s: a copy of the
+   stable database, or a walk over every acked object, would grow with
+   the history. *)
 let test_crash_point_words () =
   let module Spec_tracker = El_check.Spec_tracker in
   let module Recovery = El_recovery.Recovery in
@@ -397,10 +414,8 @@ let test_crash_point_words () =
     let run = Tracked.prepare cfg in
     let point () =
       let image = Tracked.crash run in
-      let r = Recovery.recover image in
-      if not (Tracked.audit run image r).Recovery.ok then
-        Alcotest.fail "a crash point failed its audit";
-      Spec_tracker.check_crash run.Tracked.tracker r.Recovery.recovered
+      if not (Tracked.passes run image (Recovery.recover image)) then
+        Alcotest.fail "a crash point failed its judgement"
     in
     let rec loop () =
       let n =

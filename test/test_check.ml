@@ -1,7 +1,7 @@
 (* The model-checking subsystem's own tests: the crash-point sweep
    over every manager kind, determinism of the sweep itself, the
-   differential oracle under randomised workloads, and a negative test
-   proving the recovery auditor actually catches corruption. *)
+   differential oracle under randomised workloads, and negative tests
+   proving the crash judge actually catches corruption. *)
 
 open El_model
 module Engine = El_sim.Engine
@@ -9,6 +9,7 @@ module Experiment = El_harness.Experiment
 module Recovery = El_recovery.Recovery
 module Sweep = El_check.Sweep
 module Auditor = El_check.Auditor
+module Spec_tracker = El_check.Spec_tracker
 
 let pp_failures fs =
   String.concat "; "
@@ -146,46 +147,48 @@ let test_sweep_45ms_all_kinds () =
    kept behind Policy.unsafe_eager_dispose) and the same sweep must
    diverge from the spec — a crash landing inside a forced flush's
    transfer window finds the record gone from the log and not yet in
-   the stable database.  This pins that the spec oracle actually has
+   the stable database.  This pins that the crash judge actually has
    teeth: the hazard cannot be silently re-introduced.  The flags gate
-   checks, not the witness: with the oracle and the spec off, the crash
-   audits still take their acked versions from the tracker and find the
-   same losses.  It also pins the sweep's one-shard contract — a solo
-   config is the 1-shard group: its failures name no shard and each
-   crash point costs one recovery, with no extra settled-state recovery
-   — while at two shards every crash-recovery divergence keeps its
-   shard label. *)
+   checks, not the judge: with the oracle and the spec off, every crash
+   point is judged all the same and finds the same losses, in the one
+   text.  It also pins the sweep's one-shard contract — a solo config
+   is the 1-shard group: its failures name no shard and each crash
+   point costs one recovery, with no extra settled-state recovery —
+   while at two shards every failure names its shard. *)
 let test_eager_dispose_caught_by_spec () =
   let cfg = scarce_45ms_config ~eager:true ~seed:7 () in
-  let crash_diverged (_, msg) =
-    Astring_like.contains msg "crash recovery diverged"
+  let one_text (_, msg) =
+    String.starts_with
+      ~prefix:"crash recovery diverged: recovery audit: FAILED (" msg
   in
-  let names_shard (_, msg) = String.starts_with ~prefix:"shard" msg in
   let solo what (o : Sweep.outcome) =
     Alcotest.(check bool) (what ^ ": crash recovery diverges") true
-      (List.exists crash_diverged o.Sweep.failures);
-    Alcotest.(check bool) (what ^ ": no failure names a shard") false
-      (List.exists names_shard o.Sweep.failures);
+      (o.Sweep.failures <> []);
+    Alcotest.(check bool)
+      (what ^ ": every failure is the judge's, unlabelled")
+      true
+      (List.for_all one_text o.Sweep.failures);
     Alcotest.(check int) (what ^ ": one recovery per crash point")
       o.Sweep.points o.Sweep.recoveries
   in
-  let o = Sweep.run ~stride:25 ~spec:true cfg in
-  solo "spec" o;
-  let is_spec (_, msg) = Astring_like.contains msg "spec:" in
-  Alcotest.(check bool)
-    "at least one divergence is a spec-oracle finding" true
-    (List.exists is_spec o.Sweep.failures);
+  solo "spec" (Sweep.run ~stride:25 ~spec:true cfg);
   let bare = Sweep.run ~stride:20 ~recover:true ~oracle:false ~spec:false cfg in
   solo "no oracle, no spec" bare;
   Alcotest.(check (pair int int))
     "no oracle, no spec: 40 divergences, the first at event 1160" (40, 1160)
     (List.length bare.Sweep.failures, fst (List.hd bare.Sweep.failures));
+  Alcotest.(check (list (pair int string)))
+    "oracle and spec on: the same findings" bare.Sweep.failures
+    (Sweep.run ~stride:20 ~spec:true cfg).Sweep.failures;
   let o2 = Sweep.run ~stride:25 ~spec:true { cfg with Experiment.shards = 2 } in
-  let diverged = List.filter crash_diverged o2.Sweep.failures in
   Alcotest.(check bool) "2 shards: crash recovery diverges" true
-    (diverged <> []);
-  Alcotest.(check bool) "2 shards: each divergence names its shard" true
-    (List.for_all names_shard diverged)
+    (List.exists
+       (fun (_, msg) -> Astring_like.contains msg "crash recovery diverged")
+       o2.Sweep.failures);
+  Alcotest.(check bool) "2 shards: every failure names its shard" true
+    (List.for_all
+       (fun (_, msg) -> String.starts_with ~prefix:"shard " msg)
+       o2.Sweep.failures)
 
 (* Differential oracle under randomised run parameters: seeds, abort
    fractions, arrival burstiness, and both flushing manager kinds. *)
@@ -213,18 +216,18 @@ let prop_sweep_random =
           (pp_failures o.Sweep.failures);
       not o.Sweep.overloaded)
 
-(* Negative test: the recovery auditor must catch a semantically
-   corrupted image.  We take a genuine crash image and bump the version
-   of one durably committed data record, leaving its block whole — the
-   record reads back intact, the content lies — and expect the audit
-   to fail: the recovered database now holds a version nobody
-   committed.  This pins down that the differential audit catches what
-   the checksum layer cannot.  Targets come from the tracker's whole
-   acked state: its unsettled versions name only the ones the stable
-   database does not serve yet.  The second target is settled —
-   installed in the stable database while its record still sits in a
-   durable block — so the audit is not told of it, and only its pass
-   over the redo's objects can catch it. *)
+(* Negative test: the crash judge must catch a semantically corrupted
+   image.  We take a genuine crash image and bump the version of one
+   durably committed data record, leaving its block whole — the record
+   reads back intact, the content lies — and expect the judgement to
+   fail: the recovered database now holds a version nobody committed.
+   This pins down that the judge catches what the checksum layer
+   cannot.  Targets come from the tracker's whole acked state: its
+   unsettled versions name only the ones the stable database does not
+   serve yet.  The second target is settled — installed in the stable
+   database while its record still sits in a durable block — so the
+   unsettled set does not name it, and only the judge's pass over the
+   redo's objects can catch it. *)
 let test_corrupted_image_caught () =
   let kind = List.assoc "el" (Sweep.standard_kinds ()) in
   let cfg = Sweep.standard_config ~kind ~seed:42 () in
@@ -233,7 +236,7 @@ let test_corrupted_image_caught () =
   let image = Tracked.crash run in
   let sane = Recovery.recover image in
   Alcotest.(check bool) "pristine image audits ok" true
-    (Tracked.audit run image sane).Recovery.ok;
+    (Tracked.passes run image sane);
   let committed = Tracked.committed run in
   let unsettled = El_check.Spec_tracker.unsettled run.Tracked.tracker in
   let payloads =
@@ -263,7 +266,7 @@ let test_corrupted_image_caught () =
            committed
     | _ -> false
   in
-  let corrupted_audit victim =
+  let corrupted_verdict victim =
     let corrupt (r : Log_record.t) =
       if r == victim then
         match victim.Log_record.kind with
@@ -285,15 +288,15 @@ let test_corrupted_image_caught () =
             image.Recovery.blocks;
       }
     in
-    Tracked.audit run corrupted (Recovery.recover corrupted)
+    Tracked.judge run corrupted (Recovery.recover corrupted)
   in
   (match List.find_opt is_target payloads with
   | None -> Alcotest.fail "no committed data record in a 15 s image"
   | Some victim ->
-    let audit = corrupted_audit victim in
-    Alcotest.(check bool) "corruption detected" false audit.Recovery.ok;
+    let verdict = corrupted_verdict victim in
+    Alcotest.(check bool) "corruption detected" false (Spec_tracker.ok verdict);
     Alcotest.(check bool) "spurious version reported" true
-      (audit.Recovery.spurious <> []));
+      (verdict.Spec_tracker.spurious <> []));
   let settled (r : Log_record.t) =
     is_target r
     &&
@@ -311,22 +314,23 @@ let test_corrupted_image_caught () =
       | Log_record.Data { oid; version } -> (Ids.Oid.to_int oid, version)
       | _ -> assert false
     in
-    let audit = corrupted_audit victim in
+    let verdict = corrupted_verdict victim in
     let pairs = List.map (fun (o, v) -> (Ids.Oid.to_int o, v)) in
-    Alcotest.(check bool) "settled corruption detected" false audit.Recovery.ok;
+    Alcotest.(check bool) "settled corruption detected" false
+      (Spec_tracker.ok verdict);
     Alcotest.(check (list (pair int int)))
       "the settled object's corrupt version is spurious"
       [ (oid, version + 1000) ]
-      (pairs audit.Recovery.spurious);
+      (pairs verdict.Spec_tracker.spurious);
     Alcotest.(check (list (pair int int)))
       "its committed version is missing"
       [ (oid, version) ]
-      (pairs audit.Recovery.missing)
+      (pairs verdict.Spec_tracker.missing)
 
 (* Torn-checksum negative: tear every durable block at its first copy
    of a committed-but-unflushed version, as a bad checksum there would.
    Those records (and everything behind them in their blocks) are
-   lost, recovery counts the torn tails, and the audit reports the
+   lost, recovery counts the torn tails, and the judge reports the
    version missing — durability violations cannot hide behind the
    checksum layer.  The flush array is starved so such a version
    exists: once a version is flushed, the stable database alone can
@@ -350,7 +354,7 @@ let test_torn_checksum_caught () =
   Tracked.run_until run (Time.of_sec 15);
   let image = Tracked.crash run in
   Alcotest.(check bool) "pristine image audits ok" true
-    (Tracked.audit run image (Recovery.recover image)).Recovery.ok;
+    (Tracked.passes run image (Recovery.recover image));
   let payloads =
     List.concat_map
       (fun (b : Recovery.block) -> b.Recovery.records)
@@ -392,10 +396,11 @@ let test_torn_checksum_caught () =
     let r = Recovery.recover corrupted in
     Alcotest.(check bool) "discarded tails counted" true
       (r.Recovery.torn_blocks > 0 && r.Recovery.torn_records > 0);
-    let audit = Tracked.audit run corrupted r in
-    Alcotest.(check bool) "lost durability detected" false audit.Recovery.ok;
+    let verdict = Tracked.judge run corrupted r in
+    Alcotest.(check bool) "lost durability detected" false
+      (Spec_tracker.ok verdict);
     Alcotest.(check bool) "version reported missing" true
-      (audit.Recovery.missing <> [])
+      (verdict.Spec_tracker.missing <> [])
 
 (* The auditor also runs standalone against a healthy mid-flight
    manager of each kind. *)
@@ -499,13 +504,26 @@ let test_tracker_settled_checks () =
   caught "newer version" [ (5, 2) ] "stable holds o5 v2";
   caught "extra object" [ (5, 1); (6, 1) ] "no transaction committed it"
 
+(* A crash image of [stable] holding [blocks] (none by default), and
+   its recovery: a redo overlay the test may raise by hand. *)
+let crash_image ?(blocks = []) stable =
+  let image =
+    {
+      Recovery.blocks;
+      stable = El_disk.Stable_db.overlay stable;
+      crash_time = Time.zero;
+    }
+  in
+  (image, Recovery.recover image)
+
+let verdict_text v = Format.asprintf "%a" Spec_tracker.pp_verdict v
+
 (* The reverse passes that look for recovered objects nobody committed
    judge only what the recovery's overlay names; one extra object must
-   still be caught, by the recovery audit and by the tracker's crash
-   check.  The tracker judges overlays of the stable database it
-   watches, as a recovery makes them. *)
+   still be caught, on a real crash image and on hand-built ones over
+   the database a tracker watches.  A log-extended transaction's write
+   may survive only where its COMMIT persisted, in a torn prefix. *)
 let test_size_settled_skips_catch () =
-  let module Spec_tracker = El_check.Spec_tracker in
   let module Generator = El_workload.Generator in
   let module Stable_db = El_disk.Stable_db in
   let kind = List.assoc "el" (Sweep.standard_kinds ()) in
@@ -514,7 +532,7 @@ let test_size_settled_skips_catch () =
   let image = Tracked.crash run in
   let r = Recovery.recover image in
   Alcotest.(check bool) "pristine image audits ok" true
-    (Tracked.audit run image r).Recovery.ok;
+    (Tracked.passes run image r);
   let rec fresh i =
     let oid = Ids.Oid.of_int i in
     if Stable_db.version r.Recovery.recovered oid = None then oid
@@ -522,15 +540,16 @@ let test_size_settled_skips_catch () =
   in
   let extra = fresh 0 in
   Stable_db.apply r.Recovery.recovered extra ~version:1;
-  let a = Tracked.audit run image r in
+  let v = Tracked.judge run image r in
   let pairs = List.map (fun (o, v) -> (Ids.Oid.to_int o, v)) in
-  Alcotest.(check bool) "extra object fails the audit" false a.Recovery.ok;
+  Alcotest.(check bool) "extra object fails the audit" false
+    (Spec_tracker.ok v);
   Alcotest.(check (list (pair int int))) "nothing missing" []
-    (pairs a.Recovery.missing);
+    (pairs v.Spec_tracker.missing);
   Alcotest.(check (list (pair int int)))
     "the extra object is spurious"
     [ (Ids.Oid.to_int extra, 1) ]
-    (pairs a.Recovery.spurious);
+    (pairs v.Spec_tracker.spurious);
   let acks = ref [] in
   let stub =
     {
@@ -553,32 +572,46 @@ let test_size_settled_skips_catch () =
   Spec_tracker.watch_stable t stable;
   write 1 5 1;
   List.iter (fun on_ack -> on_ack Time.zero) !acks;
-  let db pairs =
-    let db = Stable_db.overlay stable in
+  let judged ?blocks pairs =
+    let image, r = crash_image ?blocks stable in
     List.iter
-      (fun (o, v) -> Stable_db.apply db (Ids.Oid.of_int o) ~version:v)
+      (fun (o, v) ->
+        Stable_db.apply r.Recovery.recovered (Ids.Oid.of_int o) ~version:v)
       pairs;
-    db
+    Spec_tracker.judge t image r
   in
-  Spec_tracker.check_crash t (db [ (5, 1) ]);
-  (match Spec_tracker.check_crash t (db [ (5, 1); (6, 1) ]) with
-  | () -> Alcotest.fail "an unacked extra object passed the crash check"
-  | exception Auditor.Audit_failure msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "%S mentions never acked" msg)
-      true
-      (Astring_like.contains msg "never acked nor log-extended"));
+  Alcotest.(check string) "the acked object alone" "recovery audit: OK"
+    (verdict_text (judged [ (5, 1) ]));
+  Alcotest.(check (list (pair int int)))
+    "an unacked extra object is spurious" [ (6, 1) ]
+    (pairs (judged [ (5, 1); (6, 1) ]).Spec_tracker.spurious);
   write 2 7 9;
-  Spec_tracker.check_crash t (db [ (5, 1); (7, 9) ]);
+  Alcotest.(check bool)
+    "a log-extended write whose COMMIT did not persist is spurious" false
+    (Spec_tracker.ok (judged [ (5, 1); (7, 9) ]));
+  let at = Time.zero and tid = Ids.Tid.of_int 2 in
+  let torn =
+    {
+      Recovery.records =
+        [
+          Log_record.data ~tid ~oid:(Ids.Oid.of_int 7) ~version:9 ~size:100
+            ~timestamp:at;
+          Log_record.commit ~tid ~size:16 ~timestamp:at;
+        ];
+      torn = 1;
+    }
+  in
+  Alcotest.(check string) "... and kept where it persisted in a torn prefix"
+    "recovery audit: OK"
+    (verdict_text (judged ~blocks:[ torn ] [ (5, 1) ]));
   Alcotest.(check (list string)) "a legal run" [] (Spec_tracker.violations t)
 
 (* The tracker learns of installs from the stable database itself, so
-   an install that bypasses the flush array fails the next crash
-   check's floor check — even for a settled object that neither the
-   unsettled set nor the redo names.  A tracker that learned of
-   installs only from flush completions would pass both. *)
+   an install that bypasses the flush array fails the next judgement's
+   floor check — even for a settled object that neither the unsettled
+   set nor the redo names.  A tracker that learned of installs only
+   from flush completions would pass both. *)
 let test_tracker_catches_direct_install () =
-  let module Spec_tracker = El_check.Spec_tracker in
   let module Generator = El_workload.Generator in
   let module Stable_db = El_disk.Stable_db in
   let stub =
@@ -600,26 +633,28 @@ let test_tracker_catches_direct_install () =
     sink.Generator.request_commit ~tid ~on_ack:ignore;
     Stable_db.apply stable oid ~version:1;
     Spec_tracker.observe_flush t oid ~version:1;
-    Spec_tracker.check_crash t (Stable_db.overlay stable);
+    let judged () =
+      let image, r = crash_image stable in
+      verdict_text (Spec_tracker.judge t image r)
+    in
+    Alcotest.(check string)
+      (what ^ ": before") "recovery audit: OK" (judged ());
     install stable;
-    match Spec_tracker.check_crash t (Stable_db.overlay stable) with
-    | () -> Alcotest.failf "%s: the crash check passed" what
-    | exception Auditor.Audit_failure msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %S names the floor" what msg)
-        true
-        (Astring_like.contains msg "superblock floor")
+    let text = judged () in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %S names the floor" what text)
+      true
+      (Astring_like.contains text "superblock floor")
   in
   caught "an acked object's higher version" (fun stable ->
       Stable_db.apply stable (Ids.Oid.of_int 5) ~version:2);
   caught "a never-acked object" (fun stable ->
       Stable_db.apply stable (Ids.Oid.of_int 6) ~version:1)
 
-(* The crash check judges the redo's objects as well as the unsettled
+(* The judge compares the redo's objects as well as the unsettled
    ones: a settled object the redo raised past its ack, to a version no
-   log-extended transaction wrote, must fail the check. *)
+   log-extended transaction wrote, must fail the judgement. *)
 let test_tracker_judges_redo () =
-  let module Spec_tracker = El_check.Spec_tracker in
   let module Generator = El_workload.Generator in
   let module Stable_db = El_disk.Stable_db in
   let t = Spec_tracker.create () in
@@ -640,16 +675,65 @@ let test_tracker_judges_redo () =
   sink.Generator.request_commit ~tid ~on_ack:ignore;
   Stable_db.apply stable oid ~version:1;
   Spec_tracker.observe_flush t oid ~version:1;
-  let redo = Stable_db.overlay stable in
-  Spec_tracker.check_crash t redo;
-  Stable_db.apply redo oid ~version:3;
-  match Spec_tracker.check_crash t redo with
-  | () -> Alcotest.fail "a settled object the redo raised passed"
-  | exception Auditor.Audit_failure msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "%S names the advance" msg)
-      true
-      (Astring_like.contains msg "recovery advanced o5 to v3")
+  let image, redo = crash_image stable in
+  Alcotest.(check string) "the settled state" "recovery audit: OK"
+    (verdict_text (Spec_tracker.judge t image redo));
+  Stable_db.apply redo.Recovery.recovered oid ~version:3;
+  let text = verdict_text (Spec_tracker.judge t image redo) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S names the advance" text)
+    true
+    (Astring_like.contains text "o5 committed v1, recovered v3")
+
+(* A floor lag at a crash point is the judge's to find, with none of
+   the spec's own checks run (a sweep with [~spec:false]): a flush
+   completion that installs one version below the one it completes
+   (the tracker observes the completed one) leaves the stable database
+   behind its superblock floor, and the next crash point fails. *)
+let test_floor_lag_caught_without_spec () =
+  let cfg =
+    Sweep.standard_config ~kind:(List.assoc "el" (Sweep.standard_kinds ()))
+      ~runtime:(Time.of_sec 4) ~seed:42 ()
+  in
+  let sg, trackers = Spec_tracker.prepare cfg in
+  Fun.protect
+    ~finally:(fun () -> El_shard.Shard_group.dispose sg)
+    (fun () ->
+      let inst = (El_shard.Shard_group.instances sg).(0) in
+      let engine = El_shard.Shard_group.engine sg in
+      let manager =
+        match inst.Experiment.i_manager with
+        | Experiment.El_log m -> m
+        | Experiment.Fw_log _ | Experiment.Hybrid_log _ -> assert false
+      in
+      let judge () =
+        let image = Recovery.crash engine manager in
+        Spec_tracker.judge trackers.(0) image (Recovery.recover image)
+      in
+      El_sim.Engine.run engine ~until:(Time.of_sec 2);
+      Alcotest.(check string) "clean at 2 s" "recovery audit: OK"
+        (verdict_text (judge ()));
+      (* The lag a mis-installing flush completion leaves behind: the
+         tracker observes [version], the database keeps [version - 1]. *)
+      let lagging =
+        List.find_map
+          (fun (oid, v) ->
+            let stable = inst.Experiment.i_stable in
+            if v > 1 && El_disk.Stable_db.version stable oid = None then
+              Some (oid, v)
+            else None)
+          (Spec_tracker.unsettled trackers.(0))
+      in
+      match lagging with
+      | None -> Alcotest.fail "no unsettled object above v1 at 2 s"
+      | Some (oid, v) ->
+        El_disk.Stable_db.apply inst.Experiment.i_stable oid ~version:(v - 1);
+        Spec_tracker.observe_flush trackers.(0) oid ~version:v;
+        let text = verdict_text (judge ()) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names the floor" text)
+          true
+          (Astring_like.contains text "but the superblock floor is"))
 
 (* The atomic-commit check judges only the open cross-shard
    transactions; a test-local re-check of every cross view at every
@@ -818,6 +902,8 @@ let suite =
       test_tracker_catches_direct_install;
     Alcotest.test_case "tracker's crash check judges what the redo raised"
       `Quick test_tracker_judges_redo;
+    Alcotest.test_case "a floor lag fails the next crash judgement" `Quick
+      test_floor_lag_caught_without_spec;
     Alcotest.test_case "atomic check by open transaction = full re-check"
       `Slow test_atomic_open_matches_full;
   ]

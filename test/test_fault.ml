@@ -377,12 +377,13 @@ let test_torn_battery () =
     (Sweep.standard_kinds ());
   Alcotest.(check bool) "torn tails actually exercised" true (!el_torn > 0)
 
-(* The spec-vs-torn battery: the same torn storm, but every run is
-   additionally replayed against the durable-log state machine.  Torn
-   prefixes are exactly where the spec's may_survive clause earns its
-   keep — a COMMIT record can persist inside a torn prefix without its
-   ack ever firing, and the recovered image must agree with the spec's
-   durable promises anyway. *)
+(* The spec-vs-torn battery: the same torn storm, with the spec's own
+   checks on too.  Torn prefixes are where the crash judge's per-
+   transaction reading of the spec earns its keep — a COMMIT record can
+   persist inside a torn prefix without its ack ever firing, and the
+   recovered image must still hold exactly what the spec promised,
+   raised by the writes of the log-extended transactions whose COMMIT
+   persisted. *)
 let test_spec_torn_battery () =
   let torn_spec = { FP.clean_spec with FP.torn_rate = 0.8 } in
   let spec_checks = ref 0 in

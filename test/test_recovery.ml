@@ -2,6 +2,7 @@ open El_model
 module Experiment = El_harness.Experiment
 module Policy = El_core.Policy
 module Recovery = El_recovery.Recovery
+module Spec_tracker = El_check.Spec_tracker
 module Mix = El_workload.Mix
 module Tx = El_workload.Tx_type
 
@@ -36,44 +37,48 @@ let el_config ?(sizes = [| 8; 8 |]) ?(recirculate = true) ?(runtime = 30)
     abort_fraction;
   }
 
-let crash_and_audit cfg ~crash_at =
-  let _result, recovery, audit = El_check.Sweep.run_with_crash cfg ~crash_at in
-  (recovery, audit)
+let crash_and_judge cfg ~crash_at =
+  let _result, recovery, verdict =
+    El_check.Sweep.run_with_crash cfg ~crash_at
+  in
+  (recovery, Spec_tracker.ok verdict)
 
 let test_audit_ok_midrun () =
-  let recovery, audit = crash_and_audit (el_config ()) ~crash_at:(Time.of_sec 20) in
-  Alcotest.(check bool) "atomic and durable" true audit.Recovery.ok;
+  let recovery, ok =
+    crash_and_judge (el_config ()) ~crash_at:(Time.of_sec 20)
+  in
+  Alcotest.(check bool) "atomic and durable" true ok;
   Alcotest.(check bool) "scanned something" true
     (recovery.Recovery.records_scanned > 0)
 
 let test_audit_ok_early () =
   (* Crash before the first group commit has even sealed: nothing is
      durable, recovery must produce exactly the (empty) reference. *)
-  let recovery, audit =
-    crash_and_audit (el_config ()) ~crash_at:(Time.of_ms 20)
+  let recovery, ok =
+    crash_and_judge (el_config ()) ~crash_at:(Time.of_ms 20)
   in
-  Alcotest.(check bool) "ok" true audit.Recovery.ok;
+  Alcotest.(check bool) "ok" true ok;
   Alcotest.(check int) "no committed txs" 0
     (List.length recovery.Recovery.committed_tids)
 
 let test_audit_ok_with_aborts () =
   let cfg = el_config ~abort_fraction:0.3 ~seed:7 () in
-  let _, audit = crash_and_audit cfg ~crash_at:(Time.of_sec 20) in
-  Alcotest.(check bool) "aborted txs never recovered" true audit.Recovery.ok
+  let _, ok = crash_and_judge cfg ~crash_at:(Time.of_sec 20) in
+  Alcotest.(check bool) "aborted txs never recovered" true ok
 
 let test_audit_ok_no_recirc () =
   (* Recirculation off with a tight log: long transactions get killed;
      killed transactions must not resurface in recovery. *)
   let cfg = el_config ~sizes:[| 4; 4 |] ~recirculate:false ~seed:3 () in
-  let _, audit = crash_and_audit cfg ~crash_at:(Time.of_sec 20) in
-  Alcotest.(check bool) "kills stay dead" true audit.Recovery.ok
+  let _, ok = crash_and_judge cfg ~crash_at:(Time.of_sec 20) in
+  Alcotest.(check bool) "kills stay dead" true ok
 
 let test_recovered_equals_reference_db () =
   let cfg = el_config () in
-  let _result, recovery, audit =
+  let _result, recovery, verdict =
     El_check.Sweep.run_with_crash cfg ~crash_at:(Time.of_sec 15)
   in
-  Alcotest.(check bool) "audit ok" true audit.Recovery.ok;
+  Alcotest.(check bool) "audit ok" true (Spec_tracker.ok verdict);
   (* cross-check through the db interface too *)
   List.iter
     (fun (_oid, v) -> Alcotest.(check bool) "versions positive" true (v > 0))
@@ -101,9 +106,8 @@ let test_stale_copies_do_not_regress () =
   (* Recirculation leaves old copies in freed slots; recovery must let
      the newest committed version win regardless of scan order. *)
   let cfg = el_config ~sizes:[| 4; 4 |] ~seed:11 () in
-  let _, audit = crash_and_audit cfg ~crash_at:(Time.of_sec 25) in
-  Alcotest.(check bool) "version ordering beats physical order" true
-    audit.Recovery.ok
+  let _, ok = crash_and_judge cfg ~crash_at:(Time.of_sec 25) in
+  Alcotest.(check bool) "version ordering beats physical order" true ok
 
 let prop_crash_anytime =
   QCheck.Test.make ~name:"recovery audit holds at random crash points"
@@ -111,8 +115,8 @@ let prop_crash_anytime =
     QCheck.(pair (int_range 1 28) (int_bound 1000))
     (fun (crash_s, seed) ->
       let cfg = el_config ~seed () in
-      let _, audit = crash_and_audit cfg ~crash_at:(Time.of_sec crash_s) in
-      audit.Recovery.ok)
+      let _, ok = crash_and_judge cfg ~crash_at:(Time.of_sec crash_s) in
+      ok)
 
 let prop_crash_tight_log =
   QCheck.Test.make
@@ -121,8 +125,8 @@ let prop_crash_tight_log =
     QCheck.(int_bound 1000)
     (fun seed ->
       let cfg = el_config ~sizes:[| 4; 4 |] ~seed ~rate:30.0 () in
-      let _, audit = crash_and_audit cfg ~crash_at:(Time.of_sec 22) in
-      audit.Recovery.ok)
+      let _, ok = crash_and_judge cfg ~crash_at:(Time.of_sec 22) in
+      ok)
 
 let test_audit_ok_poisson () =
   (* Bursty arrivals stress group commit and recirculation timing; the
@@ -133,8 +137,8 @@ let test_audit_ok_poisson () =
       Experiment.arrival_process = El_workload.Generator.Poisson;
     }
   in
-  let _, audit = crash_and_audit cfg ~crash_at:(Time.of_sec 18) in
-  Alcotest.(check bool) "audit ok under bursts" true audit.Recovery.ok
+  let _, ok = crash_and_judge cfg ~crash_at:(Time.of_sec 18) in
+  Alcotest.(check bool) "audit ok under bursts" true ok
 
 let test_audit_with_invariants () =
   (* Crash, audit, and additionally deep-check the live structures at
@@ -146,9 +150,8 @@ let test_audit_with_invariants () =
   El_core.El_manager.check_invariants run.Tracked.manager;
   let image = Tracked.crash run in
   let result = Recovery.recover image in
-  let audit = Tracked.audit run image result in
   Alcotest.(check bool) "audit ok at a tight 10-block log" true
-    audit.Recovery.ok
+    (Tracked.passes run image result)
 
 let test_fw_rejected () =
   let cfg =
@@ -156,9 +159,35 @@ let test_fw_rejected () =
       ~mix:(Mix.short_long ~long_fraction:0.05)
   in
   Alcotest.check_raises "FW has no recovery"
-    (Invalid_argument "Sweep.run_with_crash: FW has no recovery model")
+    (Invalid_argument "Sweep.run_with_crash: fw has no crash image (EL only)")
     (fun () ->
       ignore (El_check.Sweep.run_with_crash cfg ~crash_at:(Time.of_sec 1)))
+
+(* Each refusal names the kind it refuses: a single crash run, and the
+   crash capture of a shard group, of the FW and hybrid sweep kinds. *)
+let test_refusals_name_the_kind () =
+  List.iter
+    (fun name ->
+      let kind = List.assoc name (El_check.Sweep.standard_kinds ()) in
+      let cfg = El_check.Sweep.standard_config ~kind () in
+      Alcotest.check_raises (name ^ ": crash run")
+        (Invalid_argument
+           (Printf.sprintf
+              "Sweep.run_with_crash: %s has no crash image (EL only)" name))
+        (fun () ->
+          ignore (El_check.Sweep.run_with_crash cfg ~crash_at:(Time.of_sec 1)));
+      let sg = El_shard.Shard_group.prepare cfg in
+      Fun.protect
+        ~finally:(fun () -> El_shard.Shard_group.dispose sg)
+        (fun () ->
+          Alcotest.check_raises (name ^ ": crash images")
+            (Invalid_argument
+               (Printf.sprintf
+                  "Shard_group.crash_images: shard 0 is %s, which has no crash \
+                   image (EL only)"
+                  name))
+            (fun () -> ignore (El_shard.Shard_group.crash_images sg))))
+    [ "fw"; "hybrid" ]
 
 (* Recovery must be a pure function of the crash image: running it
    twice gives identical results, and the physical order of the
@@ -223,7 +252,7 @@ let test_corrupted_checksums_caught () =
   Tracked.run_until run (Time.of_sec 15);
   let image = Tracked.crash run in
   Alcotest.(check bool) "pristine image audits ok" true
-    (Tracked.audit run image (Recovery.recover image)).Recovery.ok;
+    (Tracked.passes run image (Recovery.recover image));
   Alcotest.(check bool) "unflushed committed state exists at 15 s" true
     (List.exists
        (fun (oid, v) ->
@@ -242,10 +271,10 @@ let test_corrupted_checksums_caught () =
   let r = Recovery.recover corrupted in
   Alcotest.(check int) "nothing survives the scan" 0 r.Recovery.records_scanned;
   Alcotest.(check bool) "torn blocks counted" true (r.Recovery.torn_blocks > 0);
-  let audit = Tracked.audit run corrupted r in
-  Alcotest.(check bool) "audit fails" false audit.Recovery.ok;
+  let verdict = Tracked.judge run corrupted r in
+  Alcotest.(check bool) "audit fails" false (Spec_tracker.ok verdict);
   Alcotest.(check bool) "committed versions reported missing" true
-    (audit.Recovery.missing <> [])
+    (verdict.Spec_tracker.missing <> [])
 
 let suite =
   [
@@ -268,6 +297,8 @@ let suite =
     Alcotest.test_case "audit + deep invariants on a tight log" `Quick
       test_audit_with_invariants;
     Alcotest.test_case "firewall configs are rejected" `Quick test_fw_rejected;
+    Alcotest.test_case "FW and hybrid refusals name the kind" `Quick
+      test_refusals_name_the_kind;
     QCheck_alcotest.to_alcotest prop_recover_idempotent_order_insensitive;
     Alcotest.test_case "corrupted checksums are caught" `Quick
       test_corrupted_checksums_caught;

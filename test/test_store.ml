@@ -758,7 +758,8 @@ let test_sim_mem_result_identity () =
 
 (* A mid-run crash with torn log writes: the simulated crash image and
    the frozen store image must recover the same committed state and
-   the same torn damage, for the standard EL log at three seeds and,
+   the same torn damage, each judged clean against the spec, for the
+   standard EL log at three seeds and,
    scaled to each preset, under every workload preset — and at each
    seed once more, crashed inside a torn in-service write, where the
    damage must be there to compare.  (redo_applied/skipped are
@@ -824,7 +825,7 @@ let test_crash_mark_fidelity () =
     in
     let tears at =
       match El_check.Sweep.run_with_crash_store cfg ~crash_at:at with
-      | _, _, _, Some st -> st.Recovery.torn_blocks > 0
+      | _, _, _, Some (st, _) -> st.Recovery.torn_blocks > 0
       | _, _, _, None -> false
     in
     match List.find_opt tears instants with
@@ -840,15 +841,20 @@ let test_crash_mark_fidelity () =
   in
   List.iter
     (fun (name, cfg, crash_at) ->
-      let _result, sim, audit, store =
+      let _result, sim, verdict, store =
         El_check.Sweep.run_with_crash_store cfg ~crash_at
       in
       Alcotest.(check bool)
-        (name ^ ": simulated recovery audits clean")
-        true audit.Recovery.ok;
+        (name ^ ": simulated recovery judged clean")
+        true
+        (El_check.Spec_tracker.ok verdict);
       match store with
       | None -> Alcotest.fail "store recovery missing"
-      | Some st ->
+      | Some (st, store_verdict) ->
+        Alcotest.(check string)
+          (name ^ ": store replay judged clean")
+          "recovery audit: OK"
+          (Format.asprintf "%a" El_check.Spec_tracker.pp_verdict store_verdict);
         let view (r : Recovery.result) =
           ( List.sort compare (El_disk.Stable_db.snapshot r.Recovery.recovered),
             List.sort compare r.Recovery.committed_tids,

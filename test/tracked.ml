@@ -1,7 +1,6 @@
 (* An EL run on the plant a sweep builds (El_check.Spec_tracker.prepare):
    its spec tracker is the one witness of what a crash must keep, so
-   every test that audits a crash image takes the acked versions from
-   here. *)
+   every test that judges a crash image judges it here. *)
 
 module Experiment = El_harness.Experiment
 module Shard_group = El_shard.Shard_group
@@ -26,9 +25,9 @@ let prepare cfg =
 let run_until t at = El_sim.Engine.run t.engine ~until:at
 let crash t = Recovery.crash t.engine t.manager
 
-(* Audits a recovery of an image taken at this instant. *)
-let audit t image result =
-  Recovery.audit image ~unsettled:(Spec_tracker.unsettled t.tracker) result
+(* Judges a recovery of an image taken at this instant. *)
+let judge t image result = Spec_tracker.judge t.tracker image result
+let passes t image result = Spec_tracker.ok (judge t image result)
 
 (* The whole acked state: the stable database overlaid with the acked
    versions it does not serve yet, those first. *)
