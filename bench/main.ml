@@ -434,7 +434,7 @@ let recovery_bench speed =
     }
   in
   let crash_at = Time.mul_int (Time.div_int runtime 4) 3 in
-  let (result, recovery, verdict), alloc =
+  let (result, recovery, verdict, _), alloc =
     with_alloc (fun () -> El_check.Sweep.run_with_crash cfg ~crash_at)
   in
   let t =
@@ -522,7 +522,7 @@ let store_bench speed =
       }
     in
     let result, sim, verdict, store =
-      El_check.Sweep.run_with_crash_store cfg ~crash_at
+      El_check.Sweep.run_with_crash cfg ~crash_at
     in
     let ok = El_check.Spec_tracker.ok in
     let agrees, judged_ok =

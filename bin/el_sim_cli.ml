@@ -340,6 +340,11 @@ let run_cmd =
     Term.(const action $ config_term $ scenario_term)
 
 let min_space_cmd =
+  (* A search that finds nothing is refused like a failed FW bracket:
+     exit 2 with one [el-sim:] line. *)
+  let no_feasible () =
+    failwith "min-space: no feasible configuration found"
+  in
   let action cfg scenario jobs =
     with_pool jobs @@ fun pool ->
     let cfg = apply_scenario cfg scenario in
@@ -374,7 +379,7 @@ let min_space_cmd =
             (String.concat "+"
                (Array.to_list (Array.map string_of_int sizes)));
           print_result result
-        | None -> prerr_endline "no feasible configuration found")
+        | None -> no_feasible ())
       | _ ->
         let leading = Array.sub sizes0 0 (Array.length sizes0 - 1) in
         (match
@@ -388,7 +393,7 @@ let min_space_cmd =
             (String.concat "+"
                (Array.to_list (Array.map string_of_int leading)));
           print_result result
-        | None -> prerr_endline "no feasible configuration found"))
+        | None -> no_feasible ()))
   in
   Cmd.v
     (Cmd.info "min-space"
@@ -397,7 +402,8 @@ let min_space_cmd =
           paper's methodology). With --fw searches the firewall baseline; \
           with two generations optimises both sizes; with more generations \
           fixes all but the last.  --jobs N probes several candidate sizes \
-          per round on N domains (same minimum, fewer rounds).")
+          per round on N domains (same minimum, fewer rounds).  Exits 2 \
+          when no size within the search bound is feasible.")
     Term.(const action $ config_term $ scenario_term $ jobs_term)
 
 let recover_cmd =
@@ -413,7 +419,7 @@ let recover_cmd =
       | None -> Time.mul_int (Time.div_int cfg.Experiment.runtime 4) 3
     in
     let result, recovery, verdict, store =
-      El_check.Sweep.run_with_crash_store cfg ~crash_at
+      El_check.Sweep.run_with_crash cfg ~crash_at
     in
     let module Spec_tracker = El_check.Spec_tracker in
     Format.printf "crash at %a into a %a run@." Time.pp crash_at Time.pp

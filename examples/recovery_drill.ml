@@ -31,7 +31,7 @@ let () =
     "committed" "redo applied" "stale" "audit";
   List.iter
     (fun seconds ->
-      let _result, recovery, verdict =
+      let _result, recovery, verdict, _ =
         El_check.Sweep.run_with_crash cfg ~crash_at:(Time.of_sec seconds)
       in
       Printf.printf "%9ds %10d %12d %12d %10d %8s\n" seconds
@@ -49,7 +49,7 @@ let () =
      few dozen 2 KB blocks, which is the paper's sub-second recovery\n\
      argument.";
   (* Show that the 32-block log really is the whole recovery input. *)
-  let _result, recovery, verdict =
+  let _result, recovery, verdict, _ =
     El_check.Sweep.run_with_crash cfg ~crash_at:(Time.of_sec 60)
   in
   assert (El_check.Spec_tracker.ok verdict);

@@ -483,7 +483,7 @@ let run ?(pool = El_par.Pool.serial) ?(stride = 100) ?(max_points = max_int)
 
 (* One crash point at a simulated instant, on the plant a sweep
    builds, judged there against the tracker's spec of that instant. *)
-let run_with_crash_store (cfg : Experiment.config) ~crash_at =
+let run_with_crash (cfg : Experiment.config) ~crash_at =
   let module Shard_group = El_shard.Shard_group in
   if cfg.Experiment.shards <> 1 then
     invalid_arg "Sweep.run_with_crash: one plant only (shards = 1)";
@@ -550,10 +550,6 @@ let run_with_crash_store (cfg : Experiment.config) ~crash_at =
              (if result.Experiment.overloaded then "overloaded and stopped"
               else "ended"))
       | Some (recovery, verdict, store) -> (result, recovery, verdict, store))
-
-let run_with_crash cfg ~crash_at =
-  let result, recovery, verdict, _ = run_with_crash_store cfg ~crash_at in
-  (result, recovery, verdict)
 
 let standard_mix () =
   Mix.create

@@ -117,35 +117,30 @@ val run_with_crash :
   El_harness.Experiment.result
   * El_recovery.Recovery.result
   * Spec_tracker.verdict
+  * (El_recovery.Recovery.result * Spec_tracker.verdict) option
 (** One crash point at a simulated instant: runs an EL simulation on
     the plant a sweep builds ({!Spec_tracker.prepare}), captures a
     crash image at [crash_at], recovers from it and judges the
     recovery there ({!Spec_tracker.judge}, against the spec of that
     instant); then lets the simulation finish for the run statistics.
     The recovered database returned is a copy, readable after the run.
-    Raises [Invalid_argument] naming the kind for a FW or hybrid config
-    (no crash image: the paper's FW baseline has no recovery model),
-    for [shards > 1], for a config with an observer, or if [crash_at]
-    exceeds the runtime; raises [Failure] when the run overloads and
-    stops before [crash_at] is reached (an adversarial scenario on an
-    undersized log), since no crash image exists. *)
 
-val run_with_crash_store :
-  El_harness.Experiment.config ->
-  crash_at:Time.t ->
-  El_harness.Experiment.result
-  * El_recovery.Recovery.result
-  * Spec_tracker.verdict
-  * (El_recovery.Recovery.result * Spec_tracker.verdict) option
-(** Like {!run_with_crash}, but when the config has a store backend it
-    also freezes the durable image at the crash instant
+    When the config has a store backend it also freezes the durable
+    image at the crash instant
     ({!El_core.El_manager.persist_crash_mark}) and replays its bytes
     there: a bounded {!El_store.Log_store.scan}, lifted by
     {!El_recovery.Recovery.image_of_scan}, recovered and judged against
     the same spec — the fourth element, [None] under [Sim].  The store
     replay and the simulated recovery describe the same crash, so their
     recovered states must agree (pinned by the backend-equivalence
-    tests). *)
+    tests).
+
+    Raises [Invalid_argument] naming the kind for a FW or hybrid config
+    (no crash image: the paper's FW baseline has no recovery model),
+    for [shards > 1], for a config with an observer, or if [crash_at]
+    exceeds the runtime; raises [Failure] when the run overloads and
+    stops before [crash_at] is reached (an adversarial scenario on an
+    undersized log), since no crash image exists. *)
 
 (** The composite atomic-commit check of a sharded sweep, judged by
     open transaction.  At each crash point no cross-shard transaction
@@ -184,13 +179,6 @@ end
 
 val kind_name : El_harness.Experiment.manager_kind -> string
 
-val scale_kind :
-  float -> El_harness.Experiment.manager_kind -> El_harness.Experiment.manager_kind
-(** [scale_kind f kind] multiplies the manager's log budget (generation
-    sizes, FW blocks) by [f], rounding up; [f <= 1.0] returns the kind
-    unchanged.  Used to size the standard geometries for a preset's
-    {!El_workload.Workload_preset.space_factor}. *)
-
 val standard_config :
   kind:El_harness.Experiment.manager_kind ->
   ?runtime:Time.t ->
@@ -210,7 +198,8 @@ val standard_config :
     (mix, arrivals, draw, lifetime, retry budget) via
     {!El_harness.Experiment.apply_preset} — note it overrides
     [arrival_process] too — and scales [kind] by the preset's
-    [space_factor] (see {!scale_kind}). *)
+    [space_factor], multiplying its log budget (generation sizes, FW
+    blocks) and rounding up. *)
 
 val standard_kinds : unit -> (string * El_harness.Experiment.manager_kind) list
 (** The three managers swept by default: an EL chain, the FW baseline

@@ -59,7 +59,6 @@ type t = {
   ledger : Ledger.t;
   flush : Flush_array.t;
   stable : Stable_db.t;
-  tx_record_size : int;
   gens : gen array;
   placements : int Ids.Tid.Table.t;  (* lifetime-hint target generation *)
   store : El_store.Log_store.t option;
@@ -81,7 +80,7 @@ let emit o kind = El_obs.Obs.emit o El_obs.Event.Manager kind
 
 let free_slots g = g.g_size - g.g_occupied
 
-let make_gen engine policy ~write_time ?obs ?fault ?store i =
+let make_gen engine policy ?obs ?fault ?store i =
   let size = policy.Policy.generation_sizes.(i) in
   {
     g_index = i;
@@ -95,8 +94,8 @@ let make_gen engine policy ~write_time ?obs ?fault ?store i =
     g_occupied = 0;
     g_cells = Cell.Cell_list.create ();
     g_channel =
-      Log_channel.create engine ~write_time
-        ~buffer_pool:policy.Policy.buffers_per_generation ?obs ~label:i
+      Log_channel.create engine ~write_time:Params.tau_disk_write
+        ~buffer_pool:Params.buffers_per_generation ?obs ~label:i
         ?fault:
           (Option.map (fun inj -> El_fault.Injector.log_gen inj i) fault)
         ?store ();
@@ -111,12 +110,11 @@ let make_gen engine policy ~write_time ?obs ?fault ?store i =
     g_parked = Queue.create ();
   }
 
-let create engine ~policy ~flush ~stable ?(write_time = Params.tau_disk_write)
-    ?(tx_record_size = Params.tx_record_size) ?pooled ?obs ?fault ?store () =
+let create engine ~policy ~flush ~stable ?pooled ?obs ?fault ?store () =
   Policy.validate policy;
   let gens =
     Array.init (Policy.num_generations policy)
-      (make_gen engine policy ~write_time ?obs ?fault ?store)
+      (make_gen engine policy ?obs ?fault ?store)
   in
   let remove_cell (c : Cell.t) =
     (* A cell whose record is not yet in any buffer belongs to no
@@ -131,7 +129,6 @@ let create engine ~policy ~flush ~stable ?(write_time = Params.tau_disk_write)
       ledger = Ledger.create ~remove_cell ?pooled ();
       flush;
       stable;
-      tx_record_size;
       gens;
       placements = Ids.Tid.Table.create 256;
       store;
@@ -622,7 +619,7 @@ and advance_head t g =
    writes may take slots back, so progress is forced by evicting or
    killing once a full sweep has not created room. *)
 and ensure_space t g ~extra =
-  let target = t.policy.Policy.head_tail_gap + extra in
+  let target = Params.head_tail_gap + extra in
   if target > g.g_size then
     overload "generation %d: %d blocks cannot provide %d free" g.g_index
       g.g_size target;
@@ -773,7 +770,7 @@ let begin_tx t ~tid ~expected_duration =
   let timestamp = El_sim.Engine.now t.engine in
   let cell =
     Ledger.begin_tx t.ledger ~tid ~expected_duration ~timestamp
-      ~size:t.tx_record_size
+      ~size:Params.tx_record_size
   in
   let gen_index = placement_gen t ~expected_duration in
   if gen_index > 0 then Ids.Tid.Table.replace t.placements tid gen_index;
@@ -787,7 +784,8 @@ let write_data t ~tid ~oid ~version ~size =
 let request_commit t ~tid ~on_ack =
   let timestamp = El_sim.Engine.now t.engine in
   let cell =
-    Ledger.request_commit t.ledger ~tid ~timestamp ~size:t.tx_record_size
+    Ledger.request_commit t.ledger ~tid ~timestamp
+      ~size:Params.tx_record_size
   in
   let hook ack_time =
     let to_flush = Ledger.commit_durable t.ledger ~tid in
@@ -813,7 +811,8 @@ let request_abort t ~tid =
   let timestamp = El_sim.Engine.now t.engine in
   let gen_index = gen_of_tid t tid in
   let tracked =
-    Ledger.request_abort t.ledger ~tid ~timestamp ~size:t.tx_record_size
+    Ledger.request_abort t.ledger ~tid ~timestamp
+      ~size:Params.tx_record_size
   in
   Ids.Tid.Table.remove t.placements tid;
   (match t.obs with

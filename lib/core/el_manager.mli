@@ -34,8 +34,6 @@ val create :
   policy:Policy.t ->
   flush:El_disk.Flush_array.t ->
   stable:El_disk.Stable_db.t ->
-  ?write_time:Time.t ->
-  ?tx_record_size:int ->
   ?pooled:bool ->
   ?obs:El_obs.Obs.t ->
   ?fault:El_fault.Injector.t ->
@@ -43,20 +41,22 @@ val create :
   unit ->
   t
 (** Builds the generations and takes ownership of the flush array's
-    completion callback.  [write_time] defaults to the paper's 15 ms
-    τ_Disk_Write; [tx_record_size] to 8 bytes.  [pooled] (default
-    [true]) recycles the ledger's retired LOT/LTT entries through free
-    lists — behaviour-identical, allocation-free in steady state.  With [obs], every
-    append, seal, head advance, forward, recirculation, stage write,
-    kill, eviction, commit ack and abort is traced, commit latencies
-    feed the ["commit.latency_us"] histogram, and the per-generation
-    log channels trace their block writes.  With [fault], generation
-    [i]'s channel resolves every block write against the plan's
-    [Log_gen i] schedule (see {!El_disk.Log_channel.create}).  With
-    [store], every completed block write is appended to the durable
-    log before its completion hooks (so group-commit acks imply
-    on-backend durability); pass the same store to the flush array so
-    stable installs are persisted too. *)
+    completion callback.  Block writes take the paper's 15 ms
+    τ_Disk_Write, each generation has 4 buffers, k = 2 blocks stay
+    free and tx records are 8 bytes ({!El_model.Params}).  [pooled]
+    (default [true]) recycles the ledger's retired LOT/LTT entries
+    through free lists — behaviour-identical, allocation-free in steady
+    state.  With [obs], every append, seal, head advance, forward,
+    recirculation, stage write, kill, eviction, commit ack and abort is
+    traced, commit latencies feed the ["commit.latency_us"] histogram,
+    and the per-generation log channels trace their block writes.
+    With [fault], generation [i]'s channel resolves every block write
+    against the plan's [Log_gen i] schedule (see
+    {!El_disk.Log_channel.create}).  With [store], every completed
+    block write is appended to the durable log before its completion
+    hooks (so group-commit acks imply on-backend durability); pass the
+    same store to the flush array so stable installs are persisted
+    too. *)
 
 val set_on_kill : t -> (Ids.Tid.t -> unit) -> unit
 

@@ -26,7 +26,6 @@ type t = {
   engine : El_sim.Engine.t;
   size : int;
   block_payload : int;
-  tx_record_size : int;
   live : int array;  (* per-slot count of records from active transactions *)
   mutable head : int;
   mutable tail : int;
@@ -92,9 +91,7 @@ let take_checkpoint t =
     reclaim t
 
 let create engine ~size_blocks ?(block_payload = Params.block_payload)
-    ?(write_time = Params.tau_disk_write)
-    ?(tx_record_size = Params.tx_record_size) ?checkpointing ?obs ?fault ?store
-    () =
+    ?checkpointing ?obs ?fault ?store () =
   if size_blocks < gap + 2 then
     invalid_arg "Fw_manager.create: log needs at least gap+2 blocks";
   (match checkpointing with
@@ -106,13 +103,12 @@ let create engine ~size_blocks ?(block_payload = Params.block_payload)
     engine;
     size = size_blocks;
     block_payload;
-    tx_record_size;
     live = Array.make size_blocks 0;
     head = 0;
     tail = 0;
     occupied = 0;
     channel =
-      Log_channel.create engine ~write_time
+      Log_channel.create engine ~write_time:Params.tau_disk_write
         ~buffer_pool:Params.buffers_per_generation ?obs ~label:0
         ?fault:(Option.map (fun inj -> El_fault.Injector.log_gen inj 0) fault)
         ?store ();
@@ -313,7 +309,7 @@ let begin_tx t ~tid ~expected_duration:_ =
   El_metrics.Gauge.add t.memory bytes_per_tx;
   append t
     ~rec_:
-      (Log_record.begin_ ~tid ~size:t.tx_record_size
+      (Log_record.begin_ ~tid ~size:Params.tx_record_size
          ~timestamp:(El_sim.Engine.now t.engine))
     ~tracked_live:true ~hook:None
 
@@ -342,7 +338,8 @@ let request_commit t ~tid ~on_ack =
     let requested = El_sim.Engine.now t.engine in
     append t
       ~rec_:
-        (Log_record.commit ~tid ~size:t.tx_record_size ~timestamp:requested)
+        (Log_record.commit ~tid ~size:Params.tx_record_size
+           ~timestamp:requested)
       ~tracked_live:false
       ~hook:
         (Some
@@ -371,7 +368,7 @@ let request_abort t ~tid =
     | None -> ());
     append t
       ~rec_:
-        (Log_record.abort ~tid ~size:t.tx_record_size
+        (Log_record.abort ~tid ~size:Params.tx_record_size
            ~timestamp:(El_sim.Engine.now t.engine))
       ~tracked_live:false ~hook:None
 

@@ -33,17 +33,17 @@ val create :
   El_sim.Engine.t ->
   size_blocks:int ->
   ?block_payload:int ->
-  ?write_time:Time.t ->
-  ?tx_record_size:int ->
   ?checkpointing:checkpointing ->
   ?obs:El_obs.Obs.t ->
   ?fault:El_fault.Injector.t ->
   ?store:El_store.Log_store.t ->
   unit ->
   t
-(** The log keeps the paper's k-block head-tail gap and buffer pool
-    ({!El_model.Params}).  Raises [Invalid_argument] if [size_blocks]
-    is below that gap plus 2.
+(** The log keeps the paper's fixed parameters ({!El_model.Params}):
+    the k-block head-tail gap, 4 buffers, 15 ms block writes and 8-byte
+    tx records.  [block_payload] defaults to the paper's 2000 bytes.
+    Raises [Invalid_argument] if [size_blocks] is below the gap plus
+    2.
     Without [checkpointing] this is the paper's idealised FW: records
     stop mattering the moment their transaction terminates.  With
     [store], every sealed block is appended to the durable log before

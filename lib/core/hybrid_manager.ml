@@ -70,8 +70,6 @@ type t = {
   engine : El_sim.Engine.t;
   flush : Flush_array.t;
   stable : Stable_db.t;
-  block_payload : int;
-  tx_record_size : int;
   arena : Arena.t;
   queues : queue array;
   txs : tx Ids.Tid.Table.t;
@@ -154,14 +152,10 @@ let retire t tx =
      path first, so no late hook can alias the recycled buffer. *)
   Arena.release tx.seg
 
-let create engine ~queue_sizes ~flush ~stable
-    ?(block_payload = Params.block_payload)
-    ?(write_time = Params.tau_disk_write)
-    ?(tx_record_size = Params.tx_record_size) ?(pooled = true) ?obs ?fault
+let create engine ~queue_sizes ~flush ~stable ?(pooled = true) ?obs ?fault
     ?store () =
   if Array.length queue_sizes = 0 then
     invalid_arg "Hybrid_manager.create: no queues";
-  if tx_record_size <= 0 then invalid_arg "Log_record: non-positive size";
   Array.iter
     (fun s ->
       if s < gap + 2 then
@@ -179,7 +173,7 @@ let create engine ~queue_sizes ~flush ~stable
       q_tail = 0;
       q_occupied = 0;
       q_channel =
-        Log_channel.create engine ~write_time
+        Log_channel.create engine ~write_time:Params.tau_disk_write
           ~buffer_pool:Params.buffers_per_generation ?obs ~label:i
           ?fault:
             (Option.map (fun inj -> El_fault.Injector.log_gen inj i) fault)
@@ -193,8 +187,6 @@ let create engine ~queue_sizes ~flush ~stable
       engine;
       flush;
       stable;
-      block_payload;
-      tx_record_size;
       arena = Arena.create ~pooled ();
       queues = Array.init n make_queue;
       txs = Ids.Tid.Table.create 1024;
@@ -350,10 +342,10 @@ let rec assign_slot _t q =
    progress), so a full ring raises {!Regeneration_full} and the
    caller kills or retires the transaction instead. *)
 and append ?(self_regen = false) t q ~size ~src ~anchor_tx ~hook =
-  if size > t.block_payload then
+  if size > Params.block_payload then
     raise (El_manager.Log_overloaded "record exceeds block payload");
   (match q.q_current with
-  | Some buf when size > t.block_payload - buf.b_used -> seal_current t q
+  | Some buf when size > Params.block_payload - buf.b_used -> seal_current t q
   | Some _ | None -> ());
   (match q.q_current with
   | Some _ -> ()
@@ -611,7 +603,7 @@ let begin_tx t ~tid ~expected_duration:_ =
   let rtid = Ids.Tid.to_int tid in
   let seg = Arena.alloc t.arena in
   Arena.push seg ~tag:Arena.tag_begin ~tid:rtid ~oid:(-1) ~version:0
-    ~size:t.tx_record_size ~ts;
+    ~size:Params.tx_record_size ~ts;
   let tx =
     {
       tid;
@@ -626,7 +618,7 @@ let begin_tx t ~tid ~expected_duration:_ =
   in
   Ids.Tid.Table.replace t.txs tid tx;
   El_metrics.Gauge.add t.memory bytes_per_tx;
-  append t t.queues.(0) ~size:t.tx_record_size ~src:(From_seg (seg, 0))
+  append t t.queues.(0) ~size:Params.tx_record_size ~src:(From_seg (seg, 0))
     ~anchor_tx:(Some tx) ~hook:None
 
 let write_data t ~tid ~oid ~version ~size =
@@ -650,7 +642,7 @@ let write_data t ~tid ~oid ~version ~size =
      the full append (seal, space hunt, anchoring, events). *)
   match q.q_current with
   | Some buf
-    when size <= t.block_payload - buf.b_used
+    when size <= Params.block_payload - buf.b_used
          && (match tx.anchor with Some _ -> true | None -> false)
          && match t.obs with None -> true | Some _ -> false ->
     span_add buf seg idx;
@@ -668,7 +660,7 @@ let request_commit t ~tid ~on_ack =
   let ts = Time.to_us requested in
   let rtid = Ids.Tid.to_int tid in
   Arena.push tx.seg ~tag:Arena.tag_commit ~tid:rtid ~oid:(-1) ~version:0
-    ~size:t.tx_record_size ~ts;
+    ~size:Params.tx_record_size ~ts;
   let commit_idx = Arena.length tx.seg - 1 in
   let hook at =
     if Ids.Tid.Table.mem t.txs tid then begin
@@ -726,7 +718,7 @@ let request_commit t ~tid ~on_ack =
       on_ack at
     end
   in
-  append t t.queues.(0) ~size:t.tx_record_size
+  append t t.queues.(0) ~size:Params.tx_record_size
     ~src:(From_seg (tx.seg, commit_idx)) ~anchor_tx:(Some tx)
     ~hook:(Some hook)
 
@@ -740,7 +732,7 @@ let request_abort t ~tid =
   (match t.obs with
   | Some obs -> emit obs (El_obs.Event.Abort { tid = Ids.Tid.to_int tid })
   | None -> ());
-  append t t.queues.(0) ~size:t.tx_record_size
+  append t t.queues.(0) ~size:Params.tx_record_size
     ~src:
       (Raw_abort
          {

@@ -30,16 +30,19 @@ val create :
   queue_sizes:int array ->
   flush:El_disk.Flush_array.t ->
   stable:El_disk.Stable_db.t ->
-  ?block_payload:int ->
-  ?write_time:Time.t ->
-  ?tx_record_size:int ->
   ?pooled:bool ->
   ?obs:El_obs.Obs.t ->
   ?fault:El_fault.Injector.t ->
   ?store:El_store.Log_store.t ->
   unit ->
   t
-(** With [store], every sealed block of every queue is appended to the
+(** Every queue keeps the paper's fixed parameters
+    ({!El_model.Params}): the k-block head-tail gap, 4 buffers, 15 ms
+    block writes, 2000-byte payloads and 8-byte tx records.  Raises
+    [Invalid_argument] if [queue_sizes] is empty or a queue is below
+    the gap plus 2.
+
+    With [store], every sealed block of every queue is appended to the
     durable log before its completion hooks fire — regenerated records
     are rewritten with their original record values, so a store scan
     sees exactly what a post-crash read of the queues would.

@@ -9,8 +9,6 @@ type t = {
   unflushed : unflushed_policy;
   placement : placement;
   block_payload : int;
-  head_tail_gap : int;
-  buffers_per_generation : int;
   forward_backfill : bool;
   group_commit_timeout : Time.t option;
   unsafe_eager_dispose : bool;
@@ -21,15 +19,13 @@ let validate t =
     invalid_arg "Policy: no generations";
   Array.iteri
     (fun i size ->
-      if size < t.head_tail_gap + 1 then
+      if size < Params.head_tail_gap + 1 then
         invalid_arg
           (Printf.sprintf
              "Policy: generation %d has %d blocks; needs at least gap+1 = %d"
-             i size (t.head_tail_gap + 1)))
+             i size (Params.head_tail_gap + 1)))
     t.generation_sizes;
-  if t.block_payload <= 0 then invalid_arg "Policy: non-positive payload";
-  if t.head_tail_gap < 1 then invalid_arg "Policy: gap must be >= 1";
-  if t.buffers_per_generation <= 0 then invalid_arg "Policy: no buffers"
+  if t.block_payload <= 0 then invalid_arg "Policy: non-positive payload"
 
 let default ~generation_sizes =
   let t =
@@ -39,8 +35,6 @@ let default ~generation_sizes =
       unflushed = Keep_in_log;
       placement = Youngest;
       block_payload = Params.block_payload;
-      head_tail_gap = Params.head_tail_gap;
-      buffers_per_generation = Params.buffers_per_generation;
       forward_backfill = true;
       group_commit_timeout = None;
       unsafe_eager_dispose = false;

@@ -25,9 +25,7 @@ type t = {
   recirculate : bool;  (** recirculation in the last generation *)
   unflushed : unflushed_policy;
   placement : placement;
-  block_payload : int;
-  head_tail_gap : int;  (** the paper's k (2): blocks kept free *)
-  buffers_per_generation : int;
+  block_payload : int;  (** usable bytes per block (paper: 2000) *)
   forward_backfill : bool;
       (** fill forwarding buffers from subsequent head blocks (§2.2's
           "work backward from the head"); disabling it writes one
@@ -50,9 +48,11 @@ type t = {
 
 val default : generation_sizes:int array -> t
 (** Paper parameters: recirculation on, [Keep_in_log], [Youngest]
-    placement, 2000-byte payloads, k = 2, 4 buffers.  Raises
-    [Invalid_argument] if [generation_sizes] is empty or any size is
-    smaller than [head_tail_gap + 1] (a generation needs at least one
+    placement, 2000-byte payloads.  The head-tail gap k = 2 and the 4
+    buffers per generation are not settings: like every manager, EL
+    reads them from {!El_model.Params}.  Raises [Invalid_argument] if
+    [generation_sizes] is empty or any size is smaller than
+    [Params.head_tail_gap + 1] (a generation needs at least one
     writable block beyond the gap). *)
 
 val validate : t -> unit

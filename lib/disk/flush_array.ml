@@ -16,11 +16,11 @@ module Int_map = Map.Make (Int)
 (* One priority class (forced or unforced) of a drive's pending set.
    The elevator index is a hierarchical bitset over the drive's oid
    range — insert and delete are allocation-free word stores, which is
-   what keeps index maintenance cheaper than the linear scan even when
-   the backlog is deep and picks are rare (the scarce-flush regime
-   that used to invert the Indexed/Reference ranking).  The by-seq
-   balanced map is maintained only under [Fifo] scheduling, the one
-   discipline that picks by arrival order. *)
+   what keeps index maintenance cheaper than a linear scan of the
+   backlog even when the backlog is deep and picks are rare (the
+   scarce-flush regime).  The by-seq balanced map is maintained only
+   under [Fifo] scheduling, the one discipline that picks by arrival
+   order. *)
 type index = {
   bits : Oid_bitset.t;  (* pending oids, drive-relative *)
   mutable by_seq : request Int_map.t;  (* [Fifo] scheduling only *)
@@ -32,14 +32,12 @@ type drive = {
   mutable position : int;  (* oid last written; starts at lo *)
   mutable has_history : bool;  (* false until the first flush *)
   pending_tbl : (int, request) Hashtbl.t;  (* every pending request, by oid *)
-  normal : index;  (* unforced requests (Indexed implementation only) *)
-  urgent : index;  (* forced requests (Indexed implementation only) *)
+  normal : index;  (* unforced requests *)
+  urgent : index;  (* forced requests *)
   mutable busy : bool;
 }
 
 type scheduling = Nearest | Fifo
-
-type implementation = Indexed | Reference
 
 type t = {
   engine : El_sim.Engine.t;
@@ -47,7 +45,6 @@ type t = {
   num_objects : int;
   drives : drive array;
   scheduling : scheduling;
-  implementation : implementation;
   mutable on_flush : (Ids.Oid.t -> version:int -> unit) option;
   mutable observers : (Ids.Oid.t -> version:int -> unit) list;
   mutable next_seq : int;
@@ -66,7 +63,7 @@ type t = {
 let empty_index span = { bits = Oid_bitset.create span; by_seq = Int_map.empty }
 
 let create engine ~drives ~transfer_time ~num_objects
-    ?(scheduling = Nearest) ?(implementation = Indexed) ?obs ?fault ?store () =
+    ?(scheduling = Nearest) ?obs ?fault ?store () =
   if drives <= 0 then invalid_arg "Flush_array.create: no drives";
   if num_objects <= 0 || num_objects mod drives <> 0 then
     invalid_arg "Flush_array.create: num_objects must be a positive multiple of drives";
@@ -91,7 +88,6 @@ let create engine ~drives ~transfer_time ~num_objects
     num_objects;
     drives = Array.init drives make_drive;
     scheduling;
-    implementation;
     on_flush = None;
     observers = [];
     next_seq = 0;
@@ -138,7 +134,7 @@ let drive_of t oid =
     invalid_arg "Flush_array: oid out of range";
   t.drives.(o / t.drives.(0).span)
 
-(* ---- index maintenance (Indexed implementation) ---- *)
+(* ---- index maintenance ---- *)
 
 let class_of d r = if r.forced then d.urgent else d.normal
 
@@ -156,48 +152,21 @@ let index_remove t d idx r =
 
 (* ---- picking the next request ----
 
-   Both implementations follow the same normalized order:
+   The pick order:
    1. forced requests before unforced ones;
    2. within a class, the scheduling discipline's key — wrapped oid
       distance from the drive position under [Nearest], arrival [seq]
       under [Fifo];
    3. equal keys (two oids exactly equidistant on opposite sides of
       the position) resolve to the *earlier arrival* (smaller [seq]).
-   The explicit seq tie-break replaces the hash-table iteration order
-   the linear scan historically relied on, so both implementations are
-   deterministic and agree request-for-request. *)
-
-(* The retained linear scan: O(B) per pick over the whole backlog.
-   Kept as the differential-testing baseline and as the benchmark
-   reference the elevator index is measured against. *)
-let pick_next_reference t d =
-  let dist oid =
-    Ids.Oid.distance ~wrap:d.span (Ids.Oid.of_int oid)
-      (Ids.Oid.of_int d.position)
-  in
-  let best = ref None in
-  let consider r =
-    match !best with
-    | None -> best := Some r
-    | Some b ->
-      let better =
-        if r.forced <> b.forced then r.forced
-        else
-          match t.scheduling with
-          | Fifo -> r.seq < b.seq
-          | Nearest ->
-            let dr = dist r.oid and db = dist b.oid in
-            dr < db || (dr = db && r.seq < b.seq)
-      in
-      if better then best := Some r
-  in
-  Hashtbl.iter (fun _ r -> consider r) d.pending_tbl;
-  !best
+   The explicit seq tie-break keeps the order independent of any
+   hash-table iteration order.  test_hotpath holds it against a linear
+   scan of the whole backlog. *)
 
 (* The elevator pick: the nearest pending oid on a circle is either
    the circular successor or the circular predecessor of the drive
    position, each one bitset walk (a word per summary level). *)
-let pick_nearest_indexed d idx =
+let pick_nearest d idx =
   let pos = d.position - d.lo in
   let succ =
     match Oid_bitset.next_geq idx.bits pos with
@@ -229,7 +198,10 @@ let pick_nearest_indexed d idx =
         let rs = req s and rp = req p in
         if rs.seq < rp.seq then Some rs else Some rp
 
-let pick_next_indexed t d =
+let pick_next t d =
+  (match t.obs with
+  | None -> ()
+  | Some o -> El_metrics.Counter.incr (El_obs.Obs.counter o "flush.picks"));
   let idx =
     if not (Oid_bitset.is_empty d.urgent.bits) then d.urgent else d.normal
   in
@@ -238,15 +210,7 @@ let pick_next_indexed t d =
     match Int_map.min_binding_opt idx.by_seq with
     | Some (_, r) -> Some r
     | None -> None)
-  | Nearest -> pick_nearest_indexed d idx
-
-let pick_next t d =
-  (match t.obs with
-  | None -> ()
-  | Some o -> El_metrics.Counter.incr (El_obs.Obs.counter o "flush.picks"));
-  match t.implementation with
-  | Reference -> pick_next_reference t d
-  | Indexed -> pick_next_indexed t d
+  | Nearest -> pick_nearest d idx
 
 let count t name n =
   match t.obs with
@@ -300,9 +264,7 @@ let rec dispatch t d =
        the record now rather than holding it across the transfer. *)
     let oid = r.oid and version = r.version and forced = r.forced in
     Hashtbl.remove d.pending_tbl oid;
-    (match t.implementation with
-    | Indexed -> index_remove t d (class_of d r) r
-    | Reference -> ());
+    index_remove t d (class_of d r) r;
     t.spare <- r :: t.spare;
     (match t.obs with
     | Some obs ->
@@ -363,12 +325,9 @@ let enqueue t oid ~version ~forced =
        A forced supersede promotes the request into the urgent class. *)
     r.version <- version;
     if forced && not r.forced then begin
-      (match t.implementation with
-      | Indexed ->
-        index_remove t d d.normal r;
-        r.forced <- true;
-        index_add t d d.urgent r
-      | Reference -> r.forced <- true)
+      index_remove t d d.normal r;
+      r.forced <- true;
+      index_add t d d.urgent r
     end;
     t.superseded <- t.superseded + 1
   | None ->
@@ -386,9 +345,7 @@ let enqueue t oid ~version ~forced =
       | [] -> { oid = o; version; forced; seq }
     in
     Hashtbl.replace d.pending_tbl o r;
-    (match t.implementation with
-    | Indexed -> index_add t d (class_of d r) r
-    | Reference -> ());
+    index_add t d (class_of d r) r;
     t.pending_count <- t.pending_count + 1;
     if t.pending_count > t.peak_backlog then t.peak_backlog <- t.pending_count);
   if not d.busy then dispatch t d
@@ -410,31 +367,29 @@ let max_rate_per_sec t =
 let check_invariants t =
   Array.iter
     (fun d ->
-      match t.implementation with
-      | Reference -> ()
-      | Indexed ->
-        let n = ref 0 in
-        let audit idx ~forced =
-          Oid_bitset.iter idx.bits (fun o ->
-              incr n;
-              let oid = o + d.lo in
-              match Hashtbl.find_opt d.pending_tbl oid with
-              | Some r ->
-                assert (r.oid = oid);
-                assert (r.forced = forced);
-                (match t.scheduling with
-                | Fifo ->
-                  assert (
-                    match Int_map.find_opt r.seq idx.by_seq with
-                    | Some r' -> r' == r
-                    | None -> false)
-                | Nearest -> ())
-              | None -> assert false);
-          match t.scheduling with
-          | Fifo -> assert (Oid_bitset.cardinal idx.bits = Int_map.cardinal idx.by_seq)
-          | Nearest -> assert (Int_map.is_empty idx.by_seq)
-        in
-        audit d.normal ~forced:false;
-        audit d.urgent ~forced:true;
-        assert (!n = Hashtbl.length d.pending_tbl))
+      let n = ref 0 in
+      let audit idx ~forced =
+        Oid_bitset.iter idx.bits (fun o ->
+            incr n;
+            let oid = o + d.lo in
+            match Hashtbl.find_opt d.pending_tbl oid with
+            | Some r ->
+              assert (r.oid = oid);
+              assert (r.forced = forced);
+              (match t.scheduling with
+              | Fifo ->
+                assert (
+                  match Int_map.find_opt r.seq idx.by_seq with
+                  | Some r' -> r' == r
+                  | None -> false)
+              | Nearest -> ())
+            | None -> assert false);
+        match t.scheduling with
+        | Fifo ->
+          assert (Oid_bitset.cardinal idx.bits = Int_map.cardinal idx.by_seq)
+        | Nearest -> assert (Int_map.is_empty idx.by_seq)
+      in
+      audit d.normal ~forced:false;
+      audit d.urgent ~forced:true;
+      assert (!n = Hashtbl.length d.pending_tbl))
     t.drives

@@ -23,23 +23,12 @@ type t
     feedback). *)
 type scheduling = Nearest | Fifo
 
-(** How the next request is found.  [Indexed] (the default) keeps each
-    drive's backlog in balanced maps — by oid for the elevator pick,
-    by arrival seq for FIFO — so every pick is O(log B).  [Reference]
-    is the retained linear rescan of the whole backlog (O(B) per
-    pick), kept as the differential-testing baseline and as the
-    benchmark reference.  Both follow the same normalized order:
-    forced first, then the discipline's key, ties to the earlier
-    arrival — so they agree request-for-request. *)
-type implementation = Indexed | Reference
-
 val create :
   El_sim.Engine.t ->
   drives:int ->
   transfer_time:Time.t ->
   num_objects:int ->
   ?scheduling:scheduling ->
-  ?implementation:implementation ->
   ?obs:El_obs.Obs.t ->
   ?fault:El_fault.Injector.t ->
   ?store:El_store.Log_store.t ->
@@ -48,8 +37,11 @@ val create :
 (** Raises [Invalid_argument] unless [drives > 0],
     [num_objects mod drives = 0] (the paper ignores the ragged case)
     and [transfer_time > Time.zero].  [scheduling] defaults to
-    [Nearest], [implementation] to [Indexed].  With [obs], the
-    request/start/done lifecycle of every flush is traced, seek
+    [Nearest].  Each drive keeps its backlog in a bitset index by oid
+    (and, under [Fifo], a map by arrival seq), so a pick never scans
+    the backlog.  The pick order: forced requests first, then the
+    discipline's key, equal keys to the earlier arrival.  With [obs],
+    the request/start/done lifecycle of every flush is traced, seek
     distances feed the ["flush.oid_distance"] histogram and every
     scheduling decision bumps the ["flush.picks"] counter.  With
     [fault], each drive [i] resolves every transfer against the plan's
@@ -106,4 +98,4 @@ val max_rate_per_sec : t -> float
 val check_invariants : t -> unit
 (** Cross-checks the elevator indexes against the pending table: every
     pending request appears in exactly one class index, under both the
-    by-oid and by-seq keys.  A no-op under [Reference]. *)
+    by-oid and by-seq keys. *)

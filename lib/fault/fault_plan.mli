@@ -62,13 +62,11 @@ val clean_spec : spec
 type retry = { budget : int; penalty : Time.t }
 (** Bounded-retry policy for transient errors.  [penalty] is the
     deterministic extra service time charged per absorbed retry; the
-    default {!default_retry} is [{budget = 3; penalty = zero}], which
-    makes the transient path timing-neutral — a faulted run either
-    completes byte-identical to the fault-free run or dies
+    default is [{budget = 3; penalty = zero}], which makes the
+    transient path timing-neutral — a faulted run either completes
+    byte-identical to the fault-free run or dies
     deterministically ({!Injector.Io_fatal}), the law pinned by the
     retry/backoff QCheck test. *)
-
-val default_retry : retry
 
 type degraded = { shed_backlog : int }
 (** Load shedding under fault storms: when the flush backlog exceeds
@@ -109,6 +107,6 @@ val make :
   t
 (** Uniform plan: [log_spec] (default {!clean_spec}) on log channels
     [0..log_gens-1], [flush_spec] on drives [0..flush_drives-1].
-    Defaults: seed 0, {!default_retry}, 1024 spares, no degraded
-    mode.  Validates; specifying more log devices than a manager has
+    Defaults: seed 0, [{budget = 3; penalty = zero}] retries, 1024
+    spares, no degraded mode.  Validates; specifying more log devices than a manager has
     channels is harmless (extra specs are never consulted). *)

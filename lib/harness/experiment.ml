@@ -27,7 +27,6 @@ type config = {
   flush_drives : int;
   flush_transfer : Time.t;
   flush_scheduling : Flush_array.scheduling;
-  flush_impl : Flush_array.implementation;
   num_objects : int;
   seed : int;
   abort_fraction : float;
@@ -57,7 +56,6 @@ let default_config ~kind ~mix =
     flush_drives = 10;
     flush_transfer = Time.of_ms 25;
     flush_scheduling = Flush_array.Nearest;
-    flush_impl = Flush_array.Indexed;
     num_objects = Params.num_objects;
     seed = 42;
     abort_fraction = 0.0;
@@ -322,8 +320,7 @@ let build_instance engine (cfg : config) ?obs ?inj ~store ~num_objects () =
   let flush =
     Flush_array.create engine ~drives:cfg.flush_drives
       ~transfer_time:cfg.flush_transfer ~num_objects
-      ~scheduling:cfg.flush_scheduling ~implementation:cfg.flush_impl ?obs
-      ?fault:inj ?store ()
+      ~scheduling:cfg.flush_scheduling ?obs ?fault:inj ?store ()
   in
   let manager =
     match cfg.kind with

@@ -50,10 +50,6 @@ type config = {
   flush_transfer : Time.t;  (** paper: 25 ms (45 ms in the scarce test) *)
   flush_scheduling : El_disk.Flush_array.scheduling;
       (** [Nearest] (paper) or [Fifo] (ablation) *)
-  flush_impl : El_disk.Flush_array.implementation;
-      (** [Indexed] (default, O(log B) picks) or [Reference] (the
-          retained linear scan, for differential testing and as the
-          benchmark baseline) *)
   num_objects : int;  (** paper: 10^7 *)
   seed : int;
   abort_fraction : float;  (** 0 in the paper; >0 for fault injection *)

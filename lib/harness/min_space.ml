@@ -116,5 +116,3 @@ let min_el_two_gen ?(pool = Pool.serial) ?(run = Experiment.run) cfg
   match !best with
   | Some (sizes, _, result) -> Some (sizes, result)
   | None -> None
-
-let runtime_scale cfg runtime = { cfg with Experiment.runtime = runtime }

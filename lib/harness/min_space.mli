@@ -24,8 +24,6 @@
       for it) as the serial binary search — pinned by a regression
       test on the Figure 4 endpoints in [test/test_par.ml]. *)
 
-open El_model
-
 val min_feasible :
   ?pool:El_par.Pool.t ->
   lo:int ->
@@ -82,7 +80,3 @@ val min_el_two_gen :
     so the winner (including the larger-first-generation tie-break)
     is independent of the job count.  Returns the best [sizes] found
     and its run result. *)
-
-val runtime_scale : Experiment.config -> Time.t -> Experiment.config
-(** Shortens (or lengthens) a config's runtime — used by tests and
-    quick modes; exposed here so callers scale consistently. *)

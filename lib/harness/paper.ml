@@ -8,10 +8,10 @@ let runtime_of = function
   | `Full -> Time.of_sec 500
   | `Quick -> Time.of_sec 120
 
-let paper_mix ~long_fraction = El_workload.Mix.short_long ~long_fraction
-
 let base_config ?(speed = `Full) ~kind ~long_pct () =
-  let mix = paper_mix ~long_fraction:(float_of_int long_pct /. 100.0) in
+  let mix =
+    El_workload.Mix.short_long ~long_fraction:(float_of_int long_pct /. 100.0)
+  in
   let cfg = Experiment.default_config ~kind ~mix in
   { cfg with Experiment.runtime = runtime_of speed }
 

@@ -19,11 +19,7 @@
     counterparts, so the returned data is identical at any job count;
     the default is the serial pool. *)
 
-open El_model
-
 type speed = [ `Full | `Quick ]
-
-val runtime_of : speed -> Time.t
 
 (** One x-axis point of Figures 4, 5 and 6 (they share their runs). *)
 type mix_row = {
@@ -106,7 +102,6 @@ val generation_count_sweep :
 (** Sweeps 1, 2 and 3 generations (recirculation on) at the given mix
     (default the paper's 5 %). *)
 
-val paper_mix : long_fraction:float -> El_workload.Mix.t
 val base_config :
   ?speed:speed -> kind:Experiment.manager_kind -> long_pct:int -> unit ->
   Experiment.config

@@ -1,7 +1,6 @@
 (** Exporters: the three file formats the [el-sim trace] subcommand
     writes from one {!Obs.t}. *)
 
-val chrome_trace_doc : Obs.t -> Jsonx.t
 val chrome_trace : Obs.t -> string
 (** Chrome [trace_event] JSON, loadable in Perfetto / chrome://tracing.
     Metadata records name the process ["el-sim"] and one "thread" per

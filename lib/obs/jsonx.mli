@@ -14,5 +14,4 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string

@@ -105,5 +105,3 @@ val num_txs : t -> int
 val equal : t -> t -> bool
 (** Structural equality, for the model's own property tests
     (crash-step monotonicity, recovery idempotence). *)
-
-val pp_step : Format.formatter -> step -> unit

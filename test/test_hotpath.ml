@@ -1,17 +1,16 @@
 (* The hot-path refactor's correctness gates:
 
-   - differential: the Indexed elevator picker services requests in
-     exactly the order of the Reference linear scan, under both
-     disciplines, for adversarial backlogs (staggered arrivals,
-     duplicate oids superseding in place, forced upgrades,
-     wrap-around);
+   - differential: the flush array's elevator index services requests
+     in exactly the order of a linear scan of the whole backlog (the
+     model below), under both disciplines, for adversarial backlogs
+     (staggered arrivals, duplicate oids superseding in place, forced
+     upgrades, wrap-around);
    - the documented tie-break (forced first, then discipline key,
      equal keys to the earlier arrival) is pinned by construction;
    - the ledger's incremental oldest-active list and live-cell
      counter agree with from-scratch recomputation;
-   - a whole simulation is bit-identical under either picker, and the
-     Indexed picker allocates at most 1.1x the Reference scan's minor
-     words per committed transaction. *)
+   - a whole simulation allocates at most 5,146 minor words per
+     committed transaction. *)
 
 open El_model
 module Engine = El_sim.Engine
@@ -21,32 +20,141 @@ module Cell = El_core.Cell
 module Experiment = El_harness.Experiment
 module Policy = El_core.Policy
 
-(* ---- differential: Indexed vs Reference ---- *)
+(* ---- the model: a linear scan of the whole backlog ---- *)
+
+(* The flush array's pick order, stated as the O(B) scan it replaced:
+   every pick looks at every pending request of the drive and keeps
+   the best — forced before unforced, then the discipline's key
+   (wrapped oid distance from the drive position, or arrival seq),
+   equal keys to the earlier arrival.  Transfers take 1 ms on the same
+   engine, so arrivals and completions interleave as they do in the
+   array. *)
+module Model = struct
+  type req = {
+    oid : int;
+    mutable version : int;
+    mutable forced : bool;
+    seq : int;
+  }
+
+  type drive = {
+    mutable position : int;  (* oid last written; starts at the drive's lo *)
+    mutable pending : req list;
+    mutable busy : bool;
+  }
+
+  type t = {
+    engine : Engine.t;
+    span : int;
+    scheduling : F.scheduling;
+    drives : drive array;
+    mutable next_seq : int;
+    mutable order : (int * int) list;  (* completions, newest first *)
+    mutable forced_done : int;
+    mutable superseded : int;
+  }
+
+  let create engine ~scheduling ~objects ~drives =
+    let span = objects / drives in
+    {
+      engine;
+      span;
+      scheduling;
+      drives =
+        Array.init drives (fun i ->
+            { position = i * span; pending = []; busy = false });
+      next_seq = 0;
+      order = [];
+      forced_done = 0;
+      superseded = 0;
+    }
+
+  let pick t d =
+    let dist oid =
+      Ids.Oid.distance ~wrap:t.span (Ids.Oid.of_int oid)
+        (Ids.Oid.of_int d.position)
+    in
+    let better r b =
+      if r.forced <> b.forced then r.forced
+      else
+        match t.scheduling with
+        | F.Fifo -> r.seq < b.seq
+        | F.Nearest ->
+          let dr = dist r.oid and db = dist b.oid in
+          dr < db || (dr = db && r.seq < b.seq)
+    in
+    List.fold_left
+      (fun best r ->
+        match best with
+        | Some b when not (better r b) -> best
+        | _ -> Some r)
+      None d.pending
+
+  let rec dispatch t d =
+    match pick t d with
+    | None -> d.busy <- false
+    | Some r ->
+      d.busy <- true;
+      d.pending <- List.filter (fun p -> p != r) d.pending;
+      Engine.schedule_after t.engine (Time.of_ms 1) (fun () ->
+          d.position <- r.oid;
+          t.order <- (r.oid, r.version) :: t.order;
+          if r.forced then t.forced_done <- t.forced_done + 1;
+          dispatch t d)
+
+  let request t oid ~version ~forced =
+    let d = t.drives.(oid / t.span) in
+    (match List.find_opt (fun r -> r.oid = oid) d.pending with
+    | Some r ->
+      r.version <- version;
+      if forced then r.forced <- true;
+      t.superseded <- t.superseded + 1
+    | None ->
+      d.pending <- { oid; version; forced; seq = t.next_seq } :: d.pending;
+      t.next_seq <- t.next_seq + 1);
+    if not d.busy then dispatch t d
+
+  let outcome t =
+    (List.rev t.order, List.length t.order, t.forced_done, t.superseded)
+end
+
+(* ---- differential: the elevator index vs the model ---- *)
 
 (* One scripted run: requests arrive at scheduled instants while the
-   drives drain, so picks happen at many backlog depths.  Returns the
-   completion order plus the bookkeeping counters. *)
-let run_script ~impl ~scheduling ~objects ~drives script =
+   drives drain, so picks happen at many backlog depths.  Both runners
+   return the completion order plus the bookkeeping counters. *)
+let play e script request =
+  List.iter
+    (fun (at_ms, oid, version, forced) ->
+      Engine.schedule_at e (Time.of_ms at_ms) (fun () ->
+          request oid ~version ~forced))
+    script;
+  Engine.run_all e
+
+let run_script ~scheduling ~objects ~drives script =
   let e = Engine.create () in
   let f =
     F.create e ~drives ~transfer_time:(Time.of_ms 1) ~num_objects:objects
-      ~scheduling ~implementation:impl ()
+      ~scheduling ()
   in
   let order = ref [] in
   F.set_on_flush f (fun o ~version ->
       order := (Ids.Oid.to_int o, version) :: !order);
-  List.iter
-    (fun (at_ms, oid, version, forced) ->
-      Engine.schedule_at e (Time.of_ms at_ms) (fun () ->
-          if forced then F.request_forced f (Ids.Oid.of_int oid) ~version
-          else F.request f (Ids.Oid.of_int oid) ~version))
-    script;
-  Engine.run_all e;
+  play e script (fun oid ~version ~forced ->
+      let oid = Ids.Oid.of_int oid in
+      if forced then F.request_forced f oid ~version
+      else F.request f oid ~version);
   F.check_invariants f;
   ( List.rev !order,
     F.flushes_completed f,
     F.forced_flushes f,
     F.superseded f )
+
+let run_model ~scheduling ~objects ~drives script =
+  let e = Engine.create () in
+  let m = Model.create e ~scheduling ~objects ~drives in
+  play e script (Model.request m);
+  Model.outcome m
 
 let script_arb ~objects =
   (* Oids cluster near the partition edges so wrap-around picks are
@@ -72,13 +180,8 @@ let script_arb ~objects =
 
 let differential_prop scheduling name =
   QCheck.Test.make ~name ~count:300 (script_arb ~objects:64) (fun script ->
-      let reference =
-        run_script ~impl:F.Reference ~scheduling ~objects:64 ~drives:2 script
-      in
-      let indexed =
-        run_script ~impl:F.Indexed ~scheduling ~objects:64 ~drives:2 script
-      in
-      reference = indexed)
+      run_model ~scheduling ~objects:64 ~drives:2 script
+      = run_script ~scheduling ~objects:64 ~drives:2 script)
 
 let prop_nearest =
   differential_prop F.Nearest "indexed elevator == reference scan (Nearest)"
@@ -90,7 +193,7 @@ let prop_fifo =
 
 let completion_order script =
   let order, _, _, _ =
-    run_script ~impl:F.Indexed ~scheduling:F.Nearest ~objects:1000 ~drives:1
+    run_script ~scheduling:F.Nearest ~objects:1000 ~drives:1
       (List.map (fun oid -> (0, oid, 1, false)) script)
   in
   List.map fst order
@@ -104,9 +207,9 @@ let test_tie_break () =
   Alcotest.(check (list int))
     "swapped arrivals swap the pick" [ 0; 100; 900 ]
     (completion_order [ 0; 100; 900 ]);
-  (* Reference agrees on the pinned order. *)
+  (* The model agrees on the pinned order. *)
   let ref_order, _, _, _ =
-    run_script ~impl:F.Reference ~scheduling:F.Nearest ~objects:1000 ~drives:1
+    run_model ~scheduling:F.Nearest ~objects:1000 ~drives:1
       (List.map (fun oid -> (0, oid, 1, false)) [ 0; 900; 100 ])
   in
   Alcotest.(check (list int))
@@ -117,7 +220,7 @@ let test_forced_first () =
   (* A forced request beats a nearer unforced one; among forced the
      discipline key still rules. *)
   let order, _, forced, _ =
-    run_script ~impl:F.Indexed ~scheduling:F.Nearest ~objects:1000 ~drives:1
+    run_script ~scheduling:F.Nearest ~objects:1000 ~drives:1
       [ (0, 0, 1, false); (0, 10, 1, false); (0, 500, 1, true) ]
   in
   Alcotest.(check (list int))
@@ -129,7 +232,7 @@ let test_forced_upgrade () =
   (* Re-requesting a pending oid as forced promotes it in place:
      superseded count rises and it is served before nearer work. *)
   let order, completed, forced, superseded =
-    run_script ~impl:F.Indexed ~scheduling:F.Nearest ~objects:1000 ~drives:1
+    run_script ~scheduling:F.Nearest ~objects:1000 ~drives:1
       [ (0, 0, 1, false); (0, 600, 1, false); (0, 10, 1, false); (1, 600, 2, true) ]
   in
   Alcotest.(check (list (pair int int)))
@@ -246,10 +349,13 @@ let prop_ledger_random =
       Ledger.check_invariants l;
       Ledger.live_cells l >= 0)
 
-(* ---- whole-simulation identity: Reference vs Indexed ---- *)
+(* ---- allocation on a whole simulation ---- *)
 
-let test_experiment_identity () =
-  let base =
+(* 5,146 is 1.1x the 4,677.9 minor words per committed transaction
+   that the linear-scan picker took on this run; the elevator index
+   reads about 4,700. *)
+let test_experiment_allocation () =
+  let cfg =
     {
       (Experiment.default_config
          ~kind:(Experiment.Ephemeral (Policy.default ~generation_sizes:[| 20; 12 |]))
@@ -258,22 +364,15 @@ let test_experiment_identity () =
       Experiment.flush_transfer = Time.of_ms 45;
     }
   in
-  let run impl =
-    let w0 = Gc.minor_words () in
-    let r = Experiment.run { base with Experiment.flush_impl = impl } in
-    let words_per_tx =
-      (Gc.minor_words () -. w0) /. float_of_int (max 1 r.Experiment.committed)
-    in
-    (Marshal.to_string r [], words_per_tx)
+  let w0 = Gc.minor_words () in
+  let r = Experiment.run cfg in
+  let words_per_tx =
+    (Gc.minor_words () -. w0) /. float_of_int (max 1 r.Experiment.committed)
   in
-  let reference, reference_words = run F.Reference in
-  let indexed, indexed_words = run F.Indexed in
-  Alcotest.(check bool) "bit-identical results" true (reference = indexed);
-  if indexed_words > 1.1 *. reference_words then
+  Alcotest.(check bool) "the run commits" true (r.Experiment.committed > 0);
+  if words_per_tx > 5146.0 then
     Alcotest.failf
-      "Indexed allocates %.1f minor words per committed transaction, \
-       Reference %.1f (at most 1.1x)"
-      indexed_words reference_words
+      "%.1f minor words per committed transaction (at most 5146)" words_per_tx
 
 let suite =
   [
@@ -286,6 +385,6 @@ let suite =
       test_ledger_oldest_incremental;
     Alcotest.test_case "ledger live-cell counter" `Quick test_ledger_live_counter;
     QCheck_alcotest.to_alcotest prop_ledger_random;
-    Alcotest.test_case "experiment identity (Reference vs Indexed)" `Quick
-      test_experiment_identity;
+    Alcotest.test_case "experiment allocation per commit" `Quick
+      test_experiment_allocation;
   ]

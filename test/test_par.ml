@@ -228,9 +228,10 @@ let test_bracket_matches_binary_on_fig4_endpoints () =
   List.iter
     (fun long_pct ->
       let cfg =
-        Min_space.runtime_scale
-          (Paper.base_config ~kind:(Experiment.Firewall 512) ~long_pct ())
-          (Time.of_sec 30)
+        {
+          (Paper.base_config ~kind:(Experiment.Firewall 512) ~long_pct ()) with
+          Experiment.runtime = Time.of_sec 30;
+        }
       in
       (match
          ( Min_space.min_el_last_gen cfg ~make_policy ~leading:[| 4 |] ~hi:256,

@@ -38,7 +38,7 @@ let el_config ?(sizes = [| 8; 8 |]) ?(recirculate = true) ?(runtime = 30)
   }
 
 let crash_and_judge cfg ~crash_at =
-  let _result, recovery, verdict =
+  let _result, recovery, verdict, _ =
     El_check.Sweep.run_with_crash cfg ~crash_at
   in
   (recovery, Spec_tracker.ok verdict)
@@ -75,7 +75,7 @@ let test_audit_ok_no_recirc () =
 
 let test_recovered_equals_reference_db () =
   let cfg = el_config () in
-  let _result, recovery, verdict =
+  let _result, recovery, verdict, _ =
     El_check.Sweep.run_with_crash cfg ~crash_at:(Time.of_sec 15)
   in
   Alcotest.(check bool) "audit ok" true (Spec_tracker.ok verdict);

@@ -824,7 +824,7 @@ let test_crash_mark_fidelity () =
         (fun () -> candidates [] None 400)
     in
     let tears at =
-      match El_check.Sweep.run_with_crash_store cfg ~crash_at:at with
+      match El_check.Sweep.run_with_crash cfg ~crash_at:at with
       | _, _, _, Some (st, _) -> st.Recovery.torn_blocks > 0
       | _, _, _, None -> false
     in
@@ -842,7 +842,7 @@ let test_crash_mark_fidelity () =
   List.iter
     (fun (name, cfg, crash_at) ->
       let _result, sim, verdict, store =
-        El_check.Sweep.run_with_crash_store cfg ~crash_at
+        El_check.Sweep.run_with_crash cfg ~crash_at
       in
       Alcotest.(check bool)
         (name ^ ": simulated recovery judged clean")
