@@ -355,8 +355,7 @@ let min_space_cmd =
       else Experiment.run
     in
     match cfg.Experiment.kind with
-    | Experiment.Hybrid _ ->
-      prerr_endline "min-space: hybrid search is not supported; use run"
+    | Experiment.Hybrid _ -> failwith "min-space: hybrid search is not supported"
     | Experiment.Firewall _ ->
       let blocks, result = El_harness.Min_space.min_fw ~pool ~run cfg in
       Printf.printf "minimum FW log: %d blocks\n\n" blocks;

@@ -102,20 +102,20 @@ module Cell_list = struct
       in
       h :: walk h.next []
 
-  let check_invariants t =
+  (* Bounded by [length] and checking each link as it passes, so a
+     corrupt ring raises instead of looping. *)
+  let iter f t =
     match t.head with
     | None -> assert (t.length = 0)
     | Some h ->
-      let count = ref 0 in
-      let c = ref h in
-      let continue = ref true in
-      while !continue do
-        incr count;
-        assert (!count <= t.length);
-        assert ((!c).next.prev == !c);
-        assert ((!c).prev.next == !c);
-        c := (!c).next;
-        if !c == h then continue := false
-      done;
-      assert (!count = t.length)
+      let rec walk c n =
+        assert (n <= t.length);
+        assert (c.next.prev == c);
+        assert (c.prev.next == c);
+        f c;
+        if c.next == h then assert (n = t.length) else walk c.next (n + 1)
+      in
+      walk h 1
+
+  let check_invariants t = iter ignore t
 end

@@ -127,9 +127,16 @@ module Cell_list : sig
       invariant, checked in debug assertions). *)
 
   val to_list : t -> cell list
-  (** Head-to-tail order; O(n), for tests and recovery audits. *)
+  (** Head-to-tail order; O(n), for tests and victim searches. *)
+
+  val iter : (cell -> unit) -> t -> unit
+  (** Applies the function to each cell, head to tail, walking the
+      ring in place: it allocates nothing.  It checks the circular
+      structure on the way and raises [Assert_failure] at a link that
+      does not point back or when the ring and [length] disagree, so
+      one walk both audits a generation's list and visits its cells. *)
 
   val check_invariants : t -> unit
-  (** Raises [Assert_failure] if the circular structure is corrupt.
-      Used by the property-based tests. *)
+  (** Raises [Assert_failure] if the circular structure is corrupt:
+      {!iter} visiting nothing. *)
 end

@@ -884,13 +884,14 @@ let slot_occupied g s =
 (* The checks that name what they caught raise [Failure] with it. *)
 let violated fmt = Format.kasprintf failwith fmt
 
+(* One in-place walk of each generation's ring, which also checks the
+   ring's links; a cell's block is searched where it lies. *)
 let check_invariants t =
   Ledger.check_invariants t.ledger;
   let fifo = t.policy.Policy.placement = Policy.Youngest in
   let listed = ref 0 in
   Array.iter
     (fun g ->
-      Cell.Cell_list.check_invariants g.g_cells;
       assert (g.g_occupied >= 0 && g.g_occupied <= g.g_size);
       assert (g.g_head >= 0 && g.g_head < g.g_size);
       assert (g.g_tail >= 0 && g.g_tail < g.g_size);
@@ -902,7 +903,7 @@ let check_invariants t =
         violated "gen %d: occupancy gauge %d <> occupied %d" g.g_index gauge
           g.g_occupied;
       let last_pos = ref (-1) in
-      List.iter
+      Cell.Cell_list.iter
         (fun (c : Cell.t) ->
           incr listed;
           assert (c.Cell.gen = g.g_index);
@@ -914,11 +915,7 @@ let check_invariants t =
             assert (c.Cell.slot >= 0 && c.Cell.slot < g.g_size);
             (* the record's block really holds it *)
             (match g.g_blocks.(c.Cell.slot) with
-            | Some block ->
-              assert
-                (List.exists
-                   (fun (tr : Cell.tracked) -> tr == c.Cell.tracked)
-                   (El_disk.Block.items block))
+            | Some block -> assert (Block.memq c.Cell.tracked block)
             | None -> assert false);
             if not (slot_occupied g c.Cell.slot) then
               violated "gen %d: cell in unoccupied slot %d (head %d, occ %d)"
@@ -937,7 +934,7 @@ let check_invariants t =
               last_pos := p
             end
           end)
-        (Cell.Cell_list.to_list g.g_cells))
+        g.g_cells)
     t.gens;
   (* no cell is orphaned on either side *)
   let live = Ledger.live_cells t.ledger in

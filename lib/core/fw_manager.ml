@@ -379,70 +379,66 @@ let occupied_blocks t = t.occupied
 let slot_occupied t s =
   t.occupied = t.size || (s - t.head + t.size) mod t.size < t.occupied
 
+(* One pass over the transaction table and one walk of the active
+   list, allocating nothing per transaction. *)
 let check_invariants t =
   assert (t.occupied >= 0 && t.occupied <= t.size);
   assert (t.head >= 0 && t.head < t.size);
   assert (t.tail >= 0 && t.tail < t.size);
   assert (t.tail = (t.head + t.occupied) mod t.size);
+  let live = ref 0 in
   Array.iteri
     (fun s n ->
       assert (n >= 0);
-      if n > 0 then assert (slot_occupied t s))
+      if n > 0 then assert (slot_occupied t s);
+      live := !live + n)
     t.live;
   (* every slot still pinning live records is accounted for by an
      active transaction or by a committed one awaiting a checkpoint *)
-  let pinned = ref 0 in
+  let rec pinned n = function
+    | [] -> n
+    | s :: rest ->
+      assert (s >= 0 && s < t.size);
+      assert (slot_occupied t s);
+      pinned (n + 1) rest
+  in
+  let by_txs = ref 0 in
   Ids.Tid.Table.iter
     (fun tid tx ->
       assert (Ids.Tid.equal tid tx.tid);
       assert (not tx.terminated);
-      List.iter
-        (fun s ->
-          assert (s >= 0 && s < t.size);
-          assert (slot_occupied t s);
-          incr pinned)
-        tx.record_slots)
+      by_txs := pinned !by_txs tx.record_slots)
     t.txs;
-  List.iter
-    (fun s ->
-      assert (s >= 0 && s < t.size);
-      assert (slot_occupied t s);
-      incr pinned)
-    t.awaiting_checkpoint;
-  assert (!pinned = Array.fold_left ( + ) 0 t.live);
+  assert (pinned !by_txs t.awaiting_checkpoint = !live);
   assert
     (El_metrics.Gauge.value t.memory
     = bytes_per_tx * Ids.Tid.Table.length t.txs);
   (* the active list holds exactly the table's transactions, in
-     non-decreasing begun_at order *)
-  let walked = ref 0 in
-  let prev_at = ref None in
-  let cursor = ref t.act_head in
-  let last = ref None in
-  while !cursor <> None do
-    (match !cursor with
-    | None -> ()
+     non-decreasing begun_at order; [prev] is the option the previous
+     step stood on *)
+  let txs = Ids.Tid.Table.length t.txs in
+  let rec walk prev cursor n =
+    match cursor with
+    | None ->
+      assert (n = txs);
+      assert (
+        match (t.act_tail, prev) with
+        | None, None -> true
+        | Some a, Some b -> a == b
+        | _ -> false)
     | Some tx ->
-      incr walked;
-      assert (!walked <= Ids.Tid.Table.length t.txs);
+      assert (n < txs);
       assert (tx.a_linked && not tx.terminated);
       assert (
-        match Ids.Tid.Table.find_opt t.txs tx.tid with
-        | Some tx' -> tx' == tx
-        | None -> false);
-      (match !prev_at with
-      | Some at -> assert (not Time.(tx.begun_at < at))
+        match Ids.Tid.Table.find t.txs tx.tid with
+        | tx' -> tx' == tx
+        | exception Not_found -> false);
+      (match prev with
+      | Some p -> assert (not Time.(tx.begun_at < p.begun_at))
       | None -> ());
-      prev_at := Some tx.begun_at;
-      last := Some tx;
-      cursor := tx.a_next)
-  done;
-  assert (!walked = Ids.Tid.Table.length t.txs);
-  assert (
-    match (t.act_tail, !last) with
-    | None, None -> true
-    | Some a, Some b -> a == b
-    | _ -> false)
+      walk cursor tx.a_next (n + 1)
+  in
+  walk None t.act_head 0
 
 type stats = {
   size_blocks : int;

@@ -745,38 +745,55 @@ let drain t = Array.iter (fun q -> seal_current t q) t.queues
 
 let occupied_blocks t = Array.map (fun q -> q.q_occupied) t.queues
 
+let slot_occupied q s =
+  q.q_occupied = q.q_size
+  || (s - q.q_head + q.q_size) mod q.q_size < q.q_occupied
+
+(* Walks a slot's anchored list once, in place, and returns its length:
+   each member claims this slot, is the live table's transaction for
+   its tid and is linked both ways.  Bounded by the slot's count, so a
+   cyclic list raises instead of looping. *)
+let rec anchored_members t q s prev cursor n =
+  match cursor with
+  | None -> n
+  | Some tx ->
+    assert (n < q.anchors.(s));
+    (match tx.anchor with
+    | Some (qi, slot) -> assert (qi = q.q_index && slot = s)
+    | None -> assert false);
+    assert (
+      match Ids.Tid.Table.find t.txs tx.tid with
+      | tx' -> tx' == tx
+      | exception Not_found -> false);
+    assert (
+      match (tx.anc_prev, prev) with
+      | None, None -> true
+      | Some p, Some p' -> p == p'
+      | _ -> false);
+    anchored_members t q s cursor tx.anc_next (n + 1)
+
+(* One walk of each slot's anchored list and one pass over the table,
+   allocating nothing per element.  The members walked are distinct
+   live transactions claiming their list's slot, as many as are
+   anchored, so each anchored one is listed where it claims.  Each
+   pending update of a committed transaction is the unflushed entry of
+   its object, and they number the table's size, so it holds no other. *)
 let check_invariants t =
+  let members = ref 0 in
   Array.iter
     (fun q ->
       assert (q.q_occupied >= 0 && q.q_occupied <= q.q_size);
       assert (q.q_head >= 0 && q.q_head < q.q_size);
       assert (q.q_tail >= 0 && q.q_tail < q.q_size);
       assert (q.q_tail = (q.q_head + q.q_occupied) mod q.q_size);
-      let slot_occupied s =
-        q.q_occupied = q.q_size
-        || (s - q.q_head + q.q_size) mod q.q_size < q.q_occupied
-      in
-      Array.iteri
-        (fun s _head ->
-          let txs = anchored_snapshot q s in
-          assert (q.anchors.(s) = List.length txs);
-          if txs <> [] then assert (slot_occupied s);
-          (* head has no predecessor; links are mutually consistent *)
-          (match q.anchored.(s) with
-          | Some h -> assert (h.anc_prev = None)
-          | None -> ());
-          List.iter
-            (fun tx ->
-              assert (tx.anchor = Some (q.q_index, s));
-              assert (Ids.Tid.Table.mem t.txs tx.tid);
-              (match tx.anc_next with
-              | Some n -> assert (match n.anc_prev with Some p -> p == tx | None -> false)
-              | None -> ()))
-            txs)
-        q.anchored)
+      for s = 0 to q.q_size - 1 do
+        let n = anchored_members t q s None q.anchored.(s) 0 in
+        assert (q.anchors.(s) = n);
+        if n > 0 then assert (slot_occupied q s);
+        members := !members + n
+      done)
     t.queues;
-  (* every live transaction is anchored exactly where it claims *)
-  let unflushed_total = ref 0 in
+  let anchored = ref 0 and unflushed_total = ref 0 in
   Ids.Tid.Table.iter
     (fun tid tx ->
       assert (Ids.Tid.equal tid tx.tid);
@@ -792,9 +809,8 @@ let check_invariants t =
         assert (tx.state <> Active)
       | Some (qi, slot) ->
         assert (qi >= 0 && qi < Array.length t.queues);
-        let q = t.queues.(qi) in
-        assert (slot >= 0 && slot < q.q_size);
-        assert (List.exists (fun x -> x == tx) (anchored_snapshot q slot)));
+        assert (slot >= 0 && slot < t.queues.(qi).q_size);
+        incr anchored);
       assert (tx.unflushed_count >= 0);
       (match tx.state with
       | Active | Commit_pending -> assert (tx.unflushed_count = 0)
@@ -802,34 +818,21 @@ let check_invariants t =
         (* a committed transaction with nothing left to flush retires *)
         assert (tx.unflushed_count > 0);
         let pending = ref 0 in
-        let n = Arena.length tx.seg in
-        for i = 0 to n - 1 do
-          if Arena.is_data tx.seg i && not (Arena.flushed tx.seg i) then
-            incr pending
+        let seg = tx.seg in
+        for i = 0 to Arena.length seg - 1 do
+          if Arena.is_data seg i && not (Arena.flushed seg i) then begin
+            incr pending;
+            let oid = Ids.Oid.of_int (Arena.oid seg i) in
+            match Ids.Oid.Table.find t.unflushed oid with
+            | w, v -> assert (Ids.Tid.equal w tid && v = Arena.version seg i)
+            | exception Not_found -> assert false
+          end
         done;
         assert (tx.unflushed_count = !pending));
       unflushed_total := !unflushed_total + tx.unflushed_count)
     t.txs;
+  assert (!anchored = !members);
   assert (!unflushed_total = Ids.Oid.Table.length t.unflushed);
-  Ids.Oid.Table.iter
-    (fun oid (tid, version) ->
-      match Ids.Tid.Table.find_opt t.txs tid with
-      | None -> assert false  (* unflushed bookkeeping outlived its writer *)
-      | Some tx ->
-        assert (tx.state = Committed);
-        let found = ref false in
-        let seg = tx.seg in
-        let n = Arena.length seg in
-        for i = 0 to n - 1 do
-          if
-            Arena.is_data seg i
-            && Arena.oid seg i = Ids.Oid.to_int oid
-            && Arena.version seg i = version
-            && not (Arena.flushed seg i)
-          then found := true
-        done;
-        assert !found)
-    t.unflushed;
   (* pooling bookkeeping: blocks reference transaction segments by
      span, so the only live segments are one per live transaction
      plus the block-local segments (abort records) whose blocks have

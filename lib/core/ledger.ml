@@ -453,112 +453,104 @@ let writer_tid (cell : Cell.t) =
    full LTT fold that made every firewall victim search O(|LTT|). *)
 let oldest_active t = t.act_head
 
-(* O(1): counter maintained at every cell attach/dispose.  The from-
-   scratch recomputation survives below as the cross-check used by
-   [check_invariants]. *)
+(* O(1): counter maintained at every cell attach/dispose, and
+   recounted by [check_invariants]. *)
 let live_cells t = t.live
 
-let recount_live_cells t =
-  let n = ref 0 in
-  Ids.Oid.Table.iter
-    (fun _ (entry : Cell.lot_entry) ->
-      (match entry.committed with Some _ -> incr n | None -> ());
-      n := !n + List.length entry.uncommitted)
-    t.lot;
-  Ids.Tid.Table.iter
-    (fun _ (e : Cell.ltt_entry) ->
-      match e.tx_cell with Some _ -> incr n | None -> ())
-    t.ltt;
-  !n
+let owns (c : Cell.t) =
+  match c.Cell.tracked.Cell.cell with Some c' -> c' == c | None -> false
 
-let refold_oldest_active t =
-  Ids.Tid.Table.fold
-    (fun _ (e : Cell.ltt_entry) best ->
-      if e.tx_state <> `Active then best
-      else
-        match best with
-        | None -> Some e
-        | Some b -> if Time.(e.begun_at < b.Cell.begun_at) then Some e else best)
-    t.ltt None
-
+(* One pass over the LOT, one over the LTT and one walk of the active
+   list, allocating nothing per entry: the passes recount the live
+   cells and the unflushed updates and find the oldest active begin
+   time, which the incremental counters and the active list's head
+   must match. *)
 let check_invariants t =
-  let unflushed = ref 0 in
+  let live = ref 0 and unflushed = ref 0 in
+  let rec uncommitted oid = function
+    | [] -> ()
+    | (tid, c) :: rest ->
+      incr live;
+      assert (owns c);
+      (match Ids.Tid.Table.find t.ltt tid with
+      | (e : Cell.ltt_entry) ->
+        assert (e.tx_state <> `Committed);
+        assert (Ids.Oid.Table.mem e.write_set oid)
+      | exception Not_found -> assert false);
+      uncommitted oid rest
+  in
   Ids.Oid.Table.iter
     (fun oid (entry : Cell.lot_entry) ->
       assert (Ids.Oid.equal oid entry.l_oid);
       assert (not entry.l_free);
-      assert (entry.committed <> None || entry.uncommitted <> []);
-      (* a pin without a committed update would never be cleared *)
-      assert ((not entry.flush_forced) || entry.committed <> None);
-      (match entry.committed with
-      | Some c ->
+      (match (entry.committed, entry.uncommitted) with
+      | None, [] -> assert false
+      | None, _ :: _ ->
+        (* a pin without a committed update would never be cleared *)
+        assert (not entry.flush_forced)
+      | Some c, _ ->
         incr unflushed;
-        assert (match c.Cell.tracked.Cell.cell with Some c' -> c' == c | None -> false)
-      | None -> ());
-      List.iter
-        (fun (tid, c) ->
-          assert (match c.Cell.tracked.Cell.cell with Some c' -> c' == c | None -> false);
-          match find_tx t tid with
-          | Some e ->
-            assert (e.Cell.tx_state <> `Committed);
-            assert (Ids.Oid.Table.mem e.write_set oid)
-          | None -> assert false)
-        entry.uncommitted)
+        incr live;
+        assert (owns c));
+      uncommitted oid entry.uncommitted)
     t.lot;
   assert (!unflushed = t.unflushed);
+  let actives = ref 0 and oldest = ref Time.zero in
   Ids.Tid.Table.iter
     (fun tid (e : Cell.ltt_entry) ->
       assert (Ids.Tid.equal tid e.e_tid);
       assert (not e.e_free);
       (match e.tx_cell with
-      | Some c -> assert (match c.Cell.tracked.Cell.cell with Some c' -> c' == c | None -> false)
+      | Some c ->
+        incr live;
+        assert (owns c)
       | None -> assert false (* live entries always anchor a tx record *));
-      if e.tx_state = `Committed then
+      match e.tx_state with
+      | `Active ->
+        assert e.act_linked;
+        if !actives = 0 || Time.(e.begun_at < !oldest) then
+          oldest := e.begun_at;
+        incr actives
+      | `Commit_pending -> assert (not e.act_linked)
+      | `Committed ->
+        assert (not e.act_linked);
         assert (Ids.Oid.Table.length e.write_set > 0))
     t.ltt;
-  let expected_mem =
-    (bytes_per_tx * ltt_size t) + (bytes_per_object * lot_size t)
-  in
-  assert (memory_bytes t = expected_mem);
-  (* Incremental indexes agree with from-scratch recomputation. *)
-  assert (t.live = recount_live_cells t);
-  let actives = ref 0 in
-  Ids.Tid.Table.iter
-    (fun _ (e : Cell.ltt_entry) ->
-      assert (e.act_linked = (e.tx_state = `Active));
-      if e.tx_state = `Active then incr actives)
-    t.ltt;
-  let walked = ref 0 in
-  let prev_at = ref None in
-  let cursor = ref t.act_head in
-  let prev_entry = ref None in
-  while !cursor <> None do
-    (match !cursor with
-    | None -> ()
-    | Some e ->
-      incr walked;
-      assert (!walked <= !actives);
-      assert (e.Cell.act_linked && e.tx_state = `Active);
-      assert (
-        match find_tx t e.e_tid with Some e' -> e' == e | None -> false);
-      (match !prev_at with
-      | Some at -> assert (not Time.(e.begun_at < at))
-      | None -> ());
-      assert (
-        match (e.act_prev, !prev_entry) with
-        | None, None -> true
-        | Some p, Some p' -> p == p'
-        | _ -> false);
-      prev_at := Some e.begun_at;
-      prev_entry := Some e;
-      cursor := e.act_next)
-  done;
-  assert (!walked = !actives);
   assert (
-    match (t.act_tail, !prev_entry) with
-    | None, None -> true
-    | Some tl, Some tl' -> tl == tl'
-    | _ -> false);
+    memory_bytes t
+    = (bytes_per_tx * ltt_size t) + (bytes_per_object * lot_size t));
+  assert (t.live = !live);
+  (* The active list holds exactly the active entries, in begun_at
+     order; [prev] is the option the previous step stood on. *)
+  let rec walk prev cursor n =
+    match cursor with
+    | None ->
+      assert (n = !actives);
+      assert (
+        match (t.act_tail, prev) with
+        | None, None -> true
+        | Some tl, Some tl' -> tl == tl'
+        | _ -> false)
+    | Some (e : Cell.ltt_entry) ->
+      assert (n < !actives);
+      assert (e.act_linked && e.tx_state = `Active);
+      assert (
+        match Ids.Tid.Table.find t.ltt e.e_tid with
+        | e' -> e' == e
+        | exception Not_found -> false);
+      assert (
+        match (e.act_prev, prev) with
+        | None, None -> true
+        | Some p, Some p' -> p == p' && not Time.(e.begun_at < p.Cell.begun_at)
+        | _ -> false);
+      walk cursor e.act_next (n + 1)
+  in
+  walk None t.act_head 0;
+  (* Begin times tie only within one engine instant; any entry of the
+     earliest is then a legitimate head. *)
+  (match t.act_head with
+  | Some h -> assert (Time.equal h.Cell.begun_at !oldest)
+  | None -> ());
   (* Pooled entries really are retired: flagged, and (for LTT) with a
      drained write set. *)
   List.iter (fun (e : Cell.lot_entry) -> assert e.l_free) t.lot_spare;
@@ -566,11 +558,4 @@ let check_invariants t =
     (fun (e : Cell.ltt_entry) ->
       assert e.e_free;
       assert (Ids.Oid.Table.length e.write_set = 0))
-    t.ltt_spare;
-  match (t.act_head, refold_oldest_active t) with
-  | None, None -> ()
-  | Some h, Some o ->
-    (* Begin times tie only within one engine instant; either entry is
-       then a legitimate oldest. *)
-    assert (Time.equal h.Cell.begun_at o.Cell.begun_at)
-  | _ -> assert false
+    t.ltt_spare

@@ -25,6 +25,7 @@ let add t ~size x =
   t.count <- t.count + 1
 
 let items t = List.rev t.rev_items
+let memq x t = List.memq x t.rev_items
 let count t = t.count
 let iter f t = List.iter f (items t)
 

@@ -29,6 +29,11 @@ val add : 'a t -> size:int -> 'a -> unit
 val items : 'a t -> 'a list
 (** Items in insertion order. *)
 
+val memq : 'a -> 'a t -> bool
+(** Whether the block holds this very item (physical equality), tested
+    on the block's own items in place: O(count), allocating nothing,
+    where a search of {!items} copies the block first. *)
+
 val count : 'a t -> int
 
 val iter : ('a -> unit) -> 'a t -> unit

@@ -54,8 +54,10 @@ let recover ?obs image =
   let iter_records f = List.iter (fun b -> List.iter f b.records) image.blocks in
   (* Pass 1 within the single scan: the committed transaction set is
      known once every record has been seen, so we fold the scan into a
-     table first and then redo — still one read of the log. *)
-  let committed = Ids.Tid.Table.create 1024 in
+     table first and then redo — still one read of the log.  It starts
+     at about a bucket per commit the image's blocks hold, not at a
+     fixed 1,024 that went to the major heap at every crash point. *)
+  let committed = Ids.Tid.Table.create (4 * List.length image.blocks) in
   let scanned = ref 0 in
   iter_records (fun (r : Log_record.t) ->
       incr scanned;

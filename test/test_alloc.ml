@@ -14,6 +14,8 @@
    - the spec tracker's pause check allocates nothing for objects
      untouched since the last one, and its crash judge a flat handful
      of words per unsettled object, however long the history;
+   - each manager's audit at a pause allocates a few words per live
+     element, not a copy of what it checks;
    - with observation off, a flush request and its completion build no
      event;
    - a whole EL crash point (crash, recover, judge) allocates as much
@@ -437,6 +439,60 @@ let test_crash_point_words () =
        20 s (at most 1.2x)"
       long short
 
+(* A pause costs its live state: over the uniform, storm and longtail
+   presets at seed 42, each manager's audit at every stride-20 pause
+   allocates at most 4 minor words per live element, summed over the
+   run — per live cell for EL, per live transaction for FW and the
+   hybrid.  The audits walk their structures in place and allocate a
+   few closures per pause (0.2 to 1.1 words per element); a copied
+   cell list, a reversed block or a rebuilt anchored list per element
+   cost 50 to 107. *)
+let test_audit_words () =
+  let module Auditor = El_check.Auditor in
+  let live_elements = function
+    | Experiment.El_log m ->
+      El_core.Ledger.live_cells (El_core.El_manager.ledger m)
+    | Experiment.Fw_log m ->
+      (El_core.Fw_manager.stats m).El_core.Fw_manager.live_transactions
+    | Experiment.Hybrid_log m ->
+      (El_core.Hybrid_manager.stats m).El_core.Hybrid_manager.live_transactions
+  in
+  List.iter
+    (fun (kname, kind) ->
+      List.iter
+        (fun (pname, preset) ->
+          let cfg =
+            Sweep.standard_config ~kind ~runtime:(Time.of_sec 20) ~seed:42
+              ~preset ()
+          in
+          let live = Experiment.prepare cfg in
+          let words = ref 0.0 and elements = ref 0 in
+          let rec loop () =
+            match
+              El_sim.Engine.run_steps live.Experiment.engine
+                ~until:cfg.Experiment.runtime ~max_steps:20
+            with
+            | exception El_core.El_manager.Log_overloaded _ -> ()
+            | n ->
+              let m = live.Experiment.manager in
+              words := !words +. minor_words (fun () -> Auditor.audit_manager m);
+              elements := !elements + live_elements m;
+              if n = 20 then loop ()
+          in
+          loop ();
+          let per = !words /. float_of_int (max 1 !elements) in
+          if per > 4.0 then
+            Alcotest.failf
+              "%s/%s: the audits allocate %.1f minor words per live element \
+               (%.0f over %d; at most 4)"
+              pname kname per !words !elements)
+        [
+          ("uniform", Preset.uniform);
+          ("storm", Preset.storm);
+          ("longtail", Preset.longtail);
+        ])
+    (Sweep.standard_kinds ())
+
 (* A serve image of [txs] transactions of 4 writes each, written
    through [Serve.exec] under group fsync. *)
 let with_serve_image ~txs f =
@@ -752,4 +808,6 @@ let suite =
       `Quick test_scan_major_words;
     Alcotest.test_case "flush request + completion: no event words off"
       `Quick test_flush_event_words;
+    Alcotest.test_case "audit: at most 4 minor words per live element"
+      `Quick test_audit_words;
   ]
