@@ -170,40 +170,20 @@ let kind_name = function
    every pause — but audits only the pauses whose global index is
    ≡ s (mod slices), and only slice 0 performs the settled-state
    checks.  With [slices = 1] this is exactly the historical serial
-   sweep.  Failures carry the global pause index they were detected
-   at ([max_int] for post-settle checks) so slices merge back into
-   the serial reporting order. *)
-type slice_outcome = {
-  s_events : int;
-  s_pauses : int;  (** global pause count — identical across slices *)
-  s_recoveries : int;  (** crash/recover cycles performed by this slice *)
-  s_failures : (int * int * string) list;
-      (** (pause tag, events dispatched, message), oldest first *)
-  s_overloaded : bool;
-  s_faulted : bool;
-  s_committed : int;
-  s_killed : int;
-  s_contention_aborts : int;  (** generator totals — identical across slices *)
-  s_contention_retries : int;
-  s_max_scanned : int;
-  s_torn_blocks : int;  (** summed over this slice's recoveries *)
-  s_torn_records : int;
-  s_io_retries : int;  (** injector totals — identical across slices *)
-  s_io_remaps : int;
-  s_sheds : int;
-  s_spec_checks : int;
-  s_cross_committed : int;  (** 2PC commits acknowledged — 0 when solo *)
-  s_blocked_cross : int;
-  s_atomic_checks : int;  (** cross-shard transactions atomicity-checked *)
-}
+   sweep.  A slice returns its outcome, whose counts of what it did at
+   its own pauses (recoveries, torn damage, spec and atomic checks, the
+   largest scan) cover those pauses only, and its failures apart, each
+   tagged with the global pause index it was detected at ([max_int]
+   for post-settle checks) so slices merge back into the serial
+   reporting order.
 
-(* Every sweep runs over an [El_shard.Shard_group]; a solo config is
+   Every sweep runs over an [El_shard.Shard_group]; a solo config is
    the 1-shard group.  Each shard gets its own spec tracker, the one
    witness of its sink traffic, whatever the flags say: it judges every
    install into an EL shard's stable database, and its crash judge
    every recovered crash image.  [oracle] gates the settled comparisons
    against the plants, [spec] the spec's own checks (the only ones
-   counted in [s_spec_checks]).  With several shards the {e composite
+   counted in [spec_checks]).  With several shards the {e composite
    oracle} adds the global atomic-commit invariant over the recovered
    per-shard committed sets: no crash point may recover a cross-shard
    transaction as committed on one shard (decision durable) while a
@@ -403,31 +383,34 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
   in
   let outcome =
     {
-      s_events = Engine.events_dispatched engine;
-      s_pauses = !pauses;
-      s_recoveries = !recoveries;
-      s_failures = List.rev !failures;
-      s_overloaded = overloaded;
-      s_faulted = status = `Faulted;
-      s_committed = Generator.committed generator;
-      s_killed = Generator.killed generator;
-      s_contention_aborts = Generator.contention_aborts generator;
-      s_contention_retries = Generator.retries generator;
-      s_max_scanned = !max_scanned;
-      s_torn_blocks = !torn_blocks;
-      s_torn_records = !torn_records;
-      s_io_retries = injected El_fault.Injector.retries;
-      s_io_remaps = injected El_fault.Injector.remaps;
-      s_sheds = injected El_fault.Injector.sheds;
-      s_spec_checks =
+      kind = kind_name cfg.Experiment.kind;
+      seed = cfg.Experiment.seed;
+      shards = cfg.Experiment.shards;
+      events = Engine.events_dispatched engine;
+      points = !pauses;
+      recoveries = !recoveries;
+      failures = [];  (* [run] merges the tagged ones *)
+      overloaded;
+      faulted = status = `Faulted;
+      committed = Generator.committed generator;
+      killed = Generator.killed generator;
+      contention_aborts = Generator.contention_aborts generator;
+      contention_retries = Generator.retries generator;
+      max_records_scanned = !max_scanned;
+      torn_blocks = !torn_blocks;
+      torn_records = !torn_records;
+      io_retries = injected El_fault.Injector.retries;
+      io_remaps = injected El_fault.Injector.remaps;
+      sheds = injected El_fault.Injector.sheds;
+      spec_checks =
         Array.fold_left (fun a t -> a + Spec_tracker.checks t) 0 trackers;
-      s_cross_committed = Shard_group.cross_committed sg;
-      s_blocked_cross = Shard_group.blocked sg;
-      s_atomic_checks = !atomic_checks;
+      cross_committed = Shard_group.cross_committed sg;
+      blocked_cross = Shard_group.blocked sg;
+      atomic_checks = !atomic_checks;
     }
   in
   Shard_group.dispose sg;
-  outcome
+  (outcome, List.rev !failures)
 
 let run ?(pool = El_par.Pool.serial) ?(stride = 100) ?(max_points = max_int)
     ?(recover = true) ?(oracle = true) ?(spec = false)
@@ -440,45 +423,28 @@ let run ?(pool = El_par.Pool.serial) ?(stride = 100) ?(max_points = max_int)
         run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec cfg)
       (List.init slices Fun.id)
   in
-  let p0 = List.hd parts in
   (* Each pause is owned by exactly one slice and the settled-state
      tag only appears in slice 0, so a stable sort on the tag alone
      reproduces the serial reporting order exactly. *)
   let failures =
-    List.concat_map (fun p -> p.s_failures) parts
+    List.concat_map snd parts
     |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare (a : int) b)
     |> List.map (fun (_, at, msg) -> (at, msg))
   in
+  (* Every replay reaches the same run totals; what a slice did at its
+     own pauses partitions with them, so summing reproduces the serial
+     counts. *)
+  let sum count = List.fold_left (fun a (o, _) -> a + count o) 0 parts in
   {
-    kind = kind_name cfg.Experiment.kind;
-    seed = cfg.Experiment.seed;
-    shards = cfg.Experiment.shards;
-    events = p0.s_events;
-    points = p0.s_pauses;
-    recoveries = List.fold_left (fun a p -> a + p.s_recoveries) 0 parts;
+    (fst (List.hd parts)) with
+    recoveries = sum (fun o -> o.recoveries);
     failures;
-    overloaded = p0.s_overloaded;
-    faulted = p0.s_faulted;
-    committed = p0.s_committed;
-    killed = p0.s_killed;
-    contention_aborts = p0.s_contention_aborts;
-    contention_retries = p0.s_contention_retries;
     max_records_scanned =
-      List.fold_left (fun a p -> max a p.s_max_scanned) 0 parts;
-    (* pauses partition across slices, so summing reproduces the
-       serial totals *)
-    torn_blocks = List.fold_left (fun a p -> a + p.s_torn_blocks) 0 parts;
-    torn_records = List.fold_left (fun a p -> a + p.s_torn_records) 0 parts;
-    (* injector totals, identical in every slice's replay *)
-    io_retries = p0.s_io_retries;
-    io_remaps = p0.s_io_remaps;
-    sheds = p0.s_sheds;
-    spec_checks = List.fold_left (fun a p -> a + p.s_spec_checks) 0 parts;
-    (* router totals, identical in every slice's replay *)
-    cross_committed = p0.s_cross_committed;
-    blocked_cross = p0.s_blocked_cross;
-    (* atomic checks partition with the pauses, like recoveries *)
-    atomic_checks = List.fold_left (fun a p -> a + p.s_atomic_checks) 0 parts;
+      List.fold_left (fun a (o, _) -> max a o.max_records_scanned) 0 parts;
+    torn_blocks = sum (fun o -> o.torn_blocks);
+    torn_records = sum (fun o -> o.torn_records);
+    spec_checks = sum (fun o -> o.spec_checks);
+    atomic_checks = sum (fun o -> o.atomic_checks);
   }
 
 (* One crash point at a simulated instant, on the plant a sweep
@@ -514,7 +480,7 @@ let run_with_crash (cfg : Experiment.config) ~crash_at =
              both read the same channel state, so they describe the
              same crash instant, and both are judged now.  The run goes
              on, so keep a copy of the recovered database. *)
-          let recovery, verdict = judged (Recovery.crash engine manager) in
+          let recovery, verdict = judged (Recovery.crash manager) in
           let recovery =
             {
               recovery with

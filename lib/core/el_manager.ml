@@ -36,11 +36,6 @@ type gen = {
   mutable g_buffer_seq : int;
   mutable g_stage : Cell.tracked Block.t;  (* recirculation staging (last gen) *)
   mutable g_stage_origins : int list;  (* slots whose survivors are staged *)
-  g_inflight : (int * Cell.tracked Block.t) Queue.t;
-      (* writes issued but not completed, FIFO; the head is the write
-         in service.  Tracked here, not via [g_blocks], because a slot
-         can be reassigned while an older write for it is still
-         queued. *)
   g_fwd_guard : int array;
       (* per slot: in-flight forward writes in the next generation
          that carried this slot's survivors away.  While non-zero the
@@ -105,7 +100,6 @@ let make_gen engine policy ?obs ?fault ?store i =
     g_buffer_seq = 0;
     g_stage = Block.create ~capacity:policy.Policy.block_payload;
     g_stage_origins = [];
-    g_inflight = Queue.create ();
     g_fwd_guard = Array.make size 0;
     g_parked = Queue.create ();
   }
@@ -238,13 +232,10 @@ let block_records block =
 
 (* Hand a sealed buffer to the generation's channel. *)
 let channel_issue t g (buf : buffer) =
-  Queue.add (buf.b_slot, buf.b_block) g.g_inflight;
   Log_channel.write
     ~payload:(fun () -> (buf.b_slot, block_records buf.b_block))
     g.g_channel
     ~on_complete:(fun () ->
-      (let s, _ = Queue.pop g.g_inflight in
-       assert (s = buf.b_slot));
       g.g_state.(buf.b_slot) <-
         (if g.g_state.(buf.b_slot) = Sealed then Durable
          else g.g_state.(buf.b_slot));
@@ -942,65 +933,31 @@ let check_invariants t =
     violated "ledger reaches %d live cells but generation lists hold %d" live
       !listed
 
-type durable_block = {
-  db_gen : int;
-  db_slot : int;
-  db_records : Log_record.t list;
-  db_torn_prefix : int option;
-}
-
-let durable_blocks t =
-  let acc = ref [] in
-  Array.iter
-    (fun g ->
-      (* A torn verdict only materializes for the write actually in
-         service at the crash: the channel is sequential, so that is
-         the head of the in-flight queue.  Its slot's previous durable
-         content is partially overwritten — the crash image holds the
-         new block's prefix, with the suffix (at least the final
-         record) destroyed. *)
-      let torn =
-        match Log_channel.in_service_torn g.g_channel with
-        | None -> None
-        | Some f -> (
-          match Queue.peek_opt g.g_inflight with
-          | None -> None
-          | Some (slot, block) -> Some (slot, block, f))
-      in
-      let torn_slot =
-        match torn with Some (s, _, _) -> Some s | None -> None
-      in
+(* The platter a crash now leaves, per generation in index order:
+   every slot whose last write completed, ascending — freed slots'
+   stale copies included, since a real scan cannot tell them apart —
+   then the write in service if its verdict tears it, which replaces
+   the slot's old block with its intact prefix. *)
+let fold_durable t f init =
+  Array.fold_left
+    (fun acc g ->
+      let torn = Log_channel.torn_in_service g.g_channel in
+      let torn_slot = match torn with Some (s, _, _) -> s | None -> -1 in
+      let acc = ref acc in
       Array.iteri
         (fun s durable ->
-          if Some s <> torn_slot then
-            match durable with
-            | None -> ()
-            | Some block ->
-              acc :=
-                {
-                  db_gen = g.g_index;
-                  db_slot = s;
-                  db_records = block_records block;
-                  db_torn_prefix = None;
-                }
-                :: !acc)
+          match durable with
+          | Some block when s <> torn_slot ->
+            acc := f !acc (block_records block) 0
+          | Some _ | None -> ())
         g.g_durable;
       match torn with
-      | None -> ()
-      | Some (s, block, f) ->
-        let records = block_records block in
-        let n = List.length records in
-        let k = El_store.Log_store.torn_keep ~count:n f in
-        acc :=
-          {
-            db_gen = g.g_index;
-            db_slot = s;
-            db_records = records;
-            db_torn_prefix = Some k;
-          }
-          :: !acc)
-    t.gens;
-  !acc
+      | None -> !acc
+      | Some (_, records, keep) ->
+        f !acc
+          (List.filteri (fun i _ -> i < keep) records)
+          (List.length records - keep))
+    init t.gens
 
 let stable t = t.stable
 

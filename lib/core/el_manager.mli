@@ -138,24 +138,19 @@ val occupied_blocks : t -> int array
 
 (** {2 Recovery support} *)
 
-(** One on-disk block as a crash would find it.  [db_torn_prefix =
-    Some k] marks the block whose write was in service with a torn
-    verdict at the crash: only its first [k] records persisted intact
-    ([k < length db_records]; the suffix — at least the final record —
-    is destroyed, replacing whatever the slot durably held before). *)
-type durable_block = {
-  db_gen : int;
-  db_slot : int;
-  db_records : Log_record.t list;
-  db_torn_prefix : int option;
-}
-
-val durable_blocks : t -> durable_block list
-(** Every block whose disk write has completed, across all generations
-    — including stale copies in freed-but-not-yet-overwritten slots,
-    exactly what a post-crash scan would read — plus, per generation,
-    the write in service at the crash when (and only when) its fault
-    verdict was torn.  Reading this never draws fault randomness. *)
+val fold_durable : t -> ('a -> Log_record.t list -> int -> 'a) -> 'a -> 'a
+(** [fold_durable t f init] folds [f acc records lost] over every block
+    a crash now leaves on the platter, generation by generation: each
+    slot whose disk write has completed, in slot order — including
+    stale copies in freed-but-not-yet-overwritten slots, exactly what
+    a post-crash scan would read — and then, when (and only when) its
+    fault verdict tears it, the write in service
+    ({!El_disk.Log_channel.torn_in_service}).  A torn write replaces
+    whatever its slot durably held: [records] is the prefix that
+    persisted intact and [lost] counts the destroyed suffix (at least
+    the final record); every other block has [lost = 0].  Records are
+    listed at the call, and reading them never draws fault
+    randomness. *)
 
 val stable : t -> El_disk.Stable_db.t
 

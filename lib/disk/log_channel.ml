@@ -140,24 +140,32 @@ let writes_completed t = t.completed
 let peak_in_flight t = t.peak
 let pool_overflows t = t.overflows
 
-let in_service_torn t = if t.busy then t.current_torn else None
+(* The torn model: a torn write persists the fraction [f] of its
+   records, rounded down, and always loses at least the last one. *)
+let torn_keep ~count f =
+  if count = 0 then 0 else min (count - 1) (int_of_float (f *. float_of_int count))
 
-(* Persist the crash image of the write currently in service.  A torn
-   in-service write destroys the slot's old content and leaves a valid
-   prefix of the new block, so it appends a newer segment with the
-   destroyed tail written as corrupt entries.  A non-torn in-service
-   write persists nothing: it has not completed, so the slot's previous
-   segment stays newest.  Queued writes were never started and leave no
-   trace either — exactly the simulator's [durable_blocks] view. *)
-let crash_persist t =
-  match (t.store, t.in_service, if t.busy then t.current_torn else None) with
-  | Some store, Some p, Some f ->
+let torn_in_service t =
+  match (t.in_service, t.current_torn) with
+  | Some p, Some f ->
     let slot, records = p () in
-    let count = List.length records in
-    let keep = El_store.Log_store.torn_keep ~count f in
-    El_store.Log_store.append_block store ~gen:t.label ~slot
-      ~torn_suffix:(count - keep) records
-  | _ -> ()
+    Some (slot, records, torn_keep ~count:(List.length records) f)
+  | _ -> None
+
+(* A torn in-service write destroys the slot's old content and leaves a
+   valid prefix of the new block, so it appends a newer segment with
+   the destroyed tail written as corrupt entries.  Any other write in
+   service has not completed and persists nothing, and queued writes
+   were never started. *)
+let crash_persist t =
+  match t.store with
+  | None -> ()
+  | Some store -> (
+    match torn_in_service t with
+    | None -> ()
+    | Some (slot, records, keep) ->
+      El_store.Log_store.append_block store ~gen:t.label ~slot
+        ~torn_suffix:(List.length records - keep) records)
 
 let quiesce_time t =
   if not t.busy then El_sim.Engine.now t.engine

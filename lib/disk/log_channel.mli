@@ -35,7 +35,7 @@ val create :
     injector when it starts service: transient errors stretch the
     service time by the retry penalty, latency windows scale it,
     remaps burn spares (fatal when exhausted), and torn-write verdicts
-    are held for {!in_service_torn}.  A nominal resolution reuses the
+    are held for {!torn_in_service}.  A nominal resolution reuses the
     exact [write_time], so an armed-but-inert plan is byte-identical
     to none.  With [store], every completed write with a payload is
     appended to the durable log (pwrite + barrier) {e before} its
@@ -50,9 +50,9 @@ val write :
   unit
 (** Enqueues one block write.  [on_complete] fires τ after the write
     reaches the head of the channel's queue.  [payload], forced at
-    completion (and at {!crash_persist}), yields the block's slot and
-    records for store persistence; payload-less writes (checkpoints)
-    model bandwidth only and persist nothing. *)
+    completion on a store-backed channel and by {!torn_in_service},
+    yields the block's slot and records; payload-less writes
+    (checkpoints) model bandwidth only and persist nothing. *)
 
 val writes_started : t -> int
 val writes_completed : t -> int
@@ -66,12 +66,15 @@ val pool_overflows : t -> int
 (** Number of writes issued while the buffer pool was already fully
     occupied — should be 0 in every paper configuration. *)
 
-val in_service_torn : t -> float option
-(** The pre-drawn torn-write verdict of the write currently in
-    service: [Some f] means a crash right now persists only the
-    fraction [f] of that block.  [None] when idle or the write is not
-    torn.  Reading this never advances the fault stream, so crash
-    capture cannot perturb replay. *)
+val torn_in_service : t -> (int * Log_record.t list * int) option
+(** The write in service when its pre-drawn fault verdict tears it:
+    [Some (slot, records, keep)] means a crash right now leaves only
+    the first [keep] of the block's [records] intact ([keep <
+    length records]: at least the last one is lost), replacing
+    whatever the slot durably held before.  [None] when idle, when the
+    write is not torn or carries no payload.  This is the one place
+    the torn model is applied; reading it never advances the fault
+    stream, so crash capture cannot perturb replay. *)
 
 val quiesce_time : t -> Time.t
 (** The simulated time at which all currently queued writes will have
@@ -79,7 +82,8 @@ val quiesce_time : t -> Time.t
 
 val crash_persist : t -> unit
 (** Appends the crash image of the in-service write to the store, if
-    any: a torn in-service write persists its valid prefix (with the
-    destroyed tail as corrupt entries) under a fresh sequence number;
-    a non-torn or absent in-service write persists nothing, leaving
-    the slot's previous segment newest.  No-op without a store. *)
+    any: a {!torn_in_service} write persists its valid prefix (with
+    the destroyed tail as corrupt entries) under a fresh sequence
+    number; a non-torn or absent in-service write persists nothing,
+    leaving the slot's previous segment newest.  No-op without a
+    store. *)

@@ -36,10 +36,8 @@ type kind =
   | Flush_request of { oid : int; forced : bool }
   | Flush_start of { drive : int; oid : int }
   | Flush_done of { drive : int; oid : int; distance : int }
-  | Recovery_scan of { records : int; applied : int; skipped : int }
   | Io_retry of { device : string; attempts : int }
   | Io_remap of { device : string }
-  | Torn_discard of { blocks : int; records : int }
   | Shed of { tid : int; backlog : int }
   | Contention of { tid : int; oid : int; attempt : int }
   | Retry of { tid : int; attempt : int }
@@ -65,10 +63,8 @@ let name = function
   | Flush_request _ -> "flush-request"
   | Flush_start _ -> "flush-start"
   | Flush_done _ -> "flush-done"
-  | Recovery_scan _ -> "recovery-scan"
   | Io_retry _ -> "io-retry"
   | Io_remap _ -> "io-remap"
-  | Torn_discard _ -> "torn-discard"
   | Shed _ -> "shed"
   | Contention _ -> "contention"
   | Retry _ -> "retry"
@@ -104,14 +100,9 @@ let args kind : (string * Jsonx.t) list =
   | Flush_start { drive; oid } -> [ ("drive", Int drive); ("oid", Int oid) ]
   | Flush_done { drive; oid; distance } ->
     [ ("drive", Int drive); ("oid", Int oid); ("distance", Int distance) ]
-  | Recovery_scan { records; applied; skipped } ->
-    [ ("records", Int records); ("applied", Int applied);
-      ("skipped", Int skipped) ]
   | Io_retry { device; attempts } ->
     [ ("device", String device); ("attempts", Int attempts) ]
   | Io_remap { device } -> [ ("device", String device) ]
-  | Torn_discard { blocks; records } ->
-    [ ("blocks", Int blocks); ("records", Int records) ]
   | Shed { tid; backlog } -> [ ("tid", Int tid); ("backlog", Int backlog) ]
   | Contention { tid; oid; attempt } ->
     [ ("tid", Int tid); ("oid", Int oid); ("attempt", Int attempt) ]

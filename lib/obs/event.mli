@@ -50,13 +50,10 @@ type kind =
   | Flush_done of { drive : int; oid : int; distance : int }
       (** [distance] is the oid seek distance from the drive's previous
           position, 0 for a drive's first flush *)
-  | Recovery_scan of { records : int; applied : int; skipped : int }
   | Io_retry of { device : string; attempts : int }
       (** transient I/O failures absorbed by the retry policy *)
   | Io_remap of { device : string }
       (** a bad sector forced a remap onto a spare *)
-  | Torn_discard of { blocks : int; records : int }
-      (** recovery discarded torn tail blocks failing their checksum *)
   | Shed of { tid : int; backlog : int }
       (** degraded mode shed an arriving transaction under fault storm *)
   | Contention of { tid : int; oid : int; attempt : int }

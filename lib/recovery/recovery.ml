@@ -2,33 +2,16 @@ open El_model
 
 type block = { records : Log_record.t list; torn : int }
 
-type image = {
-  blocks : block list;
-  stable : El_disk.Stable_db.t;
-  crash_time : Time.t;
-}
+type image = { blocks : block list; stable : El_disk.Stable_db.t }
 
-let crash engine manager =
+let crash manager =
   let module M = El_core.El_manager in
-  let blocks =
-    List.map
-      (fun (db : M.durable_block) ->
-        match db.M.db_torn_prefix with
-        | None -> { records = db.M.db_records; torn = 0 }
-        | Some k ->
-          (* The torn write persisted the first [k] records intact;
-             the suffix hit the platter garbled and reads back as
-             nothing. *)
-          {
-            records = List.filteri (fun i _ -> i < k) db.M.db_records;
-            torn = List.length db.M.db_records - k;
-          })
-      (M.durable_blocks manager)
-  in
   {
-    blocks;
+    blocks =
+      M.fold_durable manager
+        (fun acc records torn -> { records; torn } :: acc)
+        [];
     stable = El_disk.Stable_db.overlay (M.stable manager);
-    crash_time = El_sim.Engine.now engine;
   }
 
 type result = {
@@ -41,7 +24,7 @@ type result = {
   torn_records : int;
 }
 
-let recover ?obs image =
+let recover image =
   let torn_blocks = ref 0 in
   let torn_records = ref 0 in
   List.iter
@@ -84,19 +67,6 @@ let recover ?obs image =
       | Log_record.Data _ | Log_record.Begin | Log_record.Commit
       | Log_record.Abort ->
         incr skipped);
-  (match obs with
-  | None -> ()
-  | Some o ->
-    (* Recovery happens conceptually at the crash instant; stamping
-       the scan there keeps the trace timeline consistent even when
-       the image is replayed later (or never) in wall-run order. *)
-    El_obs.Obs.emit_at o ~at:image.crash_time El_obs.Event.Recovery
-      (El_obs.Event.Recovery_scan
-         { records = !scanned; applied = !applied; skipped = !skipped });
-    if !torn_blocks > 0 then
-      El_obs.Obs.emit_at o ~at:image.crash_time El_obs.Event.Recovery
-        (El_obs.Event.Torn_discard
-           { blocks = !torn_blocks; records = !torn_records }));
   {
     recovered;
     committed_tids =
@@ -122,9 +92,7 @@ let image_of_scan ~num_objects (s : El_store.Log_store.scan) =
         s.El_store.Log_store.s_blocks;
     stable =
       El_disk.Stable_db.of_table ~num_objects s.El_store.Log_store.s_stable;
-    crash_time = Time.zero;
   }
 
-let recover_store ?obs ?upto ~num_objects backend =
-  let s = El_store.Log_store.scan ?upto backend in
-  recover ?obs (image_of_scan ~num_objects s)
+let recover_store ~num_objects backend =
+  recover (image_of_scan ~num_objects (El_store.Log_store.scan backend))

@@ -57,17 +57,17 @@ type image = {
   stable : El_disk.Stable_db.t;
       (** stable version at the crash point (from {!crash}, an overlay
           of the manager's live database: see the image lifetime) *)
-  crash_time : Time.t;
 }
 (** What a crash leaves on the platter, and nothing else: what the
     crash must keep is not the image's to say. *)
 
-val crash : El_sim.Engine.t -> El_core.El_manager.t -> image
-(** Captures the crash image of an EL-managed log, now.  A block write
-    in service with a torn fault verdict persists only its prefix,
-    replacing whatever the slot durably held before; the lost suffix
-    is its [torn] count.  The capture costs the log, not the objects
-    ever flushed. *)
+val crash : El_core.El_manager.t -> image
+(** Captures the crash image of an EL-managed log, now: one block per
+    {!El_core.El_manager.fold_durable} block, so a block write in
+    service with a torn fault verdict persists only its prefix,
+    replacing whatever the slot durably held before, and the lost
+    suffix is its [torn] count.  The capture costs the log, not the
+    objects ever flushed. *)
 
 type result = {
   recovered : El_disk.Stable_db.t;
@@ -81,14 +81,12 @@ type result = {
   torn_records : int;  (** records lost to torn tails *)
 }
 
-val recover : ?obs:El_obs.Obs.t -> image -> result
+val recover : image -> result
 (** The single pass: count torn tails, scan the intact records,
     determine the committed transaction set, redo newest committed
     versions into an overlay of the stable version.  Raises
     [Invalid_argument] if the image's stable version is a stale
-    overlay (see the image lifetime).  With [obs], emits a
-    [Recovery_scan] trace event — plus a [Torn_discard] event when any
-    tail was lost — stamped at the image's crash time. *)
+    overlay (see the image lifetime). *)
 
 val image_of_scan : num_objects:int -> El_store.Log_store.scan -> image
 (** Lifts a durable-store scan into a crash image: each surviving
@@ -97,18 +95,12 @@ val image_of_scan : num_objects:int -> El_store.Log_store.scan -> image
     [torn] count, so the torn counters match a simulated crash of the
     same state; the stable version adopts the scan's [s_stable] table
     ({!El_disk.Stable_db.of_table}, no copy), so the scan's table
-    belongs to the image from then on.  [crash_time] is {!Time.zero}:
-    a scanned image carries no clock. *)
+    belongs to the image from then on.  A scan bounded at a crash mark
+    ({!El_core.El_manager.persist_crash_mark}) lifts the image as it
+    stood at that instant. *)
 
-val recover_store :
-  ?obs:El_obs.Obs.t ->
-  ?upto:int ->
-  num_objects:int ->
-  El_store.Backend.t ->
-  result
-(** Scans the backend and runs {!recover} on the resulting image — the
-    real-restart path.  Its cost is one checksum pass over the image
-    plus decoding and redoing the surviving segments (see
-    {!El_store.Log_store.scan}).  [upto] bounds the scan at a crash mark
-    ({!El_core.El_manager.persist_crash_mark}), replaying the image as
-    it stood at that instant. *)
+val recover_store : num_objects:int -> El_store.Backend.t -> result
+(** Scans the whole backend and runs {!recover} on the resulting image
+    — the real-restart path.  Its cost is one checksum pass over the
+    image plus decoding and redoing the surviving segments (see
+    {!El_store.Log_store.scan}). *)

@@ -15,11 +15,13 @@ type slot_pool = { busy : bool array; mutable cursor : int; mutable free : int }
 let make_slot_pool n = { busy = Array.make n false; cursor = 0; free = n }
 
 let alloc_slot sp =
+  let n = Array.length sp.busy in
   if sp.free = 0 then
     failwith
-      "Shard_group: control region exhausted — raise ctl_slots above the \
-       cross-shard transaction concurrency";
-  let n = Array.length sp.busy in
+      (Printf.sprintf
+         "Shard_group: control region exhausted — a shard holds at most %d \
+          cross-shard transactions in flight"
+         n);
   let rec find i =
     let s = (sp.cursor + i) mod n in
     if sp.busy.(s) then find (i + 1) else s
@@ -336,7 +338,7 @@ let on_manager_kill t i tid =
 (* --- Construction ------------------------------------------------ *)
 
 let prepare ?(wrap_shard_sink = fun _ sink -> sink)
-    ?(on_shard_kill = fun _ _ -> ()) ?(on_cross = ignore) ?ctl_slots
+    ?(on_shard_kill = fun _ _ -> ()) ?(on_cross = ignore)
     (cfg : Experiment.config) =
   if cfg.Experiment.shards < 1 then
     invalid_arg "Shard_group.prepare: shards must be >= 1";
@@ -349,8 +351,7 @@ let prepare ?(wrap_shard_sink = fun _ sink -> sink)
   let sg_engine = Engine.create ~seed:cfg.Experiment.seed () in
   let inj = El_fault.Injector.create cfg.Experiment.fault in
   let part =
-    Partition.create ?ctl_slots ~shards:n
-      ~num_objects:cfg.Experiment.num_objects ()
+    Partition.create ~shards:n ~num_objects:cfg.Experiment.num_objects ()
   in
   (* Each plant's flush array spans data + control oids. *)
   let sg_instances =
@@ -564,7 +565,7 @@ let crash_images t =
              i kind)
       in
       match inst.Experiment.i_manager with
-      | Experiment.El_log m -> Recovery.crash t.sg_engine m
+      | Experiment.El_log m -> Recovery.crash m
       | Experiment.Fw_log _ -> refuse "fw"
       | Experiment.Hybrid_log _ -> refuse "hybrid")
     t.sg_instances

@@ -36,7 +36,6 @@ val prepare :
   ?wrap_shard_sink:(int -> El_workload.Generator.sink -> El_workload.Generator.sink) ->
   ?on_shard_kill:(int -> Ids.Tid.t -> unit) ->
   ?on_cross:(cross -> unit) ->
-  ?ctl_slots:int ->
   Experiment.config ->
   t
 (** Builds the group for [cfg.shards] shards.  [wrap_shard_sink i]
@@ -48,9 +47,9 @@ val prepare :
     (it touched two or more shards), before any branch is asked to
     prepare; the group keeps no handle itself, so a caller keeps only
     the ones it still needs to read (the sweep's atomic-commit oracle
-    keeps the open ones).  [ctl_slots] sizes each shard's 2PC
-    control region (default 4096 live cross-shard transactions per
-    shard).  Raises [Invalid_argument] if the config carries an
+    keeps the open ones).  Each shard's 2PC control region holds
+    {!Partition.create}'s default number of live cross-shard
+    transactions.  Raises [Invalid_argument] if the config carries an
     observer (unsupported on the sharded path) or [shards < 1]. *)
 
 val engine : t -> El_sim.Engine.t

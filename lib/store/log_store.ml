@@ -19,9 +19,6 @@ let backend t = t.backend
 let epoch t = t.epoch
 let position t = t.seq
 
-let torn_keep ~count f =
-  if count = 0 then 0 else min (count - 1) (int_of_float (f *. float_of_int count))
-
 let segment_bytes count = Codec.header_bytes + (count * Codec.entry_bytes)
 
 let sync_mode t = t.sync_mode

@@ -8,11 +8,11 @@
     segment keyed by [(epoch, gen, slot)]; a later write to the same
     slot appends a new segment with a higher [seq] rather than
     overwriting in place.  A {!scan} decodes only the newest segment
-    per key, which reproduces exactly the simulator's [durable_blocks]
-    view: overwritten content disappears, queued-but-unstarted writes
-    were never appended, and a torn in-service write (persisted with
-    [torn_suffix] corrupt entries) supersedes the slot's previous
-    content with its valid prefix.
+    per key, which reproduces exactly the simulator's crash image
+    ([El_manager.fold_durable]): overwritten content disappears,
+    queued-but-unstarted writes were never appended, and a torn
+    in-service write (persisted with [torn_suffix] corrupt entries)
+    supersedes the slot's previous content with its valid prefix.
 
     {2 Durability contract}
 
@@ -86,11 +86,6 @@ val position : t -> int
     [~upto:(position t)] sees exactly the segments appended so far
     (under [Manual], once a {!sync} has written them) — the crash-mark
     used for in-simulation store recovery. *)
-
-val torn_keep : count:int -> float -> int
-(** [torn_keep ~count f] is how many of [count] records survive a torn
-    write with torn factor [f] — the single definition of the PR-5
-    torn model shared by the simulator and the store. *)
 
 val append_block :
   t -> gen:int -> slot:int -> ?torn_suffix:int -> Log_record.t list -> unit

@@ -201,6 +201,8 @@ let create engine ~sink ~mix ~arrival_rate ~runtime
     ?(on_contention = fun ~tid:_ ~oid:_ ~attempt:_ -> ())
     ?(on_retry = fun ~tid:_ ~attempt:_ -> ()) ~num_objects () =
   if arrival_rate <= 0.0 then invalid_arg "Generator.create: zero rate";
+  if Time.(runtime <= zero) then
+    invalid_arg "Generator.create: non-positive runtime";
   if abort_fraction < 0.0 || abort_fraction > 1.0 then
     invalid_arg "Generator.create: abort fraction outside [0,1]";
   if max_retries < 0 then invalid_arg "Generator.create: negative retries";

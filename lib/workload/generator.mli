@@ -84,7 +84,10 @@ val create :
     of the exponential backoff, doubled per attempt plus seeded
     jitter.  [on_contention] fires at each contention abort and
     [on_retry] at each relaunch — observability hooks, never control
-    flow. *)
+    flow.  Raises [Invalid_argument] for a non-positive rate or a
+    [runtime] under 1 µs (nothing would ever arrive), an abort
+    fraction outside [0, 1], negative retries or a non-positive
+    backoff. *)
 
 val kill : t -> Ids.Tid.t -> unit
 (** Called by the log manager when it kills a transaction (FW log

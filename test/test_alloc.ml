@@ -362,11 +362,7 @@ let test_tracker_crash_words () =
       let t = tracked_history ~stable ~unflushed:k n in
       let point () =
         let image =
-          {
-            Recovery.blocks = [];
-            stable = El_disk.Stable_db.overlay stable;
-            crash_time = Time.zero;
-          }
+          { Recovery.blocks = []; stable = El_disk.Stable_db.overlay stable }
         in
         let recovered = El_disk.Stable_db.overlay image.Recovery.stable in
         for i = n to n + k - 1 do

@@ -508,11 +508,7 @@ let test_tracker_settled_checks () =
    its recovery: a redo overlay the test may raise by hand. *)
 let crash_image ?(blocks = []) stable =
   let image =
-    {
-      Recovery.blocks;
-      stable = El_disk.Stable_db.overlay stable;
-      crash_time = Time.zero;
-    }
+    { Recovery.blocks; stable = El_disk.Stable_db.overlay stable }
   in
   (image, Recovery.recover image)
 
@@ -707,7 +703,7 @@ let test_floor_lag_caught_without_spec () =
         | Experiment.Fw_log _ | Experiment.Hybrid_log _ -> assert false
       in
       let judge () =
-        let image = Recovery.crash engine manager in
+        let image = Recovery.crash manager in
         Spec_tracker.judge trackers.(0) image (Recovery.recover image)
       in
       El_sim.Engine.run engine ~until:(Time.of_sec 2);

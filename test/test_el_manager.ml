@@ -110,9 +110,7 @@ let test_flush_cycle_to_stable () =
   Alcotest.(check int) "LTT drained" 0 stats.M.ltt_entries
 
 (* Every record a post-crash scan would read. *)
-let durable_records m =
-  List.concat_map (fun (b : M.durable_block) -> b.M.db_records)
-    (M.durable_blocks m)
+let durable_records m = M.fold_durable m (fun acc records _ -> records @ acc) []
 
 let test_abort_record_written () =
   let rig = make_rig () in

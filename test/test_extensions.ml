@@ -215,9 +215,7 @@ let test_timing_estimate_from_image () =
   in
   let live = Experiment.prepare cfg in
   El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec 20);
-  let image =
-    El_recovery.Recovery.crash live.Experiment.engine (el_manager live)
-  in
+  let image = El_recovery.Recovery.crash (el_manager live) in
   let result = El_recovery.Recovery.recover image in
   let t = El_recovery.Timing.estimate image result in
   Alcotest.(check bool)

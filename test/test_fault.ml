@@ -302,9 +302,7 @@ let test_torn_exact_suffix () =
   in
   let live = Experiment.prepare cfg in
   El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec 15);
-  let image =
-    Recovery.crash live.Experiment.engine (el_manager live)
-  in
+  let image = Recovery.crash (el_manager live) in
   let rec pick = function
     | [] -> None
     | (b : Recovery.block) :: rest ->

@@ -230,6 +230,31 @@ let test_versions_count_records () =
         (List.sort_uniq compare versions) versions)
     oids
 
+(* A run shorter than the clock's 1 us tick launches nothing and would
+   report rates over zero time, so the generator refuses it — and with
+   it every harness path, the sweep's included, which used to report
+   an empty sweep clean. *)
+let test_zero_runtime_refused () =
+  let refused = Invalid_argument "Generator.create: non-positive runtime" in
+  List.iter
+    (fun runtime ->
+      Alcotest.check_raises
+        (Printf.sprintf "generator, %d us" (Time.to_us runtime))
+        refused
+        (fun () ->
+          let engine = Engine.create () in
+          ignore
+            (G.create engine
+               ~sink:(recording_sink engine ~ack_delay:(Time.of_ms 1) (ref []))
+               ~mix:(one_type ~duration_ms:10 ~num_records:1)
+               ~arrival_rate:1.0 ~runtime ~num_objects:100 ())))
+    [ Time.zero; Time.of_sec_f 0.0000004 ];
+  let module Sweep = El_check.Sweep in
+  let el = List.assoc "el" (Sweep.standard_kinds ()) in
+  Alcotest.check_raises "sweep" refused (fun () ->
+      ignore
+        (Sweep.run (Sweep.standard_config ~kind:el ~runtime:Time.zero ())))
+
 let suite =
   [
     Alcotest.test_case "Figure 3 timeline" `Quick test_figure3_timeline;
@@ -245,4 +270,6 @@ let suite =
       test_versions_monotone;
     Alcotest.test_case "versions count data records" `Quick
       test_versions_count_records;
+    Alcotest.test_case "a zero-length run is refused" `Quick
+      test_zero_runtime_refused;
   ]

@@ -88,9 +88,7 @@ let test_redo_idempotent () =
   let cfg = el_config () in
   let live = Experiment.prepare cfg in
   El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec 20);
-  let image =
-    Recovery.crash live.Experiment.engine (el_manager live)
-  in
+  let image = Recovery.crash (el_manager live) in
   let r1 = Recovery.recover image in
   let r2 = Recovery.recover image in
   Alcotest.(check bool) "recovery is deterministic" true
@@ -211,9 +209,7 @@ let prop_recover_idempotent_order_insensitive =
       let cfg = el_config ~seed () in
       let live = Experiment.prepare cfg in
       El_sim.Engine.run live.Experiment.engine ~until:(Time.of_sec crash_s);
-      let image =
-        Recovery.crash live.Experiment.engine (el_manager live)
-      in
+      let image = Recovery.crash (el_manager live) in
       let sorted_tids (r : Recovery.result) =
         List.sort Ids.Tid.compare r.Recovery.committed_tids
       in

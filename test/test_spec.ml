@@ -77,9 +77,7 @@ let judged ?(stable = []) s blocks =
   List.iter
     (fun (o, v) -> El_disk.Stable_db.apply db (oid o) ~version:v)
     stable;
-  let image =
-    { El_recovery.Recovery.blocks; stable = db; crash_time = Time.zero }
-  in
+  let image = { El_recovery.Recovery.blocks; stable = db } in
   El_check.Spec_tracker.(
     ok (judge (of_spec s) image (El_recovery.Recovery.recover image)))
 

@@ -761,8 +761,9 @@ let test_sim_mem_result_identity () =
    the same torn damage, each judged clean against the spec, for the
    standard EL log at three seeds and,
    scaled to each preset, under every workload preset — and at each
-   seed once more, crashed inside a torn in-service write, where the
-   damage must be there to compare.  (redo_applied/skipped are
+   seed twice more, crashed inside a torn in-service write (the second
+   time one that overwrites a completed block), where the damage must
+   be there to compare.  (redo_applied/skipped are
    scan-order dependent and deliberately not compared.) *)
 let test_crash_mark_fidelity () =
   let module FP = El_fault.Fault_plan in
@@ -799,11 +800,14 @@ let test_crash_mark_fidelity () =
   in
   (* The seed inputs again, each crashed inside a torn log write: the
      first instant after 2 s whose crash leaves torn damage in the store
-     image.  Stepping the engine lists the candidates, each 1 us after
-     an event with no other event before the next one, so a crash there
-     sees exactly the state that event left.  Both images must then
-     hold torn damage, and the same. *)
-  let torn_instant (cfg : Experiment.config) =
+     image, and the first whose torn write overwrites a completed block
+     (the first tears land on slots that never completed one, so only
+     the second sees the torn prefix replace a slot's old block).
+     Stepping the engine lists the candidates, each 1 us after an event
+     with no other event before the next one, so a crash there sees
+     exactly the state that event left.  Both images must then hold
+     torn damage, and the same. *)
+  let instants (cfg : Experiment.config) =
     let live = Experiment.prepare cfg in
     let engine = live.Experiment.engine in
     let rec candidates acc last n =
@@ -818,25 +822,55 @@ let test_crash_mark_fidelity () =
             (if Time.(now >= of_sec 2) then Some now else None)
             n
     in
-    let instants =
-      Fun.protect
-        ~finally:(fun () -> Experiment.dispose live)
-        (fun () -> candidates [] None 400)
-    in
-    let tears at =
-      match El_check.Sweep.run_with_crash cfg ~crash_at:at with
-      | _, _, _, Some (st, _) -> st.Recovery.torn_blocks > 0
-      | _, _, _, None -> false
-    in
-    match List.find_opt tears instants with
-    | Some at -> at
-    | None -> Alcotest.fail "no crash instant tears a log write"
+    Fun.protect
+      ~finally:(fun () -> Experiment.dispose live)
+      (fun () -> candidates [] None 400)
+  in
+  let tears cfg at =
+    match El_check.Sweep.run_with_crash cfg ~crash_at:at with
+    | _, _, _, Some (st, _) -> st.Recovery.torn_blocks > 0
+    | _, _, _, None -> false
+  in
+  (* Whether a crash at [at] tears a write whose slot already holds a
+     completed block: below the crash mark's torn segment, the store
+     holds an older segment of the same slot. *)
+  let overwrites cfg at =
+    let live = Experiment.prepare cfg in
+    Fun.protect
+      ~finally:(fun () -> Experiment.dispose live)
+      (fun () ->
+        El_sim.Engine.run live.Experiment.engine ~until:at;
+        let b = Log_store.backend (Option.get live.Experiment.store) in
+        let blocks upto = (Log_store.scan ~upto b).Log_store.s_blocks in
+        match El_core.El_manager.persist_crash_mark (el_manager live) with
+        | None -> false
+        | Some mark ->
+          List.exists
+            (fun (torn : Log_store.block) ->
+              torn.Log_store.sb_discarded > 0
+              && List.exists
+                   (fun (old : Log_store.block) ->
+                     old.Log_store.sb_gen = torn.Log_store.sb_gen
+                     && old.Log_store.sb_slot = torn.Log_store.sb_slot)
+                   (blocks torn.Log_store.sb_seq))
+            (blocks mark))
   in
   let torn_writes =
-    List.map
+    List.concat_map
       (fun (name, cfg, _) ->
-        let at = torn_instant cfg in
-        (Printf.sprintf "%s, torn write at %d us" name (Time.to_us at), cfg, at))
+        let instants = instants cfg in
+        let first what pred =
+          match List.find_opt (pred cfg) instants with
+          | Some at ->
+            ( Printf.sprintf "%s, %s at %d us" name what (Time.to_us at),
+              cfg,
+              at )
+          | None -> Alcotest.failf "%s: no crash instant with a %s" name what
+        in
+        [
+          first "torn write" tears;
+          first "torn overwrite of a completed block" overwrites;
+        ])
       seeds
   in
   List.iter
@@ -1039,7 +1073,7 @@ let pristine_pwrites cfg =
    on: an image reads the live stable database, valid only until its
    next install, so the hook keeps a copy of the stable state. *)
 let crash_and_keep live =
-  let image = Recovery.crash live.Experiment.engine (el_manager live) in
+  let image = Recovery.crash (el_manager live) in
   { image with Recovery.stable = El_disk.Stable_db.copy image.Recovery.stable }
 
 (* Device dies mid-run with the fatal pwrite landing whole: the sim

@@ -23,7 +23,7 @@ let prepare cfg =
     Alcotest.fail "an EL run expected"
 
 let run_until t at = El_sim.Engine.run t.engine ~until:at
-let crash t = Recovery.crash t.engine t.manager
+let crash t = Recovery.crash t.manager
 
 (* Judges a recovery of an image taken at this instant. *)
 let judge t image result = Spec_tracker.judge t.tracker image result
